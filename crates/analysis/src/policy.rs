@@ -49,8 +49,8 @@ const EXPOSITION_PATH_FILES: &[&str] = &[
     "crates/service/src/telemetry.rs",
 ];
 
-/// The zero-copy storage path: the mmap loader hands out borrowed slices of
-/// a file whose contents the process does not control, and the release
+/// The zero-copy storage path: the `.agb` parser and mmap loader read a
+/// file whose contents the process does not control, and the release
 /// store's lookups run on the `/synthesize` request path — a corrupt or
 /// truncated file must degrade to a typed error (or a store miss), never a
 /// panic in a worker.

@@ -12,15 +12,15 @@
 //!
 //! The `.agb` load path is measured in three tiers over the same graphs
 //! written to a temp file: `load_owned` (read + full deserialise into an
-//! owned [`FrozenGraph`]), `load_mmap_verified` (mmap + checksum + full
-//! structural validation, the `POST /datasets` tier) and
-//! `load_mmap_trusted` (mmap + layout check only, the release-store tier).
-//! The mmap tiers never copy the arrays — registering a 1M-node graph drops
-//! from tens of milliseconds to microseconds.
+//! owned [`FrozenGraph`]), `load_mmap_verified` ([`FrozenGraph::open`]:
+//! mmap + checksum + full structural validation, the `POST /datasets`
+//! tier) and `load_mmap_trusted` ([`FrozenGraph::open_trusted`]: mmap +
+//! layout and offsets checks only, the release-store tier). The mmap tiers
+//! never copy the arrays — registering a 1M-node graph drops from tens of
+//! milliseconds to microseconds.
 //!
 //! `AGMDP_BENCH_JSON=BENCH_graph.json cargo bench -p agmdp-bench --bench
-//! graphops` reproduces the committed numbers (single-core container: the
-//! CSR wins recorded there are cache-locality wins, not threading).
+//! graphops` reproduces the committed numbers (single-core container).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -34,7 +34,7 @@ use agmdp_core::workflow::{
 use agmdp_graph::clustering::global_clustering;
 use agmdp_graph::degree::DegreeSequence;
 use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::{io, AttributeSchema, AttributedGraph, MappedGraph};
+use agmdp_graph::{io, AttributeSchema, AttributedGraph, FrozenGraph};
 use agmdp_metrics::distance::ks_statistic;
 use agmdp_metrics::GraphComparison;
 
@@ -137,14 +137,14 @@ fn graphops(c: &mut Criterion) {
         });
         group.bench_function(format!("load_mmap_verified_{label}"), |b| {
             b.iter(|| {
-                let g = MappedGraph::open(&agb_path).expect("verified mmap");
-                black_box(g.view().num_edges())
+                let g = FrozenGraph::open(&agb_path).expect("verified mmap");
+                black_box(g.num_edges())
             });
         });
         group.bench_function(format!("load_mmap_trusted_{label}"), |b| {
             b.iter(|| {
-                let g = MappedGraph::open_trusted(&agb_path).expect("trusted mmap");
-                black_box(g.view().num_edges())
+                let g = FrozenGraph::open_trusted(&agb_path).expect("trusted mmap");
+                black_box(g.num_edges())
             });
         });
 

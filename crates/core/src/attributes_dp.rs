@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use agmdp_graph::AttributedGraph;
+use agmdp_graph::GraphView;
 use agmdp_privacy::laplace::LaplaceMechanism;
 use agmdp_privacy::postprocess::clamp_and_normalize;
 
@@ -21,8 +21,8 @@ use crate::Result;
 pub const QX_SENSITIVITY: f64 = 2.0;
 
 /// Learns an ε-differentially private estimate of `Θ_X` (Algorithm 5).
-pub fn learn_attributes_dp<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn learn_attributes_dp<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     rng: &mut R,
 ) -> Result<ThetaX> {
@@ -36,7 +36,7 @@ pub fn learn_attributes_dp<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agmdp_graph::AttributeSchema;
+    use agmdp_graph::{AttributeSchema, AttributedGraph};
     use agmdp_metrics::distance::mean_absolute_error;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

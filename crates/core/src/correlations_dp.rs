@@ -4,9 +4,14 @@
 //! Changing one node's attribute vector can shift up to `2 · degree` mass
 //! between the edge-configuration counts `Q_F`, so the naïve global
 //! sensitivity is `2n − 2`. The paper's main approach (Section 3.1,
-//! Algorithm 4) first applies the edge-truncation operator µ(G, k) and proves
-//! (Proposition 1) that computing `Q_F` on the truncated graph has global
-//! sensitivity exactly `2k`; Laplace noise of scale `2k/ε` then suffices.
+//! Algorithm 4) first applies the edge-truncation operator µ(G, k), and
+//! Proposition 1 bounds the sensitivity of `Q_F` on the truncated graph by
+//! the paper's constant `2k + 1`. The code calibrates to `2k` — Laplace
+//! noise of scale `2k/ε` — and enforces `k ≥ 2` ([`MIN_TRUNCATION_K`]),
+//! because `2k` fails at `k = 1`: for G = {(0,3), (1,2)} with attributes
+//! (1,0,0,1), adding the edge (1,3) moves the truncated `Q_F` from
+//! `[1, 0, 1]` to `[0, 1, 0]`, an L1 change of 3 (see `k_one_breaks_the_2k_bound`). The
+//! heuristic `k = ⌈n^(1/3)⌉` is at least 2 for every graph with an edge.
 //! Appendix B describes two alternatives — smooth sensitivity and
 //! sample-and-aggregate — and Figure 5 compares all of them against the naïve
 //! Laplace baseline. All four are implemented here behind
@@ -18,7 +23,7 @@ use rand::Rng;
 
 use agmdp_graph::subgraph::{induced_subgraph, partition_nodes};
 use agmdp_graph::truncation::{edge_truncation, heuristic_k};
-use agmdp_graph::{AttributedGraph, NodeId};
+use agmdp_graph::{GraphView, NodeId};
 use agmdp_privacy::laplace::LaplaceMechanism;
 use agmdp_privacy::postprocess::normalize;
 use agmdp_privacy::sample_aggregate::sample_and_aggregate_distribution;
@@ -32,7 +37,8 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CorrelationMethod {
     /// Edge truncation + Laplace noise (Algorithm 4). `k = None` uses the
-    /// data-independent heuristic `k = ⌈n^(1/3)⌉` recommended in Section 3.1.
+    /// data-independent heuristic `k = ⌈n^(1/3)⌉` recommended in Section 3.1;
+    /// an explicit `k` must be at least [`MIN_TRUNCATION_K`].
     EdgeTruncation {
         /// Explicit truncation parameter, or `None` for the heuristic.
         k: Option<usize>,
@@ -60,19 +66,29 @@ impl Default for CorrelationMethod {
     }
 }
 
+/// The smallest truncation parameter the `Lap(2k/ε)` calibration of
+/// [`learn_correlations_truncated`] holds for (see the module docs).
+pub const MIN_TRUNCATION_K: usize = 2;
+
 impl CorrelationMethod {
     /// Builds a method from the user-facing token and shared parameters, as
     /// accepted by both the CLI (`--method`/`--k`) and the service API
     /// (`"method"`/`"k"`/`"delta"`): `k` parameterises truncation (or, reused,
     /// the sample-aggregate group size), `delta` the smooth-sensitivity
-    /// (ε, δ) guarantee.
+    /// (ε, δ) guarantee. A truncation `k` below [`MIN_TRUNCATION_K`] is
+    /// rejected here, before any ε is drawn.
     pub fn from_parts(
         name: &str,
         k: Option<usize>,
         delta: f64,
     ) -> std::result::Result<Self, String> {
         match name {
-            "truncation" => Ok(CorrelationMethod::EdgeTruncation { k }),
+            "truncation" => match k {
+                Some(k) if k < MIN_TRUNCATION_K => Err(format!(
+                    "truncation parameter k must be at least {MIN_TRUNCATION_K}, got {k}"
+                )),
+                _ => Ok(CorrelationMethod::EdgeTruncation { k }),
+            },
             "smooth" => Ok(CorrelationMethod::SmoothSensitivity { delta }),
             "sample-aggregate" => Ok(CorrelationMethod::SampleAggregate {
                 group_size: k.unwrap_or(32).max(2),
@@ -87,8 +103,8 @@ impl CorrelationMethod {
 ///
 /// Edge truncation, sample-and-aggregate and the naïve baseline satisfy pure
 /// ε-DP; the smooth-sensitivity method satisfies (ε, δ)-DP.
-pub fn learn_correlations_dp<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn learn_correlations_dp<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     method: CorrelationMethod,
     rng: &mut R,
@@ -109,19 +125,20 @@ pub fn learn_correlations_dp<R: Rng + ?Sized>(
 }
 
 /// Algorithm 4: truncate to a `k`-bounded graph, count `Q_F`, add `Lap(2k/ε)`
-/// noise, clamp negatives away and normalise.
-pub fn learn_correlations_truncated<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+/// noise, clamp negatives away and normalise. `k` must be at least
+/// [`MIN_TRUNCATION_K`].
+pub fn learn_correlations_truncated<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     k: usize,
     rng: &mut R,
 ) -> Result<ThetaF> {
-    if k == 0 {
-        return Err(CoreError::InvalidConfig(
-            "truncation parameter k must be at least 1".to_string(),
-        ));
+    if k < MIN_TRUNCATION_K {
+        return Err(CoreError::InvalidConfig(format!(
+            "truncation parameter k must be at least {MIN_TRUNCATION_K}, got {k}"
+        )));
     }
-    // Global sensitivity 2k by Proposition 1.
+    // Sensitivity 2k for k ≥ 2 (Proposition 1; see the module docs).
     let mech = LaplaceMechanism::new(epsilon, 2.0 * k as f64)?;
     let truncated = edge_truncation(graph, k).graph;
     let counts = edge_config_counts(&truncated);
@@ -135,8 +152,8 @@ pub fn learn_correlations_truncated<R: Rng + ?Sized>(
 
 /// Appendix B.1: exact `Q_F` counts with Laplace noise calibrated to the
 /// β-smooth sensitivity of Corollary 5 (an (ε, δ)-DP mechanism).
-pub fn learn_correlations_smooth<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn learn_correlations_smooth<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     delta: f64,
     rng: &mut R,
@@ -155,8 +172,8 @@ pub fn learn_correlations_smooth<R: Rng + ?Sized>(
 
 /// Appendix B.2: random node partition, per-group `Θ_F` on induced subgraphs,
 /// noisy average (sensitivity `2/t`), re-normalised.
-pub fn learn_correlations_sample_aggregate<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn learn_correlations_sample_aggregate<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     group_size: usize,
     rng: &mut R,
@@ -188,8 +205,8 @@ pub fn learn_correlations_sample_aggregate<R: Rng + ?Sized>(
 
 /// The naïve Laplace baseline: exact `Q_F` counts with noise calibrated to the
 /// worst-case global sensitivity `2n − 2`.
-pub fn learn_correlations_naive<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn learn_correlations_naive<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     rng: &mut R,
 ) -> Result<ThetaF> {
@@ -207,7 +224,9 @@ pub fn learn_correlations_naive<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::edge_config_counts;
     use agmdp_datasets::toy_social_graph;
+    use agmdp_graph::{AttributeSchema, AttributedGraph};
     use agmdp_metrics::distance::mean_absolute_error;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -257,10 +276,51 @@ mod tests {
         let g = toy_social_graph();
         let mut rng = StdRng::seed_from_u64(2);
         assert!(learn_correlations_truncated(&g, 1.0, 0, &mut rng).is_err());
+        assert!(learn_correlations_truncated(&g, 1.0, 1, &mut rng).is_err());
+        assert!(learn_correlations_truncated(&g, 1.0, 2, &mut rng).is_ok());
         assert!(learn_correlations_dp(&g, 0.0, CorrelationMethod::default(), &mut rng).is_err());
         assert!(learn_correlations_smooth(&g, 1.0, 0.0, &mut rng).is_err());
         assert!(learn_correlations_sample_aggregate(&g, 1.0, 0, &mut rng).is_err());
         assert!(learn_correlations_sample_aggregate(&g, 1.0, g.num_nodes() + 1, &mut rng).is_err());
+    }
+
+    /// The counterexample behind [`MIN_TRUNCATION_K`]: at k = 1 one added
+    /// edge moves the truncated Q_F by 3, more than the calibrated 2k = 2.
+    #[test]
+    fn k_one_breaks_the_2k_bound() {
+        let graph = |edges: &[(u32, u32)]| {
+            let mut g = AttributedGraph::new(4, AttributeSchema::new(1));
+            g.set_all_attribute_codes(&[1, 0, 0, 1]).unwrap();
+            for &(u, v) in edges {
+                g.add_edge(u, v).unwrap();
+            }
+            g
+        };
+        let qf = |g: &AttributedGraph| edge_config_counts(&edge_truncation(g, 1).graph);
+        let before = qf(&graph(&[(0, 3), (1, 2)]));
+        let after = qf(&graph(&[(0, 3), (1, 2), (1, 3)]));
+        assert_eq!(before, [1.0, 0.0, 1.0]);
+        assert_eq!(after, [0.0, 1.0, 0.0]);
+        let l1: f64 = before.iter().zip(&after).map(|(a, b)| (a - b).abs()).sum();
+        assert_eq!(l1, 3.0);
+        assert!(l1 > 2.0 * 1.0);
+    }
+
+    #[test]
+    fn from_parts_rejects_truncation_k_below_two() {
+        for k in [0, 1] {
+            assert!(CorrelationMethod::from_parts("truncation", Some(k), 1e-6).is_err());
+        }
+        assert_eq!(
+            CorrelationMethod::from_parts("truncation", Some(2), 1e-6),
+            Ok(CorrelationMethod::EdgeTruncation { k: Some(2) })
+        );
+        assert_eq!(
+            CorrelationMethod::from_parts("truncation", None, 1e-6),
+            Ok(CorrelationMethod::default())
+        );
+        // The sample-aggregate group size reuses `k` and keeps its own floor.
+        assert!(CorrelationMethod::from_parts("sample-aggregate", Some(1), 1e-6).is_ok());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use rand::Rng;
 
 use agmdp_graph::truncation::{edge_truncation, heuristic_k};
-use agmdp_graph::AttributedGraph;
+use agmdp_graph::GraphView;
 use agmdp_privacy::postprocess::normalize;
 use agmdp_privacy::smooth::{beta, smooth_bound, SmoothLaplaceMechanism};
 
@@ -40,8 +40,8 @@ use crate::Result;
 /// node-adjacency smooth sensitivity.
 ///
 /// `k = None` uses the same `⌈n^(1/3)⌉` heuristic as the edge-DP learner.
-pub fn learn_correlations_node_dp<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn learn_correlations_node_dp<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     delta: f64,
     k: Option<usize>,
@@ -83,6 +83,7 @@ pub fn node_dp_smooth_sensitivity(n: usize, k: usize, epsilon: f64, delta: f64) 
 mod tests {
     use super::*;
     use agmdp_datasets::toy_social_graph;
+    use agmdp_graph::AttributedGraph;
     use agmdp_metrics::distance::hellinger_distance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

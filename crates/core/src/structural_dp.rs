@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use agmdp_graph::AttributedGraph;
+use agmdp_graph::GraphView;
 use agmdp_privacy::constrained_inference::dp_degree_sequence;
 use agmdp_privacy::ladder::dp_triangle_count;
 
@@ -22,8 +22,8 @@ use crate::Result;
 
 /// Learns TriCycLe's structural parameters `Θ_M = {S̄, ñ_Δ}` under
 /// `(epsilon_degrees + epsilon_triangles)`-differential privacy (Algorithm 6).
-pub fn fit_tricycle_dp<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn fit_tricycle_dp<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon_degrees: f64,
     epsilon_triangles: f64,
     rng: &mut R,
@@ -42,8 +42,8 @@ pub fn fit_tricycle_dp<R: Rng + ?Sized>(
 /// Learns the FCL structural parameters (degree sequence only) under
 /// `epsilon`-differential privacy, using the same constrained-inference
 /// estimator.
-pub fn fit_fcl_dp<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+pub fn fit_fcl_dp<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     epsilon: f64,
     rng: &mut R,
 ) -> Result<ThetaM> {
@@ -62,6 +62,7 @@ mod tests {
     use super::*;
     use agmdp_datasets::toy_social_graph;
     use agmdp_graph::triangles::count_triangles;
+    use agmdp_graph::AttributedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -21,7 +21,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 use agmdp_models::acceptance::AcceptanceContext;
 use agmdp_models::chung_lu::ChungLuModel;
 use agmdp_models::observe::{NoopStageObserver, StageObserver, SynthesisStage};
@@ -170,8 +170,12 @@ pub struct LearnedParameters {
 
 /// Learns the three AGM parameter sets from the input graph according to the
 /// configuration (lines 2–5 of Algorithm 3).
-pub fn learn_parameters<R: Rng + ?Sized>(
-    graph: &AttributedGraph,
+///
+/// Reads any [`GraphView`] in place — a mutable graph, a frozen snapshot or
+/// a memory-mapped `.agb` file — and returns the same parameters for the
+/// same graph and RNG state whichever representation it is given.
+pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
     config: &AgmConfig,
     rng: &mut R,
 ) -> Result<LearnedParameters> {
@@ -355,8 +359,8 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 /// assert_eq!(synthesize(&input, &serial, &mut rng).unwrap(), synthetic);
 /// ```
-pub fn synthesize<R: Rng>(
-    graph: &AttributedGraph,
+pub fn synthesize<G: GraphView, R: Rng>(
+    graph: &G,
     config: &AgmConfig,
     rng: &mut R,
 ) -> Result<AttributedGraph> {

@@ -108,7 +108,7 @@ pub fn is_connected<G: GraphView>(g: &G) -> bool {
 /// Extracts the subgraph induced by the largest connected component, relabeling
 /// nodes densely. Returns the new graph and the mapping `new id -> old id`.
 #[must_use]
-pub fn largest_component_subgraph(g: &AttributedGraph) -> (AttributedGraph, Vec<NodeId>) {
+pub fn largest_component_subgraph<G: GraphView>(g: &G) -> (AttributedGraph, Vec<NodeId>) {
     let comps = connected_components(g);
     let keep = comps.largest_component_nodes();
     crate::subgraph::induced_subgraph(g, &keep)

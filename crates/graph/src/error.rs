@@ -65,13 +65,6 @@ pub enum GraphError {
         /// Bytes actually present.
         actual: usize,
     },
-    /// A binary graph buffer is not 4-byte aligned, so its CSR words cannot
-    /// be viewed in place (mappings are page-aligned; this arises only for
-    /// borrowed byte slices carved out at odd offsets).
-    MisalignedBinary {
-        /// The buffer's address modulo the required 4-byte alignment.
-        offset: usize,
-    },
     /// The trailing checksum of a binary graph file does not match its
     /// contents (bit rot or an interrupted write).
     ChecksumMismatch {
@@ -126,12 +119,6 @@ impl fmt::Display for GraphError {
                     "truncated binary graph file: expected {expected} bytes, found {actual}"
                 )
             }
-            GraphError::MisalignedBinary { offset } => {
-                write!(
-                    f,
-                    "binary graph buffer is misaligned (address is {offset} mod 4; CSR words need 4-byte alignment)"
-                )
-            }
             GraphError::ChecksumMismatch { stored, computed } => {
                 write!(
                     f,
@@ -184,10 +171,6 @@ mod tests {
 
         let e = GraphError::Format("bad header".into());
         assert!(e.to_string().contains("bad header"));
-
-        let e = GraphError::MisalignedBinary { offset: 1 };
-        assert!(e.to_string().contains("misaligned"));
-        assert!(e.to_string().contains("4-byte"));
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The immutable CSR snapshot of an attributed graph.
+//! The immutable CSR graph: the one read-side representation.
 //!
-//! The pipeline's read-only phase — TriCycLe acceptance scoring, every metric
-//! in `agmdp-metrics`, the evaluation harness and the service's
-//! `GET /evaluate` — traverses a graph that will never change again. The
-//! mutable [`AttributedGraph`] pays for its
-//! insertability with one heap allocation per node (`Vec<Vec<NodeId>>`),
+//! The pipeline reads the sensitive graph once, to fit the model parameters,
+//! and afterwards only ever reads finished graphs — TriCycLe acceptance
+//! scoring, every metric in `agmdp-metrics`, the evaluation harness, the
+//! service's datasets and releases. The mutable [`AttributedGraph`] pays for
+//! its insertability with one heap allocation per node (`Vec<Vec<NodeId>>`),
 //! which scatters neighbor lists across the heap; [`FrozenGraph`] is the
-//! same graph *frozen* into three flat arrays (compressed sparse row):
+//! same graph *frozen* into three flat sections of one `u32` word buffer
+//! (compressed sparse row):
 //!
 //! * `offsets[v] .. offsets[v + 1]` indexes node `v`'s slice of `neighbors`,
 //! * `neighbors` holds every (half-)edge endpoint, sorted within each node,
-//! * `attributes[v]` is node `v`'s attribute code.
+//! * `attributes[v]` is node `v`'s attribute code (absent when `w = 0`).
 //!
 //! Degrees become two adjacent array reads, neighbor iteration is a single
 //! contiguous scan, and whole-graph traversals (triangle counting, degree
@@ -18,23 +19,42 @@
 //! performed once per graph; thawing reconstructs an [`AttributedGraph`]
 //! equal to the original.
 //!
-//! The snapshot is also the in-memory image of the binary `.agb` interchange
-//! format (see [`crate::io`]): reading a binary file produces a `FrozenGraph`
-//! without any re-sorting or re-indexing.
+//! The sections are also the payload of the binary `.agb` interchange format
+//! (see [`crate::io`]), so a `.agb` file is loaded either by memory-mapping
+//! it and viewing the sections in place, or by copying its words — never by
+//! re-sorting or re-indexing.
 
-use crate::attributes::{AttributeSchema, EdgeConfigIndex};
-use crate::error::GraphError;
-use crate::graph::{AttributedGraph, Edge, NodeId};
+use crate::attributes::AttributeSchema;
+use crate::graph::{AttributedGraph, NodeId};
+use crate::io::{CHECKSUM_LEN, HEADER_LEN};
+use crate::mmap::Words;
 use crate::view::GraphView;
-use crate::Result;
 
-/// An immutable attributed graph in compressed-sparse-row form.
+/// An immutable attributed graph in compressed-sparse-row form, over an
+/// owned or memory-mapped word buffer.
 ///
-/// Construct one with [`AttributedGraph::freeze`], [`FrozenGraph::from_graph`]
-/// or by reading a binary graph file ([`crate::io::from_binary`]). All read
-/// accessors mirror `AttributedGraph`'s and return identical values; the
-/// [`GraphView`] impl lets every analysis function accept either
-/// representation.
+/// Construct one with [`AttributedGraph::freeze`] /
+/// [`FrozenGraph::from_graph`], by deserialising `.agb` bytes
+/// ([`crate::io::from_binary`]), or by opening an `.agb` file in place
+/// ([`FrozenGraph::open`], [`FrozenGraph::open_trusted`]). The section
+/// bounds are fixed at construction, so [`FrozenGraph::neighbors`] is one
+/// slice of the buffer. The [`GraphView`] impl lets every analysis function
+/// and every DP learner read it in place; its values are identical to the
+/// [`AttributedGraph`] it was frozen from.
+///
+/// ## Validation tiers
+///
+/// Every `.agb` load path runs one parser. It always checks the layout
+/// (magic, version, dimensions, exact length) and scans the offsets (start
+/// at 0, non-decreasing, end at `2m`), which keeps every later slice access
+/// in bounds. The *verified* tier ([`FrozenGraph::open`],
+/// [`crate::io::from_binary`]) first checks the checksum and then every
+/// structural CSR invariant: each list strictly sorted, in range and
+/// self-loop-free, every edge symmetric, every attribute code valid. The
+/// *trusted* tier ([`FrozenGraph::open_trusted`]) skips those; it is for
+/// artifacts the caller itself wrote moments or restarts ago (e.g. a
+/// service's release store). A violated trust contract can produce wrong
+/// analysis results or a panic, but never memory unsafety.
 ///
 /// ```
 /// use agmdp_graph::{AttributedGraph, GraphView};
@@ -50,18 +70,23 @@ use crate::Result;
 /// assert_eq!(agmdp_graph::triangles::count_triangles(&frozen), 1);
 /// assert_eq!(frozen.thaw(), g);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FrozenGraph {
     schema: AttributeSchema,
-    /// `offsets[v]..offsets[v+1]` is node `v`'s slice of `neighbors`;
-    /// `offsets.len() == n + 1`, `offsets[0] == 0`, `offsets[n] == 2m`.
-    offsets: Vec<u32>,
-    /// Concatenated sorted neighbor lists (`2m` entries).
-    neighbors: Vec<NodeId>,
-    /// Attribute code of each node (`f_w` encoding), `n` entries.
-    attributes: Vec<u32>,
-    /// Number of undirected edges (`neighbors.len() / 2`).
-    num_edges: usize,
+    words: Words,
+    /// Word positions in `words`: offsets are `[s[0], s[1])` (`n + 1`
+    /// entries), neighbors `[s[1], s[2])` (`2m`), attribute codes
+    /// `[s[2], s[3])` (`n`, or none for a width-0 schema).
+    sections: [usize; 4],
+}
+
+/// Section bounds for `n` nodes and `m` edges whose offsets start at word
+/// `first`.
+fn section_bounds(first: usize, n: usize, m: usize, schema: AttributeSchema) -> [usize; 4] {
+    let neighbors = first + n + 1;
+    let attributes = neighbors + 2 * m;
+    let end = attributes + if schema.width() > 0 { n } else { 0 };
+    [first, neighbors, attributes, end]
 }
 
 impl FrozenGraph {
@@ -74,72 +99,68 @@ impl FrozenGraph {
     /// three orders of magnitude away).
     #[must_use]
     pub fn from_graph(g: &AttributedGraph) -> Self {
-        let half_edges = 2 * g.num_edges();
+        let (n, m) = (g.num_nodes(), g.num_edges());
         assert!(
-            u32::try_from(half_edges).is_ok(),
-            "graph too large to freeze: {half_edges} half-edges exceed u32 offsets"
+            u32::try_from(2 * m).is_ok(),
+            "graph too large to freeze: {} half-edges exceed u32 offsets",
+            2 * m
         );
-        let mut offsets = Vec::with_capacity(g.num_nodes() + 1);
-        let mut neighbors = Vec::with_capacity(half_edges);
-        offsets.push(0u32);
+        let sections = section_bounds(0, n, m, g.schema());
+        let mut words = Vec::with_capacity(sections[3]);
+        words.push(0u32);
+        let mut offset = 0u32;
         for v in g.nodes() {
-            neighbors.extend_from_slice(g.neighbors(v));
-            offsets.push(neighbors.len() as u32);
+            offset += g.degree(v) as u32;
+            words.push(offset);
+        }
+        for v in g.nodes() {
+            words.extend_from_slice(g.neighbors(v));
+        }
+        if g.schema().width() > 0 {
+            words.extend_from_slice(g.attribute_codes());
         }
         Self {
             schema: g.schema(),
-            offsets,
-            neighbors,
-            attributes: g.attribute_codes().to_vec(),
-            num_edges: g.num_edges(),
+            words: Words::Owned(words),
+            sections,
         }
     }
 
-    /// Builds a snapshot directly from CSR arrays, validating every
-    /// structural invariant (used by the binary graph reader; a file that
-    /// passes its checksum can still encode an inconsistent graph).
-    ///
-    /// Requirements: `offsets` has `n + 1` monotone entries starting at 0 and
-    /// ending at `neighbors.len()` (which must be even); each node's slice is
-    /// strictly sorted, in-range, self-loop-free and symmetric; `attributes`
-    /// has `n` codes valid under `schema`.
-    pub fn from_csr(
+    /// A graph over `words` whose sections start at word `first` — `n + 1`
+    /// offsets, `2m` neighbors, then `n` attribute codes when the schema has
+    /// attributes — or `None` if they do not fit. Bounds only: the `.agb`
+    /// parser validates the contents.
+    pub(crate) fn over(
         schema: AttributeSchema,
-        offsets: Vec<u32>,
-        neighbors: Vec<NodeId>,
-        attributes: Vec<u32>,
-    ) -> Result<Self> {
-        validate_csr_structure(&offsets, &neighbors)?;
-        validate_attribute_codes(schema, &attributes, offsets.len() - 1)?;
-        let num_edges = neighbors.len() / 2;
-        Ok(Self {
+        words: Words,
+        first: usize,
+        n: usize,
+        m: usize,
+    ) -> Option<Self> {
+        let sections = section_bounds(first, n, m, schema);
+        (sections[3] <= words.as_slice().len()).then_some(Self {
             schema,
-            offsets,
-            neighbors,
-            attributes,
-            num_edges,
+            words,
+            sections,
         })
     }
 
-    /// Builds a snapshot from CSR arrays whose invariants the caller has
-    /// already established (used by [`crate::mmap::FrozenView::to_frozen`],
-    /// whose slices were validated at view construction) — skips the
-    /// `O(n + m log d)` re-validation of [`FrozenGraph::from_csr`].
-    pub(crate) fn from_csr_unchecked(
-        schema: AttributeSchema,
-        offsets: Vec<u32>,
-        neighbors: Vec<NodeId>,
-        attributes: Vec<u32>,
-        num_edges: usize,
-    ) -> Self {
-        debug_assert!(!offsets.is_empty() && neighbors.len() == 2 * num_edges);
-        Self {
-            schema,
-            offsets,
-            neighbors,
-            attributes,
-            num_edges,
-        }
+    /// The raw CSR sections `(offsets, neighbors, attributes)`;
+    /// `attributes` is empty for a width-0 schema.
+    #[inline]
+    pub(crate) fn sections(&self) -> (&[u32], &[NodeId], &[u32]) {
+        let words = self.words.as_slice();
+        let [o, nb, a, end] = self.sections;
+        (&words[o..nb], &words[nb..a], &words[a..end])
+    }
+
+    /// The offsets and neighbors sections — the hot-path half of
+    /// [`FrozenGraph::sections`].
+    #[inline]
+    fn csr(&self) -> (&[u32], &[NodeId]) {
+        let words = self.words.as_slice();
+        let [o, nb, a, _] = self.sections;
+        (&words[o..nb], &words[nb..a])
     }
 
     /// Reconstructs a mutable [`AttributedGraph`] equal to the graph this
@@ -148,13 +169,24 @@ impl FrozenGraph {
     #[must_use]
     pub fn thaw(&self) -> AttributedGraph {
         let mut g = AttributedGraph::new(self.num_nodes(), self.schema);
-        g.set_all_attribute_codes(&self.attributes)
-            .expect("frozen attribute codes are schema-valid");
+        let (_, _, attributes) = self.sections();
+        if !attributes.is_empty() {
+            g.set_all_attribute_codes(attributes)
+                .expect("frozen attribute codes are schema-valid");
+        }
         for e in self.edges() {
             g.add_edge(e.u, e.v)
                 .expect("frozen snapshot contains no duplicate edges or self-loops");
         }
         g
+    }
+
+    /// The graph itself. The repository benchmark (`perfbench/`) reads
+    /// counts through `MappedGraph::open(..)?.view()`; this keeps that call
+    /// compiling.
+    #[must_use]
+    pub fn view(&self) -> &Self {
+        self
     }
 
     /// The attribute schema of this graph.
@@ -165,19 +197,16 @@ impl FrozenGraph {
 
     /// Number of nodes `n = |N|`.
     #[must_use]
+    #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.sections[1] - self.sections[0] - 1
     }
 
     /// Number of undirected edges `m = |E|`.
     #[must_use]
+    #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Iterator over all node ids `0..n`.
-    pub fn nodes(&self) -> std::ops::Range<NodeId> {
-        0..self.num_nodes() as NodeId
+        (self.sections[2] - self.sections[1]) / 2
     }
 
     /// Degree of node `v` — two adjacent offset reads, no indirection.
@@ -186,14 +215,11 @@ impl FrozenGraph {
     ///
     /// Panics if `v` is out of range.
     #[must_use]
+    #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
+        let (offsets, _) = self.csr();
         let v = v as usize;
-        (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-
-    /// Allocation-free iterator over all node degrees, by node id.
-    pub fn degree_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.offsets.windows(2).map(|w| (w[1] - w[0]) as usize)
+        (offsets[v + 1] - offsets[v]) as usize
     }
 
     /// The sorted neighbor list `Γ(v)` of node `v` — a contiguous slice of
@@ -203,188 +229,83 @@ impl FrozenGraph {
     ///
     /// Panics if `v` is out of range.
     #[must_use]
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        let (offsets, neighbors) = self.csr();
         let v = v as usize;
-        &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+        &neighbors[offsets[v] as usize..offsets[v + 1] as usize]
     }
 
-    /// Returns `true` if the undirected edge `(u, v)` is present
-    /// (binary search of the shorter endpoint's slice; out-of-range
-    /// endpoints return `false`).
-    #[must_use]
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        GraphView::has_edge(self, u, v)
-    }
-
-    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|` by sorted merge.
-    #[must_use]
-    pub fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        GraphView::common_neighbor_count(self, u, v)
-    }
-
-    /// Enumerates all edges in canonical (lexicographic) order with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        GraphView::edges(self)
-    }
-
-    /// The degrees of all nodes, indexed by node id (allocates; prefer
-    /// [`FrozenGraph::degree_iter`] on hot paths).
-    #[must_use]
-    pub fn degrees(&self) -> Vec<usize> {
-        self.degree_iter().collect()
-    }
-
-    /// Maximum degree `d_max` (0 for an empty graph).
-    #[must_use]
-    pub fn max_degree(&self) -> usize {
-        self.degree_iter().max().unwrap_or(0)
-    }
-
-    /// Average degree `2m / n` (0 for an empty graph).
-    #[must_use]
-    pub fn avg_degree(&self) -> f64 {
-        GraphView::avg_degree(self)
-    }
-
-    /// The attribute code (`f_w` encoding) of node `v`.
+    /// The attribute code (`f_w` encoding) of node `v` (0 for every node of
+    /// a width-0 schema, which stores no attribute section).
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     #[must_use]
+    #[inline]
     pub fn attribute_code(&self, v: NodeId) -> u32 {
-        self.attributes[v as usize]
-    }
-
-    /// Attribute codes for all nodes, indexed by node id.
-    #[must_use]
-    pub fn attribute_codes(&self) -> &[u32] {
-        &self.attributes
-    }
-
-    /// The edge-configuration index `F_w(x_u, x_v)` of an edge's endpoints.
-    #[must_use]
-    pub fn edge_config(&self, u: NodeId, v: NodeId) -> EdgeConfigIndex {
-        GraphView::edge_config(self, u, v)
-    }
-
-    /// The raw CSR arrays `(offsets, neighbors, attributes)` — the exact
-    /// payload of the binary graph format.
-    #[must_use]
-    pub fn csr_parts(&self) -> (&[u32], &[NodeId], &[u32]) {
-        (&self.offsets, &self.neighbors, &self.attributes)
-    }
-}
-
-/// Validates every structural CSR invariant over raw slices — shared by
-/// [`FrozenGraph::from_csr`] (owned deserialisation) and
-/// [`crate::mmap::FrozenView::new`] (zero-copy views), so both paths accept
-/// and reject exactly the same array contents.
-///
-/// Checks: non-empty offsets starting at 0 and ending at `neighbors.len()`
-/// (which must be even), non-decreasing offsets, each node's list strictly
-/// sorted / in-range / self-loop-free, and edge symmetry.
-pub(crate) fn validate_csr_structure(offsets: &[u32], neighbors: &[NodeId]) -> Result<()> {
-    let invalid = |msg: String| GraphError::Format(format!("invalid CSR graph: {msg}"));
-    if offsets.is_empty() {
-        return Err(invalid("empty offsets array".into()));
-    }
-    let n = offsets.len() - 1;
-    if offsets[0] != 0 {
-        return Err(invalid(format!(
-            "offsets must start at 0, got {}",
-            offsets[0]
-        )));
-    }
-    if *offsets.last().expect("non-empty") as usize != neighbors.len() {
-        return Err(invalid(format!(
-            "final offset {} does not match {} neighbor entries",
-            offsets.last().expect("non-empty"),
-            neighbors.len()
-        )));
-    }
-    if neighbors.len() % 2 != 0 {
-        return Err(invalid(format!(
-            "odd half-edge count {} (undirected graphs store each edge twice)",
-            neighbors.len()
-        )));
-    }
-    for w in offsets.windows(2) {
-        if w[1] < w[0] {
-            return Err(invalid("offsets must be non-decreasing".into()));
-        }
-    }
-    let list = |v: usize| &neighbors[offsets[v] as usize..offsets[v + 1] as usize];
-    // Per-list structure: strictly sorted, in range, no self-loops.
-    for v in 0..n {
-        let mut prev: Option<NodeId> = None;
-        for &u in list(v) {
-            if (u as usize) >= n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: u,
-                    num_nodes: n,
-                });
-            }
-            if u as usize == v {
-                return Err(GraphError::SelfLoop { node: u });
-            }
-            if let Some(p) = prev {
-                if p >= u {
-                    return Err(invalid(format!(
-                        "neighbor list of node {v} is not strictly sorted"
-                    )));
-                }
-            }
-            prev = Some(u);
-        }
-    }
-    // Symmetry: every half-edge has its mirror.
-    for v in 0..n {
-        for &u in list(v) {
-            if list(u as usize).binary_search(&(v as NodeId)).is_err() {
-                return Err(invalid(format!("edge ({v}, {u}) is not symmetric")));
+        let [_, _, a, end] = self.sections;
+        match self.words.as_slice()[a..end].get(v as usize) {
+            Some(&code) => code,
+            None => {
+                let n = self.num_nodes();
+                assert!((v as usize) < n, "node id {v} out of range for {n} nodes");
+                0
             }
         }
     }
-    Ok(())
+
+    /// Whether this graph is served zero-copy from a memory mapping (`false`
+    /// for frozen and deserialised graphs, and for every graph on hosts
+    /// without the mapping path).
+    #[must_use]
+    pub fn is_mapped(&self) -> bool {
+        self.words.is_mapped()
+    }
+
+    /// Size in bytes of the graph's `.agb` image (the file it was mapped
+    /// from, or the one [`crate::io::to_binary`] would write).
+    #[must_use]
+    pub fn byte_len(&self) -> usize {
+        HEADER_LEN + 4 * (self.sections[3] - self.sections[0]) + CHECKSUM_LEN
+    }
 }
 
-/// Validates that `attributes` holds exactly `n` codes, each representable
-/// under `schema` — the attribute half of the CSR validation, shared with
-/// the zero-copy view.
-pub(crate) fn validate_attribute_codes(
-    schema: AttributeSchema,
-    attributes: &[u32],
-    n: usize,
-) -> Result<()> {
-    if attributes.len() != n {
-        return Err(GraphError::Format(format!(
-            "invalid CSR graph: {} attribute codes for {n} nodes",
-            attributes.len()
-        )));
+/// Logical equality: same schema and identical CSR sections, whether the
+/// words are owned or mapped.
+impl PartialEq for FrozenGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.sections() == other.sections()
     }
-    for &code in attributes {
-        schema.validate_code(code)?;
-    }
-    Ok(())
 }
 
+// `#[inline]` on the accessors lets the generic metric and learner code in
+// other crates inline them: each one dispatches on the buffer kind and
+// slices a section, which is more than the compiler inlines across crates
+// unprompted.
 impl GraphView for FrozenGraph {
+    #[inline]
     fn num_nodes(&self) -> usize {
         FrozenGraph::num_nodes(self)
     }
+    #[inline]
     fn num_edges(&self) -> usize {
         FrozenGraph::num_edges(self)
     }
+    #[inline]
     fn schema(&self) -> AttributeSchema {
         FrozenGraph::schema(self)
     }
+    #[inline]
     fn neighbors(&self, v: NodeId) -> &[NodeId] {
         FrozenGraph::neighbors(self, v)
     }
+    #[inline]
     fn attribute_code(&self, v: NodeId) -> u32 {
         FrozenGraph::attribute_code(self, v)
     }
+    #[inline]
     fn degree(&self, v: NodeId) -> usize {
         FrozenGraph::degree(self, v)
     }
@@ -399,6 +320,7 @@ impl From<&AttributedGraph> for FrozenGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Edge;
 
     fn sample() -> AttributedGraph {
         let mut g = AttributedGraph::new(5, AttributeSchema::new(2));
@@ -419,7 +341,6 @@ mod tests {
         assert_eq!(f.max_degree(), g.max_degree());
         assert_eq!(f.avg_degree(), g.avg_degree());
         assert_eq!(f.degrees(), g.degrees());
-        assert_eq!(f.attribute_codes(), g.attribute_codes());
         for v in g.nodes() {
             assert_eq!(f.neighbors(v), g.neighbors(v));
             assert_eq!(f.degree(v), g.degree(v));
@@ -436,6 +357,7 @@ mod tests {
         }
         let fe: Vec<Edge> = f.edges().collect();
         assert_eq!(fe, g.edge_vec());
+        assert_eq!(f.byte_len(), crate::io::to_binary(&g).len());
     }
 
     #[test]
@@ -459,54 +381,23 @@ mod tests {
         let f = AttributedGraph::unattributed(4).freeze();
         assert_eq!(f.num_nodes(), 4);
         assert_eq!(f.degrees(), vec![0; 4]);
+        assert_eq!(f.attribute_code(3), 0);
     }
 
     #[test]
-    fn from_csr_accepts_valid_and_rejects_broken_inputs() {
-        let g = sample();
-        let f = g.freeze();
-        let (offsets, neighbors, attributes) = f.csr_parts();
-        let rebuilt = FrozenGraph::from_csr(
-            g.schema(),
-            offsets.to_vec(),
-            neighbors.to_vec(),
-            attributes.to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, f);
+    #[should_panic(expected = "out of range")]
+    fn attribute_code_of_a_missing_node_panics() {
+        let _ = AttributedGraph::unattributed(2).freeze().attribute_code(2);
+    }
 
-        let schema = AttributeSchema::new(0);
-        // Empty offsets.
-        assert!(FrozenGraph::from_csr(schema, vec![], vec![], vec![]).is_err());
-        // Final offset disagrees with the neighbor array.
-        assert!(FrozenGraph::from_csr(schema, vec![0, 2], vec![1], vec![0]).is_err());
-        // Self-loop.
-        assert!(matches!(
-            FrozenGraph::from_csr(schema, vec![0, 2, 2], vec![0, 1], vec![0, 0]),
-            Err(GraphError::SelfLoop { .. })
-        ));
-        // Asymmetric edge: 0 -> 1 without 1 -> 0.
-        assert!(FrozenGraph::from_csr(schema, vec![0, 1, 2], vec![1, 0], vec![0, 0]).is_ok());
-        assert!(FrozenGraph::from_csr(schema, vec![0, 1, 1], vec![1], vec![0, 0]).is_err());
-        // Out-of-range neighbor.
-        assert!(matches!(
-            FrozenGraph::from_csr(schema, vec![0, 1, 2], vec![5, 0], vec![0, 0]),
-            Err(GraphError::NodeOutOfRange { .. })
-        ));
-        // Unsorted neighbor list.
-        assert!(
-            FrozenGraph::from_csr(schema, vec![0, 2, 3, 4], vec![2, 1, 0, 0], vec![0, 0, 0])
-                .is_err()
-        );
-        // Attribute code outside the schema.
-        assert!(matches!(
-            FrozenGraph::from_csr(AttributeSchema::new(1), vec![0, 0], vec![], vec![7]),
-            Err(GraphError::AttributeCodeOutOfRange { .. })
-        ));
-        // Decreasing offsets.
-        assert!(
-            FrozenGraph::from_csr(schema, vec![0, 2, 1, 2], vec![1, 0], vec![0, 0, 0]).is_err()
-        );
+    #[test]
+    fn equality_compares_content() {
+        let f = sample().freeze();
+        assert_eq!(f.clone(), f);
+        let mut other = sample();
+        other.set_attribute_code(4, 0).unwrap();
+        assert_ne!(other.freeze(), f);
+        assert_ne!(AttributedGraph::unattributed(5).freeze(), f);
     }
 
     #[test]

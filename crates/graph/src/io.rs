@@ -39,17 +39,19 @@
 //! All malformations are reported as typed [`GraphError`]s
 //! ([`GraphError::BadMagic`], [`GraphError::UnsupportedVersion`],
 //! [`GraphError::TruncatedBinary`], [`GraphError::ChecksumMismatch`]) and a
-//! checksum-valid file still passes full CSR validation
-//! ([`FrozenGraph::from_csr`]) before a graph is returned.
+//! checksum-valid file still passes full CSR validation before a graph is
+//! returned. [`from_binary`] copies the words into an owned buffer;
+//! [`FrozenGraph::open`] maps the file instead. Both run the same parser
+//! (see [`FrozenGraph`] for its validation tiers).
 //!
-//! [`load_file`] / [`load_frozen_file`] auto-detect the format from the
-//! file's leading bytes, so every path-based loader (CLI `--input`, the
-//! service's `POST /datasets` path registration) accepts both formats
-//! transparently. The round-trip text → binary → text reproduces any
-//! canonically written text file (the output of [`to_text`]) byte for
-//! byte; hand-authored files that rely on the parser's leniencies
-//! (comments, blank lines, duplicate/self-loop edges, arbitrary line
-//! order) round-trip to the same *graph* in canonical form.
+//! [`load_frozen_file`] auto-detects the format from the file's leading
+//! bytes, so every path-based loader (CLI `--input`, the service's
+//! `POST /datasets` path registration) accepts both formats transparently.
+//! The round-trip text → binary → text reproduces any canonically written
+//! text file (the output of [`to_text`]) byte for byte; hand-authored files
+//! that rely on the parser's leniencies (comments, blank lines,
+//! duplicate/self-loop edges, arbitrary line order) round-trip to the same
+//! *graph* in canonical form.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -182,9 +184,11 @@ pub const BINARY_EXTENSION: &str = "agb";
 pub(crate) const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4;
 pub(crate) const CHECKSUM_LEN: usize = 8;
 
-/// FNV-1a 64-bit hash — the binary format's integrity checksum. Not
-/// cryptographic; it guards against bit rot and interrupted writes.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash — the binary format's integrity checksum, also used
+/// to name content-addressed artifacts. Not cryptographic; it guards
+/// against bit rot and interrupted writes.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -193,186 +197,12 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The section geometry a validated `.agb` header implies — shared between
-/// the owned deserialiser ([`from_binary`]) and the zero-copy view
-/// ([`crate::mmap::FrozenView`]), so both paths accept and reject exactly
-/// the same files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BinaryLayout {
-    /// Node count `n`.
-    pub n: usize,
-    /// Undirected edge count `m`.
-    pub m: usize,
-    /// Attribute width `w` (0 ⇒ no attribute section).
-    pub width: usize,
-    /// Exact total byte length of a well-formed file with this header.
-    pub total_len: usize,
-}
-
-impl BinaryLayout {
-    /// Words in the CSR offsets section (`n + 1`).
-    pub fn offset_words(self) -> usize {
-        self.n + 1
-    }
-
-    /// Words in the CSR neighbors section (`2m`).
-    pub fn neighbor_words(self) -> usize {
-        2 * self.m
-    }
-
-    /// Words in the attribute section (`n`, or 0 when `width == 0`).
-    pub fn attr_words(self) -> usize {
-        if self.width > 0 {
-            self.n
-        } else {
-            0
-        }
-    }
-}
-
-/// Validates the fixed-size header plus overall length of a binary graph
-/// buffer: magic, version, dimension limits, truncation and trailing bytes.
-/// On success the buffer is exactly `total_len` bytes and every section
-/// boundary implied by the returned layout is in range. Does **not** verify
-/// the checksum — callers decide whether to pay that full-payload scan
-/// ([`verify_checksum`]).
-pub(crate) fn parse_layout(bytes: &[u8]) -> Result<BinaryLayout> {
-    if bytes.len() < BINARY_MAGIC.len() || !is_binary(bytes) {
-        return Err(GraphError::BadMagic);
-    }
-    let mut r = ByteReader::new(bytes);
-    let _magic = r.take(4)?;
-    let version = r.u32()?;
-    if version != BINARY_VERSION {
-        return Err(GraphError::UnsupportedVersion {
-            found: version,
-            supported: BINARY_VERSION,
-        });
-    }
-    let n = usize::try_from(r.u64()?).map_err(|_| {
-        GraphError::Format("binary graph node count exceeds this platform's usize".into())
-    })?;
-    let m = usize::try_from(r.u64()?).map_err(|_| {
-        GraphError::Format("binary graph edge count exceeds this platform's usize".into())
-    })?;
-    let width = r.u32()? as usize;
-    if width > 16 {
-        return Err(GraphError::Format(format!(
-            "binary graph attribute width {width} exceeds 16"
-        )));
-    }
-    if n > u32::MAX as usize || m.checked_mul(2).is_none_or(|h| h > u32::MAX as usize) {
-        return Err(GraphError::Format(format!(
-            "binary graph dimensions n={n}, m={m} exceed the 32-bit CSR limits"
-        )));
-    }
-    let layout = BinaryLayout {
-        n,
-        m,
-        width,
-        total_len: HEADER_LEN
-            + 4 * (n + 1)
-            + 4 * 2 * m
-            + 4 * if width > 0 { n } else { 0 }
-            + CHECKSUM_LEN,
-    };
-    if bytes.len() < layout.total_len {
-        return Err(GraphError::TruncatedBinary {
-            expected: layout.total_len,
-            actual: bytes.len(),
-        });
-    }
-    if bytes.len() > layout.total_len {
-        return Err(GraphError::Format(format!(
-            "binary graph has {} trailing bytes after the checksum",
-            bytes.len() - layout.total_len
-        )));
-    }
-    Ok(layout)
-}
-
-/// Verifies the trailing FNV-1a 64 checksum of a layout-validated buffer
-/// (`bytes.len() == layout.total_len` must already hold).
-pub(crate) fn verify_checksum(bytes: &[u8]) -> Result<()> {
-    let Some(body_len) = bytes.len().checked_sub(CHECKSUM_LEN) else {
-        return Err(GraphError::TruncatedBinary {
-            expected: CHECKSUM_LEN,
-            actual: bytes.len(),
-        });
-    };
-    let (body, tail) = bytes.split_at(body_len);
-    let stored = u64::from_le_bytes(tail.try_into().map_err(|_| GraphError::TruncatedBinary {
-        expected: CHECKSUM_LEN,
-        actual: tail.len(),
-    })?);
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(GraphError::ChecksumMismatch { stored, computed });
-    }
-    Ok(())
-}
-
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A cursor over the byte buffer that reports truncation with the total
-/// length the header implies, not just "unexpected EOF".
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .ok_or(GraphError::TruncatedBinary {
-                expected: usize::MAX,
-                actual: self.bytes.len(),
-            })?;
-        if end > self.bytes.len() {
-            return Err(GraphError::TruncatedBinary {
-                expected: end,
-                actual: self.bytes.len(),
-            });
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>> {
-        let bytes = self.take(count.checked_mul(4).ok_or(GraphError::TruncatedBinary {
-            expected: usize::MAX,
-            actual: self.bytes.len(),
-        })?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
 }
 
 /// Serialises a graph to the binary `.agb` format described in the module
@@ -423,40 +253,21 @@ pub fn to_binary<G: GraphView>(g: &G) -> Vec<u8> {
 }
 
 /// Returns `true` when `bytes` start with the binary graph magic — the
-/// format auto-detection used by [`load_file`] / [`load_frozen_file`].
+/// format auto-detection used by [`load_frozen_file`].
 #[must_use]
 pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= BINARY_MAGIC.len() && bytes[..BINARY_MAGIC.len()] == BINARY_MAGIC
 }
 
-/// Parses a binary `.agb` graph into a validated [`FrozenGraph`].
+/// Parses a binary `.agb` graph into a validated [`FrozenGraph`] over an
+/// owned copy of its words.
 ///
 /// Every malformation maps to a typed [`GraphError`]: wrong magic, a newer
 /// format version, a payload shorter than the header implies, a checksum
 /// mismatch, and any structural CSR inconsistency a checksum-valid file
 /// might still encode.
 pub fn from_binary(bytes: &[u8]) -> Result<FrozenGraph> {
-    let layout = parse_layout(bytes)?;
-    // Verify integrity before interpreting the payload.
-    verify_checksum(bytes)?;
-    let mut r = ByteReader::new(bytes);
-    let _header = r.take(HEADER_LEN)?;
-    let offsets = r.u32_vec(layout.offset_words())?;
-    let neighbors = r.u32_vec(layout.neighbor_words())?;
-    let attributes = if layout.width > 0 {
-        r.u32_vec(layout.attr_words())?
-    } else {
-        vec![0; layout.n]
-    };
-    // `from_csr` rejects offsets whose final entry disagrees with the
-    // neighbor array, and exactly 2m neighbor words were read, so the
-    // resulting edge count necessarily equals the header's m.
-    FrozenGraph::from_csr(
-        AttributeSchema::new(layout.width),
-        offsets,
-        neighbors,
-        attributes,
-    )
+    crate::mmap::parse_bytes(bytes, true)
 }
 
 /// Writes a graph to a file in the binary `.agb` format.
@@ -483,21 +294,6 @@ pub fn load_frozen_file<P: AsRef<Path>>(path: P) -> Result<FrozenGraph> {
             GraphError::Format("graph file is neither binary nor UTF-8 text".into())
         })?;
         Ok(from_text(&text)?.freeze())
-    }
-}
-
-/// Loads a graph file in either format (auto-detected from the leading
-/// bytes) as a mutable [`AttributedGraph`]: text files are parsed, binary
-/// files are deserialised and thawed.
-pub fn load_file<P: AsRef<Path>>(path: P) -> Result<AttributedGraph> {
-    let bytes = fs::read(path)?;
-    if is_binary(&bytes) {
-        Ok(from_binary(&bytes)?.thaw())
-    } else {
-        let text = String::from_utf8(bytes).map_err(|_| {
-            GraphError::Format("graph file is neither binary nor UTF-8 text".into())
-        })?;
-        from_text(&text)
     }
 }
 
@@ -603,8 +399,6 @@ mod tests {
         write_file(&g, &txt_path).unwrap();
         assert_eq!(read_binary_file(&bin_path).unwrap(), g.freeze());
         // Auto-detection loads both formats through one entry point.
-        assert_eq!(load_file(&bin_path).unwrap(), g);
-        assert_eq!(load_file(&txt_path).unwrap(), g);
         assert_eq!(load_frozen_file(&bin_path).unwrap(), g.freeze());
         assert_eq!(load_frozen_file(&txt_path).unwrap(), g.freeze());
         std::fs::remove_file(&bin_path).ok();

@@ -12,10 +12,13 @@
 //!   ids, sorted adjacency lists, an insertion-ordered edge list (the paper's
 //!   *canonical edge ordering*, needed by edge truncation and by TriCycLe's
 //!   oldest-edge rule), and per-node attribute codes.
-//! * [`FrozenGraph`] — the immutable CSR snapshot of a finished graph for the
-//!   read-only analysis phase, and [`GraphView`] — the trait both
-//!   representations implement so every analysis function accepts either
-//!   (see the [`frozen`] module docs for the freeze contract).
+//! * [`FrozenGraph`] — the one immutable CSR graph every read-side consumer
+//!   takes: frozen from an [`AttributedGraph`], deserialised from `.agb`
+//!   bytes, or memory-mapped from an `.agb` file and read in place
+//!   ([`FrozenGraph::open`] / [`FrozenGraph::open_trusted`]); and
+//!   [`GraphView`] — the trait both representations implement so every
+//!   analysis function and DP learner accepts either (see the [`frozen`]
+//!   module docs for the freeze contract).
 //! * [`AttributeSchema`] / attribute-code helpers implementing the paper's
 //!   `f_w` (node-configuration) and `F_w` (edge-configuration) encodings.
 //! * Structural analyses used throughout the paper: degree sequences and
@@ -25,10 +28,7 @@
 //! * The edge-truncation operator µ(G, k) of Definition 2 ([`truncation`]).
 //! * Induced subgraphs and random node partitions used by the
 //!   sample-and-aggregate mechanism ([`subgraph`]).
-//! * A plain-text interchange format for attributed graphs ([`io`]).
-//! * Zero-copy loading of binary `.agb` graphs ([`mmap`]): a memory-mapped
-//!   file whose CSR payload is viewed in place through [`FrozenView`] /
-//!   [`MappedGraph`] instead of being deserialised into owned vectors.
+//! * The plain-text and binary `.agb` interchange formats ([`io`]).
 //!
 //! The crate is deterministic: it contains no randomness of its own (random
 //! partitioning takes a caller-provided shuffled order), so all DP guarantees
@@ -56,7 +56,7 @@
 //! assert_eq!(agmdp_graph::triangles::count_triangles(&g), 1);
 //! ```
 
-// `deny` rather than `forbid`: the [`mmap`] module is the one sanctioned
+// `deny` rather than `forbid`: the `mmap` module is the one sanctioned
 // exception (raw `mmap`/`munmap` bindings and the byte→word reinterpretation
 // of the zero-copy load path — the container has no libc or bytemuck crate),
 // and `forbid` would reject even its scoped `allow`.
@@ -74,7 +74,7 @@ pub mod frozen;
 pub mod graph;
 pub mod io;
 #[allow(unsafe_code)]
-pub mod mmap;
+mod mmap;
 pub mod subgraph;
 pub mod triangles;
 pub mod truncation;
@@ -85,8 +85,11 @@ pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use frozen::FrozenGraph;
 pub use graph::{AttributedGraph, Edge, NodeId};
-pub use mmap::{FrozenView, MappedGraph};
 pub use view::GraphView;
+
+/// The name the repository benchmark (`perfbench/`) uses for a graph opened
+/// from an `.agb` file: the same [`FrozenGraph`].
+pub type MappedGraph = FrozenGraph;
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -1,51 +1,26 @@
-//! Zero-copy loading of binary `.agb` graphs.
+//! The storage under [`FrozenGraph`] and the one `.agb` parser.
 //!
 //! The `.agb` payload (see [`crate::io`]) *is* the CSR arrays of a
-//! [`FrozenGraph`] in little-endian byte order. Deserialising it
-//! ([`crate::io::from_binary`]) copies every word into owned vectors —
-//! ~100 ms and a full resident copy for a million-node graph, per process.
-//! This module instead memory-maps the file and views the CSR sections in
-//! place:
+//! [`FrozenGraph`] in little-endian byte order, so a frozen graph is a `u32`
+//! word buffer plus the word ranges of its three sections. The buffer is
+//! either an owned vector (freezing, owned deserialisation) or a read-only
+//! memory mapping of the file, which is viewed in place:
 //!
 //! * [`Mapping`] is the unsafe island (mirroring `agmdp-service`'s `sys`
-//!   module): raw `mmap`/`munmap` bindings on unix — the container has no
-//!   libc crate — and a read-to-aligned-heap fallback elsewhere. Every
-//!   `unsafe` block carries a SAFETY comment; nothing else in the crate may
-//!   use `unsafe` (`#![deny(unsafe_code)]` with a scoped allow here).
-//! * [`FrozenView`] is a borrowed CSR graph — `&[u32]` slices pointing
-//!   straight into the mapped bytes — implementing [`GraphView`] so every
-//!   analysis function accepts it interchangeably with the owned
-//!   representations.
-//! * [`MappedGraph`] owns a mapping plus the header scalars and hands out
-//!   fresh [`FrozenView`]s; it is the `Send + Sync` value a dataset registry
-//!   can hold.
+//!   module): raw `mmap`/`munmap` bindings — the container has no libc
+//!   crate — on little-endian unix. Every `unsafe` block carries a SAFETY
+//!   comment; nothing else in the crate may use `unsafe`
+//!   (`#![deny(unsafe_code)]` with a scoped allow here). Elsewhere the file
+//!   is read into an owned buffer instead.
+//! * [`Words`] is the owned-or-mapped buffer a [`FrozenGraph`] holds.
 //!
-//! Loading is O(header + offsets scan) instead of O(file): registering a
-//! million-node dataset costs microseconds-to-milliseconds, and N processes
-//! mapping the same file share one page-cache copy of the CSR arrays.
-//!
-//! ## Validation tiers
-//!
-//! [`MappedGraph::open`] performs the *full* validation stack — layout,
-//! alignment, checksum, and every structural CSR invariant — and therefore
-//! accepts and rejects exactly the same files as the owned deserialiser
-//! (shared helpers in [`crate::io`] / [`crate::frozen`] enforce this).
-//! [`MappedGraph::open_trusted`] validates the layout and runs an O(n)
-//! offsets sanity scan but skips the checksum and the per-list/symmetry
-//! checks; it is for artifacts the caller itself wrote moments or restarts
-//! ago (e.g. a service's release store). A violated trust contract can
-//! produce wrong analysis results or a panic, but never memory unsafety:
-//! every access goes through bounds-checked slices.
-//!
-//! ## Byte order and alignment
-//!
-//! The in-place view reinterprets `&[u8]` as `&[u32]`, which is only the
-//! file's semantics on little-endian hosts; big-endian builds transparently
-//! fall back to owned deserialisation. The header is 28 bytes, so all three
-//! word sections are 4-byte aligned whenever the buffer base is — true for
-//! any page-aligned mapping and for the 8-byte-aligned heap fallback.
-//! Misaligned borrowed buffers are rejected with
-//! [`GraphError::MisalignedBinary`].
+//! Opening a mapping with the trusted tier is O(header + offsets scan)
+//! instead of O(file): a million-node release opens in under a
+//! millisecond, and N processes mapping the same file share one page-cache copy of the
+//! CSR arrays. Every load path — [`FrozenGraph::open`],
+//! [`FrozenGraph::open_trusted`] and the owned [`crate::io::from_binary`] —
+//! runs the one parser below; the [`FrozenGraph`] docs describe its two
+//! validation tiers.
 //!
 //! A mapped file must not be truncated or rewritten in place while mapped
 //! (the OS would deliver `SIGBUS`); writers must publish `.agb` artifacts
@@ -56,16 +31,14 @@ use std::path::Path;
 
 use crate::attributes::AttributeSchema;
 use crate::error::GraphError;
-use crate::frozen::{validate_attribute_codes, validate_csr_structure, FrozenGraph};
+use crate::frozen::FrozenGraph;
 use crate::graph::NodeId;
-use crate::io;
-use crate::view::GraphView;
+use crate::io::{fnv1a64, BINARY_MAGIC, BINARY_VERSION, CHECKSUM_LEN, HEADER_LEN};
 use crate::Result;
 
-/// A read-only byte buffer backed by `mmap` (unix) or an aligned heap copy
-/// (elsewhere). The buffer base is always at least 8-byte aligned.
+/// A read-only, page-aligned memory mapping of a whole file.
 #[cfg(all(unix, target_endian = "little"))]
-pub struct Mapping {
+pub(crate) struct Mapping {
     ptr: *const u8,
     len: usize,
 }
@@ -109,7 +82,7 @@ mod unix_mmap {
         ///
         /// Empty files are rejected up front (`mmap` of length 0 is
         /// `EINVAL`, and no valid `.agb` is shorter than its header) with
-        /// the same [`GraphError::BadMagic`] the byte parser reports.
+        /// the same [`GraphError::BadMagic`] the parser reports.
         pub(crate) fn open(path: &Path) -> Result<Self> {
             let file = File::open(path)?;
             let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
@@ -154,9 +127,16 @@ mod unix_mmap {
             unsafe { core::slice::from_raw_parts(self.ptr, self.len) }
         }
 
-        /// Length of the mapping in bytes.
-        pub(crate) fn len(&self) -> usize {
-            self.len
+        /// The mapped bytes as little-endian `u32` words (a trailing partial
+        /// word, which no valid `.agb` has, is left out).
+        #[inline]
+        pub(crate) fn words(&self) -> &[u32] {
+            // SAFETY: `ptr` is the base of a live mapping of `len` bytes, and
+            // mappings are page-aligned, hence 4-byte aligned; `len / 4`
+            // words lie inside it; every bit pattern is a valid u32. This
+            // module compiles only for little-endian targets, where the
+            // words read back exactly the values `to_binary` wrote.
+            unsafe { core::slice::from_raw_parts(self.ptr.cast::<u32>(), self.len / 4) }
         }
     }
 
@@ -180,561 +160,282 @@ mod unix_mmap {
     unsafe impl Sync for Mapping {}
 }
 
-/// A read-only byte buffer backed by `mmap` (unix) or an aligned heap copy
-/// (elsewhere). The buffer base is always at least 8-byte aligned.
-#[cfg(all(not(unix), target_endian = "little"))]
-pub struct Mapping {
-    /// `u64` storage guarantees 8-byte alignment for the `&[u32]` views.
-    words: Vec<u64>,
-    len: usize,
-}
-
-#[cfg(all(not(unix), target_endian = "little"))]
-mod heap_fallback {
-    use std::path::Path;
-
-    use super::Mapping;
-    use crate::error::GraphError;
-    use crate::Result;
-
-    impl Mapping {
-        /// Reads `path` into 8-byte-aligned heap storage — the portable
-        /// stand-in for a real memory mapping.
-        pub(crate) fn open(path: &Path) -> Result<Self> {
-            let bytes = std::fs::read(path)?;
-            if bytes.is_empty() {
-                return Err(GraphError::BadMagic);
-            }
-            let len = bytes.len();
-            let mut words = vec![0u64; len.div_ceil(8)];
-            for (word, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
-                let mut buf = [0u8; 8];
-                for (dst, src) in buf.iter_mut().zip(chunk) {
-                    *dst = *src;
-                }
-                // On the little-endian targets this module compiles for,
-                // `from_le_bytes` + viewing the words as bytes reproduces
-                // the file bytes exactly.
-                *word = u64::from_le_bytes(buf);
-            }
-            Ok(Self { words, len })
-        }
-
-        /// The buffered bytes.
-        pub(crate) fn bytes(&self) -> &[u8] {
-            // SAFETY: the allocation holds `words.len() * 8 >= len` bytes,
-            // the base pointer is valid and 8-byte aligned for the whole
-            // borrow, and u8 has no validity requirements.
-            unsafe { core::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
-        }
-
-        /// Length of the buffer in bytes.
-        pub(crate) fn len(&self) -> usize {
-            self.len
-        }
-    }
-}
-
-#[cfg(target_endian = "little")]
+#[cfg(all(unix, target_endian = "little"))]
 impl std::fmt::Debug for Mapping {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mapping").field("len", &self.len()).finish()
+        f.debug_struct("Mapping").field("len", &self.len).finish()
     }
 }
 
-/// Reinterprets little-endian file bytes as a `u32` word slice in place.
-///
-/// Rejects misaligned bases ([`GraphError::MisalignedBinary`]) and byte
-/// lengths that are not a whole number of words.
-#[cfg(target_endian = "little")]
-fn le_words(bytes: &[u8]) -> Result<&[u32]> {
-    let offset = bytes.as_ptr() as usize % 4;
-    if offset != 0 {
-        return Err(GraphError::MisalignedBinary { offset });
-    }
-    if bytes.len() % 4 != 0 {
-        return Err(GraphError::Format(format!(
-            "binary graph payload of {} bytes is not a whole number of 32-bit words",
-            bytes.len()
-        )));
-    }
-    // SAFETY: the base is 4-byte aligned and the length a multiple of 4
-    // (checked above), the source slice outlives the return value (same
-    // lifetime), and every bit pattern is a valid u32. On the little-endian
-    // targets this function compiles for, the words read back exactly the
-    // values `to_binary` wrote.
-    #[allow(unsafe_code)]
-    Ok(unsafe { core::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / 4) })
-}
-
-/// Carves the validated byte image into its three CSR word sections
-/// `(offsets, neighbors, attributes)`. `layout` must describe `bytes`
-/// exactly (as produced by [`io::parse_layout`]).
-#[cfg(target_endian = "little")]
-fn sections(bytes: &[u8], layout: io::BinaryLayout) -> Result<(&[u32], &[u32], &[u32])> {
-    let body_end = layout.total_len.saturating_sub(io::CHECKSUM_LEN);
-    let body = bytes
-        .get(io::HEADER_LEN..body_end)
-        .ok_or(GraphError::TruncatedBinary {
-            expected: layout.total_len,
-            actual: bytes.len(),
-        })?;
-    let words = le_words(body)?;
-    let truncated =
-        |expected: usize, actual: usize| GraphError::TruncatedBinary { expected, actual };
-    let (offsets, rest) = words
-        .split_at_checked(layout.offset_words())
-        .ok_or_else(|| truncated(layout.offset_words(), words.len()))?;
-    let (neighbors, rest) = rest
-        .split_at_checked(layout.neighbor_words())
-        .ok_or_else(|| truncated(layout.neighbor_words(), rest.len()))?;
-    let (attributes, rest) = rest
-        .split_at_checked(layout.attr_words())
-        .ok_or_else(|| truncated(layout.attr_words(), rest.len()))?;
-    if !rest.is_empty() {
-        return Err(GraphError::Format(format!(
-            "binary graph payload has {} unexpected trailing words",
-            rest.len()
-        )));
-    }
-    Ok((offsets, neighbors, attributes))
-}
-
-/// A borrowed CSR graph: slices into an `.agb` byte image (or into an owned
-/// [`FrozenGraph`]), implementing [`GraphView`] without owning any array.
-///
-/// `Copy` — a view is three fat pointers and two scalars. Accessors return
-/// slices tied to the *underlying* buffer's lifetime `'a`, not to the view
-/// value itself, so views can be rebuilt per call by [`MappedGraph`].
-#[derive(Debug, Clone, Copy)]
-pub struct FrozenView<'a> {
-    schema: AttributeSchema,
-    /// `n + 1` entries; `offsets[v]..offsets[v+1]` spans node `v`'s list.
-    offsets: &'a [u32],
-    /// `2m` concatenated sorted neighbor lists.
-    neighbors: &'a [NodeId],
-    /// `n` attribute codes, or empty when the width is 0.
-    attributes: &'a [u32],
-    num_edges: usize,
-}
-
-impl<'a> FrozenView<'a> {
-    /// Builds a fully validated view over an `.agb` byte image — the
-    /// zero-copy equivalent of [`io::from_binary`], accepting and rejecting
-    /// exactly the same buffers (shared layout, checksum and CSR
-    /// validators).
-    ///
-    /// `bytes` must be 4-byte aligned (any memory mapping or 4-aligned heap
-    /// buffer is); misaligned bases are rejected with
-    /// [`GraphError::MisalignedBinary`].
-    #[cfg(target_endian = "little")]
-    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
-        let layout = io::parse_layout(bytes)?;
-        // Verify integrity before interpreting the payload, mirroring
-        // `from_binary`.
-        io::verify_checksum(bytes)?;
-        let (offsets, neighbors, attributes) = sections(bytes, layout)?;
-        validate_csr_structure(offsets, neighbors)?;
-        let schema = AttributeSchema::new(layout.width);
-        if layout.width > 0 {
-            validate_attribute_codes(schema, attributes, layout.n)?;
-        }
-        Ok(Self {
-            schema,
-            offsets,
-            neighbors,
-            attributes,
-            num_edges: layout.m,
-        })
-    }
-
-    /// Builds a view over an `.agb` byte image written by a trusted
-    /// producer, skipping the checksum and the per-list/symmetry validation.
-    ///
-    /// What *is* still checked — the header layout, alignment, and an O(n)
-    /// offsets sanity scan (starts at 0, ends at `2m`, non-decreasing) —
-    /// guarantees every subsequent slice access is in bounds. A producer
-    /// that violates the trust contract (hands over structurally invalid
-    /// CSR content) gets wrong analysis results or a panic from a consumer,
-    /// never memory unsafety.
-    #[cfg(target_endian = "little")]
-    pub fn parse_trusted(bytes: &'a [u8]) -> Result<Self> {
-        let layout = io::parse_layout(bytes)?;
-        let (offsets, neighbors, attributes) = sections(bytes, layout)?;
-        let invalid = |msg: String| GraphError::Format(format!("invalid CSR graph: {msg}"));
-        if offsets.first().copied() != Some(0) {
-            return Err(invalid("offsets must start at 0".into()));
-        }
-        if offsets.last().map(|&o| o as usize) != Some(neighbors.len()) {
-            return Err(invalid(format!(
-                "final offset does not match {} neighbor entries",
-                neighbors.len()
-            )));
-        }
-        if offsets
-            .iter()
-            .zip(offsets.iter().skip(1))
-            .any(|(a, b)| b < a)
-        {
-            return Err(invalid("offsets must be non-decreasing".into()));
-        }
-        Ok(Self {
-            schema: AttributeSchema::new(layout.width),
-            offsets,
-            neighbors,
-            attributes,
-            num_edges: layout.m,
-        })
-    }
-
-    /// Builds a fully validated view from caller-provided CSR slices
-    /// (requirements as in [`FrozenGraph::from_csr`]; `attributes` needs
-    /// `n` codes valid under `schema`).
-    pub fn new(
-        schema: AttributeSchema,
-        offsets: &'a [u32],
-        neighbors: &'a [NodeId],
-        attributes: &'a [u32],
-    ) -> Result<Self> {
-        validate_csr_structure(offsets, neighbors)?;
-        validate_attribute_codes(schema, attributes, offsets.len().saturating_sub(1))?;
-        Ok(Self {
-            schema,
-            offsets,
-            neighbors,
-            attributes,
-            num_edges: neighbors.len() / 2,
-        })
-    }
-
-    /// A view borrowing an owned snapshot's arrays (always valid — the
-    /// snapshot already upholds every invariant).
-    #[must_use]
-    pub fn of_frozen(g: &'a FrozenGraph) -> Self {
-        let (offsets, neighbors, attributes) = g.csr_parts();
-        Self {
-            schema: g.schema(),
-            offsets,
-            neighbors,
-            attributes,
-            num_edges: g.num_edges(),
-        }
-    }
-
-    /// The attribute schema of this graph.
-    #[must_use]
-    pub fn schema(&self) -> AttributeSchema {
-        self.schema
-    }
-
-    /// Number of nodes `n`.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Number of undirected edges `m`.
-    #[must_use]
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// The sorted neighbor list of `v`, borrowed from the underlying buffer
-    /// (lifetime `'a`, not the view borrow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn neighbors_of(&self, v: NodeId) -> &'a [NodeId] {
-        let idx = v as usize;
-        assert!(
-            idx < self.num_nodes(),
-            "node id {v} out of range for graph with {} nodes",
-            self.num_nodes()
-        );
-        let start = self.offsets.get(idx).map_or(0, |&o| o as usize);
-        let end = self.offsets.get(idx + 1).map_or(start, |&o| o as usize);
-        self.neighbors.get(start..end).unwrap_or(&[])
-    }
-
-    /// Degree of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn degree_of(&self, v: NodeId) -> usize {
-        self.neighbors_of(v).len()
-    }
-
-    /// The attribute code of node `v` (0 for every node of a width-0
-    /// schema, whose byte image stores no attribute section).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn attribute_code_of(&self, v: NodeId) -> u32 {
-        let idx = v as usize;
-        assert!(
-            idx < self.num_nodes(),
-            "node id {v} out of range for graph with {} nodes",
-            self.num_nodes()
-        );
-        self.attributes.get(idx).copied().unwrap_or(0)
-    }
-
-    /// The raw CSR slices `(offsets, neighbors, attributes)`; `attributes`
-    /// is empty for width-0 byte images.
-    #[must_use]
-    pub fn csr_slices(&self) -> (&'a [u32], &'a [NodeId], &'a [u32]) {
-        (self.offsets, self.neighbors, self.attributes)
-    }
-
-    /// Copies the view into an owned [`FrozenGraph`].
-    ///
-    /// No re-validation: the view's own invariants (full for [`parse`] /
-    /// [`new`], trust-contract for [`parse_trusted`]) carry over.
-    ///
-    /// [`parse`]: FrozenView::parse
-    /// [`new`]: FrozenView::new
-    /// [`parse_trusted`]: FrozenView::parse_trusted
-    #[must_use]
-    pub fn to_frozen(&self) -> FrozenGraph {
-        let attributes = if self.attributes.is_empty() {
-            vec![0; self.num_nodes()]
-        } else {
-            self.attributes.to_vec()
-        };
-        FrozenGraph::from_csr_unchecked(
-            self.schema,
-            self.offsets.to_vec(),
-            self.neighbors.to_vec(),
-            attributes,
-            self.num_edges,
-        )
-    }
-}
-
-impl GraphView for FrozenView<'_> {
-    fn num_nodes(&self) -> usize {
-        FrozenView::num_nodes(self)
-    }
-    fn num_edges(&self) -> usize {
-        FrozenView::num_edges(self)
-    }
-    fn schema(&self) -> AttributeSchema {
-        FrozenView::schema(self)
-    }
-    fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.neighbors_of(v)
-    }
-    fn attribute_code(&self, v: NodeId) -> u32 {
-        self.attribute_code_of(v)
-    }
-    fn degree(&self, v: NodeId) -> usize {
-        self.degree_of(v)
-    }
-}
-
-/// How a [`MappedGraph`] holds its graph.
+/// The word buffer a [`FrozenGraph`] reads its CSR sections from.
 #[derive(Debug)]
-enum Repr {
-    /// Zero-copy: header scalars cached, CSR sections viewed in place in
-    /// the mapping on every access.
-    #[cfg(target_endian = "little")]
-    Mapped {
-        mapping: Mapping,
-        schema: AttributeSchema,
-        num_nodes: usize,
-        num_edges: usize,
-    },
-    /// Owned snapshot: big-endian hosts (the file format is little-endian)
-    /// and [`MappedGraph::from_frozen`].
-    Owned(Box<FrozenGraph>),
+pub(crate) enum Words {
+    /// Owned words: a freeze, an owned deserialisation or a clone.
+    Owned(Vec<u32>),
+    /// A zero-copy mapping of an `.agb` file.
+    #[cfg(all(unix, target_endian = "little"))]
+    Mapped(Mapping),
 }
 
-/// An `.agb` graph opened for zero-copy access: a [`Mapping`] plus cached
-/// header scalars, handing out [`FrozenView`]s on demand and implementing
-/// [`GraphView`] directly.
-///
-/// `Send + Sync` — the mapping is immutable — so a registry can share one
-/// across request threads behind an `Arc`.
-#[derive(Debug)]
-pub struct MappedGraph {
-    repr: Repr,
+impl Words {
+    /// The buffer's words.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[u32] {
+        match self {
+            Words::Owned(words) => words,
+            #[cfg(all(unix, target_endian = "little"))]
+            Words::Mapped(mapping) => mapping.words(),
+        }
+    }
+
+    /// Whether the words live in a memory mapping.
+    pub(crate) fn is_mapped(&self) -> bool {
+        match self {
+            Words::Owned(_) => false,
+            #[cfg(all(unix, target_endian = "little"))]
+            Words::Mapped(_) => true,
+        }
+    }
 }
 
-impl MappedGraph {
-    /// Opens `path` with the **full** validation stack (layout, alignment,
-    /// checksum, every structural CSR invariant) — the zero-copy equivalent
-    /// of [`io::read_binary_file`], accepting and rejecting exactly the
-    /// same files. Use for untrusted input paths.
+impl Clone for Words {
+    /// Cloning copies the words into an owned buffer.
+    fn clone(&self) -> Self {
+        Words::Owned(self.as_slice().to_vec())
+    }
+}
+
+/// Words of the `.agb` header, where the offsets section starts.
+const HEADER_WORDS: usize = HEADER_LEN / 4;
+
+impl FrozenGraph {
+    /// Opens an `.agb` file with the **verified** tier (layout, checksum,
+    /// every structural CSR invariant; see the [type docs](FrozenGraph)),
+    /// accepting and rejecting exactly the files
+    /// [`crate::io::read_binary_file`] does. On little-endian unix the file
+    /// is memory-mapped, not copied. Use for untrusted input paths.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        Self::open_impl(path.as_ref(), Tier::Full)
+        load(path.as_ref(), true)
     }
 
-    /// Opens `path` with layout validation and an O(n) offsets sanity scan
-    /// only — microseconds-to-milliseconds for a million-node graph. For
-    /// artifacts the caller itself wrote (see the module docs' trust
+    /// Opens an `.agb` file with the **trusted** tier: layout plus an O(n)
+    /// offsets scan only — microseconds-to-milliseconds for a million-node
+    /// graph. For artifacts the caller itself wrote (see the type docs' trust
     /// contract).
     pub fn open_trusted<P: AsRef<Path>>(path: P) -> Result<Self> {
-        Self::open_impl(path.as_ref(), Tier::Trusted)
+        load(path.as_ref(), false)
     }
+}
 
-    #[cfg(target_endian = "little")]
-    fn open_impl(path: &Path, tier: Tier) -> Result<Self> {
-        let mapping = Mapping::open(path)?;
-        let (schema, num_nodes, num_edges) = {
-            let view = match tier {
-                Tier::Full => FrozenView::parse(mapping.bytes())?,
-                Tier::Trusted => FrozenView::parse_trusted(mapping.bytes())?,
+#[cfg(all(unix, target_endian = "little"))]
+fn load(path: &Path, verify: bool) -> Result<FrozenGraph> {
+    let mapping = Mapping::open(path)?;
+    let layout = check_image(mapping.bytes(), verify)?;
+    from_words(Words::Mapped(mapping), layout, verify)
+}
+
+#[cfg(not(all(unix, target_endian = "little")))]
+fn load(path: &Path, verify: bool) -> Result<FrozenGraph> {
+    // No mapping path here: read the file and parse it into owned words.
+    parse_bytes(&std::fs::read(path)?, verify)
+}
+
+/// Parses an `.agb` byte image into a graph over an owned copy of its
+/// words (the [`crate::io::from_binary`] path).
+pub(crate) fn parse_bytes(bytes: &[u8], verify: bool) -> Result<FrozenGraph> {
+    let layout = check_image(bytes, verify)?;
+    let words = bytes
+        .chunks_exact(4)
+        .map(|c| <[u8; 4]>::try_from(c).map(u32::from_le_bytes))
+        .collect::<std::result::Result<Vec<u32>, _>>()
+        .map_err(|_| GraphError::Format("binary graph word out of bounds".into()))?;
+    from_words(Words::Owned(words), layout, verify)
+}
+
+/// The section geometry a validated `.agb` header implies.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// Node count `n`.
+    n: usize,
+    /// Undirected edge count `m`.
+    m: usize,
+    /// Attribute width `w` (0 ⇒ no attribute section).
+    width: usize,
+}
+
+/// Validates the header and overall length of an `.agb` byte image (magic,
+/// version, dimension limits, truncation, trailing bytes) and, for the
+/// verified tier, its trailing checksum.
+fn check_image(bytes: &[u8], verify: bool) -> Result<Layout> {
+    if bytes.get(..BINARY_MAGIC.len()) != Some(BINARY_MAGIC.as_slice()) {
+        return Err(GraphError::BadMagic);
+    }
+    let truncated = |expected: usize| GraphError::TruncatedBinary {
+        expected,
+        actual: bytes.len(),
+    };
+    let field = |at: usize, len: usize| {
+        bytes
+            .get(at..at + len)
+            .map(|b| {
+                b.iter()
+                    .rev()
+                    .fold(0u64, |acc, &x| (acc << 8) | u64::from(x))
+            })
+            .ok_or_else(|| truncated(HEADER_LEN))
+    };
+    let version = field(4, 4)?;
+    if version != u64::from(BINARY_VERSION) {
+        return Err(GraphError::UnsupportedVersion {
+            found: version as u32,
+            supported: BINARY_VERSION,
+        });
+    }
+    let (n, m, width) = (field(8, 8)?, field(16, 8)?, field(24, 4)?);
+    if width > 16 {
+        return Err(GraphError::Format(format!(
+            "binary graph attribute width {width} exceeds 16"
+        )));
+    }
+    if n > u64::from(u32::MAX) || m.checked_mul(2).is_none_or(|h| h > u64::from(u32::MAX)) {
+        return Err(GraphError::Format(format!(
+            "binary graph dimensions n={n}, m={m} exceed the 32-bit CSR limits"
+        )));
+    }
+    // In u64 the sizes cannot overflow (n and 2m are below 2^32); the file
+    // must still fit this platform's address space.
+    let attr_words = if width > 0 { n } else { 0 };
+    let total_len = (HEADER_LEN + CHECKSUM_LEN) as u64 + 4 * (n + 1 + 2 * m + attr_words);
+    let (Ok(total_len), Ok(n), Ok(m)) = (
+        usize::try_from(total_len),
+        usize::try_from(n),
+        usize::try_from(m),
+    ) else {
+        return Err(GraphError::Format(
+            "binary graph exceeds this platform's address space".into(),
+        ));
+    };
+    let layout = Layout {
+        n,
+        m,
+        width: width as usize,
+    };
+    if bytes.len() < total_len {
+        return Err(truncated(total_len));
+    }
+    if bytes.len() > total_len {
+        return Err(GraphError::Format(format!(
+            "binary graph has {} trailing bytes after the checksum",
+            bytes.len() - total_len
+        )));
+    }
+    if verify {
+        let (body, tail) = bytes
+            .split_at_checked(total_len - CHECKSUM_LEN)
+            .ok_or_else(|| truncated(total_len))?;
+        let stored = tail
+            .iter()
+            .rev()
+            .fold(0u64, |acc, &x| (acc << 8) | u64::from(x));
+        let computed = fnv1a64(body);
+        if stored != computed {
+            return Err(GraphError::ChecksumMismatch { stored, computed });
+        }
+    }
+    Ok(layout)
+}
+
+/// Builds the graph over a checked image's words and validates its CSR
+/// contents at the requested tier.
+fn from_words(words: Words, layout: Layout, verify: bool) -> Result<FrozenGraph> {
+    let schema = AttributeSchema::new(layout.width);
+    let graph = FrozenGraph::over(schema, words, HEADER_WORDS, layout.n, layout.m)
+        .ok_or_else(|| GraphError::Format("binary graph sections exceed the file".into()))?;
+    let (offsets, neighbors, attributes) = graph.sections();
+    validate_offsets(offsets, neighbors.len())?;
+    if verify {
+        validate_lists(offsets, neighbors)?;
+        for &code in attributes {
+            schema.validate_code(code)?;
+        }
+    }
+    Ok(graph)
+}
+
+fn invalid(msg: String) -> GraphError {
+    GraphError::Format(format!("invalid CSR graph: {msg}"))
+}
+
+/// The offsets scan every load runs: start at 0, never decrease, end at the
+/// neighbor count. It is what keeps every neighbor slice in bounds.
+fn validate_offsets(offsets: &[u32], half_edges: usize) -> Result<()> {
+    if offsets.first() != Some(&0) {
+        return Err(invalid("offsets must start at 0".into()));
+    }
+    if offsets.last().map(|&o| o as usize) != Some(half_edges) {
+        return Err(invalid(format!(
+            "final offset does not match {half_edges} neighbor entries"
+        )));
+    }
+    if offsets
+        .iter()
+        .zip(offsets.iter().skip(1))
+        .any(|(a, b)| b < a)
+    {
+        return Err(invalid("offsets must be non-decreasing".into()));
+    }
+    Ok(())
+}
+
+/// The verified tier's structural checks over offset-checked sections: every
+/// neighbor list strictly sorted, in range and self-loop-free, and every
+/// half-edge mirrored.
+fn validate_lists(offsets: &[u32], neighbors: &[NodeId]) -> Result<()> {
+    let n = offsets.len().saturating_sub(1);
+    for v in 0..n {
+        let mut prev: Option<NodeId> = None;
+        for &u in list(offsets, neighbors, v) {
+            if (u as usize) >= n {
+                return Err(GraphError::NodeOutOfRange {
+                    node: u,
+                    num_nodes: n,
+                });
+            }
+            if u as usize == v {
+                return Err(GraphError::SelfLoop { node: u });
+            }
+            if prev.is_some_and(|p| p >= u) {
+                return Err(invalid(format!(
+                    "neighbor list of node {v} is not strictly sorted"
+                )));
+            }
+            prev = Some(u);
+        }
+    }
+    let mut cursors: Vec<u32> = offsets.iter().take(n).copied().collect();
+    for v in 0..n {
+        for &u in list(offsets, neighbors, v) {
+            let mirrored = match (cursors.get_mut(u as usize), offsets.get(u as usize + 1)) {
+                (Some(at), Some(&end)) if *at < end => {
+                    let hit = neighbors.get(*at as usize) == Some(&(v as NodeId));
+                    *at += 1;
+                    hit
+                }
+                _ => false,
             };
-            (view.schema(), view.num_nodes(), view.num_edges())
-        };
-        Ok(Self {
-            repr: Repr::Mapped {
-                mapping,
-                schema,
-                num_nodes,
-                num_edges,
-            },
-        })
-    }
-
-    #[cfg(not(target_endian = "little"))]
-    fn open_impl(path: &Path, _tier: Tier) -> Result<Self> {
-        // Big-endian host: the file's words need byte-swapping, so there is
-        // nothing to view in place — fall back to owned deserialisation
-        // (both tiers get the full validation stack).
-        Ok(Self::from_frozen(io::read_binary_file(path)?))
-    }
-
-    /// Wraps an owned snapshot in the `MappedGraph` interface (no file
-    /// involved; used by callers that keep one registry type for both
-    /// in-memory and mapped datasets).
-    #[must_use]
-    pub fn from_frozen(g: FrozenGraph) -> Self {
-        Self {
-            repr: Repr::Owned(Box::new(g)),
-        }
-    }
-
-    /// A borrowed CSR view of the graph (cheap: pointer arithmetic only).
-    #[must_use]
-    pub fn view(&self) -> FrozenView<'_> {
-        match &self.repr {
-            #[cfg(target_endian = "little")]
-            Repr::Mapped {
-                mapping,
-                schema,
-                num_nodes,
-                num_edges,
-            } => FrozenView::rebuild(*schema, *num_nodes, *num_edges, mapping.bytes()),
-            Repr::Owned(g) => FrozenView::of_frozen(g),
-        }
-    }
-
-    /// Size in bytes of the backing `.agb` image.
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        match &self.repr {
-            #[cfg(target_endian = "little")]
-            Repr::Mapped { mapping, .. } => mapping.len(),
-            Repr::Owned(g) => {
-                let attr_words = if g.schema().width() > 0 {
-                    g.num_nodes()
-                } else {
-                    0
-                };
-                io::HEADER_LEN
-                    + 4 * (g.num_nodes() + 1)
-                    + 8 * g.num_edges()
-                    + 4 * attr_words
-                    + io::CHECKSUM_LEN
+            if !mirrored {
+                return Err(invalid(format!("edge ({v}, {u}) is not symmetric")));
             }
         }
     }
-
-    /// Whether this graph is served zero-copy from a mapping (`false` for
-    /// [`MappedGraph::from_frozen`] and on big-endian hosts).
-    #[must_use]
-    pub fn is_mapped(&self) -> bool {
-        match &self.repr {
-            #[cfg(target_endian = "little")]
-            Repr::Mapped { .. } => true,
-            Repr::Owned(_) => false,
-        }
-    }
-
-    /// Copies the graph into an owned [`FrozenGraph`].
-    #[must_use]
-    pub fn to_frozen(&self) -> FrozenGraph {
-        match &self.repr {
-            #[cfg(target_endian = "little")]
-            Repr::Mapped { .. } => self.view().to_frozen(),
-            Repr::Owned(g) => g.as_ref().clone(),
-        }
-    }
+    Ok(())
 }
 
-/// Validation tier selector for [`MappedGraph::open_impl`].
-enum Tier {
-    Full,
-    Trusted,
-}
-
-#[cfg(target_endian = "little")]
-impl FrozenView<'_> {
-    /// Rebuilds a view from scalars cached at open time; `bytes` is the
-    /// exact image those scalars were validated against.
-    fn rebuild(schema: AttributeSchema, n: usize, m: usize, bytes: &[u8]) -> FrozenView<'_> {
-        let layout = io::BinaryLayout {
-            n,
-            m,
-            width: schema.width(),
-            total_len: bytes.len(),
-        };
-        match sections(bytes, layout) {
-            Ok((offsets, neighbors, attributes)) => FrozenView {
-                schema,
-                offsets,
-                neighbors,
-                attributes,
-                num_edges: m,
-            },
-            // Unreachable: `open` validated this exact byte image against
-            // these scalars. Degrade to an empty view rather than panic.
-            Err(_) => FrozenView {
-                schema,
-                offsets: &[],
-                neighbors: &[],
-                attributes: &[],
-                num_edges: 0,
-            },
-        }
-    }
-}
-
-impl GraphView for MappedGraph {
-    fn num_nodes(&self) -> usize {
-        self.view().num_nodes()
-    }
-    fn num_edges(&self) -> usize {
-        self.view().num_edges()
-    }
-    fn schema(&self) -> AttributeSchema {
-        self.view().schema()
-    }
-    fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.view().neighbors_of(v)
-    }
-    fn attribute_code(&self, v: NodeId) -> u32 {
-        self.view().attribute_code_of(v)
-    }
-    fn degree(&self, v: NodeId) -> usize {
-        self.view().degree_of(v)
+/// Node `v`'s neighbor list (empty when out of range).
+fn list<'a>(offsets: &[u32], neighbors: &'a [NodeId], v: usize) -> &'a [NodeId] {
+    match (offsets.get(v), offsets.get(v + 1)) {
+        (Some(&start), Some(&end)) => neighbors.get(start as usize..end as usize).unwrap_or(&[]),
+        _ => &[],
     }
 }
 
@@ -742,6 +443,8 @@ impl GraphView for MappedGraph {
 mod tests {
     use super::*;
     use crate::graph::AttributedGraph;
+    use crate::io;
+    use crate::view::GraphView;
 
     fn sample_graph() -> AttributedGraph {
         let mut g = AttributedGraph::new(6, AttributeSchema::new(2));
@@ -760,45 +463,58 @@ mod tests {
         path
     }
 
+    /// An `.agb` image of raw CSR arrays, with a valid checksum.
+    fn image(width: u32, offsets: &[u32], neighbors: &[u32], attributes: &[u32]) -> Vec<u8> {
+        let n = offsets.len() as u64 - 1;
+        let m = neighbors.len() as u64 / 2;
+        let mut bytes = BINARY_MAGIC.to_vec();
+        bytes.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&m.to_le_bytes());
+        bytes.extend_from_slice(&width.to_le_bytes());
+        for w in offsets.iter().chain(neighbors).chain(attributes) {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        let checksum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn mapped_graph_matches_owned_deserialisation() {
         let g = sample_graph();
         let frozen = g.freeze();
         let path = temp_agb("match_owned.agb", &g);
         for mapped in [
-            MappedGraph::open(&path).unwrap(),
-            MappedGraph::open_trusted(&path).unwrap(),
+            FrozenGraph::open(&path).unwrap(),
+            FrozenGraph::open_trusted(&path).unwrap(),
         ] {
-            assert_eq!(mapped.num_nodes(), frozen.num_nodes());
-            assert_eq!(mapped.num_edges(), frozen.num_edges());
-            assert_eq!(mapped.schema(), frozen.schema());
+            assert_eq!(
+                mapped.is_mapped(),
+                cfg!(all(unix, target_endian = "little"))
+            );
+            assert_eq!(mapped, frozen);
             for v in frozen.nodes() {
                 assert_eq!(mapped.neighbors(v), frozen.neighbors(v));
                 assert_eq!(mapped.degree(v), frozen.degree(v));
                 assert_eq!(mapped.attribute_code(v), frozen.attribute_code(v));
             }
-            assert_eq!(mapped.to_frozen(), frozen);
             assert_eq!(io::to_text(&mapped), io::to_text(&frozen));
             assert_eq!(
                 mapped.byte_len(),
                 std::fs::metadata(&path).unwrap().len() as usize
             );
+            let copy = mapped.clone();
+            assert!(!copy.is_mapped());
+            assert_eq!(copy, mapped);
         }
+        assert!(!frozen.is_mapped());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn from_frozen_wrapper_matches() {
-        let frozen = sample_graph().freeze();
-        let wrapped = MappedGraph::from_frozen(frozen.clone());
-        assert!(!wrapped.is_mapped());
-        assert_eq!(wrapped.to_frozen(), frozen);
-        assert_eq!(io::to_binary(&wrapped).len(), wrapped.byte_len());
-    }
-
-    #[test]
     fn open_missing_file_is_io_error() {
-        let err = MappedGraph::open("/definitely/not/here.agb").unwrap_err();
+        let err = FrozenGraph::open("/definitely/not/here.agb").unwrap_err();
         assert!(matches!(err, GraphError::Io(_)));
     }
 
@@ -809,48 +525,50 @@ mod tests {
         let path = dir.join("empty.agb");
         std::fs::write(&path, b"").unwrap();
         assert!(matches!(
-            MappedGraph::open(&path).unwrap_err(),
+            FrozenGraph::open(&path).unwrap_err(),
             GraphError::BadMagic
         ));
         assert!(matches!(
-            MappedGraph::open_trusted(&path).unwrap_err(),
+            FrozenGraph::open_trusted(&path).unwrap_err(),
             GraphError::BadMagic
         ));
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(target_endian = "little")]
     #[test]
-    fn misaligned_buffer_is_rejected() {
-        let bytes = io::to_binary(&sample_graph());
-        // Stage the image at an address that is ≡ 1 (mod 4) regardless of
-        // the allocator's choice of base.
-        let mut staged = vec![0u8; bytes.len() + 8];
-        let base = staged.as_ptr() as usize;
-        let shift = (1 + 4 - (base % 4)) % 4;
-        for (dst, src) in staged.iter_mut().skip(shift).zip(&bytes) {
-            *dst = *src;
-        }
-        let slice = &staged[shift..shift + bytes.len()];
-        assert_eq!(slice.as_ptr() as usize % 4, 1);
+    fn parser_accepts_valid_and_rejects_broken_csr() {
+        let parse = |width, offsets: &[u32], neighbors: &[u32], attributes: &[u32]| {
+            parse_bytes(&image(width, offsets, neighbors, attributes), true)
+        };
+        let g = parse(0, &[0, 1, 2], &[1, 0], &[]).unwrap();
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.attribute_code(1), 0);
+        // Final offset disagrees with the neighbor array.
+        assert!(parse(0, &[0, 2, 1], &[1, 0], &[]).is_err());
+        // Self-loop.
         assert!(matches!(
-            FrozenView::parse(slice).unwrap_err(),
-            GraphError::MisalignedBinary { offset: 1 }
+            parse(0, &[0, 2, 2], &[0, 1], &[]),
+            Err(GraphError::SelfLoop { .. })
         ));
+        // Asymmetric edges: 0 -> 1 without 1 -> 0 (paired with 1 -> 2), and
+        // 2 -> 3 whose partner list holds 1 instead, though every list has
+        // the length a symmetric graph would give it.
+        assert!(parse(0, &[0, 1, 2, 2], &[1, 2], &[]).is_err());
+        assert!(parse(0, &[0, 1, 2, 3, 4], &[1, 0, 3, 1], &[]).is_err());
+        // Out-of-range neighbor.
         assert!(matches!(
-            FrozenView::parse_trusted(slice).unwrap_err(),
-            GraphError::MisalignedBinary { offset: 1 }
+            parse(0, &[0, 1, 2], &[5, 0], &[]),
+            Err(GraphError::NodeOutOfRange { .. })
         ));
-    }
-
-    #[cfg(target_endian = "little")]
-    #[test]
-    fn view_new_validates_like_from_csr() {
-        let frozen = sample_graph().freeze();
-        let (offsets, neighbors, attributes) = frozen.csr_parts();
-        let view = FrozenView::new(frozen.schema(), offsets, neighbors, attributes).unwrap();
-        assert_eq!(view.to_frozen(), frozen);
-        // Asymmetric edge rejected, as in `FrozenGraph::from_csr`.
-        assert!(FrozenView::new(AttributeSchema::new(0), &[0, 1, 1], &[1], &[0, 0]).is_err());
+        // Unsorted neighbor list.
+        assert!(parse(0, &[0, 2, 3, 4], &[2, 1, 0, 0], &[]).is_err());
+        // Attribute code outside the schema.
+        assert!(matches!(
+            parse(1, &[0, 0], &[], &[7]),
+            Err(GraphError::AttributeCodeOutOfRange { .. })
+        ));
+        // Decreasing offsets fail even the trusted tier.
+        let bytes = image(0, &[0, 2, 1, 2], &[1, 0], &[]);
+        assert!(parse_bytes(&bytes, false).is_err());
     }
 }

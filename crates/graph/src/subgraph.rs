@@ -8,6 +8,7 @@
 //! node order so the randomness stays with the caller's seeded RNG).
 
 use crate::graph::{AttributedGraph, NodeId};
+use crate::view::GraphView;
 
 /// Extracts the subgraph induced by `nodes`, relabeling them densely in the
 /// order given. Returns the subgraph and the mapping `new id -> old id`.
@@ -15,7 +16,7 @@ use crate::graph::{AttributedGraph, NodeId};
 /// Duplicate entries in `nodes` are ignored after the first occurrence;
 /// out-of-range ids are skipped.
 #[must_use]
-pub fn induced_subgraph(g: &AttributedGraph, nodes: &[NodeId]) -> (AttributedGraph, Vec<NodeId>) {
+pub fn induced_subgraph<G: GraphView>(g: &G, nodes: &[NodeId]) -> (AttributedGraph, Vec<NodeId>) {
     let n = g.num_nodes();
     let mut old_to_new = vec![u32::MAX; n];
     let mut mapping = Vec::with_capacity(nodes.len());

@@ -9,12 +9,17 @@
 //! edges can bring a node's degree back under the bound so later edges
 //! survive).
 //!
-//! Proposition 1 shows that computing the attribute–edge correlation counts
-//! `Q_F` on the truncated graph has global sensitivity `2k` under the paper's
-//! edge-adjacency notion, which is what makes the Laplace mechanism usable in
-//! `LearnCorrelationsDP`.
+//! Proposition 1 bounds the global sensitivity of the attribute–edge
+//! correlation counts `Q_F` on the truncated graph under the paper's
+//! edge-adjacency notion (the paper's constant is `2k + 1`), which is what
+//! makes the Laplace mechanism usable in `LearnCorrelationsDP`. The learner
+//! in `agmdp-core` calibrates its noise to `2k` and enforces `k ≥ 2`: at
+//! `k = 1` one added edge can move `Q_F` by 3 (a unit test in
+//! `correlations_dp.rs` pins the counterexample). This operator itself
+//! accepts any `k`.
 
 use crate::graph::{AttributedGraph, Edge};
+use crate::view::GraphView;
 
 /// Result of a truncation run: the `k`-bounded graph plus bookkeeping that the
 /// experiments (Figure 1) report.
@@ -35,12 +40,17 @@ pub struct TruncationOutcome {
 /// therefore satisfies Definition 2.
 ///
 /// `k = 0` removes every edge (every edge has endpoints of degree ≥ 1).
+///
+/// Reads any [`GraphView`], so the fit truncates a frozen or memory-mapped
+/// input in place; the result is the same for every representation.
 #[must_use]
-pub fn edge_truncation(g: &AttributedGraph, k: usize) -> TruncationOutcome {
+pub fn edge_truncation<G: GraphView>(g: &G, k: usize) -> TruncationOutcome {
     let mut degrees = g.degrees();
     let mut out = AttributedGraph::new(g.num_nodes(), g.schema());
-    out.set_all_attribute_codes(g.attribute_codes())
-        .expect("attribute codes of the source graph are always valid");
+    for v in g.nodes() {
+        out.set_attribute_code(v, g.attribute_code(v))
+            .expect("attribute codes of the source graph are always valid");
+    }
     let mut deleted = 0usize;
     for Edge { u, v } in g.edges() {
         let (ui, vi) = (u as usize, v as usize);

@@ -5,7 +5,7 @@
 //! checksum-valid-but-structurally-broken payloads.
 
 use agmdp_graph::io::{
-    from_binary, is_binary, load_file, load_frozen_file, read_binary_file, to_binary, to_text,
+    fnv1a64, from_binary, is_binary, load_frozen_file, read_binary_file, to_binary, to_text,
     write_binary_file, BINARY_MAGIC, BINARY_VERSION,
 };
 use agmdp_graph::{AttributeSchema, AttributedGraph, GraphError};
@@ -23,13 +23,8 @@ fn sample_graph() -> AttributedGraph {
 /// "the checksum catches corruption" from "validation catches structurally
 /// broken but checksum-consistent files".
 fn restamp_checksum(bytes: &mut [u8]) {
-    // FNV-1a 64, mirroring the implementation under test.
     let payload_len = bytes.len() - 8;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes[..payload_len] {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a64(&bytes[..payload_len]);
     bytes[payload_len..].copy_from_slice(&hash.to_le_bytes());
 }
 
@@ -172,7 +167,7 @@ fn file_helpers_report_io_and_format_errors() {
     let err = read_binary_file("/definitely/not/a/real/path.agb").unwrap_err();
     assert!(matches!(err, GraphError::Io(_)));
     assert!(matches!(
-        load_file("/definitely/not/a/real/path.agb").unwrap_err(),
+        load_frozen_file("/definitely/not/a/real/path.agb").unwrap_err(),
         GraphError::Io(_)
     ));
 
@@ -183,7 +178,7 @@ fn file_helpers_report_io_and_format_errors() {
     let junk_path = dir.join("junk.bin");
     std::fs::write(&junk_path, [0xFFu8, 0xFE, 0x00, 0x01]).unwrap();
     assert!(matches!(
-        load_file(&junk_path).unwrap_err(),
+        load_frozen_file(&junk_path).unwrap_err(),
         GraphError::Format(_)
     ));
 
@@ -204,7 +199,6 @@ fn file_helpers_report_io_and_format_errors() {
     // And the happy path through the same helpers.
     let good_path = dir.join("good.agb");
     write_binary_file(&g, &good_path).unwrap();
-    assert_eq!(load_file(&good_path).unwrap(), g);
     assert_eq!(load_frozen_file(&good_path).unwrap(), g.freeze());
 
     std::fs::remove_dir_all(&dir).ok();

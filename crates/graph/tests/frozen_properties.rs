@@ -12,7 +12,7 @@ use agmdp_graph::clustering::{
 use agmdp_graph::degree::DegreeSequence;
 use agmdp_graph::io::{from_binary, to_binary, to_text};
 use agmdp_graph::triangles::{count_triangles, count_wedges, triangles_per_node};
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 use proptest::prelude::*;
 
 fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = AttributedGraph> {
@@ -46,7 +46,6 @@ proptest! {
         prop_assert_eq!(f.schema(), g.schema());
         prop_assert_eq!(f.degrees(), g.degrees());
         prop_assert_eq!(f.max_degree(), g.max_degree());
-        prop_assert_eq!(f.attribute_codes(), g.attribute_codes());
         for v in g.nodes() {
             prop_assert_eq!(f.degree(v), g.degree(v));
             prop_assert_eq!(f.neighbors(v), g.neighbors(v));

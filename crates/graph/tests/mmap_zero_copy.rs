@@ -1,12 +1,13 @@
 //! Edge-case and equivalence coverage for the zero-copy `.agb` load path:
-//! mmap-loaded graphs must accept and reject exactly the same files as the
-//! owned deserialiser, report the same typed errors for truncation at every
-//! byte boundary, reject misaligned buffers and checksum-valid-but-
-//! inconsistent payloads, and — property-tested — agree bit-for-bit with
-//! [`agmdp_graph::io::from_binary`] under every [`GraphView`] accessor.
+//! graphs opened in place ([`FrozenGraph::open`] / `open_trusted`) must
+//! accept and reject exactly the same files as the owned deserialiser,
+//! report the same typed errors for truncation at every byte boundary,
+//! reject checksum-valid-but-inconsistent payloads, and — property-tested —
+//! agree bit-for-bit with [`agmdp_graph::io::from_binary`] under every
+//! [`GraphView`] accessor.
 
-use agmdp_graph::io::{from_binary, to_binary, to_text, write_binary_file, BINARY_MAGIC};
-use agmdp_graph::{AttributeSchema, AttributedGraph, GraphError, GraphView, MappedGraph};
+use agmdp_graph::io::{fnv1a64, from_binary, to_binary, to_text, write_binary_file, BINARY_MAGIC};
+use agmdp_graph::{AttributeSchema, AttributedGraph, FrozenGraph, GraphError, GraphView};
 use proptest::prelude::*;
 
 fn sample_graph() -> AttributedGraph {
@@ -24,16 +25,11 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Re-stamps a tampered buffer with a valid checksum (FNV-1a 64, mirroring
-/// the implementation under test) so structural-validation tests are not
-/// masked by the integrity check.
+/// Re-stamps a tampered buffer with a valid checksum so structural-
+/// validation tests are not masked by the integrity check.
 fn restamp_checksum(bytes: &mut [u8]) {
     let payload_len = bytes.len() - 8;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes[..payload_len] {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a64(&bytes[..payload_len]);
     bytes[payload_len..].copy_from_slice(&hash.to_le_bytes());
 }
 
@@ -49,13 +45,13 @@ fn truncation_at_every_boundary_matches_owned_errors() {
     for len in 0..bytes.len() {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let owned_err = from_binary(&bytes[..len]).unwrap_err();
-        let mapped_err = MappedGraph::open(&path).unwrap_err();
+        let mapped_err = FrozenGraph::open(&path).unwrap_err();
         assert_eq!(
             std::mem::discriminant(&mapped_err),
             std::mem::discriminant(&owned_err),
             "length {len}: mapped {mapped_err:?} vs owned {owned_err:?}"
         );
-        let trusted_err = MappedGraph::open_trusted(&path).unwrap_err();
+        let trusted_err = FrozenGraph::open_trusted(&path).unwrap_err();
         match trusted_err {
             GraphError::BadMagic => assert!(len < BINARY_MAGIC.len()),
             GraphError::TruncatedBinary { expected, actual } => {
@@ -81,7 +77,7 @@ fn corruption_and_garbage_are_rejected_like_owned() {
         bytes[pos] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            MappedGraph::open(&path).unwrap_err(),
+            FrozenGraph::open(&path).unwrap_err(),
             GraphError::ChecksumMismatch { .. }
         ));
     }
@@ -91,11 +87,11 @@ fn corruption_and_garbage_are_rejected_like_owned() {
     bytes.extend_from_slice(b"extra");
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        MappedGraph::open(&path).unwrap_err(),
+        FrozenGraph::open(&path).unwrap_err(),
         GraphError::Format(_)
     ));
     assert!(matches!(
-        MappedGraph::open_trusted(&path).unwrap_err(),
+        FrozenGraph::open_trusted(&path).unwrap_err(),
         GraphError::Format(_)
     ));
 
@@ -104,14 +100,14 @@ fn corruption_and_garbage_are_rejected_like_owned() {
     bytes[0] = b'X';
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        MappedGraph::open(&path).unwrap_err(),
+        FrozenGraph::open(&path).unwrap_err(),
         GraphError::BadMagic
     ));
     let mut bytes = clean.clone();
     bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        MappedGraph::open(&path).unwrap_err(),
+        FrozenGraph::open(&path).unwrap_err(),
         GraphError::UnsupportedVersion { .. }
     ));
 
@@ -132,14 +128,14 @@ fn checksum_valid_but_inconsistent_payloads_fail_full_validation() {
     }
     restamp_checksum(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
-    match MappedGraph::open(&path).unwrap_err() {
+    match FrozenGraph::open(&path).unwrap_err() {
         GraphError::Format(msg) => assert!(msg.contains("sorted"), "message: {msg}"),
         other => panic!("expected Format, got {other:?}"),
     }
     // The trusted tier explicitly skips per-list validation — the file maps
     // (that is the documented trust contract), and its offsets still bound
     // every access.
-    let trusted = MappedGraph::open_trusted(&path).unwrap();
+    let trusted = FrozenGraph::open_trusted(&path).unwrap();
     assert_eq!(trusted.num_nodes(), g.num_nodes());
     assert_eq!(trusted.neighbors(0), &[2, 1]);
 
@@ -151,11 +147,11 @@ fn checksum_valid_but_inconsistent_payloads_fail_full_validation() {
     restamp_checksum(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        MappedGraph::open(&path).unwrap_err(),
+        FrozenGraph::open(&path).unwrap_err(),
         GraphError::Format(_)
     ));
     assert!(matches!(
-        MappedGraph::open_trusted(&path).unwrap_err(),
+        FrozenGraph::open_trusted(&path).unwrap_err(),
         GraphError::Format(_)
     ));
 
@@ -165,7 +161,7 @@ fn checksum_valid_but_inconsistent_payloads_fail_full_validation() {
     restamp_checksum(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        MappedGraph::open(&path).unwrap_err(),
+        FrozenGraph::open(&path).unwrap_err(),
         GraphError::SelfLoop { .. } | GraphError::Format(_)
     ));
 
@@ -193,7 +189,7 @@ fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On random graphs (attributed and width-0), the mmap-loaded graph —
+    /// On random graphs (attributed and width-0), the graph opened in place —
     /// both validation tiers — agrees bit-for-bit with the owned
     /// deserialisation of the same file under every `GraphView` accessor,
     /// and its re-serialisation reproduces the file bytes exactly.
@@ -205,7 +201,7 @@ proptest! {
         let bytes = std::fs::read(&path).unwrap();
         let owned = from_binary(&bytes).unwrap();
 
-        for mapped in [MappedGraph::open(&path).unwrap(), MappedGraph::open_trusted(&path).unwrap()] {
+        for mapped in [FrozenGraph::open(&path).unwrap(), FrozenGraph::open_trusted(&path).unwrap()] {
             prop_assert_eq!(mapped.num_nodes(), owned.num_nodes());
             prop_assert_eq!(mapped.num_edges(), owned.num_edges());
             prop_assert_eq!(mapped.schema(), owned.schema());
@@ -231,10 +227,10 @@ proptest! {
             let mapped_edges: Vec<_> = mapped.edges().collect();
             let owned_edges: Vec<_> = owned.edges().collect();
             prop_assert_eq!(mapped_edges, owned_edges);
-            // Round-trips: text render, owned copy, and byte-identical
-            // re-serialisation of the view.
+            // Round-trips: text render, content equality with the owned
+            // load, and byte-identical re-serialisation.
             prop_assert_eq!(to_text(&mapped), to_text(&owned));
-            prop_assert_eq!(mapped.to_frozen(), owned.clone());
+            prop_assert_eq!(&mapped, &owned);
             prop_assert_eq!(to_binary(&mapped), bytes.clone());
             prop_assert_eq!(mapped.byte_len(), bytes.len());
         }

@@ -25,7 +25,7 @@
 use rand::Rng;
 
 use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::AttributedGraph;
+use agmdp_graph::GraphView;
 
 use crate::error::PrivacyError;
 use crate::exponential::sample_weighted_index;
@@ -39,7 +39,7 @@ use crate::Result;
 /// neighbors of `u`. The implementation runs in `O(Σ_u d_u²)` time using a
 /// per-node counting pass and `O(n)` scratch space.
 #[must_use]
-pub fn triangle_local_sensitivity(g: &AttributedGraph) -> usize {
+pub fn triangle_local_sensitivity<G: GraphView>(g: &G) -> usize {
     let n = g.num_nodes();
     if n < 3 {
         return 0;
@@ -88,8 +88,8 @@ pub struct LadderOutcome {
 /// Satisfies ε-differential privacy under the paper's edge-adjacency notion
 /// (attribute changes do not affect the triangle count, so the guarantee
 /// extends to attributed-graph adjacency).
-pub fn dp_triangle_count<R: Rng + ?Sized>(
-    g: &AttributedGraph,
+pub fn dp_triangle_count<G: GraphView, R: Rng + ?Sized>(
+    g: &G,
     epsilon: f64,
     rng: &mut R,
 ) -> Result<LadderOutcome> {

@@ -37,7 +37,7 @@ use crate::cache::{FitCache, FitKey};
 use crate::error::ServiceError;
 use crate::evalstore::EvalStore;
 use crate::ledger::BudgetLedger;
-use crate::registry::{Dataset, DatasetRegistry, DatasetSummary};
+use crate::registry::{DatasetRegistry, DatasetSummary};
 use crate::store::ReleaseStore;
 use crate::telemetry::{StageTimer, Telemetry};
 
@@ -329,7 +329,7 @@ impl SynthesisEngine {
 
     /// Registers a dataset with its total ε budget (registry + ledger in one
     /// step; both sides are idempotent for the restart path). The graph is
-    /// frozen into the registry's CSR snapshot form.
+    /// frozen into CSR form.
     pub fn register_dataset(
         &self,
         name: &str,
@@ -339,37 +339,16 @@ impl SynthesisEngine {
         self.register_frozen_dataset(name, graph.freeze(), total_epsilon)
     }
 
-    /// Registers an already-frozen dataset (the binary `.agb` registration
-    /// path, which deserialises straight into CSR form) with its total ε
-    /// budget.
+    /// Registers a frozen dataset with its total ε budget. A memory-mapped
+    /// `.agb` graph ([`FrozenGraph::open`]) registers without copying its
+    /// CSR arrays, so the cost is independent of graph size.
     pub fn register_frozen_dataset(
         &self,
         name: &str,
         graph: FrozenGraph,
         total_epsilon: f64,
     ) -> Result<DatasetSummary, ServiceError> {
-        self.register_prepared(name, Dataset::Owned(graph), total_epsilon)
-    }
-
-    /// Registers a memory-mapped `.agb` dataset: the zero-copy path, whose
-    /// cost is independent of graph size (no CSR arrays are deserialised —
-    /// the registry serves borrowed views straight out of the mapping).
-    pub fn register_mapped_dataset(
-        &self,
-        name: &str,
-        graph: MappedGraph,
-        total_epsilon: f64,
-    ) -> Result<DatasetSummary, ServiceError> {
-        self.register_prepared(name, Dataset::Mapped(graph), total_epsilon)
-    }
-
-    fn register_prepared(
-        &self,
-        name: &str,
-        dataset: Dataset,
-        total_epsilon: f64,
-    ) -> Result<DatasetSummary, ServiceError> {
-        if dataset.num_nodes() == 0 || dataset.num_edges() == 0 {
+        if graph.num_nodes() == 0 || graph.num_edges() == 0 {
             return Err(ServiceError::InvalidRequest(
                 "datasets must have at least one node and one edge".to_string(),
             ));
@@ -390,7 +369,7 @@ impl SynthesisEngine {
             }
         }
         let was_registered = self.registry.get(name).is_ok();
-        let arc = self.registry.register_dataset(name, dataset)?;
+        let arc = self.registry.register(name, graph)?;
         if let Err(e) = self.ledger.register(name, total_epsilon) {
             // Roll back a *newly* inserted graph (e.g. the journal append
             // failed) so the registry and ledger never disagree about which
@@ -407,6 +386,17 @@ impl SynthesisEngine {
             attribute_width: arc.schema().width(),
             mapped: arc.is_mapped(),
         })
+    }
+
+    /// [`SynthesisEngine::register_frozen_dataset`] under the name the
+    /// repository benchmark (`perfbench/`) calls.
+    pub fn register_mapped_dataset(
+        &self,
+        name: &str,
+        graph: MappedGraph,
+        total_epsilon: f64,
+    ) -> Result<DatasetSummary, ServiceError> {
+        self.register_frozen_dataset(name, graph, total_epsilon)
     }
 
     /// Serves `request` from the release store, if a store is configured and
@@ -559,14 +549,12 @@ impl SynthesisEngine {
         if let Some(params) = &admission.params {
             return Ok(Arc::clone(params));
         }
-        // The registry stores the frozen snapshot; the DP learners need the
-        // mutable build-phase form (edge truncation clones and rewires), so
-        // a cold fit pays one O(n + m) thaw. Thawing reconstructs a graph
-        // equal to the registered original, so the fit is unchanged.
-        let graph = self.registry.get(&request.dataset)?.thaw();
+        // The DP learners read the registered graph in place — owned words
+        // or the `.agb` mapping — with no copy before edge truncation.
+        let graph = self.registry.get(&request.dataset)?;
         let mut learn_rng = StdRng::seed_from_u64(request.seed);
         let params = Arc::new(
-            learn_parameters(&graph, &request.config(), &mut learn_rng)
+            learn_parameters(graph.as_ref(), &request.config(), &mut learn_rng)
                 .map_err(|e| ServiceError::Synthesis(e.to_string()))?,
         );
         let key = request.fit_key();
@@ -592,8 +580,7 @@ impl SynthesisEngine {
         // Compute outside the lock (profiling a large graph is the expensive
         // part); a concurrent duplicate computation is harmless — profiles
         // of the same graph are identical, and the first insert wins. The
-        // registry hands out the frozen snapshot, so the profile's
-        // whole-graph traversals run on the CSR arrays.
+        // profile's whole-graph traversals run on the CSR arrays.
         let graph = self.registry.get(dataset)?;
         let profile = Arc::new(GraphProfile::of(graph.as_ref()));
         let mut profiles = self

@@ -2,24 +2,25 @@
 //!
 //! Maps dataset names to **read-only** graphs: a dataset is registered once
 //! and then only ever read (parameter fits, metric profiles,
-//! `GET /evaluate`). A [`Dataset`] is either an owned [`FrozenGraph`] CSR
-//! snapshot (text registration, in-process embedding) or a zero-copy
-//! [`MappedGraph`] whose CSR arrays live in a memory-mapped `.agb` file
-//! (path registration of binary files — microseconds to register, one
-//! page-cache copy shared across processes). Both implement [`GraphView`],
-//! so every consumer is representation-blind. Datasets are held behind
-//! `Arc` so synthesis jobs can read them concurrently without cloning; the
-//! registry itself is never persisted (re-register after a restart — the
-//! *budget* is what must survive, and that lives in the ledger).
+//! `GET /evaluate`). Every dataset is a [`FrozenGraph`]: owned CSR words for
+//! text registrations and in-process embedding, or a memory-mapped `.agb`
+//! file for binary path registrations (microseconds to register, one
+//! page-cache copy shared across processes). The DP fit reads it in place.
+//! Datasets are held behind `Arc` so synthesis jobs can read them
+//! concurrently without cloning; the registry itself is never persisted
+//! (re-register after a restart — the *budget* is what must survive, and
+//! that lives in the ledger).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use agmdp_graph::{
-    AttributeSchema, AttributedGraph, FrozenGraph, FrozenView, GraphView, MappedGraph, NodeId,
-};
+use agmdp_graph::FrozenGraph;
 
 use crate::error::{validate_dataset_name, ServiceError};
+
+/// The name the repository benchmark (`perfbench/`) uses for a registered
+/// graph: the same [`FrozenGraph`].
+pub type Dataset = FrozenGraph;
 
 /// Summary of one registered dataset, for `GET /datasets`.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
@@ -37,103 +38,10 @@ pub struct DatasetSummary {
     pub mapped: bool,
 }
 
-/// One registered read-only graph, in either representation.
-#[derive(Debug)]
-pub enum Dataset {
-    /// Owned CSR snapshot (text registration, embedded engines).
-    Owned(FrozenGraph),
-    /// Zero-copy view of a memory-mapped `.agb` file.
-    Mapped(MappedGraph),
-}
-
-impl Dataset {
-    /// A borrowed CSR view, whichever representation backs the dataset.
-    #[must_use]
-    pub fn view(&self) -> FrozenView<'_> {
-        match self {
-            Dataset::Owned(g) => FrozenView::of_frozen(g),
-            Dataset::Mapped(m) => m.view(),
-        }
-    }
-
-    /// Whether the dataset is served from a memory mapping.
-    #[must_use]
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, Dataset::Mapped(m) if m.is_mapped())
-    }
-
-    /// Copies the dataset into an owned snapshot (cheap clone for the owned
-    /// representation would still copy; callers on hot paths should use
-    /// [`Dataset::view`] instead).
-    #[must_use]
-    pub fn to_frozen(&self) -> FrozenGraph {
-        match self {
-            Dataset::Owned(g) => g.clone(),
-            Dataset::Mapped(m) => m.to_frozen(),
-        }
-    }
-
-    /// Reconstructs a mutable [`AttributedGraph`] equal to the registered
-    /// graph (used by the parameter-learning path, which consumes the
-    /// insertion-ordered representation).
-    #[must_use]
-    pub fn thaw(&self) -> AttributedGraph {
-        match self {
-            Dataset::Owned(g) => g.thaw(),
-            Dataset::Mapped(m) => m.to_frozen().thaw(),
-        }
-    }
-
-    /// Logical content equality across representations: same schema and
-    /// identical CSR arrays (a width-0 mapped file stores no attribute
-    /// section; its implicit all-zero codes compare equal to an owned
-    /// snapshot's explicit zeros).
-    #[must_use]
-    pub fn content_eq(&self, other: &Dataset) -> bool {
-        let a = self.view();
-        let b = other.view();
-        if a.schema() != b.schema() {
-            return false;
-        }
-        let (a_off, a_nbr, _) = a.csr_slices();
-        let (b_off, b_nbr, _) = b.csr_slices();
-        if a_off != b_off || a_nbr != b_nbr {
-            return false;
-        }
-        a.schema().width() == 0
-            || (0..a.num_nodes() as NodeId)
-                .all(|v| a.attribute_code_of(v) == b.attribute_code_of(v))
-    }
-}
-
-impl GraphView for Dataset {
-    fn num_nodes(&self) -> usize {
-        self.view().num_nodes()
-    }
-    fn num_edges(&self) -> usize {
-        self.view().num_edges()
-    }
-    fn schema(&self) -> AttributeSchema {
-        self.view().schema()
-    }
-    fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        match self {
-            Dataset::Owned(g) => g.neighbors(v),
-            Dataset::Mapped(m) => m.view().neighbors_of(v),
-        }
-    }
-    fn attribute_code(&self, v: NodeId) -> u32 {
-        self.view().attribute_code_of(v)
-    }
-    fn degree(&self, v: NodeId) -> usize {
-        self.view().degree_of(v)
-    }
-}
-
 /// A thread-safe name → graph map.
 #[derive(Debug, Default)]
 pub struct DatasetRegistry {
-    graphs: Mutex<BTreeMap<String, Arc<Dataset>>>,
+    graphs: Mutex<BTreeMap<String, Arc<FrozenGraph>>>,
 }
 
 impl DatasetRegistry {
@@ -143,55 +51,27 @@ impl DatasetRegistry {
         Self::default()
     }
 
-    /// Registers a graph under `name`, freezing it into the registry's CSR
-    /// snapshot form.
+    /// Registers a frozen or memory-mapped graph under `name`.
     ///
-    /// Re-registering the same name is idempotent when the graph is
-    /// identical (the restart path); different data is a conflict.
+    /// Re-registering the same name is idempotent when the graph content is
+    /// identical, owned or mapped (the restart path); different data is a
+    /// conflict.
     pub fn register(
         &self,
         name: &str,
-        graph: AttributedGraph,
-    ) -> Result<Arc<Dataset>, ServiceError> {
-        self.register_frozen(name, graph.freeze())
-    }
-
-    /// Registers an already-frozen snapshot under `name` (the text /
-    /// in-process registration path).
-    pub fn register_frozen(
-        &self,
-        name: &str,
         graph: FrozenGraph,
-    ) -> Result<Arc<Dataset>, ServiceError> {
-        self.register_dataset(name, Dataset::Owned(graph))
-    }
-
-    /// Registers a zero-copy mapped `.agb` graph under `name` (the binary
-    /// path registration — no deserialisation is paid at all).
-    pub fn register_mapped(
-        &self,
-        name: &str,
-        graph: MappedGraph,
-    ) -> Result<Arc<Dataset>, ServiceError> {
-        self.register_dataset(name, Dataset::Mapped(graph))
-    }
-
-    pub(crate) fn register_dataset(
-        &self,
-        name: &str,
-        dataset: Dataset,
-    ) -> Result<Arc<Dataset>, ServiceError> {
+    ) -> Result<Arc<FrozenGraph>, ServiceError> {
         validate_dataset_name(name)?;
         let mut graphs = self.graphs.lock().expect("registry lock poisoned");
         if let Some(existing) = graphs.get(name) {
-            if existing.content_eq(&dataset) {
+            if **existing == graph {
                 return Ok(Arc::clone(existing));
             }
             return Err(ServiceError::DatasetConflict(format!(
                 "'{name}' is already registered with different data"
             )));
         }
-        let arc = Arc::new(dataset);
+        let arc = Arc::new(graph);
         graphs.insert(name.to_string(), Arc::clone(&arc));
         Ok(arc)
     }
@@ -205,7 +85,7 @@ impl DatasetRegistry {
     }
 
     /// Looks up a dataset.
-    pub fn get(&self, name: &str) -> Result<Arc<Dataset>, ServiceError> {
+    pub fn get(&self, name: &str) -> Result<Arc<FrozenGraph>, ServiceError> {
         self.graphs
             .lock()
             .expect("registry lock poisoned")
@@ -236,13 +116,14 @@ impl DatasetRegistry {
 mod tests {
     use super::*;
     use agmdp_datasets::toy_social_graph;
+    use agmdp_graph::AttributedGraph;
 
     #[test]
     fn register_get_and_list() {
         let reg = DatasetRegistry::new();
         let g = toy_social_graph();
-        reg.register("toy", g.clone()).unwrap();
-        assert_eq!(reg.get("toy").unwrap().to_frozen(), g.freeze());
+        reg.register("toy", g.freeze()).unwrap();
+        assert_eq!(*reg.get("toy").unwrap(), g.freeze());
         assert_eq!(reg.get("toy").unwrap().thaw(), g);
         assert!(matches!(
             reg.get("other"),
@@ -260,14 +141,14 @@ mod tests {
     fn idempotent_reregistration_conflicting_data_rejected() {
         let reg = DatasetRegistry::new();
         let g = toy_social_graph();
-        reg.register("toy", g.clone()).unwrap();
-        reg.register("toy", g.clone()).unwrap(); // identical: fine
+        reg.register("toy", g.freeze()).unwrap();
+        reg.register("toy", g.freeze()).unwrap(); // identical: fine
         let different = AttributedGraph::unattributed(3);
         assert!(matches!(
-            reg.register("toy", different),
+            reg.register("toy", different.freeze()),
             Err(ServiceError::DatasetConflict(_))
         ));
-        assert!(reg.register("bad name", g).is_err());
+        assert!(reg.register("bad name", g.freeze()).is_err());
     }
 
     #[test]
@@ -279,19 +160,19 @@ mod tests {
         agmdp_graph::io::write_binary_file(&g, &path).unwrap();
 
         let reg = DatasetRegistry::new();
-        let mapped = MappedGraph::open(&path).unwrap();
-        reg.register_mapped("toy", mapped).unwrap();
-        // Re-registering the same content — in either representation — is
+        let mapped = FrozenGraph::open(&path).unwrap();
+        reg.register("toy", mapped).unwrap();
+        // Re-registering the same content — owned or mapped — is
         // idempotent; different content conflicts.
-        reg.register("toy", g.clone()).unwrap();
-        reg.register_mapped("toy", MappedGraph::open(&path).unwrap())
+        reg.register("toy", g.freeze()).unwrap();
+        reg.register("toy", FrozenGraph::open(&path).unwrap())
             .unwrap();
         assert!(reg
-            .register("toy", AttributedGraph::unattributed(2))
+            .register("toy", AttributedGraph::unattributed(2).freeze())
             .is_err());
 
         let ds = reg.get("toy").unwrap();
-        assert_eq!(ds.to_frozen(), g.freeze());
+        assert_eq!(*ds, g.freeze());
         assert_eq!(ds.thaw(), g);
         let summaries = reg.summaries();
         assert_eq!(summaries[0].mapped, cfg!(target_endian = "little"));

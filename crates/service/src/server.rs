@@ -38,7 +38,7 @@ use serde::{Serialize, Value};
 
 use agmdp_core::correlations_dp::CorrelationMethod;
 use agmdp_core::workflow::StructuralModelKind;
-use agmdp_graph::{io, GraphError, MappedGraph};
+use agmdp_graph::{io, FrozenGraph, GraphError};
 use agmdp_obs::TraceSink;
 
 use crate::conn::ConnTimeouts;
@@ -687,26 +687,22 @@ fn handle_register_dataset(engine: &Arc<SynthesisEngine>, body: &[u8]) -> Respon
     // full-validation tier — checksum and structure — since the path may
     // point anywhere the operator can read) so registration cost is
     // independent of graph size; text files parse as before.
-    enum Loaded {
-        Owned(agmdp_graph::FrozenGraph),
-        Mapped(MappedGraph),
-    }
-    let loaded = match (
+    let graph = match (
         json::get(&parsed, "graph").and_then(json::as_str),
         json::get(&parsed, "path").and_then(json::as_str),
     ) {
         (Some(text), None) => match io::from_text(text) {
-            Ok(g) => Loaded::Owned(g.freeze()),
+            Ok(g) => g.freeze(),
             Err(e) => return error_body(400, "invalid_request", &format!("bad graph: {e}")),
         },
         (None, Some(path)) => {
             let result = if file_has_binary_magic(path) {
-                MappedGraph::open(path).map(Loaded::Mapped)
+                FrozenGraph::open(path)
             } else {
-                io::load_frozen_file(path).map(Loaded::Owned)
+                io::load_frozen_file(path)
             };
             match result {
-                Ok(loaded) => loaded,
+                Ok(graph) => graph,
                 // Parse errors quote tokens of the file; for server-side
                 // paths that would let a remote client probe arbitrary
                 // readable files, so only I/O errors (no content) are
@@ -737,11 +733,7 @@ fn handle_register_dataset(engine: &Arc<SynthesisEngine>, body: &[u8]) -> Respon
             )
         }
     };
-    let registered = match loaded {
-        Loaded::Owned(g) => engine.register_frozen_dataset(name, g, budget),
-        Loaded::Mapped(m) => engine.register_mapped_dataset(name, m, budget),
-    };
-    match registered {
+    match engine.register_frozen_dataset(name, graph, budget) {
         Ok(summary) => {
             let status = engine.ledger().status(name);
             let mut entries = vec![
@@ -1133,15 +1125,13 @@ fn parse_synthesize_body(body: &[u8]) -> Result<SynthesisRequest, Response> {
         Some(v) => json::as_f64(v)
             .ok_or_else(|| error_body(400, "invalid_request", "'delta' must be a number"))?,
     };
-    let method = match json::get(&parsed, "method") {
-        None => CorrelationMethod::EdgeTruncation { k },
-        Some(v) => {
-            let name = json::as_str(v)
-                .ok_or_else(|| error_body(400, "invalid_request", "'method' must be a string"))?;
-            CorrelationMethod::from_parts(name, k, delta)
-                .map_err(|e| error_body(400, "invalid_request", &e))?
-        }
+    let method_name = match json::get(&parsed, "method") {
+        None => "truncation",
+        Some(v) => json::as_str(v)
+            .ok_or_else(|| error_body(400, "invalid_request", "'method' must be a string"))?,
     };
+    let method = CorrelationMethod::from_parts(method_name, k, delta)
+        .map_err(|e| error_body(400, "invalid_request", &e))?;
 
     let seed = match json::get(&parsed, "seed") {
         None => 2016,

@@ -12,7 +12,7 @@
 //!
 //! Unlike the in-memory [`FitCache`](crate::cache::FitCache), the store
 //! survives restarts: lookups recompute the key's filename and open the
-//! artifact with the trusted mmap tier ([`MappedGraph::open_trusted`]), so a
+//! artifact with the trusted mmap tier ([`FrozenGraph::open_trusted`]), so a
 //! hit costs microseconds regardless of graph size and no index file is
 //! needed. Writers stage into a `.tmp` sibling and `rename` into place — the
 //! artifact first, the sidecar last — so a half-written release is invisible
@@ -30,7 +30,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use agmdp_eval::UtilityReport;
-use agmdp_graph::MappedGraph;
+use agmdp_graph::io::fnv1a64;
+use agmdp_graph::FrozenGraph;
 use serde::Value;
 
 use crate::engine::{GraphStats, SynthesisRequest};
@@ -61,7 +62,7 @@ pub struct StoredRelease {
     /// Utility of the release relative to the registered original.
     pub utility: UtilityReport,
     /// The artifact, mapped zero-copy via the trusted tier.
-    pub graph: MappedGraph,
+    pub graph: FrozenGraph,
     /// Size of the artifact in bytes.
     pub bytes: u64,
 }
@@ -146,7 +147,7 @@ impl ReleaseStore {
         // trusted tier's layout + offsets scan is the right validation
         // level: a hit on a large graph costs microseconds, not a
         // full-payload checksum pass.
-        let graph = MappedGraph::open_trusted(self.artifact_path(&stem)).ok()?;
+        let graph = FrozenGraph::open_trusted(self.artifact_path(&stem)).ok()?;
         let bytes = graph.byte_len() as u64;
         Some(StoredRelease {
             epsilon,
@@ -205,17 +206,6 @@ impl ReleaseStore {
         }
         out
     }
-}
-
-/// FNV-1a 64 (the same function the `.agb` checksum uses; reimplemented here
-/// because the graph crate keeps its copy crate-private).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Renders the sidecar JSON. Floats are written as `to_bits()` integers so
@@ -300,7 +290,7 @@ fn parse_utility(v: &Value) -> Option<UtilityReport> {
 mod tests {
     use super::*;
     use agmdp_datasets::toy_social_graph;
-    use agmdp_graph::io;
+    use agmdp_graph::{io, GraphView};
 
     fn temp_store(tag: &str) -> ReleaseStore {
         let dir = std::env::temp_dir().join(format!("agmdp_store_{tag}_{}", std::process::id()));
@@ -343,6 +333,16 @@ mod tests {
         assert_eq!(s.releases, 1);
         assert_eq!(s.bytes, artifact.len() as u64);
         std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// Artifact names must not drift across builds, or stores written by
+    /// earlier binaries would stop hitting.
+    #[test]
+    fn release_stem_is_stable_across_builds() {
+        assert_eq!(
+            ReleaseStore::release_stem(&SynthesisRequest::new("toy", 0.5, 42)),
+            "toy-8197ae529bbcfbbf"
+        );
     }
 
     #[test]

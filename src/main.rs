@@ -210,8 +210,8 @@ fn cmd_synthesize(args: &[String]) -> Result<(), String> {
     let threads: usize = flags.get_parsed_or("--threads", "a positive integer", 1)?;
 
     // Auto-detects the text or binary interchange format from the file's
-    // leading bytes; synthesis needs the mutable build-phase representation.
-    let graph = io::load_file(&input).map_err(|e| format!("failed to read {input}: {e}"))?;
+    // leading bytes; the fit and the statistics read the CSR graph in place.
+    let graph = io::load_frozen_file(&input).map_err(|e| format!("failed to read {input}: {e}"))?;
     let config = AgmConfig {
         privacy,
         model,
@@ -225,15 +225,14 @@ fn cmd_synthesize(args: &[String]) -> Result<(), String> {
         synthesize(&graph, &config, &mut rng).map_err(|e| format!("synthesis failed: {e}"))?;
     write_graph_file(&synthetic, &output, None)?;
 
-    // Both graphs are done mutating: freeze once and run the statistics and
-    // the fidelity report on the CSR snapshots.
-    let frozen_input = graph.freeze();
+    // The synthetic graph is done mutating: freeze it once and run the
+    // statistics and the fidelity report on the CSR snapshots.
     let frozen_synthetic = synthetic.freeze();
     println!("input  ({input}):");
-    print_stats(&frozen_input);
+    print_stats(&graph);
     println!("\nsynthetic ({output}):");
     print_stats(&frozen_synthetic);
-    let report = GraphComparison::compare(&frozen_input, &frozen_synthetic);
+    let report = GraphComparison::compare(&graph, &frozen_synthetic);
     println!("\nfidelity: KS(degree) = {:.3}, H(degree) = {:.3}, triangle RE = {:.3}, clustering RE = {:.3}, m RE = {:.4}",
         report.ks_degree,
         report.hellinger_degree,

@@ -538,3 +538,46 @@ fn keepalive_pipeline_is_byte_identical_across_thread_counts() {
     one.stop();
     many.stop();
 }
+
+/// A truncation `k` below 2 is refused with a 400 before admission: the
+/// `Lap(2k/ε)` calibration does not hold at k = 1, and k = 0 cannot fit, so
+/// neither may draw ε from the ledger.
+#[test]
+fn truncation_k_below_two_is_refused_before_any_epsilon_is_drawn() {
+    let server = agmdp::service::start(&ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        ledger_path: None,
+        quiet: true,
+        ..ServiceConfig::default()
+    })
+    .expect("server start");
+    let addr = server.local_addr();
+    let register_body = serde_json::to_string(&Value::Object(vec![
+        ("name".to_string(), Value::Str("toy".to_string())),
+        ("budget".to_string(), Value::Float(1.0)),
+        (
+            "graph".to_string(),
+            Value::Str(io::to_text(&agmdp::datasets::toy_social_graph())),
+        ),
+    ]))
+    .unwrap();
+    assert_eq!(post(addr, "/datasets", &register_body).status, 201);
+    let budget = get(addr, "/budget/toy");
+    assert_eq!(budget.status, 200);
+
+    for body in [
+        r#"{"dataset":"toy","epsilon":0.5,"k":1}"#,
+        r#"{"dataset":"toy","epsilon":0.5,"k":0}"#,
+        r#"{"dataset":"toy","epsilon":0.5,"method":"truncation","k":1}"#,
+    ] {
+        let reply = post(addr, "/synthesize", body);
+        assert_eq!(reply.status, 400, "{body}: {:?}", reply.body);
+    }
+    let after = get(addr, "/budget/toy");
+    assert_eq!(after.status, 200);
+    assert_eq!(after.body, budget.body);
+    assert_eq!(field_f64(&after.body, "spent"), 0.0);
+
+    server.stop();
+}
