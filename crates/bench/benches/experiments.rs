@@ -17,7 +17,7 @@ use agmdp_graph::clustering::average_local_clustering;
 use agmdp_graph::degree::DegreeSequence;
 use agmdp_graph::triangles::count_triangles;
 use agmdp_metrics::distance::{hellinger_distance, mean_absolute_error};
-use agmdp_models::{ChungLuModel, StructuralModel, TclModel, TriCycLeModel};
+use agmdp_models::{ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel};
 
 fn experiment_benches(c: &mut Criterion) {
     let input = generate_dataset(&DatasetSpec::lastfm().scaled(0.25), 42).expect("dataset");
@@ -62,20 +62,21 @@ fn experiment_benches(c: &mut Criterion) {
     fig23.sample_size(10);
     let degrees = input.degrees();
     let triangles = count_triangles(&input);
+    let plain = GenerateRequest::default();
     fig23.bench_function("fcl_cell", |b| {
         let model = ChungLuModel::new(degrees.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        b.iter(|| black_box(model.generate(&mut rng).unwrap().num_edges()));
+        b.iter(|| black_box(model.generate(&plain, &mut rng).unwrap().num_edges()));
     });
     fig23.bench_function("tcl_cell", |b| {
         let model = TclModel::fit(&input, 5).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| black_box(model.generate(&mut rng).unwrap().num_edges()));
+        b.iter(|| black_box(model.generate(&plain, &mut rng).unwrap().num_edges()));
     });
     fig23.bench_function("tricycle_cell", |b| {
         let model = TriCycLeModel::new(degrees.clone(), triangles).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| black_box(model.generate(&mut rng).unwrap().num_edges()));
+        b.iter(|| black_box(model.generate(&plain, &mut rng).unwrap().num_edges()));
     });
     fig23.finish();
 

@@ -4,12 +4,13 @@
 //! under concurrent connections is a grid measurement, not a tight loop.
 //! (`harness = false`; the `--bench` flag cargo passes is tolerated.)
 //!
-//! Boots the event-driven transport and the blocking baseline in-process on
-//! ephemeral ports (or aims at `--addr` if given), pre-registers the toy
-//! dataset, warms the fitted-parameter cache *and* the release store (so the
-//! repeat `/synthesize` workload is a store hit — a sidecar read plus a
-//! trusted mmap, no sampling job), then measures a grid of workload ×
-//! transport × connection-count cells with `agmdp_bench::loadgen`.
+//! Boots the event-driven server in-process on an ephemeral port (or aims
+//! at `--addr` if given), pre-registers the toy dataset, warms the
+//! fitted-parameter cache *and* the release store (so the repeat
+//! `/synthesize` workload is a store hit — a sidecar read plus a trusted
+//! mmap, no sampling job), then measures a grid of workload × connection
+//! mode (keep-alive, or a fresh connection per request) × connection-count
+//! cells with `agmdp_bench::loadgen`.
 //!
 //! ```text
 //! cargo bench -p agmdp-bench --bench httpload -- --seconds 2 \
@@ -27,7 +28,7 @@ use serde::Serialize;
 use agmdp_bench::loadgen::{run_load, ConnMode, LoadSpec, Workload};
 use agmdp_service::engine::{SynthesisEngine, SynthesisRequest};
 use agmdp_service::ledger::BudgetLedger;
-use agmdp_service::{ReleaseStore, ServerHandle, ServiceConfig, Transport};
+use agmdp_service::{ReleaseStore, ServerHandle, ServiceConfig};
 
 /// The fixed cache-hit request. Must stay in sync with `warm_engine`.
 const SYNTH_BODY: &str = r#"{"dataset":"toy","epsilon":0.5,"seed":7}"#;
@@ -116,14 +117,13 @@ fn warm_engine(store_dir: &std::path::Path) -> SynthesisEngine {
     engine
 }
 
-fn boot(transport: Transport, threads: usize, store_dir: &std::path::Path) -> ServerHandle {
+fn boot(threads: usize, store_dir: &std::path::Path) -> ServerHandle {
     agmdp_service::server::start_with_engine(
         &ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
             threads,
             ledger_path: None,
             quiet: true,
-            transport,
             ..ServiceConfig::default()
         },
         warm_engine(store_dir),
@@ -133,7 +133,6 @@ fn boot(transport: Transport, threads: usize, store_dir: &std::path::Path) -> Se
 
 #[derive(Serialize)]
 struct Cell {
-    transport: &'static str,
     mode: &'static str,
     workload: &'static str,
     connections: usize,
@@ -149,30 +148,16 @@ struct Cell {
 }
 
 #[derive(Serialize)]
-struct Acceptance {
-    workload: &'static str,
-    connections: usize,
-    event_keepalive_rps: f64,
-    blocking_per_request_rps: f64,
-    ratio: f64,
-    target: f64,
-    met: bool,
-    note: String,
-}
-
-#[derive(Serialize)]
 struct Report {
     bench: &'static str,
     seconds_per_cell: f64,
     server_threads: usize,
     cpu_cores: usize,
     cells: Vec<Cell>,
-    acceptance: Acceptance,
 }
 
 fn run_cell(
     addr: SocketAddr,
-    transport: &'static str,
     mode: ConnMode,
     workload: Workload,
     connections: usize,
@@ -186,7 +171,6 @@ fn run_cell(
         workload: workload.clone(),
     });
     let cell = Cell {
-        transport,
         mode: mode.label(),
         workload: workload.label(),
         connections,
@@ -200,8 +184,7 @@ fn run_cell(
         rps: result.rps,
     };
     eprintln!(
-        "[httpload] {:<8} {:<11} {:<20} conns={:<3} rps={:>9.1} (2xx={} sheds={} 4xx={} 5xx={} io={})",
-        cell.transport,
+        "[httpload] {:<11} {:<20} conns={:<3} rps={:>9.1} (2xx={} sheds={} 4xx={} 5xx={} io={})",
         cell.mode,
         cell.workload,
         cell.connections,
@@ -223,132 +206,37 @@ fn main() {
             body: SYNTH_BODY.to_string(),
         },
     ];
-    let acceptance_conns = if options.connections.contains(&16) {
-        16
-    } else {
-        *options.connections.last().unwrap_or(&1)
+    let store_dir =
+        std::env::temp_dir().join(format!("agmdp_httpload_store_{}", std::process::id()));
+    let (addr, server) = match options.addr {
+        Some(addr) => (addr, None),
+        None => {
+            std::fs::remove_dir_all(&store_dir).ok();
+            let server = boot(options.threads, &store_dir);
+            (server.local_addr(), Some(server))
+        }
     };
-
     let mut cells = Vec::new();
-    let mut event_rps = 0.0;
-    let mut blocking_rps = 0.0;
-
-    if let Some(addr) = options.addr {
-        // External server: measure keep-alive and per-request against it.
-        for workload in &workloads {
-            for &conns in &options.connections {
-                for mode in [ConnMode::KeepAlive, ConnMode::PerRequest] {
-                    cells.push(run_cell(
-                        addr,
-                        "external",
-                        mode,
-                        workload.clone(),
-                        conns,
-                        options.seconds,
-                    ));
-                }
-            }
-        }
-    } else {
-        let store_dir =
-            std::env::temp_dir().join(format!("agmdp_httpload_store_{}", std::process::id()));
-        std::fs::remove_dir_all(&store_dir).ok();
-
-        // Event transport: the keep-alive grid, plus one per-request row at
-        // the acceptance point to isolate what connection reuse buys within
-        // the same transport.
-        let event = boot(Transport::Event, options.threads, &store_dir);
-        for workload in &workloads {
-            for &conns in &options.connections {
-                let cell = run_cell(
-                    event.local_addr(),
-                    "event",
-                    ConnMode::KeepAlive,
+    for workload in &workloads {
+        for &conns in &options.connections {
+            for mode in [ConnMode::KeepAlive, ConnMode::PerRequest] {
+                cells.push(run_cell(
+                    addr,
+                    mode,
                     workload.clone(),
                     conns,
                     options.seconds,
-                );
-                if conns == acceptance_conns && cell.workload == "synthesize_cache_hit" {
-                    event_rps = cell.rps;
-                }
-                cells.push(cell);
-            }
-            cells.push(run_cell(
-                event.local_addr(),
-                "event",
-                ConnMode::PerRequest,
-                workload.clone(),
-                acceptance_conns,
-                options.seconds,
-            ));
-        }
-        event.stop();
-
-        // Blocking baseline: per-request only (it closes after every
-        // response, so client-side keep-alive would measure the same thing
-        // with extra failed reuse attempts).
-        let blocking = boot(Transport::Blocking, options.threads, &store_dir);
-        for workload in &workloads {
-            for &conns in &options.connections {
-                let cell = run_cell(
-                    blocking.local_addr(),
-                    "blocking",
-                    ConnMode::PerRequest,
-                    workload.clone(),
-                    conns,
-                    options.seconds,
-                );
-                if conns == acceptance_conns && cell.workload == "synthesize_cache_hit" {
-                    blocking_rps = cell.rps;
-                }
-                cells.push(cell);
+                ));
             }
         }
-        blocking.stop();
+    }
+    if let Some(server) = server {
+        server.stop();
         std::fs::remove_dir_all(&store_dir).ok();
     }
-
-    let ratio = if blocking_rps > 0.0 {
-        event_rps / blocking_rps
-    } else {
-        0.0
-    };
     let cpu_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let note = if ratio >= 5.0 {
-        "A repeat request is now a release-store hit — no fit, no sampling \
-         job, just a sidecar read and a trusted mmap — so the workload is \
-         transport-bound and the event/keep-alive delta is visible on \
-         /synthesize itself, not only on healthz."
-            .to_string()
-    } else {
-        format!(
-            "A repeat request is a release-store hit (no fit, no sampling \
-             job), but on {cpu_cores} core(s) clients and server share the \
-             CPU, which compresses the transport delta. The isolated \
-             transport comparison is the healthz cells (event keep-alive vs \
-             blocking per-request)."
-        )
-    };
-    let acceptance = Acceptance {
-        workload: "synthesize_cache_hit",
-        connections: acceptance_conns,
-        event_keepalive_rps: event_rps,
-        blocking_per_request_rps: blocking_rps,
-        ratio,
-        target: 5.0,
-        met: ratio >= 5.0,
-        note,
-    };
-    eprintln!(
-        "[httpload] acceptance: cache-hit @ {} conns — event keep-alive {:.1} rps vs blocking {:.1} rps = {:.2}x (target 5x: {})",
-        acceptance.connections,
-        acceptance.event_keepalive_rps,
-        acceptance.blocking_per_request_rps,
-        acceptance.ratio,
-        if acceptance.met { "met" } else { "NOT met" },
-    );
 
     let unexpected_5xx: u64 = cells.iter().map(|c| c.other_5xx).sum();
     let report = Report {
@@ -357,7 +245,6 @@ fn main() {
         server_threads: options.threads,
         cpu_cores,
         cells,
-        acceptance,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
     match &options.out {

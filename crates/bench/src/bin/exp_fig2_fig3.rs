@@ -19,7 +19,7 @@ use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::AttributedGraph;
 use agmdp_metrics::ccdf::{ccdf_at, ccdf_points};
 use agmdp_metrics::distance::{hellinger_distance, ks_statistic, relative_error};
-use agmdp_models::{ChungLuModel, StructuralModel, TclModel, TriCycLeModel};
+use agmdp_models::{ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel};
 
 const DEGREE_GRID: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 const CLUSTERING_GRID: [f64; 7] = [0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8];
@@ -38,15 +38,15 @@ fn main() {
         let fcl = ChungLuModel::new(degrees.clone())
             .expect("valid degrees")
             .with_orphan_postprocessing(true)
-            .generate(&mut rng)
+            .generate(&GenerateRequest::default(), &mut rng)
             .expect("FCL generation");
         let tcl = TclModel::fit(input, 10)
             .expect("TCL fit")
-            .generate(&mut rng)
+            .generate(&GenerateRequest::default(), &mut rng)
             .expect("TCL generation");
         let tricycle = TriCycLeModel::new(degrees, triangles)
             .expect("valid parameters")
-            .generate(&mut rng)
+            .generate(&GenerateRequest::default(), &mut rng)
             .expect("TriCycLe generation");
 
         println!("\n=== {} ===", ds.spec.name);

@@ -24,9 +24,8 @@ pub enum ConnMode {
     /// One persistent connection per client thread, reused across requests
     /// (HTTP/1.1 default). Reconnects transparently if the server closes.
     KeepAlive,
-    /// A fresh connection per request with `Connection: close` — the only
-    /// mode the blocking transport supports, and the baseline keep-alive is
-    /// measured against.
+    /// A fresh connection per request with `Connection: close` — the
+    /// baseline keep-alive is measured against.
     PerRequest,
 }
 

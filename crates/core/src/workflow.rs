@@ -22,7 +22,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
-use agmdp_models::acceptance::AcceptanceContext;
+use agmdp_models::acceptance::{AcceptanceContext, GenerateRequest};
 use agmdp_models::chung_lu::ChungLuModel;
 use agmdp_models::observe::{NoopStageObserver, StageObserver, SynthesisStage};
 use agmdp_models::parallel::map_node_chunks;
@@ -285,10 +285,15 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     // leave `rng` in the same state (the chunk streams never touch it).
     let attribute_master = rng.next_u64();
 
+    let request = GenerateRequest {
+        acceptance: None,
+        policy: Some(&policy),
+        observer,
+    };
     // Unattributed graphs skip attribute sampling and the accept/reject
     // machinery entirely.
     if params.schema.width() == 0 {
-        return Ok(model.generate_par_observed(&policy, rng, observer)?);
+        return Ok(model.generate(&request, rng)?);
     }
 
     // Sample fresh attribute vectors X̃ from Θ̃_X, one node chunk per stream.
@@ -309,13 +314,13 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     // refinement iterations it *is* the release and must be materialised;
     // otherwise only its Θ_F is observed, so the edge list suffices and the
     // model may skip building the graph (the stream-identity contract of
-    // `generate_edge_list_par_observed` guarantees the same sample either
+    // `StructuralModel::generate_edges` guarantees the same sample either
     // way).
     if config.refinement_iterations == 0 {
-        let temp = model.generate_par_observed(&policy, rng, observer)?;
+        let temp = model.generate(&request, rng)?;
         return Ok(temp.with_attributes(params.schema, &codes)?);
     }
-    let mut current = model.generate_edge_list_par_observed(&policy, rng, observer)?;
+    let mut current = model.generate_edges(&request, rng)?;
 
     let mut previous_acceptance: Option<Vec<f64>> = None;
     for iteration in 0..config.refinement_iterations {
@@ -323,13 +328,16 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
         let acceptance =
             acceptance_probabilities(&params.theta_f, &observed, previous_acceptance.as_deref());
         let ctx = AcceptanceContext::new(codes.clone(), params.schema, acceptance.clone())?;
+        let request = GenerateRequest {
+            acceptance: Some(&ctx),
+            ..request
+        };
         // Only the last iteration's sample is released; the earlier ones are
         // observed and discarded, so they stay edge lists.
         if iteration + 1 == config.refinement_iterations {
-            return Ok(model.generate_with_acceptance_par_observed(&ctx, &policy, rng, observer)?);
+            return Ok(model.generate(&request, rng)?);
         }
-        current =
-            model.generate_with_acceptance_edge_list_par_observed(&ctx, &policy, rng, observer)?;
+        current = model.generate_edges(&request, rng)?;
         previous_acceptance = Some(acceptance);
     }
     unreachable!("the refinement loop returns on its last iteration")

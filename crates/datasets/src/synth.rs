@@ -15,7 +15,7 @@ use rand_chacha::ChaCha12Rng;
 use agmdp_graph::{AttributeSchema, AttributedGraph};
 use agmdp_models::acceptance::AcceptanceContext;
 use agmdp_models::tricycle::TriCycLeModel;
-use agmdp_models::{ModelError, StructuralModel};
+use agmdp_models::{GenerateRequest, ModelError, StructuralModel};
 
 use crate::spec::DatasetSpec;
 
@@ -40,7 +40,13 @@ pub fn generate_dataset(spec: &DatasetSpec, seed: u64) -> Result<AttributedGraph
     let model = TriCycLeModel::new(degrees, spec.triangles)?
         .with_orphan_extension(true)
         .with_max_iteration_factor(20);
-    model.generate_with_acceptance(&ctx, &mut rng)
+    // The serial sampler (no policy): every dataset, golden and benchmark
+    // input is pinned to its draw sequence.
+    let request = GenerateRequest {
+        acceptance: Some(&ctx),
+        ..GenerateRequest::default()
+    };
+    model.generate(&request, &mut rng)
 }
 
 /// Samples a power-law-like degree sequence with the given total, maximum

@@ -45,8 +45,9 @@
 //! (see [`FrozenGraph`] for its validation tiers).
 //!
 //! [`load_frozen_file`] auto-detects the format from the file's leading
-//! bytes, so every path-based loader (CLI `--input`, the service's
-//! `POST /datasets` path registration) accepts both formats transparently.
+//! bytes and maps `.agb` files through [`FrozenGraph::open`], so every
+//! path-based loader (CLI `--input`, the service's `POST /datasets` path
+//! registration) accepts both formats transparently.
 //! The round-trip text → binary → text reproduces any canonically written
 //! text file (the output of [`to_text`]) byte for byte; hand-authored files
 //! that rely on the parser's leniencies (comments, blank lines,
@@ -55,6 +56,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io::{Read, Seek};
 use std::path::Path;
 
 use crate::attributes::AttributeSchema;
@@ -283,18 +285,22 @@ pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<FrozenGraph> {
 }
 
 /// Loads a graph file in either format (auto-detected from the leading
-/// bytes) as a frozen snapshot: binary files deserialise directly, text
-/// files are parsed and frozen.
+/// bytes) as a frozen snapshot: `.agb` files go through
+/// [`FrozenGraph::open`] (the verified tier, memory-mapped where the
+/// platform allows), text files are parsed and frozen.
 pub fn load_frozen_file<P: AsRef<Path>>(path: P) -> Result<FrozenGraph> {
-    let bytes = fs::read(path)?;
-    if is_binary(&bytes) {
-        from_binary(&bytes)
-    } else {
-        let text = String::from_utf8(bytes).map_err(|_| {
-            GraphError::Format("graph file is neither binary nor UTF-8 text".into())
-        })?;
-        Ok(from_text(&text)?.freeze())
+    let path = path.as_ref();
+    let mut file = fs::File::open(path)?;
+    let mut magic = [0u8; BINARY_MAGIC.len()];
+    if file.read_exact(&mut magic).is_ok() && magic == BINARY_MAGIC {
+        return FrozenGraph::open(path);
     }
+    let mut bytes = Vec::new();
+    file.rewind()?;
+    file.read_to_end(&mut bytes)?;
+    let text = String::from_utf8(bytes)
+        .map_err(|_| GraphError::Format("graph file is neither binary nor UTF-8 text".into()))?;
+    Ok(from_text(&text)?.freeze())
 }
 
 #[cfg(test)]

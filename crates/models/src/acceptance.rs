@@ -7,7 +7,10 @@
 //! per-configuration acceptance probabilities together with the attribute
 //! codes that were sampled for the synthetic nodes; [`StructuralModel`] is the
 //! trait each generator implements so AGM-DP can swap FCL, TCL or TriCycLe
-//! without changing the workflow.
+//! without changing the workflow. Its one entry point takes a
+//! [`GenerateRequest`] naming the acceptance filter, the execution policy and
+//! the stage observer, so a new model joins the workflow by implementing
+//! `generate` alone.
 
 use rand::Rng;
 use rand::RngCore;
@@ -15,7 +18,7 @@ use rand::RngCore;
 use agmdp_graph::{AttributeSchema, AttributedGraph, Edge, NodeId};
 
 use crate::error::ModelError;
-use crate::observe::{StageObserver, SynthesisStage};
+use crate::observe::{NoopStageObserver, StageObserver};
 use crate::parallel::ExecPolicy;
 use crate::Result;
 
@@ -101,120 +104,80 @@ impl AcceptanceContext {
     }
 }
 
+/// What one [`StructuralModel`] call samples and how. The default is a
+/// plain, sequential, unobserved sample: no acceptance filter, the serial
+/// sampler on the caller's RNG, and nobody listening for stage boundaries.
+#[derive(Clone, Copy)]
+pub struct GenerateRequest<'a> {
+    /// AGM acceptance probabilities applied to every proposed edge; the
+    /// generated graph then carries the context's attribute codes. `None`
+    /// samples from the structural parameters alone, as for the temporary
+    /// edge set `E'` in Algorithm 3.
+    pub acceptance: Option<&'a AcceptanceContext>,
+    /// Runs the chunked, deterministically parallel sampler of
+    /// [`crate::parallel`]. `policy.threads()` never changes the output —
+    /// only how chunks are scheduled. `None` keeps the serial sampler,
+    /// whose draw sequence differs from the chunked one (dataset generation
+    /// depends on it).
+    pub policy: Option<&'a ExecPolicy>,
+    /// Receives the [`crate::SynthesisStage::EdgeSample`] and
+    /// [`crate::SynthesisStage::Rewire`] boundaries of the run. Observers receive
+    /// *only* callbacks — no model may read a clock.
+    pub observer: &'a dyn StageObserver,
+}
+
+impl Default for GenerateRequest<'_> {
+    fn default() -> Self {
+        Self {
+            acceptance: None,
+            policy: None,
+            observer: &NoopStageObserver,
+        }
+    }
+}
+
+impl<'a> GenerateRequest<'a> {
+    /// The acceptance context after checking it against the model's node
+    /// count (every model calls this before sampling).
+    pub fn checked_acceptance(&self, num_nodes: usize) -> Result<Option<&'a AcceptanceContext>> {
+        if let Some(ctx) = self.acceptance {
+            ctx.check_node_count(num_nodes)?;
+        }
+        Ok(self.acceptance)
+    }
+}
+
 /// A generative structural model in the sense of Section 2.2: anything that
 /// can produce an edge set over a fixed node set, optionally filtered by AGM
-/// acceptance probabilities.
+/// acceptance probabilities. AGM treats the model as a black box that
+/// proposes edges, so one request-driven entry point serves every caller.
 pub trait StructuralModel {
     /// Number of nodes in the graphs this model generates.
     fn num_nodes(&self) -> usize;
 
-    /// Generates a graph from the structural parameters alone (no attribute
-    /// correlations), as used for the temporary edge set `E'` in Algorithm 3.
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph>;
-
-    /// Generates a graph whose proposed edges are additionally filtered by the
-    /// acceptance probabilities in `ctx`; the returned graph carries the
-    /// context's attribute codes.
-    fn generate_with_acceptance(
+    /// Samples a graph as `request` describes.
+    fn generate(
         &self,
-        ctx: &AcceptanceContext,
+        request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
     ) -> Result<AttributedGraph>;
 
-    /// [`StructuralModel::generate`] under an execution policy: the chunked,
-    /// deterministically parallel sampling path of [`crate::parallel`].
-    ///
-    /// Implementations must guarantee that `policy.threads()` never changes
-    /// the output — only how chunks are scheduled. The default implementation
-    /// trivially satisfies that contract by ignoring the policy and running
-    /// the serial sampler.
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        let _ = policy;
-        self.generate(rng)
-    }
-
-    /// [`StructuralModel::generate_with_acceptance`] under an execution
-    /// policy, with the same thread-count-invariance contract as
-    /// [`StructuralModel::generate_par`].
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        let _ = policy;
-        self.generate_with_acceptance(ctx, rng)
-    }
-
-    /// [`StructuralModel::generate_par`] with stage-boundary callbacks.
-    /// The default brackets the whole run as
-    /// [`SynthesisStage::EdgeSample`]; models with a distinct rewiring
-    /// phase (TriCycLe, the orphan post-process) override this to report
-    /// the [`SynthesisStage::Rewire`] boundary too. Observers receive
-    /// *only* callbacks — no implementation here may read a clock.
-    fn generate_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        observer.stage_start(SynthesisStage::EdgeSample);
-        let result = self.generate_par(policy, rng);
-        observer.stage_end(SynthesisStage::EdgeSample);
-        result
-    }
-
-    /// [`StructuralModel::generate_with_acceptance_par`] with stage-boundary
-    /// callbacks, under the same contract as
-    /// [`StructuralModel::generate_par_observed`].
-    fn generate_with_acceptance_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        observer.stage_start(SynthesisStage::EdgeSample);
-        let result = self.generate_with_acceptance_par(ctx, policy, rng);
-        observer.stage_end(SynthesisStage::EdgeSample);
-        result
-    }
-
-    /// [`StructuralModel::generate_par_observed`], stopping at the edge
-    /// list. For callers that only inspect the edge multiset and discard
-    /// the sample — the AGM refinement loop observes Θ_F of each
-    /// intermediate graph and never reads its adjacency — a model may
-    /// override this to skip materialising the graph.
+    /// [`StructuralModel::generate`], stopping at the edge list. For
+    /// callers that only inspect the edge multiset and discard the sample —
+    /// the AGM refinement loop observes Θ_F of each intermediate graph and
+    /// never reads its adjacency — a model may override this to skip
+    /// materialising the graph.
     ///
     /// Contract: the RNG stream consumed and the edge *set* returned must
-    /// be identical to [`StructuralModel::generate_par_observed`] at the
-    /// same state (only the enumeration order may differ), so switching a
-    /// call site between the two variants can never change downstream
-    /// output. The default delegates to the graph path.
-    fn generate_edge_list_par_observed(
+    /// be identical to [`StructuralModel::generate`] at the same state
+    /// (only the enumeration order may differ), so switching a call site
+    /// between the two can never change downstream output.
+    fn generate_edges(
         &self,
-        policy: &ExecPolicy,
+        request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
     ) -> Result<Vec<Edge>> {
-        Ok(self
-            .generate_par_observed(policy, rng, observer)?
-            .edge_vec())
-    }
-
-    /// [`StructuralModel::generate_with_acceptance_par_observed`], stopping
-    /// at the edge list, under the same stream-identity contract as
-    /// [`StructuralModel::generate_edge_list_par_observed`].
-    fn generate_with_acceptance_edge_list_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        Ok(self
-            .generate_with_acceptance_par_observed(ctx, policy, rng, observer)?
-            .edge_vec())
+        Ok(self.generate(request, rng)?.edge_vec())
     }
 }
 

@@ -18,9 +18,9 @@ use rand::RngCore;
 use agmdp_graph::graph::Edge;
 use agmdp_graph::{AttributeSchema, AttributedGraph};
 
-use crate::acceptance::{AcceptanceContext, StructuralModel};
+use crate::acceptance::{AcceptanceContext, GenerateRequest, StructuralModel};
 use crate::error::ModelError;
-use crate::observe::{NoopStageObserver, StageObserver, SynthesisStage};
+use crate::observe::SynthesisStage;
 use crate::parallel::{chunk_rng, run_chunks, BlockRng, ExecPolicy};
 use crate::pi::PiSampler;
 use crate::postprocess::wire_orphans;
@@ -260,19 +260,19 @@ fn edge_key(e: &Edge) -> u64 {
 /// The Chung-Lu / FCL structural model.
 ///
 /// ```
-/// use agmdp_models::{ChungLuModel, ExecPolicy, StructuralModel};
+/// use agmdp_models::{ChungLuModel, ExecPolicy, GenerateRequest, StructuralModel};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let model = ChungLuModel::new(vec![3; 40]).unwrap();
 /// // The chunked engine's contract: the thread count never changes the
 /// // output, only how chunks are scheduled.
-/// let serial = model
-///     .generate_par(&ExecPolicy::new(1), &mut StdRng::seed_from_u64(7))
-///     .unwrap();
-/// let parallel = model
-///     .generate_par(&ExecPolicy::new(4), &mut StdRng::seed_from_u64(7))
-///     .unwrap();
+/// let sample = |threads| {
+///     let policy = ExecPolicy::new(threads);
+///     let request = GenerateRequest { policy: Some(&policy), ..GenerateRequest::default() };
+///     model.generate(&request, &mut StdRng::seed_from_u64(7)).unwrap()
+/// };
+/// let (serial, parallel) = (sample(1), sample(4));
 /// assert_eq!(serial.edge_vec(), parallel.edge_vec());
 /// assert_eq!(serial.num_edges(), model.target_edges());
 /// ```
@@ -328,38 +328,30 @@ impl ChungLuModel {
     pub fn target_edges(&self) -> usize {
         self.target_edges
     }
+}
 
-    /// Generation body. The observer sees CL sampling as
-    /// [`SynthesisStage::EdgeSample`] and the optional orphan post-process
-    /// (Algorithm 2) as [`SynthesisStage::Rewire`]; no clock is read here.
-    fn generate_inner(
+impl StructuralModel for ChungLuModel {
+    fn num_nodes(&self) -> usize {
+        self.degrees.len()
+    }
+
+    /// The observer sees CL sampling as [`SynthesisStage::EdgeSample`] and
+    /// the optional orphan post-process (Algorithm 2) as
+    /// [`SynthesisStage::Rewire`]; no clock is read here.
+    fn generate(
         &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: Option<&ExecPolicy>,
+        request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
     ) -> Result<AttributedGraph> {
+        let acceptance = request.checked_acceptance(self.degrees.len())?;
         let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
-        let pi = &self.pi;
+        let (n, pi, observer) = (self.degrees.len(), &self.pi, request.observer);
         observer.stage_start(SynthesisStage::EdgeSample);
-        let (mut graph, _order) = match policy {
-            Some(policy) => sample_cl_edges_chunked(
-                self.degrees.len(),
-                pi,
-                self.target_edges,
-                schema,
-                acceptance,
-                policy,
-                rng,
-            ),
-            None => sample_cl_edges(
-                self.degrees.len(),
-                pi,
-                self.target_edges,
-                schema,
-                acceptance,
-                rng,
-            ),
+        let (mut graph, _order) = match request.policy {
+            Some(policy) => {
+                sample_cl_edges_chunked(n, pi, self.target_edges, schema, acceptance, policy, rng)
+            }
+            None => sample_cl_edges(n, pi, self.target_edges, schema, acceptance, rng),
         };
         let applied = match acceptance {
             Some(ctx) => ctx.apply_attributes(&mut graph),
@@ -375,109 +367,24 @@ impl ChungLuModel {
         Ok(graph)
     }
 
-    /// Edge-list-only generation body: the chunked sampler without the final
-    /// adjacency build. Only valid when orphan post-processing is off —
-    /// Algorithm 2 rewires *through* the graph (and draws from the same RNG),
-    /// so callers with orphans enabled must take [`Self::generate_inner`].
-    fn generate_edge_list_inner(
+    /// The chunked sampler stops at its deduplicated edge list, skipping the
+    /// adjacency build. Orphan post-processing rewires *through* the graph
+    /// (and draws from the same RNG), and the serial sampler builds the
+    /// graph as it goes, so those requests take the graph path.
+    fn generate_edges(
         &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: &ExecPolicy,
+        request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
     ) -> Result<Vec<Edge>> {
-        debug_assert!(!self.postprocess_orphans);
-        observer.stage_start(SynthesisStage::EdgeSample);
-        let order =
+        let (Some(policy), false) = (request.policy, self.postprocess_orphans) else {
+            return Ok(self.generate(request, rng)?.edge_vec());
+        };
+        let acceptance = request.checked_acceptance(self.degrees.len())?;
+        request.observer.stage_start(SynthesisStage::EdgeSample);
+        let edges =
             sample_cl_edge_list_chunked(&self.pi, self.target_edges, acceptance, policy, rng);
-        observer.stage_end(SynthesisStage::EdgeSample);
-        Ok(order)
-    }
-}
-
-impl StructuralModel for ChungLuModel {
-    fn num_nodes(&self) -> usize {
-        self.degrees.len()
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, None, rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance(
-        &self,
-        ctx: &AcceptanceContext,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), None, rng, &NoopStageObserver)
-    }
-
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, observer)
-    }
-
-    fn generate_with_acceptance_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, observer)
-    }
-
-    fn generate_edge_list_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        if self.postprocess_orphans {
-            // Orphan rewiring needs (and mutates) the adjacency structure:
-            // take the graph path so the RNG stream and edge set stay
-            // identical to the graph-returning variant.
-            return Ok(self
-                .generate_inner(None, Some(policy), rng, observer)?
-                .edge_vec());
-        }
-        self.generate_edge_list_inner(None, policy, rng, observer)
-    }
-
-    fn generate_with_acceptance_edge_list_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<Vec<Edge>> {
-        ctx.check_node_count(self.degrees.len())?;
-        if self.postprocess_orphans {
-            return Ok(self
-                .generate_inner(Some(ctx), Some(policy), rng, observer)?
-                .edge_vec());
-        }
-        self.generate_edge_list_inner(Some(ctx), policy, rng, observer)
+        request.observer.stage_end(SynthesisStage::EdgeSample);
+        Ok(edges)
     }
 }
 
@@ -515,7 +422,9 @@ mod tests {
         let degrees = power_lawish_degrees(300);
         let model = ChungLuModel::new(degrees.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut rng)
+            .unwrap();
         assert_eq!(g.num_nodes(), 300);
         assert_eq!(g.num_edges(), model.target_edges());
         g.check_consistency().unwrap();
@@ -533,7 +442,9 @@ mod tests {
         let mut d0 = 0usize;
         let mut d_rest = 0usize;
         for _ in 0..20 {
-            let g = model.generate(&mut rng).unwrap();
+            let g = model
+                .generate(&GenerateRequest::default(), &mut rng)
+                .unwrap();
             d0 += g.degree(0);
             d_rest += g.degree(100);
         }
@@ -554,7 +465,11 @@ mod tests {
         let ctx = AcceptanceContext::new(codes, schema, vec![0.0, 1.0, 1.0]).unwrap();
         let model = ChungLuModel::new(degrees).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let g = model.generate_with_acceptance(&ctx, &mut rng).unwrap();
+        let request = GenerateRequest {
+            acceptance: Some(&ctx),
+            ..GenerateRequest::default()
+        };
+        let g = model.generate(&request, &mut rng).unwrap();
         for e in g.edges() {
             let cfg = g.edge_config(e.u, e.v);
             assert_ne!(cfg, 0, "edge {e:?} has forbidden configuration 0-0");
@@ -562,15 +477,6 @@ mod tests {
         // Attributes must be applied to the output graph.
         assert_eq!(g.attribute_code(1), 1);
         assert_eq!(g.attribute_code(0), 0);
-    }
-
-    #[test]
-    fn acceptance_context_size_mismatch_is_rejected() {
-        let schema = AttributeSchema::new(1);
-        let ctx = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
-        let model = ChungLuModel::new(vec![2, 2, 2]).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        assert!(model.generate_with_acceptance(&ctx, &mut rng).is_err());
     }
 
     #[test]
@@ -584,7 +490,9 @@ mod tests {
             .unwrap()
             .with_orphan_postprocessing(true);
         let mut rng = StdRng::seed_from_u64(5);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut rng)
+            .unwrap();
         assert!(
             agmdp_graph::components::is_connected(&g),
             "post-processed graph must be connected"
@@ -605,8 +513,12 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let model = ChungLuModel::new(power_lawish_degrees(100)).unwrap();
-        let g1 = model.generate(&mut StdRng::seed_from_u64(9)).unwrap();
-        let g2 = model.generate(&mut StdRng::seed_from_u64(9)).unwrap();
+        let g1 = model
+            .generate(&GenerateRequest::default(), &mut StdRng::seed_from_u64(9))
+            .unwrap();
+        let g2 = model
+            .generate(&GenerateRequest::default(), &mut StdRng::seed_from_u64(9))
+            .unwrap();
         assert_eq!(g1.edge_vec(), g2.edge_vec());
     }
 
@@ -617,8 +529,12 @@ mod tests {
         let model = ChungLuModel::new(power_lawish_degrees(400)).unwrap();
         let generate = |threads: usize| {
             let policy = ExecPolicy::new(threads).with_chunk_size(64);
+            let request = GenerateRequest {
+                policy: Some(&policy),
+                ..GenerateRequest::default()
+            };
             model
-                .generate_par(&policy, &mut StdRng::seed_from_u64(11))
+                .generate(&request, &mut StdRng::seed_from_u64(11))
                 .unwrap()
         };
         let serial = generate(1);
@@ -640,8 +556,13 @@ mod tests {
         let model = ChungLuModel::new(vec![4usize; n]).unwrap();
         let generate = |threads: usize| {
             let policy = ExecPolicy::new(threads).with_chunk_size(128);
+            let request = GenerateRequest {
+                acceptance: Some(&ctx),
+                policy: Some(&policy),
+                ..GenerateRequest::default()
+            };
             model
-                .generate_with_acceptance_par(&ctx, &policy, &mut StdRng::seed_from_u64(12))
+                .generate(&request, &mut StdRng::seed_from_u64(12))
                 .unwrap()
         };
         let serial = generate(1);
@@ -649,15 +570,6 @@ mod tests {
             assert_ne!(serial.edge_config(e.u, e.v), 0);
         }
         assert_eq!(generate(8).edge_vec(), serial.edge_vec());
-        // Mismatched contexts are rejected on the parallel path too.
-        let bad = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
-        assert!(model
-            .generate_with_acceptance_par(
-                &bad,
-                &ExecPolicy::serial(),
-                &mut StdRng::seed_from_u64(1)
-            )
-            .is_err());
     }
 
     #[test]
@@ -669,12 +581,14 @@ mod tests {
         let codes: Vec<u32> = (0..n as u32).map(|i| u32::from(i % 2 == 1)).collect();
         let ctx = AcceptanceContext::new(codes, schema, vec![0.0, 0.0, 0.0]).unwrap();
         let model = ChungLuModel::new(vec![3usize; n]).unwrap();
+        let policy = ExecPolicy::new(2).with_chunk_size(32);
+        let request = GenerateRequest {
+            acceptance: Some(&ctx),
+            policy: Some(&policy),
+            ..GenerateRequest::default()
+        };
         let g = model
-            .generate_with_acceptance_par(
-                &ctx,
-                &ExecPolicy::new(2).with_chunk_size(32),
-                &mut StdRng::seed_from_u64(13),
-            )
+            .generate(&request, &mut StdRng::seed_from_u64(13))
             .unwrap();
         assert_eq!(g.num_edges(), 0);
     }

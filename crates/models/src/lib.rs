@@ -18,7 +18,8 @@
 //!   degree-one extension.
 //! * [`baselines`] — uniform-edge (Erdős–Rényi with fixed edge count) and
 //!   uniform-correlation baselines used for calibration in Section 5.2.
-//! * [`acceptance`] — the [`acceptance::StructuralModel`] trait and the
+//! * [`acceptance`] — the [`acceptance::StructuralModel`] trait, its one
+//!   request-driven entry point ([`acceptance::GenerateRequest`]), and the
 //!   acceptance-probability context through which AGM-DP plugs the learned
 //!   attribute correlations into any structural model.
 //! * [`parallel`] — the deterministic parallel synthesis engine: a chunked
@@ -45,7 +46,7 @@ pub mod postprocess;
 pub mod tcl;
 pub mod tricycle;
 
-pub use acceptance::{AcceptanceContext, StructuralModel};
+pub use acceptance::{AcceptanceContext, GenerateRequest, StructuralModel};
 pub use chung_lu::ChungLuModel;
 pub use error::ModelError;
 pub use observe::{NoopStageObserver, StageObserver, SynthesisStage};

@@ -24,10 +24,10 @@ use rand::RngCore;
 use agmdp_graph::graph::Edge;
 use agmdp_graph::{AttributeSchema, AttributedGraph};
 
-use crate::acceptance::{AcceptanceContext, StructuralModel};
+use crate::acceptance::{GenerateRequest, StructuralModel};
 use crate::chung_lu::{sample_cl_edges, sample_cl_edges_chunked, sample_uniform};
 use crate::error::ModelError;
-use crate::parallel::ExecPolicy;
+use crate::observe::SynthesisStage;
 use crate::pi::PiSampler;
 use crate::Result;
 
@@ -88,24 +88,19 @@ impl TclModel {
         (self.degrees.iter().sum::<usize>() as f64 / 2.0).round() as usize
     }
 
-    /// Generation body. The Chung-Lu seed phase — the `O(m)` bulk of the
-    /// work — runs through the chunked parallel sampler when a `policy` is
-    /// given; the edge-replacement refinement that follows is inherently
-    /// sequential (every replacement reads the evolving graph) and always
-    /// runs on the caller's RNG, so its stream is identical for every thread
-    /// count.
-    fn generate_inner(
+    /// Generation body behind [`StructuralModel::generate`].
+    fn sample(
         &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: Option<&ExecPolicy>,
+        request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
     ) -> Result<AttributedGraph> {
+        let acceptance = request.checked_acceptance(self.degrees.len())?;
         let n = self.degrees.len();
         let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
         let m = self.target_edges().max(1);
         let pi = PiSampler::from_degrees(&self.degrees)?;
 
-        let (mut graph, order) = match policy {
+        let (mut graph, order) = match request.policy {
             Some(policy) => sample_cl_edges_chunked(n, &pi, m, schema, acceptance, policy, rng),
             None => sample_cl_edges(n, &pi, m, schema, acceptance, rng),
         };
@@ -165,31 +160,22 @@ impl StructuralModel for TclModel {
         self.degrees.len()
     }
 
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, None, rng)
-    }
-
-    fn generate_with_acceptance(
+    /// The Chung-Lu seed phase — the `O(m)` bulk of the work — runs through
+    /// the chunked parallel sampler when the request carries a policy; the
+    /// edge-replacement refinement that follows is inherently sequential
+    /// (every replacement reads the evolving graph) and always runs on the
+    /// caller's RNG, so its stream is identical for every thread count. TCL
+    /// has no separate rewiring phase: the observer sees the whole run as
+    /// [`SynthesisStage::EdgeSample`].
+    fn generate(
         &self,
-        ctx: &AcceptanceContext,
+        request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
     ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), None, rng)
-    }
-
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng)
-    }
-
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng)
+        request.observer.stage_start(SynthesisStage::EdgeSample);
+        let result = self.sample(request, rng);
+        request.observer.stage_end(SynthesisStage::EdgeSample);
+        result
     }
 }
 
@@ -260,6 +246,7 @@ pub fn estimate_rho(graph: &AttributedGraph, em_iterations: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acceptance::AcceptanceContext;
     use agmdp_graph::clustering::average_local_clustering;
     use agmdp_graph::triangles::count_triangles;
     use rand::rngs::StdRng;
@@ -337,10 +324,10 @@ mod tests {
             "clustered input should yield substantial rho"
         );
         let mut rng = StdRng::seed_from_u64(5);
-        let tcl_graph = tcl.generate(&mut rng).unwrap();
+        let tcl_graph = tcl.generate(&GenerateRequest::default(), &mut rng).unwrap();
         let cl_graph = ChungLuModel::new(input.degrees())
             .unwrap()
-            .generate(&mut rng)
+            .generate(&GenerateRequest::default(), &mut rng)
             .unwrap();
         assert!(count_triangles(&tcl_graph) > count_triangles(&cl_graph));
         assert!(average_local_clustering(&tcl_graph) > average_local_clustering(&cl_graph));
@@ -351,7 +338,9 @@ mod tests {
         let degrees = vec![4usize; 100];
         let model = TclModel::new(degrees, 0.4).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut rng)
+            .unwrap();
         assert_eq!(g.num_edges(), model.target_edges());
         g.check_consistency().unwrap();
     }
@@ -364,14 +353,15 @@ mod tests {
         let ctx = AcceptanceContext::new(codes, schema, vec![1.0, 0.0, 1.0]).unwrap();
         let model = TclModel::new(vec![4; n], 0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let g = model.generate_with_acceptance(&ctx, &mut rng).unwrap();
+        let request = GenerateRequest {
+            acceptance: Some(&ctx),
+            ..GenerateRequest::default()
+        };
+        let g = model.generate(&request, &mut rng).unwrap();
         let mixed = g
             .edges()
             .filter(|e| g.attribute_code(e.u) != g.attribute_code(e.v))
             .count();
         assert_eq!(mixed, 0);
-        // Mismatched context is rejected.
-        let bad_ctx = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
-        assert!(model.generate_with_acceptance(&bad_ctx, &mut rng).is_err());
     }
 }

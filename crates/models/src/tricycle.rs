@@ -29,11 +29,10 @@ use agmdp_graph::graph::Edge;
 use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::{AttributeSchema, AttributedGraph};
 
-use crate::acceptance::{AcceptanceContext, StructuralModel};
+use crate::acceptance::{GenerateRequest, StructuralModel};
 use crate::chung_lu::{sample_cl_edges, sample_cl_edges_chunked, sample_uniform};
 use crate::error::ModelError;
-use crate::observe::{NoopStageObserver, StageObserver, SynthesisStage};
-use crate::parallel::ExecPolicy;
+use crate::observe::SynthesisStage;
 use crate::pi::PiSampler;
 use crate::postprocess::wire_orphans;
 use crate::Result;
@@ -120,24 +119,30 @@ impl TriCycLeModel {
     pub fn target_edges(&self) -> usize {
         (self.degrees.iter().sum::<usize>() as f64 / 2.0).round() as usize
     }
+}
 
-    /// Generation body. Phase 1 (the Chung-Lu seed graph, the `O(m)` bulk)
-    /// runs through the chunked parallel sampler when a `policy` is given;
-    /// phase 2 (triangle-targeted rewiring) is inherently sequential — each
-    /// accepted replacement changes the neighbor lists the next proposal
-    /// samples from — and always draws from the caller's RNG, so its stream
-    /// is identical for every thread count.
+impl StructuralModel for TriCycLeModel {
+    fn num_nodes(&self) -> usize {
+        self.degrees.len()
+    }
+
+    /// Phase 1 (the Chung-Lu seed graph, the `O(m)` bulk) runs through the
+    /// chunked parallel sampler when the request carries a policy; phase 2
+    /// (triangle-targeted rewiring) is inherently sequential — each accepted
+    /// replacement changes the neighbor lists the next proposal samples
+    /// from — and always draws from the caller's RNG, so its stream is
+    /// identical for every thread count.
     ///
     /// The observer sees the two phases as [`SynthesisStage::EdgeSample`]
     /// (seed graph) and [`SynthesisStage::Rewire`] (triangle rewiring plus
     /// orphan post-processing); no clock is read here.
-    fn generate_inner(
+    fn generate(
         &self,
-        acceptance: Option<&AcceptanceContext>,
-        policy: Option<&ExecPolicy>,
+        request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
     ) -> Result<AttributedGraph> {
+        let acceptance = request.checked_acceptance(self.degrees.len())?;
+        let observer = request.observer;
         let n = self.degrees.len();
         let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
         let m_total = self.target_edges();
@@ -153,18 +158,12 @@ impl TriCycLeModel {
 
         // Phase 1: Chung-Lu seed graph (with acceptance filtering when given).
         observer.stage_start(SynthesisStage::EdgeSample);
-        let (mut graph, order) = match policy {
+        let (mut graph, order) = match request.policy {
             Some(policy) => {
                 sample_cl_edges_chunked(n, pi, seed_edges, schema, acceptance, policy, rng)
             }
             None => sample_cl_edges(n, pi, seed_edges, schema, acceptance, rng),
         };
-        if let Some(ctx) = acceptance {
-            if let Err(e) = ctx.apply_attributes(&mut graph) {
-                observer.stage_end(SynthesisStage::EdgeSample);
-                return Err(e);
-            }
-        }
         if self.orphan_extension {
             wire_orphans(&mut graph, &self.degrees, pi, rng);
         }
@@ -239,62 +238,10 @@ fn pop_oldest_present(ages: &mut VecDeque<Edge>, graph: &AttributedGraph) -> Opt
     None
 }
 
-impl StructuralModel for TriCycLeModel {
-    fn num_nodes(&self) -> usize {
-        self.degrees.len()
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, None, rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance(
-        &self,
-        ctx: &AcceptanceContext,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), None, rng, &NoopStageObserver)
-    }
-
-    fn generate_par(&self, policy: &ExecPolicy, rng: &mut dyn RngCore) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_with_acceptance_par(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, &NoopStageObserver)
-    }
-
-    fn generate_par_observed(
-        &self,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        self.generate_inner(None, Some(policy), rng, observer)
-    }
-
-    fn generate_with_acceptance_par_observed(
-        &self,
-        ctx: &AcceptanceContext,
-        policy: &ExecPolicy,
-        rng: &mut dyn RngCore,
-        observer: &dyn StageObserver,
-    ) -> Result<AttributedGraph> {
-        ctx.check_node_count(self.degrees.len())?;
-        self.generate_inner(Some(ctx), Some(policy), rng, observer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acceptance::AcceptanceContext;
     use agmdp_graph::clustering::average_local_clustering;
     use agmdp_graph::components::is_connected;
     use rand::rngs::StdRng;
@@ -328,7 +275,9 @@ mod tests {
             .unwrap()
             .with_orphan_extension(false);
         let mut rng = StdRng::seed_from_u64(11);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut rng)
+            .unwrap();
         let triangles = count_triangles(&g);
         assert!(
             triangles >= target,
@@ -345,11 +294,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let tri = TriCycLeModel::new(degrees.clone(), target)
             .unwrap()
-            .generate(&mut rng)
+            .generate(&GenerateRequest::default(), &mut rng)
             .unwrap();
         let cl = ChungLuModel::new(degrees)
             .unwrap()
-            .generate(&mut rng)
+            .generate(&GenerateRequest::default(), &mut rng)
             .unwrap();
         assert!(
             count_triangles(&tri) > count_triangles(&cl),
@@ -364,7 +313,9 @@ mod tests {
         let m_target: usize = degrees.iter().sum::<usize>() / 2;
         let model = TriCycLeModel::new(degrees, 100).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut rng)
+            .unwrap();
         let m = g.num_edges() as f64;
         assert!(
             (m - m_target as f64).abs() / m_target as f64 <= 0.15,
@@ -380,7 +331,9 @@ mod tests {
         }
         let model = TriCycLeModel::new(degrees, 60).unwrap();
         let mut rng = StdRng::seed_from_u64(14);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut rng)
+            .unwrap();
         assert!(
             is_connected(&g),
             "orphan extension must produce a connected graph"
@@ -396,7 +349,9 @@ mod tests {
             .with_orphan_extension(false)
             .with_max_iteration_factor(5);
         let mut rng = StdRng::seed_from_u64(15);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut rng)
+            .unwrap();
         assert!(count_triangles(&g) < 1_000);
     }
 
@@ -412,7 +367,11 @@ mod tests {
             .unwrap()
             .with_orphan_extension(false);
         let mut rng = StdRng::seed_from_u64(16);
-        let g = model.generate_with_acceptance(&ctx, &mut rng).unwrap();
+        let request = GenerateRequest {
+            acceptance: Some(&ctx),
+            ..GenerateRequest::default()
+        };
+        let g = model.generate(&request, &mut rng).unwrap();
         let mixed = g
             .edges()
             .filter(|e| g.attribute_code(e.u) != g.attribute_code(e.v))
@@ -422,19 +381,14 @@ mod tests {
     }
 
     #[test]
-    fn acceptance_mismatch_is_rejected() {
-        let schema = AttributeSchema::new(1);
-        let ctx = AcceptanceContext::new(vec![0, 1], schema, vec![1.0; 3]).unwrap();
-        let model = TriCycLeModel::new(vec![2, 2, 2], 1).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        assert!(model.generate_with_acceptance(&ctx, &mut rng).is_err());
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let model = TriCycLeModel::new(test_degrees(80), 50).unwrap();
-        let g1 = model.generate(&mut StdRng::seed_from_u64(21)).unwrap();
-        let g2 = model.generate(&mut StdRng::seed_from_u64(21)).unwrap();
+        let g1 = model
+            .generate(&GenerateRequest::default(), &mut StdRng::seed_from_u64(21))
+            .unwrap();
+        let g2 = model
+            .generate(&GenerateRequest::default(), &mut StdRng::seed_from_u64(21))
+            .unwrap();
         assert_eq!(g1.edge_vec(), g2.edge_vec());
     }
 }

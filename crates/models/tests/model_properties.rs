@@ -1,13 +1,20 @@
-//! Property-based tests for the generative structural models.
+//! Property-based tests for the generative structural models, and the
+//! contract of their one entry point (`generate` / `generate_edges` under a
+//! `GenerateRequest`).
+
+use std::sync::Mutex;
 
 use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::AttributeSchema;
 use agmdp_models::acceptance::AcceptanceContext;
 use agmdp_models::baselines::uniform_edge_graph;
-use agmdp_models::{ChungLuModel, PiSampler, StructuralModel, TclModel, TriCycLeModel};
+use agmdp_models::{
+    ChungLuModel, ExecPolicy, GenerateRequest, PiSampler, StageObserver, StructuralModel,
+    SynthesisStage, TclModel, TriCycLeModel,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Strategy producing a usable desired-degree sequence (at least one positive
 /// degree, modest sizes so generation stays fast).
@@ -30,7 +37,7 @@ proptest! {
     fn fcl_output_is_well_formed(degrees in degree_sequence(), seed in 0u64..500) {
         let model = ChungLuModel::new(degrees.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model.generate(&GenerateRequest::default(), &mut rng).unwrap();
         prop_assert_eq!(g.num_nodes(), degrees.len());
         prop_assert!(g.check_consistency().is_ok());
         prop_assert!(g.num_edges() <= model.target_edges());
@@ -50,7 +57,7 @@ proptest! {
             .unwrap()
             .with_max_iteration_factor(5);
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model.generate(&GenerateRequest::default(), &mut rng).unwrap();
         prop_assert_eq!(g.num_nodes(), degrees.len());
         prop_assert!(g.check_consistency().is_ok());
     }
@@ -60,7 +67,7 @@ proptest! {
     fn tcl_output_is_well_formed(degrees in degree_sequence(), rho in 0.0f64..1.0, seed in 0u64..500) {
         let model = TclModel::new(degrees.clone(), rho).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = model.generate(&mut rng).unwrap();
+        let g = model.generate(&GenerateRequest::default(), &mut rng).unwrap();
         prop_assert_eq!(g.num_nodes(), degrees.len());
         prop_assert!(g.check_consistency().is_ok());
         prop_assert!(g.num_edges() <= model.target_edges());
@@ -83,7 +90,8 @@ proptest! {
             Box::new(TriCycLeModel::new(degrees.clone(), 30).unwrap().with_orphan_extension(false)),
         ];
         for model in &models {
-            let g = model.generate_with_acceptance(&ctx, &mut rng).unwrap();
+            let request = GenerateRequest { acceptance: Some(&ctx), ..GenerateRequest::default() };
+            let g = model.generate(&request, &mut rng).unwrap();
             for e in g.edges() {
                 prop_assert_eq!(g.attribute_code(e.u), g.attribute_code(e.v));
             }
@@ -130,7 +138,7 @@ fn tricycle_triangles_increase_with_target() {
                 let g = TriCycLeModel::new(degrees.clone(), target)
                     .unwrap()
                     .with_orphan_extension(false)
-                    .generate(rng)
+                    .generate(&GenerateRequest::default(), rng)
                     .unwrap();
                 count_triangles(&g) as f64
             })
@@ -143,4 +151,144 @@ fn tricycle_triangles_increase_with_target() {
         high > low,
         "triangle target 400 should yield more triangles ({high}) than target 20 ({low})"
     );
+}
+
+/// Records every stage callback, in order (`true` = start).
+#[derive(Default)]
+struct Recorder(Mutex<Vec<(bool, SynthesisStage)>>);
+
+impl StageObserver for Recorder {
+    fn stage_start(&self, stage: SynthesisStage) {
+        self.0.lock().unwrap().push((true, stage));
+    }
+
+    fn stage_end(&self, stage: SynthesisStage) {
+        self.0.lock().unwrap().push((false, stage));
+    }
+}
+
+impl Recorder {
+    /// Fails unless the callbacks form balanced, non-nested start/end pairs
+    /// (`StageTimer` drops an unpaired end, so a broken pair would silently
+    /// lose stage time).
+    fn assert_paired(&self, label: &str) {
+        let events = self.0.lock().unwrap();
+        let mut open = None;
+        for &(start, stage) in events.iter() {
+            match open {
+                None if start => open = Some(stage),
+                Some(current) if !start && current == stage => open = None,
+                _ => panic!("{label}: unpaired or nested stage callbacks {events:?}"),
+            }
+        }
+        assert_eq!(open, None, "{label}: stage left open in {events:?}");
+    }
+}
+
+/// Every model configuration with a distinct generation path. The degree
+/// sequence has degree-one nodes, so the orphan paths do real work.
+fn contract_models() -> Vec<(&'static str, Box<dyn StructuralModel>)> {
+    let degrees: Vec<usize> = (0..120).map(|i| 1 + (120 / (i + 1)).min(12)).collect();
+    let cl = || ChungLuModel::new(degrees.clone()).unwrap();
+    let tricycle = || TriCycLeModel::new(degrees.clone(), 40).unwrap();
+    vec![
+        ("fcl", Box::new(cl())),
+        (
+            "fcl+orphans",
+            Box::new(cl().with_orphan_postprocessing(true)),
+        ),
+        ("tricycle+orphans", Box::new(tricycle())),
+        (
+            "tricycle",
+            Box::new(tricycle().with_orphan_extension(false)),
+        ),
+        (
+            "tcl",
+            Box::new(TclModel::new(degrees.clone(), 0.4).unwrap()),
+        ),
+    ]
+}
+
+/// For every request shape (with and without an acceptance context; serial,
+/// 1-thread and 4-thread policies), `generate_edges` returns the edge set
+/// of `generate` and leaves the RNG in the same state, and both pair their
+/// stage callbacks. The refinement loop relies on the first two.
+#[test]
+fn generate_edges_samples_what_generate_samples() {
+    let schema = AttributeSchema::new(1);
+    let codes: Vec<u32> = (0..120).map(|i| u32::from(i % 3 == 0)).collect();
+    let ctx = AcceptanceContext::new(codes, schema, vec![0.9, 0.4, 0.7]).unwrap();
+    let one = ExecPolicy::new(1).with_chunk_size(64);
+    let four = ExecPolicy::new(4).with_chunk_size(64);
+    for (name, model) in contract_models() {
+        for acceptance in [None, Some(&ctx)] {
+            let mut by_threads = Vec::new();
+            for policy in [None, Some(&one), Some(&four)] {
+                let label = format!(
+                    "{name}, acceptance {}, threads {:?}",
+                    acceptance.is_some(),
+                    policy.map(ExecPolicy::threads)
+                );
+                let (graph_obs, edges_obs) = (Recorder::default(), Recorder::default());
+                let request = |observer| GenerateRequest {
+                    acceptance,
+                    policy,
+                    observer,
+                };
+                let mut graph_rng = StdRng::seed_from_u64(17);
+                let mut edges_rng = StdRng::seed_from_u64(17);
+                let graph = model
+                    .generate(&request(&graph_obs), &mut graph_rng)
+                    .unwrap();
+                let mut edges = model
+                    .generate_edges(&request(&edges_obs), &mut edges_rng)
+                    .unwrap();
+                edges.sort_unstable();
+                let mut from_graph = graph.edge_vec();
+                from_graph.sort_unstable();
+                assert_eq!(edges, from_graph, "{label}: edge sets differ");
+                assert_eq!(
+                    edges_rng.next_u64(),
+                    graph_rng.next_u64(),
+                    "{label}: RNG left in different states"
+                );
+                graph_obs.assert_paired(&label);
+                edges_obs.assert_paired(&label);
+                if policy.is_some() {
+                    by_threads.push(from_graph);
+                }
+            }
+            assert_eq!(
+                by_threads[0], by_threads[1],
+                "{name}: thread count changed the sample"
+            );
+        }
+    }
+}
+
+#[test]
+fn wrong_node_count_context_is_an_error_from_both_methods() {
+    let schema = AttributeSchema::new(1);
+    let short = AcceptanceContext::new(vec![0; 119], schema, vec![1.0; 3]).unwrap();
+    let four = ExecPolicy::new(4).with_chunk_size(64);
+    for (name, model) in contract_models() {
+        for policy in [None, Some(&four)] {
+            let observer = Recorder::default();
+            let request = GenerateRequest {
+                acceptance: Some(&short),
+                policy,
+                observer: &observer,
+            };
+            let mut rng = StdRng::seed_from_u64(3);
+            assert!(
+                model.generate(&request, &mut rng).is_err(),
+                "{name}: generate"
+            );
+            assert!(
+                model.generate_edges(&request, &mut rng).is_err(),
+                "{name}: generate_edges"
+            );
+            observer.assert_paired(name);
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! Per-connection state machine for the event-driven transport.
+//! Per-connection state machine for the event-driven front end.
 //!
 //! Each accepted socket gets a [`Conn`] that owns its receive and transmit
 //! buffers and tracks where the connection is in its request/response

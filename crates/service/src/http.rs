@@ -1,6 +1,6 @@
-//! Minimal HTTP/1.1 framing: an incremental request parser and response
-//! encoder shared by the event-driven reactor and the legacy blocking
-//! transport.
+//! Minimal HTTP/1.1 framing: the incremental request parser and response
+//! encoder behind the event-driven reactor's connection state machine
+//! ([`crate::conn`]).
 //!
 //! The container has no crates.io access, so the service hand-rolls the
 //! small slice of HTTP it needs — exactly as the `vendor/` crates are
@@ -11,9 +11,7 @@
 //! split across N one-byte writes parses exactly like one delivered whole)
 //! and enforces its head/body caps **before** any body allocation happens.
 
-use std::io::{Read, Write};
-
-/// Size caps applied while parsing a request (both transports).
+/// Size caps applied while parsing a request.
 ///
 /// Oversized heads are refused with `431`, oversized declared bodies with
 /// `413` — in both cases *before* a body buffer is allocated, so a hostile
@@ -334,7 +332,7 @@ pub const CONTINUE_INTERIM: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 
 /// Serialises a response head + body to wire bytes. `keep_alive` selects the
 /// `Connection` header; header order is fixed so responses are byte-stable
-/// across transports and worker counts.
+/// across worker counts.
 #[must_use]
 pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
@@ -357,42 +355,17 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     bytes
 }
 
-/// Reads one HTTP/1.1 request from a blocking stream (the legacy blocking
-/// transport). Implemented on the same incremental parser the reactor uses,
-/// so limits and error mapping are identical — in particular the body cap
-/// is enforced from the declared `Content-Length` before any allocation.
-pub fn read_request<S: Read>(mut stream: S, limits: &HttpLimits) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 8 * 1024];
-    loop {
-        match parse_request(&buf, limits) {
-            ParseOutcome::Complete { request, .. } => return Ok(request),
-            ParseOutcome::Invalid(e) => return Err(e),
-            ParseOutcome::Incomplete { .. } => {}
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| HttpError::new(400, format!("read error: {e}")))?;
-        if n == 0 {
-            return Err(HttpError::new(400, "truncated request"));
-        }
-        buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-    }
-}
-
-/// Writes a response, always closing the connection afterwards (the legacy
-/// blocking transport is one-request-per-connection).
-pub fn write_response<S: Write>(mut stream: S, response: &Response) -> std::io::Result<()> {
-    stream.write_all(&encode_response(response, false))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses one complete request; an incomplete buffer is a test failure.
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(raw.as_bytes(), &HttpLimits::default())
+        match parse_request(raw.as_bytes(), &HttpLimits::default()) {
+            ParseOutcome::Complete { request, .. } => Ok(request),
+            ParseOutcome::Invalid(e) => Err(e),
+            other => panic!("expected a complete or invalid request, got {other:?}"),
+        }
     }
 
     #[test]
@@ -438,13 +411,6 @@ mod tests {
         );
         assert_eq!(
             parse("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
-                .unwrap_err()
-                .status,
-            400
-        );
-        // Declared body longer than what arrives before EOF.
-        assert_eq!(
-            parse("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nhi")
                 .unwrap_err()
                 .status,
             400
@@ -585,8 +551,7 @@ mod tests {
 
     #[test]
     fn response_wire_format_is_well_formed() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, "{\"ok\":true}".into())).unwrap();
+        let out = encode_response(&Response::json(200, "{\"ok\":true}".into()), false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -608,10 +573,9 @@ mod tests {
 
     #[test]
     fn metrics_responses_use_the_text_exposition_content_type() {
-        let mut out = Vec::new();
         let body = "agmdp_requests_total 1\n".to_string();
-        write_response(&mut out, &Response::metrics_text(200, body)).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text =
+            String::from_utf8(encode_response(&Response::metrics_text(200, body), false)).unwrap();
         assert!(text.contains("Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"));
         assert!(text.ends_with("agmdp_requests_total 1\n"));
     }

@@ -28,14 +28,13 @@
 //!   of what it cost.
 //! * **HTTP server** ([`server`]) — an event-driven front end: one reactor
 //!   thread running a nonblocking readiness loop ([`reactor`], over the raw
-//!   epoll/poll shim in [`sys`]) with per-connection HTTP/1.1 keep-alive
-//!   state machines ([`conn`]), a bounded job queue into a fixed worker
-//!   pool, explicit load shedding (`429`/`503` + `Retry-After`,
-//!   [`ratelimit`]), and per-connection read/write/idle deadlines. The
-//!   original thread-per-request blocking transport is retained as a
-//!   selectable baseline. The container has no crates.io access, so there
-//!   is no tokio; [`http`] and [`json`] are the minimal framing/parsing the
-//!   endpoints need.
+//!   epoll shim in [`sys`], so the server runs on Linux) with
+//!   per-connection HTTP/1.1 keep-alive state machines ([`conn`]), a
+//!   bounded job queue into a fixed worker pool, explicit load shedding
+//!   (`429`/`503` + `Retry-After`, [`ratelimit`]), and per-connection
+//!   read/write/idle deadlines. The container has no crates.io access, so
+//!   there is no tokio; [`http`] and [`json`] are the minimal
+//!   framing/parsing the endpoints need.
 //! * **Observability** ([`telemetry`]) — every request, cache outcome, and
 //!   synthesis stage is recorded into an `agmdp_obs` metrics registry served
 //!   at `GET /metrics`, with optional JSON access/span logging to stderr.
@@ -67,7 +66,7 @@
 //! To serve over HTTP, see [`server::start`] or the `agmdp serve` subcommand.
 
 // `deny` rather than `forbid`: the [`sys`] module is the one sanctioned
-// exception (raw epoll/poll syscall bindings — the container has no libc
+// exception (raw epoll syscall bindings — the container has no libc
 // crate), and `forbid` would reject even its scoped `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,6 +92,6 @@ pub mod telemetry;
 pub use engine::{SynthesisEngine, SynthesisOutcome, SynthesisRequest};
 pub use error::ServiceError;
 pub use ledger::{BudgetLedger, BudgetStatus};
-pub use server::{start, ServerHandle, ServiceConfig, Transport};
+pub use server::{start, ServerHandle, ServiceConfig};
 pub use store::{ReleaseStore, StoredRelease};
 pub use telemetry::{StageTimer, Telemetry};

@@ -1,4 +1,4 @@
-//! The event-driven readiness loop behind the service's default transport.
+//! The event-driven readiness loop behind the service's HTTP front end.
 //!
 //! One reactor thread owns the listener, the [`crate::sys::Poller`], and
 //! every connection's [`Conn`] state machine. Request handling itself stays

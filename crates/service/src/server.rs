@@ -1,17 +1,9 @@
-//! The HTTP server front end.
-//!
-//! Two transports share the same routing/handler layer:
-//!
-//! * [`Transport::Event`] (the default) — one reactor thread running a
-//!   nonblocking readiness loop ([`crate::reactor`]) with per-connection
-//!   HTTP/1.1 keep-alive state machines ([`crate::conn`]), a bounded job
-//!   queue into a fixed worker pool, explicit load shedding
-//!   (`429`/`503` + `Retry-After`), and per-connection read/write/idle
-//!   deadlines.
-//! * [`Transport::Blocking`] — the original thread-per-request loop
-//!   (acceptor + worker pool, one request per connection). Kept as the
-//!   measured baseline for the event transport's throughput claims and as
-//!   the fallback for non-unix targets.
+//! The HTTP server front end: one reactor thread running a nonblocking
+//! readiness loop ([`crate::reactor`]) with per-connection HTTP/1.1
+//! keep-alive state machines ([`crate::conn`]), a bounded job queue into a
+//! fixed worker pool, explicit load shedding (`429`/`503` + `Retry-After`),
+//! and per-connection read/write/idle deadlines. The reactor needs epoll, so
+//! [`start`] fails with a typed error on other targets.
 //!
 //! Endpoints:
 //!
@@ -27,7 +19,7 @@
 //! | `GET /metrics`       | Prometheus text exposition of every metric family |
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -38,13 +30,13 @@ use serde::{Serialize, Value};
 
 use agmdp_core::correlations_dp::CorrelationMethod;
 use agmdp_core::workflow::StructuralModelKind;
-use agmdp_graph::{io, FrozenGraph, GraphError};
+use agmdp_graph::io;
 use agmdp_obs::TraceSink;
 
 use crate::conn::ConnTimeouts;
 use crate::engine::{SynthesisEngine, SynthesisOutcome, SynthesisRequest};
 use crate::error::ServiceError;
-use crate::http::{read_request, write_response, HttpError, HttpLimits, Request, Response};
+use crate::http::{HttpLimits, Request, Response};
 use crate::jobs::{JobState, JobStore};
 use crate::json;
 use crate::ledger::BudgetLedger;
@@ -57,15 +49,6 @@ use crate::telemetry::{FrontendStats, Telemetry};
 /// cheap, but each job runs a full fit + sample; without a cap a client
 /// replaying one cached (ε-free) request could spawn unbounded work.
 const JOBS_PER_WORKER: usize = 4;
-
-/// Which front-end transport serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Nonblocking readiness loop with keep-alive (the default).
-    Event,
-    /// Thread-per-request, one request per connection (baseline/fallback).
-    Blocking,
-}
 
 /// Server configuration (mirrors the `agmdp serve` flags).
 #[derive(Debug, Clone)]
@@ -80,10 +63,7 @@ pub struct ServiceConfig {
     /// Suppresses the per-request access log and span lines on stderr.
     /// Metrics at `GET /metrics` are collected either way.
     pub quiet: bool,
-    /// Front-end transport. Non-unix targets fall back to
-    /// [`Transport::Blocking`] regardless.
-    pub transport: Transport,
-    /// Open-connection cap (event transport); excess accepts get a canned
+    /// Open-connection cap; excess accepts get a canned
     /// `503` and are closed (`--max-conns`).
     pub max_conns: usize,
     /// Bound on the reactor→worker job queue; overflow requests get
@@ -127,7 +107,6 @@ impl Default for ServiceConfig {
             threads: 4,
             ledger_path: None,
             quiet: false,
-            transport: Transport::Event,
             max_conns: 1024,
             queue_depth: 256,
             rate_limit: None,
@@ -144,30 +123,13 @@ impl Default for ServiceConfig {
     }
 }
 
-impl ServiceConfig {
-    fn limits(&self) -> HttpLimits {
-        HttpLimits {
-            max_head_bytes: self.max_head_bytes,
-            max_body_bytes: self.max_body_bytes,
-        }
-    }
-
-    fn conn_timeouts(&self) -> ConnTimeouts {
-        ConnTimeouts {
-            read: self.read_timeout,
-            write: self.write_timeout,
-            idle: self.idle_timeout,
-        }
-    }
-}
-
 /// Handle to a running server; stops (and joins) on [`ServerHandle::stop`] or
 /// drop.
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    waker: Option<Waker>,
+    waker: Waker,
     engine: Arc<SynthesisEngine>,
 }
 
@@ -210,12 +172,9 @@ impl ServerHandle {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Event transport: nudge the reactor out of its poll. Blocking
-        // transport: unblock the acceptor with a throwaway connect.
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        let _ = TcpStream::connect(self.local_addr);
+        // Nudge the reactor out of its poll; it drops the job queue on the
+        // way out, which ends every worker loop.
+        self.waker.wake();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -229,7 +188,7 @@ impl Drop for ServerHandle {
 }
 
 /// Binds the listener, builds the engine (opening the ledger journal when a
-/// path is configured) and starts the transport threads.
+/// path is configured) and starts the reactor and worker threads.
 pub fn start(config: &ServiceConfig) -> Result<ServerHandle, ServiceError> {
     let ledger = match &config.ledger_path {
         Some(path) => BudgetLedger::open(path)?,
@@ -286,31 +245,22 @@ pub fn start_with_engine(
     });
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let event_capable = cfg!(unix);
-    if config.transport == Transport::Event && event_capable {
-        start_event(config, listener, local_addr, state, shutdown, engine)
-    } else {
-        start_blocking(config, listener, local_addr, state, shutdown, engine)
-    }
-}
-
-/// The event transport: reactor thread + worker pool over a bounded queue.
-fn start_event(
-    config: &ServiceConfig,
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    state: Arc<ServerState>,
-    shutdown: Arc<AtomicBool>,
-    engine: Arc<SynthesisEngine>,
-) -> Result<ServerHandle, ServiceError> {
+    // Reactor thread + worker pool over a bounded queue.
     let (job_tx, job_rx) = mpsc::sync_channel::<HttpJob>(config.queue_depth);
     let job_rx = Arc::new(Mutex::new(job_rx));
     let completions: Completions = Arc::new(Mutex::new(VecDeque::new()));
     let reactor_config = ReactorConfig {
         max_conns: config.max_conns,
         keepalive_max_requests: config.keepalive_max_requests.max(1),
-        timeouts: config.conn_timeouts(),
-        limits: config.limits(),
+        timeouts: ConnTimeouts {
+            read: config.read_timeout,
+            write: config.write_timeout,
+            idle: config.idle_timeout,
+        },
+        limits: HttpLimits {
+            max_head_bytes: config.max_head_bytes,
+            max_body_bytes: config.max_body_bytes,
+        },
         send_buffer_bytes: config.send_buffer_bytes,
     };
     let (reactor, waker) = Reactor::new(
@@ -348,7 +298,7 @@ fn start_event(
         local_addr,
         shutdown,
         threads,
-        waker: Some(waker),
+        waker,
         engine,
     })
 }
@@ -377,66 +327,6 @@ fn event_worker_loop(
         }
         waker.wake();
     }
-}
-
-/// The blocking transport: acceptor thread feeding a worker pool, one
-/// request per connection.
-fn start_blocking(
-    config: &ServiceConfig,
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    state: Arc<ServerState>,
-    shutdown: Arc<AtomicBool>,
-    engine: Arc<SynthesisEngine>,
-) -> Result<ServerHandle, ServiceError> {
-    let (sender, receiver) = mpsc::channel::<TcpStream>();
-    let receiver = Arc::new(Mutex::new(receiver));
-    let limits = config.limits();
-    let io_timeout = config.read_timeout.max(config.write_timeout);
-
-    let mut threads = Vec::with_capacity(config.threads + 1);
-    for i in 0..config.threads {
-        let receiver = Arc::clone(&receiver);
-        let state = Arc::clone(&state);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("agmdp-http-{i}"))
-                .spawn(move || blocking_worker_loop(&receiver, &state, &limits, io_timeout))
-                .map_err(|e| ServiceError::InvalidRequest(format!("spawn worker: {e}")))?,
-        );
-    }
-
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::Builder::new()
-            .name("agmdp-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            if sender.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                // Dropping `sender` closes the channel; workers drain and exit.
-            })
-            .map_err(|e| ServiceError::InvalidRequest(format!("spawn acceptor: {e}")))?
-    };
-    threads.push(acceptor);
-
-    Ok(ServerHandle {
-        local_addr,
-        shutdown,
-        threads,
-        waker: None,
-        engine,
-    })
 }
 
 /// Shared per-server state handed to every HTTP worker.
@@ -489,34 +379,6 @@ impl ServerState {
 impl Drop for JobSlot {
     fn drop(&mut self) {
         self.state.active_jobs.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn blocking_worker_loop(
-    receiver: &Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-    state: &Arc<ServerState>,
-    limits: &HttpLimits,
-    io_timeout: Duration,
-) {
-    loop {
-        let stream = {
-            // A panic elsewhere must not wedge the whole worker pool: take
-            // the queue even if a previous holder poisoned the lock.
-            let guard = receiver
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv()
-        };
-        let Ok(stream) = stream else {
-            return; // channel closed: server stopping
-        };
-        let _ = stream.set_read_timeout(Some(io_timeout));
-        let _ = stream.set_write_timeout(Some(io_timeout));
-        let response = match read_request(&stream, limits) {
-            Ok(request) => handle_request(state, &request),
-            Err(HttpError { status, message }) => error_body(status, "bad_request", &message),
-        };
-        let _ = write_response(&stream, &response);
     }
 }
 
@@ -695,36 +557,20 @@ fn handle_register_dataset(engine: &Arc<SynthesisEngine>, body: &[u8]) -> Respon
             Ok(g) => g.freeze(),
             Err(e) => return error_body(400, "invalid_request", &format!("bad graph: {e}")),
         },
-        (None, Some(path)) => {
-            let result = if file_has_binary_magic(path) {
-                FrozenGraph::open(path)
-            } else {
-                io::load_frozen_file(path)
-            };
-            match result {
-                Ok(graph) => graph,
-                // Parse errors quote tokens of the file; for server-side
-                // paths that would let a remote client probe arbitrary
-                // readable files, so only I/O errors (no content) are
-                // echoed. Every other malformation — text parse,
-                // binary-format and structural CSR errors alike — collapses
-                // into one uniform message.
-                Err(GraphError::Io(e)) => {
-                    return error_body(
-                        400,
-                        "invalid_request",
-                        &format!("cannot load {path}: i/o error: {e}"),
-                    )
-                }
-                Err(_) => {
-                    return error_body(
-                        400,
-                        "invalid_request",
-                        &format!("'{path}' is not a valid graph file"),
-                    )
-                }
+        (None, Some(path)) => match io::load_frozen_file(path) {
+            Ok(graph) => graph,
+            // One message for every failure. Parse errors quote tokens of
+            // the file, and OS errors tell a missing file from an unreadable
+            // one, so echoing either would let a remote client probe the
+            // server's files.
+            Err(_) => {
+                return error_body(
+                    400,
+                    "invalid_request",
+                    &format!("cannot load '{path}' as a graph file"),
+                )
             }
-        }
+        },
         _ => {
             return error_body(
                 400,
@@ -753,18 +599,6 @@ fn handle_register_dataset(engine: &Arc<SynthesisEngine>, body: &[u8]) -> Respon
         }
         Err(e) => service_error(&e),
     }
-}
-
-/// Whether the file at `path` starts with the `.agb` magic. Best-effort: an
-/// unreadable file says "no" and falls through to the text loader, whose
-/// error reporting is the canonical one.
-fn file_has_binary_magic(path: &str) -> bool {
-    use std::io::Read;
-    let Ok(mut file) = std::fs::File::open(path) else {
-        return false;
-    };
-    let mut magic = [0u8; 4];
-    file.read_exact(&mut magic).is_ok() && magic == io::BINARY_MAGIC
 }
 
 fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
@@ -1557,24 +1391,35 @@ mod tests {
     #[test]
     fn path_parse_errors_do_not_echo_file_content() {
         let state = test_state_with(SynthesisEngine::new(BudgetLedger::in_memory()), 16);
-        let dir = std::env::temp_dir().join("agmdp_server_tests");
+        let dir = std::env::temp_dir().join(format!("agmdp_server_tests_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let secret_path = dir.join(format!("secret_{}.txt", std::process::id()));
+        let secret_path = dir.join("secret.txt");
         std::fs::write(&secret_path, "hunter2-credential-line\n").unwrap();
-        let body = serde_json::to_string(&obj(vec![
-            ("name", Value::Str("probe".into())),
-            ("budget", Value::Float(1.0)),
-            ("path", Value::Str(secret_path.display().to_string())),
-        ]))
-        .unwrap();
-        let refused = post(&state, "/datasets", &body);
-        assert_eq!(refused.status, 400);
-        assert!(
-            !refused.body.contains("hunter2"),
-            "error body echoed file content: {}",
-            refused.body
-        );
-        std::fs::remove_file(&secret_path).ok();
+        // A file that is not a graph, a path that does not exist, and a
+        // directory: the replies must not tell them apart.
+        let refusals: Vec<String> = [secret_path.clone(), dir.join("missing.graph"), dir.clone()]
+            .iter()
+            .map(|path| {
+                let path = path.display().to_string();
+                let body = serde_json::to_string(&obj(vec![
+                    ("name", Value::Str("probe".into())),
+                    ("budget", Value::Float(1.0)),
+                    ("path", Value::Str(path.clone())),
+                ]))
+                .unwrap();
+                let refused = post(&state, "/datasets", &body);
+                assert_eq!(refused.status, 400, "{}", refused.body);
+                assert!(
+                    !refused.body.contains("hunter2"),
+                    "error body echoed file content: {}",
+                    refused.body
+                );
+                refused.body.replace(&path, "<path>")
+            })
+            .collect();
+        assert_eq!(refusals[0], refusals[1]);
+        assert_eq!(refusals[0], refusals[2]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

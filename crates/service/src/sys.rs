@@ -2,20 +2,20 @@
 //!
 //! The container has no crates.io access, so there is no `libc` or `mio`
 //! crate to lean on: this module declares the handful of syscalls it needs
-//! (`epoll_create1`/`epoll_ctl`/`epoll_wait` on Linux, `poll` elsewhere on
-//! unix, plus `setsockopt` for the deterministic write-stall tests) as
-//! `extern "C"` bindings against the platform libc that `std` already
-//! links. It is the only module in the crate allowed to use `unsafe`
-//! (`lib.rs` scopes an `#[allow(unsafe_code)]` to it), and it exposes a
-//! fully safe [`Poller`] API upward.
+//! (`epoll_create1`/`epoll_ctl`/`epoll_wait`, plus `setsockopt` for the
+//! deterministic write-stall tests) as `extern "C"` bindings against the
+//! platform libc that `std` already links. It is the only module in the
+//! crate allowed to use `unsafe` (`lib.rs` scopes an `#[allow(unsafe_code)]`
+//! to it), and it exposes a fully safe [`Poller`] API upward.
 //!
-//! Level-triggered mode is used throughout: the reactor re-arms interest
-//! every tick anyway (interest reconciliation), and level-triggered
-//! semantics make the poll(2) fallback behave identically to epoll.
+//! epoll is the one readiness backend, so the service serves on Linux only:
+//! elsewhere [`Poller::new`] fails with [`std::io::ErrorKind::Unsupported`]
+//! and `server::start` returns that as a typed error. Level-triggered mode
+//! is used throughout: the reactor re-arms interest every tick anyway
+//! (interest reconciliation).
 
-#[cfg(not(unix))]
 use std::io;
-#[cfg(not(unix))]
+use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 /// Readiness interest for a registered file descriptor.
@@ -53,15 +53,12 @@ pub struct PollerEvent {
     pub hangup: bool,
 }
 
-/// Upper bound on events drained per [`Poller::wait`] call.
-const MAX_EVENTS: usize = 256;
-
 #[cfg(target_os = "linux")]
-mod imp {
-    use super::{Interest, PollerEvent, MAX_EVENTS};
-    use std::io;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
+mod epoll {
+    use super::{io, Duration, Interest, PollerEvent, RawFd};
+
+    /// Upper bound on events drained per [`Poller::wait`] call.
+    const MAX_EVENTS: usize = 256;
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLL_CTL_ADD: i32 = 1;
@@ -205,199 +202,75 @@ mod imp {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::{Interest, PollerEvent};
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
+#[cfg(target_os = "linux")]
+pub use epoll::Poller;
 
-    const POLLIN: i16 = 0x1;
-    const POLLOUT: i16 = 0x4;
-    const POLLERR: i16 = 0x8;
-    const POLLHUP: i16 = 0x10;
+/// Stand-in on targets without epoll: construction fails, so the reactor
+/// (and with it `server::start`) refuses to start with a typed error.
+#[cfg(not(target_os = "linux"))]
+pub struct Poller(std::convert::Infallible);
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-    }
-
-    /// poll(2)-backed fallback for non-Linux unix targets. The registration
-    /// table lives in userspace; level-triggered semantics match epoll's.
-    pub struct Poller {
-        registered: std::sync::Mutex<BTreeMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: std::sync::Mutex::new(BTreeMap::new()),
-            })
-        }
-
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if let Ok(mut map) = self.registered.lock() {
-                map.insert(fd, (token, interest));
-            }
-            Ok(())
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.register(fd, token, interest)
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            if let Ok(mut map) = self.registered.lock() {
-                map.remove(&fd);
-            }
-            Ok(())
-        }
-
-        pub fn wait(
-            &self,
-            out: &mut Vec<PollerEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            out.clear();
-            let entries: Vec<(RawFd, u64, Interest)> = match self.registered.lock() {
-                Ok(map) => map.iter().map(|(fd, (t, i))| (*fd, *t, *i)).collect(),
-                Err(_) => return Err(io::Error::other("poller registration table poisoned")),
-            };
-            let mut fds: Vec<PollFd> = entries
-                .iter()
-                .map(|(fd, _, interest)| PollFd {
-                    fd: *fd,
-                    events: {
-                        let mut ev = 0i16;
-                        if interest.readable {
-                            ev |= POLLIN;
-                        }
-                        if interest.writable {
-                            ev |= POLLOUT;
-                        }
-                        ev
-                    },
-                    revents: 0,
-                })
-                .collect();
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => i32::try_from(d.as_millis().min(i32::MAX as u128)).unwrap_or(i32::MAX),
-            };
-            // SAFETY: `fds` is a valid mutable slice for the call duration.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for (pfd, (_, token, _)) in fds.iter().zip(entries.iter()) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                out.push(PollerEvent {
-                    token: *token,
-                    readable: pfd.revents & POLLIN != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    hangup: pfd.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(unix)]
-pub use imp::Poller;
-
-#[cfg(unix)]
-mod sockopt {
-    use std::io;
-    use std::os::unix::io::RawFd;
-
-    // Linux values; the BSDs differ but the service's event transport is
-    // gated to Linux in practice (poll fallback covers other unix targets,
-    // where these tuning knobs are best-effort no-ops if they fail).
-    const SOL_SOCKET: i32 = 1;
-    const SO_SNDBUF: i32 = 7;
-    const SO_RCVBUF: i32 = 8;
-
-    extern "C" {
-        fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
-    }
-
-    fn set_buf(fd: RawFd, opt: i32, bytes: usize) -> io::Result<()> {
-        let val: i32 = i32::try_from(bytes).unwrap_or(i32::MAX);
-        // SAFETY: `val` is a valid i32 for the duration of the call and
-        // optlen matches its size.
-        let rc =
-            unsafe { setsockopt(fd, SOL_SOCKET, opt, &val, std::mem::size_of::<i32>() as u32) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    /// Shrinks (or grows) a socket's kernel send buffer. Used by the
-    /// fault-injection tests to make write-stalls deterministic.
-    pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-        set_buf(fd, SO_SNDBUF, bytes)
-    }
-
-    /// Shrinks (or grows) a socket's kernel receive buffer (client side of
-    /// the write-stall tests).
-    pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-        set_buf(fd, SO_RCVBUF, bytes)
-    }
-}
-
-#[cfg(unix)]
-pub use sockopt::{set_recv_buffer, set_send_buffer};
-
-/// Compile-stub for non-unix targets: the event transport is unavailable
-/// and `server.rs` falls back to the blocking transport.
-#[cfg(not(unix))]
-pub struct Poller;
-
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 impl Poller {
-    /// Always fails on non-unix targets.
+    /// Always fails with [`io::ErrorKind::Unsupported`].
     pub fn new() -> io::Result<Self> {
-        Err(io::Error::other("event transport requires a unix target"))
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the event reactor needs epoll (Linux)",
+        ))
     }
 
-    /// Unreachable (construction fails).
-    pub fn register(&self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(io::Error::other("event transport requires a unix target"))
+    /// Unreachable: no `Poller` exists on this target.
+    pub fn register(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
+        match self.0 {}
     }
 
-    /// Unreachable (construction fails).
-    pub fn reregister(&self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
-        Err(io::Error::other("event transport requires a unix target"))
+    /// Unreachable: no `Poller` exists on this target.
+    pub fn reregister(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
+        match self.0 {}
     }
 
-    /// Unreachable (construction fails).
-    pub fn deregister(&self, _fd: i32) -> io::Result<()> {
-        Err(io::Error::other("event transport requires a unix target"))
+    /// Unreachable: no `Poller` exists on this target.
+    pub fn deregister(&self, _fd: RawFd) -> io::Result<()> {
+        match self.0 {}
     }
 
-    /// Unreachable (construction fails).
-    pub fn wait(&self, _out: &mut Vec<PollerEvent>, _t: Option<Duration>) -> io::Result<()> {
-        Err(io::Error::other("event transport requires a unix target"))
+    /// Unreachable: no `Poller` exists on this target.
+    pub fn wait(&self, _out: &mut Vec<PollerEvent>, _timeout: Option<Duration>) -> io::Result<()> {
+        match self.0 {}
     }
 }
 
-#[cfg(all(test, unix))]
+// Linux values of the socket-option constants.
+const SOL_SOCKET: i32 = 1;
+const SO_SNDBUF: i32 = 7;
+
+extern "C" {
+    fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
+}
+
+/// Shrinks (or grows) a socket's kernel send buffer. Used by the
+/// fault-injection tests to make write-stalls deterministic.
+pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    let val: i32 = i32::try_from(bytes).unwrap_or(i32::MAX);
+    // SAFETY: `val` is a valid i32 for the duration of the call and optlen
+    // matches its size.
+    let rc = unsafe {
+        setsockopt(
+            fd,
+            SOL_SOCKET,
+            SO_SNDBUF,
+            &val,
+            std::mem::size_of::<i32>() as u32,
+        )
+    };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
@@ -486,6 +359,5 @@ mod tests {
     fn send_buffer_can_be_shrunk() {
         let (a, _b) = UnixStream::pair().unwrap();
         set_send_buffer(a.as_raw_fd(), 16 * 1024).unwrap();
-        set_recv_buffer(a.as_raw_fd(), 16 * 1024).unwrap();
     }
 }

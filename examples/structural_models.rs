@@ -44,15 +44,15 @@ fn main() {
     let fcl = ChungLuModel::new(degrees.clone())
         .unwrap()
         .with_orphan_postprocessing(true)
-        .generate(&mut rng)
+        .generate(&GenerateRequest::default(), &mut rng)
         .unwrap();
     let tcl = TclModel::fit(&input, 10)
         .unwrap()
-        .generate(&mut rng)
+        .generate(&GenerateRequest::default(), &mut rng)
         .unwrap();
     let tricycle = TriCycLeModel::new(degrees, count_triangles(&input))
         .unwrap()
-        .generate(&mut rng)
+        .generate(&GenerateRequest::default(), &mut rng)
         .unwrap();
 
     println!("synthetic graphs (non-private structural models):");

@@ -12,8 +12,8 @@
 //! * `generate-dataset --name <lastfm|petster|epinions|pokec> [--scale f]
 //!   --output <graph>` — write one of the synthetic dataset stand-ins to disk.
 //! * `serve [--addr <ip:port>] [--threads <n>] [--ledger-path <file>]
-//!   [--release-store <dir>] [--transport event|blocking] [--max-conns <n>]
-//!   [--queue-depth <n>] [--rate-limit <rps>] [--quiet]` — run the
+//!   [--release-store <dir>] [--max-conns <n>] [--queue-depth <n>]
+//!   [--rate-limit <rps>] [--quiet]` — run the
 //!   multi-tenant synthesis server (event-driven keep-alive front end with
 //!   explicit load shedding) with a persistent privacy-budget ledger, an
 //!   optional on-disk content-addressed release store, and a Prometheus
@@ -61,7 +61,7 @@ USAGE:
     agmdp generate-dataset --name <lastfm|petster|epinions|pokec> --output <graph>
                      [--scale <0..1>] [--seed <s>]
     agmdp serve      [--addr <ip:port>] [--threads <n>] [--ledger-path <file>]
-                     [--release-store <dir>] [--transport event|blocking] [--max-conns <n>]
+                     [--release-store <dir>] [--max-conns <n>]
                      [--queue-depth <n>] [--rate-limit <rps>]
                      [--max-body-bytes <n>] [--read-timeout-secs <s>]
                      [--write-timeout-secs <s>] [--idle-timeout-secs <s>]
@@ -419,23 +419,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         ],
         &["--quiet", "--debug-endpoints"],
     )?;
+    // `--transport event` names the only front end; it stays accepted
+    // because existing command lines pass it.
+    if let Some(other) = flags.get("--transport").filter(|&t| t != "event") {
+        return Err(format!(
+            "--transport accepts only 'event' (the blocking transport was removed), got '{other}'"
+        ));
+    }
     let default = ServiceConfig::default();
-    let transport = match flags.get("--transport").unwrap_or("event") {
-        "event" => service::Transport::Event,
-        "blocking" => service::Transport::Blocking,
-        other => {
-            return Err(format!(
-                "--transport must be 'event' or 'blocking', got '{other}'"
-            ))
-        }
-    };
     let config = ServiceConfig {
         addr: flags.get("--addr").unwrap_or(&default.addr).to_string(),
         threads: flags.get_parsed_or("--threads", "a positive integer", default.threads)?,
         ledger_path: flags.get("--ledger-path").map(Into::into),
         release_store: flags.get("--release-store").map(Into::into),
         quiet: flags.has("--quiet"),
-        transport,
         max_conns: flags.get_parsed_or("--max-conns", "a positive integer", default.max_conns)?,
         queue_depth: flags.get_parsed_or(
             "--queue-depth",
@@ -468,12 +465,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let handle = service::start(&config).map_err(|e| format!("failed to start server: {e}"))?;
     println!(
-        "agmdp-service listening on http://{} ({} transport, {} worker threads, max-conns {}, queue-depth {}, rate-limit {}, ledger: {}, access log: {})",
+        "agmdp-service listening on http://{} (event transport, {} worker threads, max-conns {}, queue-depth {}, rate-limit {}, ledger: {}, access log: {})",
         handle.local_addr(),
-        match config.transport {
-            service::Transport::Event => "event",
-            service::Transport::Blocking => "blocking",
-        },
         config.threads,
         config.max_conns,
         config.queue_depth,

@@ -5,13 +5,13 @@
 //! The scenarios use the `--debug-endpoints` fault hooks (`/__debug/sleep`
 //! to pin a worker, `/__debug/payload` to jam a send buffer) so the tests
 //! control *when* the server is saturated instead of racing it.
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use agmdp::service::{ServiceConfig, Transport};
+use agmdp::service::ServiceConfig;
 
 fn connect(addr: SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).expect("connect");
@@ -92,7 +92,6 @@ fn full_job_queue_sheds_with_503_and_retry_after_exactly_once() {
         queue_depth: 1,
         ledger_path: None,
         quiet: true,
-        transport: Transport::Event,
         debug_endpoints: true,
         ..ServiceConfig::default()
     })
@@ -144,7 +143,6 @@ fn slow_read_client_times_out_without_stalling_others() {
         threads: 2,
         ledger_path: None,
         quiet: true,
-        transport: Transport::Event,
         read_timeout: Duration::from_millis(400),
         ..ServiceConfig::default()
     })
@@ -186,7 +184,6 @@ fn idle_keepalive_connection_is_reaped_after_idle_timeout() {
         threads: 2,
         ledger_path: None,
         quiet: true,
-        transport: Transport::Event,
         idle_timeout: Duration::from_millis(300),
         ..ServiceConfig::default()
     })
@@ -217,7 +214,6 @@ fn write_stalled_client_is_dropped_on_write_timeout() {
         threads: 2,
         ledger_path: None,
         quiet: true,
-        transport: Transport::Event,
         debug_endpoints: true,
         write_timeout: Duration::from_millis(400),
         // Shrink the server-side send buffer so an unread 8 MB response
@@ -253,7 +249,6 @@ fn per_dataset_rate_limit_sheds_429_with_retry_after() {
         threads: 2,
         ledger_path: None,
         quiet: true,
-        transport: Transport::Event,
         rate_limit: Some(0.001), // one token, then ~forever to refill
         ..ServiceConfig::default()
     })

@@ -1,15 +1,20 @@
 //! End-to-end test of the `agmdp-service` HTTP server over real sockets:
 //! boot on an ephemeral port, register a dataset, run two synthesize jobs,
 //! watch the ledger decrease, get refused once the budget is exhausted, and
-//! verify the ledger state survives a server restart.
+//! verify the ledger state survives a server restart. The `agmdp serve`
+//! command line that scripts depend on is pinned here too.
+//!
+//! The server's reactor needs epoll, so the suite runs on Linux only.
+#![cfg(target_os = "linux")]
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use agmdp::graph::io;
 use agmdp::service::json;
-use agmdp::service::{ServerHandle, ServiceConfig, Transport};
+use agmdp::service::{ServerHandle, ServiceConfig};
 use serde::Value;
 
 // ---------------------------------------------------------------------------
@@ -425,37 +430,18 @@ fn malformed_requests_are_rejected_cleanly() {
 }
 
 // ---------------------------------------------------------------------------
-// Keep-alive and byte-identity across transports / thread counts.
+// Keep-alive and byte-identity across thread counts.
 // ---------------------------------------------------------------------------
 
-fn boot_with(transport: Transport, threads: usize) -> ServerHandle {
+fn boot_with(threads: usize) -> ServerHandle {
     agmdp::service::start(&ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         threads,
         ledger_path: None,
         quiet: true,
-        transport,
         ..ServiceConfig::default()
     })
     .expect("server start")
-}
-
-/// One request per fresh connection with `Connection: close`, returning the
-/// complete raw response bytes. Works on both transports.
-fn raw_roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    raw
 }
 
 /// The probe script for byte-identity checks: deterministic endpoints only
@@ -468,29 +454,9 @@ const PROBES: &[(&str, &str, &str)] = &[
     ("GET", "/budget/ghost", ""),
 ];
 
-#[test]
-fn responses_are_byte_identical_across_transports() {
-    let event = boot_with(Transport::Event, 2);
-    let blocking = boot_with(Transport::Blocking, 2);
-    for (method, path, body) in PROBES {
-        let from_event = raw_roundtrip(event.local_addr(), method, path, body);
-        let from_blocking = raw_roundtrip(blocking.local_addr(), method, path, body);
-        assert_eq!(
-            from_event,
-            from_blocking,
-            "transport-dependent bytes for {method} {path}:\nevent:    {:?}\nblocking: {:?}",
-            String::from_utf8_lossy(&from_event),
-            String::from_utf8_lossy(&from_blocking),
-        );
-    }
-    event.stop();
-    blocking.stop();
-}
-
 /// Runs the probe script as a single pipelined keep-alive connection and
 /// returns the concatenated response bytes (read to EOF after the final
 /// `Connection: close`).
-#[cfg(unix)]
 fn keepalive_script(addr: SocketAddr) -> Vec<u8> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
@@ -515,11 +481,10 @@ fn keepalive_script(addr: SocketAddr) -> Vec<u8> {
     raw
 }
 
-#[cfg(unix)]
 #[test]
 fn keepalive_pipeline_is_byte_identical_across_thread_counts() {
-    let one = boot_with(Transport::Event, 1);
-    let many = boot_with(Transport::Event, 4);
+    let one = boot_with(1);
+    let many = boot_with(4);
     let from_one = keepalive_script(one.local_addr());
     let from_many = keepalive_script(many.local_addr());
     assert!(!from_one.is_empty());
@@ -580,4 +545,51 @@ fn truncation_k_below_two_is_refused_before_any_epsilon_is_drawn() {
     assert_eq!(field_f64(&after.body, "spent"), 0.0);
 
     server.stop();
+}
+
+/// `agmdp serve` still accepts `--transport event` (scripts pass it) and
+/// prints the listen line they parse; the removed blocking transport is a
+/// startup error, not a silent fallback.
+#[test]
+fn serve_accepts_only_the_event_transport() {
+    let blocking = Command::new(env!("CARGO_BIN_EXE_agmdp"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--transport", "blocking"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run agmdp serve");
+    assert!(!blocking.status.success());
+    let stderr = String::from_utf8_lossy(&blocking.stderr);
+    assert!(
+        stderr.contains("blocking transport was removed"),
+        "{stderr}"
+    );
+
+    let mut event = Command::new(env!("CARGO_BIN_EXE_agmdp"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--transport",
+            "event",
+            "--quiet",
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn agmdp serve");
+    let mut line = String::new();
+    BufReader::new(event.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("read listen line");
+    // `listening on http://<addr> `, the address ended by a space.
+    let addr: Option<SocketAddr> = line
+        .split("listening on http://")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|a| a.parse().ok());
+    let healthz = addr.map(|addr| get(addr, "/healthz").status);
+    event.kill().ok();
+    event.wait().ok();
+    assert_eq!(healthz, Some(200), "listen line {line:?}");
 }

@@ -7,15 +7,14 @@
 //! `crates/service/src/conn.rs` — the behaviours asserted here are the
 //! contract the load-shedding and keep-alive logic is built on.
 //!
-//! The event transport only exists on unix (the readiness loop needs
-//! epoll/poll); the whole suite is gated accordingly.
-#![cfg(unix)]
+//! The reactor needs epoll, so the suite runs on Linux only.
+#![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use agmdp::service::{ServerHandle, ServiceConfig, Transport};
+use agmdp::service::{ServerHandle, ServiceConfig};
 
 fn boot(config: ServiceConfig) -> ServerHandle {
     agmdp::service::start(&config).expect("server start")
@@ -27,7 +26,6 @@ fn small_head_config() -> ServiceConfig {
         threads: 2,
         ledger_path: None,
         quiet: true,
-        transport: Transport::Event,
         max_head_bytes: 1024,
         max_body_bytes: 64 * 1024,
         ..ServiceConfig::default()
@@ -40,7 +38,6 @@ fn default_config() -> ServiceConfig {
         threads: 2,
         ledger_path: None,
         quiet: true,
-        transport: Transport::Event,
         ..ServiceConfig::default()
     }
 }
@@ -203,12 +200,18 @@ fn half_closed_socket_still_receives_its_response() {
         .unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
 
-    // The server must treat FIN after a complete request as half-close,
-    // answer it, and then close (keep-alive is pointless on a dead reader).
+    // The server must treat FIN after a complete request as half-close:
+    // answer it, then close. The reply's `Connection` header depends on
+    // timing: the reactor does not read a socket while its request is in
+    // flight, so a FIN that lands after dispatch is seen only after a
+    // keep-alive reply went out. (The conn.rs unit test
+    // `half_close_still_serves_buffered_requests` pins `Connection: close`
+    // for a FIN seen before dispatch.) What holds at any timing: one 200,
+    // then EOF.
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     assert!(raw.starts_with("HTTP/1.1 200"), "{raw:?}");
-    assert!(raw.contains("Connection: close"), "{raw:?}");
+    assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "{raw:?}");
     server.stop();
 }
 
