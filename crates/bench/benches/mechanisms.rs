@@ -1,6 +1,9 @@
 //! Criterion benchmarks for the differential-privacy mechanisms: the building
 //! blocks whose costs Appendix C.4 discusses (truncation, Laplace noise,
 //! constrained inference, Ladder triangle counting, smooth sensitivity).
+//! Most cells run on the Last.fm stand-in; `ladder_local_sensitivity_pokec`
+//! runs the Ladder's sensitivity on the heavy-tailed Pokec stand-in, where
+//! hubs decide its cost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -64,6 +67,11 @@ fn mechanisms(c: &mut Criterion) {
 
     group.bench_function("ladder_local_sensitivity", |b| {
         b.iter(|| black_box(triangle_local_sensitivity(&graph)));
+    });
+
+    group.bench_function("ladder_local_sensitivity_pokec", |b| {
+        let pokec = generate_dataset(&DatasetSpec::pokec().scaled(0.05), 7).expect("dataset");
+        b.iter(|| black_box(triangle_local_sensitivity(&pokec)));
     });
 
     group.bench_function("ladder_triangle_count", |b| {

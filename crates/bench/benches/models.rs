@@ -1,5 +1,7 @@
 //! Criterion benchmarks for the generative structural models (FCL, TCL,
-//! TriCycLe) and the graph-analysis primitives they depend on.
+//! TriCycLe) and the graph-analysis primitives they depend on, on the
+//! Last.fm stand-in; `tricycle_generate_pokec` repeats TriCycLe on the
+//! heavy-tailed Pokec stand-in, where rewiring intersects hub neighbor lists.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -46,6 +48,13 @@ fn models(c: &mut Criterion) {
     group.bench_function("tricycle_generate", |b| {
         let model = TriCycLeModel::new(degrees.clone(), triangles).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
+        b.iter(|| black_box(model.generate(&plain, &mut rng).unwrap().num_edges()));
+    });
+
+    group.bench_function("tricycle_generate_pokec", |b| {
+        let pokec = generate_dataset(&DatasetSpec::pokec().scaled(0.02), 11).expect("dataset");
+        let model = TriCycLeModel::new(pokec.degrees(), count_triangles(&pokec)).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
         b.iter(|| black_box(model.generate(&plain, &mut rng).unwrap().num_edges()));
     });
 

@@ -4,15 +4,17 @@
 //! node set `{0, …, n-1}` and a `w`-bit attribute code on every node
 //! (Section 2.1 of the paper). Adjacency is stored as sorted neighbor lists,
 //! which keeps edge existence queries at `O(log d)`, neighbor iteration
-//! allocation-free, and common-neighbor counting at `O(d_u + d_v)` — the
-//! operations that dominate TriCycLe generation and triangle counting.
+//! allocation-free, and common-neighbor counting at `O(d_u + d_v)` for
+//! similar degrees and `O(min · log(max / min))` when one endpoint is a hub
+//! ([`sorted_intersection_count`]) — the operations that dominate TriCycLe
+//! generation and triangle counting.
 
 use serde::{Deserialize, Serialize};
 
 use crate::attributes::{AttributeSchema, EdgeConfigIndex};
 use crate::error::GraphError;
 use crate::frozen::FrozenGraph;
-use crate::view::GraphView;
+use crate::view::{sorted_intersection_count, GraphView};
 use crate::Result;
 
 /// Dense node identifier in `0..n`.
@@ -310,26 +312,16 @@ impl AttributedGraph {
         out
     }
 
-    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|`, computed by a sorted merge.
+    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|`, counted by
+    /// [`sorted_intersection_count`]: a merge when the two degrees are
+    /// similar, a gallop through the hub's list when they are skewed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is out of range.
     #[must_use]
     pub fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        let a = &self.adjacency[u as usize];
-        let b = &self.adjacency[v as usize];
-        let mut i = 0;
-        let mut j = 0;
-        let mut count = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
+        sorted_intersection_count(&self.adjacency[u as usize], &self.adjacency[v as usize])
     }
 
     /// The attribute code (`f_w` encoding) of node `v`.

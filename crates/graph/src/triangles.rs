@@ -3,9 +3,11 @@
 //! TriCycLe (Section 3.3) is parameterised by the exact number of triangles
 //! `n_Δ` in the input graph, and the evaluation reports triangle counts and
 //! the global clustering coefficient `C = 3 n_Δ / n_W` where `n_W` is the
-//! number of wedges (length-two paths). The Ladder mechanism (Appendix C.3.2)
-//! additionally needs, for an edge `(u, v)`, the number of triangles that edge
-//! participates in — which equals the common-neighbor count of its endpoints.
+//! number of wedges (length-two paths). The Ladder mechanism's local
+//! sensitivity (Appendix C.3.2) is a maximum over *all* node pairs, edges and
+//! non-edges alike, so it lives with the mechanism in `agmdp-privacy`
+//! (`ladder::triangle_local_sensitivity`); the triangles a single pair
+//! `(u, v)` closes are [`GraphView::common_neighbor_count`].
 
 use crate::graph::NodeId;
 use crate::view::GraphView;
@@ -116,24 +118,6 @@ pub fn triangles_per_node<G: GraphView>(g: &G) -> Vec<u64> {
     counts
 }
 
-/// Number of triangles that the (present or hypothetical) edge `(u, v)` closes,
-/// i.e. `|Γ(u) ∩ Γ(v)|`.
-#[must_use]
-pub fn triangles_on_edge<G: GraphView>(g: &G, u: NodeId, v: NodeId) -> usize {
-    g.common_neighbor_count(u, v)
-}
-
-/// Maximum, over all present edges, of the number of triangles sharing that
-/// edge. This is the quantity driving the local sensitivity of triangle
-/// counting used by the Ladder framework.
-#[must_use]
-pub fn max_triangles_on_any_edge<G: GraphView>(g: &G) -> usize {
-    g.edges()
-        .map(|e| g.common_neighbor_count(e.u, e.v))
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,15 +180,6 @@ mod tests {
         assert_eq!(total, 3 * count_triangles(&g));
         // In K5 every node is in C(4,2) = 6 triangles.
         assert!(per_node.iter().all(|&c| c == 6));
-    }
-
-    #[test]
-    fn triangles_on_edge_matches_common_neighbors() {
-        let g = complete_graph(4);
-        assert_eq!(triangles_on_edge(&g, 0, 1), 2);
-        assert_eq!(max_triangles_on_any_edge(&g), 2);
-        let empty = AttributedGraph::unattributed(3);
-        assert_eq!(max_triangles_on_any_edge(&empty), 0);
     }
 
     #[test]

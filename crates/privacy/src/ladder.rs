@@ -21,6 +21,19 @@
 //! `t ≥ 1` contains the `2 · LS^{t-1}(G)` integers between cumulative widths,
 //! and the geometric decay of the weights makes the enumeration converge
 //! quickly (it is truncated once the residual mass is negligible).
+//!
+//! ## Cost
+//!
+//! A call costs one oriented triangle count (`O(m^{3/2})`) plus
+//! [`triangle_local_sensitivity`]. `LS(G)` is a maximum over *all* pairs, so a
+//! plain two-hop walk takes `Σ_u d_u²` steps — about 240M on the Pokec
+//! stand-in at scale 0.25 (148,157 nodes, `d_max` 1,581). The walk here goes
+//! in `(degree desc, id)` order and skips every pair that cannot beat the
+//! maximum found so far, which reaches the same `LS(G)` (146 there) in about
+//! 3.5M steps. Both walks already took data-dependent time: the running
+//! time of the fit depends on the sensitive graph either way, and whether
+//! the service's `/metrics` stage timings may expose it is part of the
+//! owner/analyst trust boundary in `ROADMAP.md`, not of this mechanism.
 
 use rand::Rng;
 
@@ -32,33 +45,54 @@ use crate::exponential::sample_weighted_index;
 use crate::Result;
 
 /// Local sensitivity of triangle counting at `G`: the maximum number of common
-/// neighbors over any node pair (present or absent edge).
+/// neighbors over any node pair (present or absent edge), capped at `n − 2`.
 ///
 /// Any pair with at least one common neighbor is at distance two through that
-/// neighbor, so it suffices to examine, for every node `u`, the pairs of
-/// neighbors of `u`. The implementation runs in `O(Σ_u d_u²)` time using a
-/// per-node counting pass and `O(n)` scratch space.
+/// neighbor, so it suffices to count, for each node `i`, the two-hop partners
+/// `j` reached through every neighbor of `i`. Nodes are walked in
+/// `(degree desc, id)` order over a copy of the graph relabelled by that
+/// rank, and each pair is counted once, from its higher-ranked end `i`. Since
+/// `|Γ(i) ∩ Γ(j)| ≤ min(d_i, d_j) = d_j`, a partner with `d_j ≤ best` — the
+/// largest count found so far — cannot raise the maximum, so it is skipped;
+/// and once `d_i ≤ best` no later node can either, so the walk stops. Every
+/// pair that could beat `best` is still counted exactly, so the result is
+/// the exact maximum, not a bound — which matters, because a smaller value
+/// would under-calibrate the Ladder's noise (`mechanism_properties.rs`
+/// checks it against brute force). In the relabelled copy the partners with
+/// `d_j > best` ranked after `i` are one contiguous run of each sorted
+/// neighbor list, found by binary search.
+///
+/// Cost: `O(n log n + m)` to rank and relabel. Then only nodes with
+/// `d_i > best` are walked, with one binary search per neighbor and one step
+/// per counted partner — on heavy-tailed graphs a small fraction of the
+/// `Σ_u d_u²` steps of the unpruned walk (see the [module docs](self)).
+/// Scratch space is `O(n + m)`. How soon the walk stops depends on the graph;
+/// the unpruned walk's running time was data-dependent too.
 #[must_use]
 pub fn triangle_local_sensitivity<G: GraphView>(g: &G) -> usize {
     let n = g.num_nodes();
     if n < 3 {
         return 0;
     }
+    let ranked = RankedAdjacency::new(g);
     let mut best = 0usize;
     let mut counter = vec![0u32; n];
     let mut touched: Vec<u32> = Vec::new();
-    for i in g.nodes() {
-        // Count, for every node j reachable in two hops from i, the number of
-        // common neighbors of (i, j).
+    for i in 0..n as u32 {
+        if ranked.degree[i as usize] as usize <= best {
+            break;
+        }
+        // Partners worth counting: ranked after `i`, degree above `best`.
+        let end = ranked.degree.partition_point(|&d| d as usize > best) as u32;
         touched.clear();
-        for &u in g.neighbors(i) {
-            for &j in g.neighbors(u) {
-                if j > i {
-                    if counter[j as usize] == 0 {
-                        touched.push(j);
-                    }
-                    counter[j as usize] += 1;
+        for &u in ranked.neighbors(i) {
+            let list = ranked.neighbors(u);
+            let after_i = list.partition_point(|&j| j <= i);
+            for &j in list[after_i..].iter().take_while(|&&j| j < end) {
+                if counter[j as usize] == 0 {
+                    touched.push(j);
                 }
+                counter[j as usize] += 1;
             }
         }
         for &j in &touched {
@@ -66,7 +100,53 @@ pub fn triangle_local_sensitivity<G: GraphView>(g: &G) -> usize {
             counter[j as usize] = 0;
         }
     }
-    best.min(n.saturating_sub(2))
+    best.min(n - 2)
+}
+
+/// CSR adjacency relabelled by rank in `(degree desc, id)` order: node `r`
+/// is the `r`-th highest-degree node, its neighbor list holds ranks in
+/// increasing order, and `degree` is non-increasing.
+struct RankedAdjacency {
+    offsets: Vec<usize>,
+    neighbors: Vec<u32>,
+    degree: Vec<u32>,
+}
+
+impl RankedAdjacency {
+    fn new<G: GraphView>(g: &G) -> Self {
+        let n = g.num_nodes();
+        let mut order: Vec<u32> = g.nodes().collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        let mut rank = vec![0u32; n];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        let degree: Vec<u32> = order.iter().map(|&v| g.degree(v) as u32).collect();
+        let mut offsets = vec![0usize; n + 1];
+        for (r, &d) in degree.iter().enumerate() {
+            offsets[r + 1] = offsets[r] + d as usize;
+        }
+        // Visiting ranks in increasing order appends to every list in
+        // increasing order, so the lists come out sorted without a sort.
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0u32; offsets[n]];
+        for (r, &v) in order.iter().enumerate() {
+            for &w in g.neighbors(v) {
+                let slot = &mut cursor[rank[w as usize] as usize];
+                neighbors[*slot] = r as u32;
+                *slot += 1;
+            }
+        }
+        Self {
+            offsets,
+            neighbors,
+            degree,
+        }
+    }
+
+    fn neighbors(&self, r: u32) -> &[u32] {
+        &self.neighbors[self.offsets[r as usize]..self.offsets[r as usize + 1]]
+    }
 }
 
 /// Result of one Ladder invocation, retained for diagnostics and tests.

@@ -1,6 +1,8 @@
 //! Property-based tests for the DP mechanisms: calibration, post-processing
 //! and estimator invariants.
 
+use agmdp_graph::view::sorted_intersection_count;
+use agmdp_graph::{AttributedGraph, NodeId};
 use agmdp_privacy::budget::{BudgetSplit, PrivacyBudget};
 use agmdp_privacy::constrained_inference::{dp_degree_sequence, isotonic_regression};
 use agmdp_privacy::exponential::exponential_mechanism;
@@ -11,7 +13,8 @@ use agmdp_privacy::sample_aggregate::sample_and_aggregate_distribution;
 use agmdp_privacy::smooth::{beta, smooth_bound, smooth_sensitivity_qf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -142,12 +145,185 @@ proptest! {
     }
 }
 
+/// The reference count the kernel must match: a plain sorted merge.
+fn naive_intersection_count(a: &[NodeId], b: &[NodeId]) -> usize {
+    let (mut i, mut j, mut count) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                count += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    count
+}
+
+/// `min(n − 2, max_{i<j} |Γ(i) ∩ Γ(j)|)` by testing every pair against every
+/// third node — the definition the Ladder's noise is calibrated to, with no
+/// pruning to trust.
+fn brute_force_local_sensitivity(g: &AttributedGraph) -> usize {
+    let n = g.num_nodes() as NodeId;
+    let mut best = 0;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let common = (0..n)
+                .filter(|&k| g.has_edge(i, k) && g.has_edge(j, k))
+                .count();
+            best = best.max(common);
+        }
+    }
+    best.min(g.num_nodes().saturating_sub(2))
+}
+
+/// A graph from one of the families where a pruned maximum could go wrong,
+/// on `n ≤ 60` nodes with ids shuffled so rank order and id order differ:
+///
+/// * 0 — planted hubs over a sparse random graph (skewed degrees);
+/// * 1 — a circulant graph, every degree equal (all ties);
+/// * 2 — `K_n`, where every pair has `n − 2` common neighbors;
+/// * 3 — a star, plus a few random edges among the leaves;
+/// * 4 — `K_{a,b}`, where the maximum sits on a non-edge (two nodes on one
+///   side share the whole other side) and every edge has none.
+fn sensitivity_test_graph(family: u8, n: usize, seed: u64) -> AttributedGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
+    ids.shuffle(&mut rng);
+    let mut g = AttributedGraph::unattributed(n);
+    let link = |g: &mut AttributedGraph, a: usize, b: usize| {
+        if a != b {
+            g.try_add_edge(ids[a], ids[b]).unwrap();
+        }
+    };
+    match family {
+        0 => {
+            for _ in 0..n {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                link(&mut g, a, b);
+            }
+            for hub in 0..rng.gen_range(1..=3).min(n) {
+                let reach = rng.gen_range(0.3..0.9);
+                for v in 0..n {
+                    if rng.gen_bool(reach) {
+                        link(&mut g, hub, v);
+                    }
+                }
+            }
+        }
+        1 => {
+            let k = rng.gen_range(1..=(n / 2).max(1));
+            for v in 0..n {
+                for step in 1..=k {
+                    link(&mut g, v, (v + step) % n);
+                }
+            }
+        }
+        2 => {
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    link(&mut g, a, b);
+                }
+            }
+        }
+        3 => {
+            for v in 1..n {
+                link(&mut g, 0, v);
+            }
+            for _ in 0..if n > 2 { rng.gen_range(0..=3) } else { 0 } {
+                let (a, b) = (rng.gen_range(1..n), rng.gen_range(1..n));
+                link(&mut g, a, b);
+            }
+        }
+        _ => {
+            let a = if n < 2 { n } else { rng.gen_range(1..n) };
+            for x in 0..a {
+                for y in a..n {
+                    link(&mut g, x, y);
+                }
+            }
+        }
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The privacy guard for the pruned Ladder sensitivity: a smaller LS
+    /// would under-calibrate the noise, so the degree-ordered walk must equal
+    /// the brute-force maximum over all pairs — edges and non-edges — on
+    /// every family, in both graph representations.
+    #[test]
+    fn local_sensitivity_equals_brute_force(family in 0u8..5, n in 0usize..=60, seed in 0u64..10_000) {
+        let g = sensitivity_test_graph(family, n, seed);
+        let expected = brute_force_local_sensitivity(&g);
+        prop_assert_eq!(triangle_local_sensitivity(&g), expected);
+        prop_assert_eq!(triangle_local_sensitivity(&g.freeze()), expected);
+    }
+
+    /// The galloping intersection kernel equals a naive merge at every
+    /// length ratio from 1:1 to 1:1000, in either argument order.
+    #[test]
+    fn intersection_kernel_matches_naive_merge(
+        short_len in 0usize..=12,
+        ratio in 1usize..=1000,
+        overlap in 0.0f64..1.0,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let long_len = (short_len * ratio).max(ratio);
+        let universe = 4 * long_len as NodeId + 8;
+        let mut long: Vec<NodeId> = (0..long_len).map(|_| rng.gen_range(0..universe)).collect();
+        long.sort_unstable();
+        long.dedup();
+        let mut short: Vec<NodeId> = (0..short_len)
+            .map(|_| {
+                if rng.gen_bool(overlap) {
+                    long[rng.gen_range(0..long.len())]
+                } else {
+                    rng.gen_range(0..universe)
+                }
+            })
+            .collect();
+        short.sort_unstable();
+        short.dedup();
+        let expected = naive_intersection_count(&short, &long);
+        prop_assert_eq!(sorted_intersection_count(&short, &long), expected);
+        prop_assert_eq!(sorted_intersection_count(&long, &short), expected);
+    }
+}
+
+#[test]
+fn intersection_kernel_handles_empty_and_disjoint_lists() {
+    let evens: Vec<NodeId> = (0..2000).map(|x| 2 * x).collect();
+    let odds: Vec<NodeId> = (0..2000).map(|x| 2 * x + 1).collect();
+    let few_odds: Vec<NodeId> = vec![1, 999, 3999];
+    let above: Vec<NodeId> = vec![5000, 5001];
+    let below: Vec<NodeId> = vec![0];
+    let empty: Vec<NodeId> = Vec::new();
+    for (a, b) in [
+        (&empty, &empty),
+        (&empty, &evens),
+        (&evens, &odds),
+        (&few_odds, &evens),
+        (&above, &evens),
+        (&evens, &above),
+        (&below, &odds),
+    ] {
+        assert_eq!(sorted_intersection_count(a, b), 0);
+        assert_eq!(sorted_intersection_count(b, a), 0);
+    }
+    assert_eq!(sorted_intersection_count(&evens, &evens), evens.len());
+    assert_eq!(sorted_intersection_count(&[0, 3998], &evens), 2);
+}
+
 /// The Ladder mechanism's local sensitivity and estimates behave sanely on
 /// random graphs (non-proptest because graph construction is heavier).
 #[test]
 fn ladder_estimates_are_nonnegative_and_bounded_on_random_graphs() {
-    use agmdp_graph::AttributedGraph;
-    use rand::Rng;
     let mut rng = StdRng::seed_from_u64(99);
     for trial in 0..10 {
         let n = 20 + trial * 5;

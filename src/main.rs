@@ -29,6 +29,7 @@
 
 mod args;
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -109,64 +110,115 @@ printing). Findings are silenced only by an inline
 documented in docs/INVARIANTS.md. --root defaults to the current
 directory; --json emits the stable report CI diffs.";
 
+/// Why a command stopped early.
+enum Failure {
+    /// A message for stderr: bad arguments, unreadable input, failed work.
+    Message(String),
+    /// A failed write to stdout. Every file operation maps its own error to
+    /// a [`Failure::Message`], so an I/O error that reaches `main` came from
+    /// stdout.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Self::Message(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Self::Message(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Self::Stdout(e)
+    }
+}
+
+/// What a command returns; output goes through fallible `writeln!`s on the
+/// `out` it is given, never `println!`, which panics on a closed pipe.
+type CmdResult = Result<(), Failure>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("synthesize") => cmd_synthesize(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("generate-dataset") => cmd_generate_dataset(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("evaluate") => cmd_evaluate(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
-    };
+    let mut out = std::io::stdout();
+    let result = run(&args, &mut out).and_then(|()| out.flush().map_err(Failure::from));
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader went away (`agmdp stats g.agb | head -1`): nobody is
+        // left to tell, so stop quietly.
+        Err(Failure::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing to stdout failed: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn print_stats<G: GraphView>(graph: &G) {
+fn run(args: &[String], out: &mut impl Write) -> CmdResult {
+    match args.first().map(String::as_str) {
+        Some("stats") => cmd_stats(&args[1..], out),
+        Some("synthesize") => cmd_synthesize(&args[1..], out),
+        Some("convert") => cmd_convert(&args[1..], out),
+        Some("generate-dataset") => cmd_generate_dataset(&args[1..], out),
+        Some("serve") => cmd_serve(&args[1..], out),
+        Some("evaluate") => cmd_evaluate(&args[1..], out),
+        Some("lint") => cmd_lint(&args[1..], out),
+        Some("help") | Some("--help") | Some("-h") | None => Ok(writeln!(out, "{USAGE}")?),
+        Some(other) => Err(format!("unknown subcommand '{other}'\n\n{USAGE}").into()),
+    }
+}
+
+fn print_stats<G: GraphView>(graph: &G, out: &mut impl Write) -> std::io::Result<()> {
     let comps = connected_components(graph);
-    println!("nodes               : {}", graph.num_nodes());
-    println!("edges               : {}", graph.num_edges());
-    println!("attribute width (w) : {}", graph.schema().width());
-    println!("max degree          : {}", graph.max_degree());
-    println!("avg degree          : {:.2}", graph.avg_degree());
-    println!("triangles           : {}", count_triangles(graph));
-    println!(
+    writeln!(out, "nodes               : {}", graph.num_nodes())?;
+    writeln!(out, "edges               : {}", graph.num_edges())?;
+    writeln!(out, "attribute width (w) : {}", graph.schema().width())?;
+    writeln!(out, "max degree          : {}", graph.max_degree())?;
+    writeln!(out, "avg degree          : {:.2}", graph.avg_degree())?;
+    writeln!(out, "triangles           : {}", count_triangles(graph))?;
+    writeln!(
+        out,
         "avg local clustering: {:.4}",
         average_local_clustering(graph)
-    );
-    println!("global clustering   : {:.4}", global_clustering(graph));
-    println!("connected components: {}", comps.count());
+    )?;
+    writeln!(out, "global clustering   : {:.4}", global_clustering(graph))?;
+    writeln!(out, "connected components: {}", comps.count())?;
     if graph.schema().width() > 0 {
         let tx = ThetaX::from_graph(graph);
         let tf = ThetaF::from_graph(graph);
-        println!("Theta_X             : {:?}", round3(tx.probabilities()));
-        println!("Theta_F             : {:?}", round3(tf.probabilities()));
+        writeln!(
+            out,
+            "Theta_X             : {:?}",
+            round3(tx.probabilities())
+        )?;
+        writeln!(
+            out,
+            "Theta_F             : {:?}",
+            round3(tf.probabilities())
+        )?;
     }
+    Ok(())
 }
 
 fn round3(v: &[f64]) -> Vec<f64> {
     v.iter().map(|x| (x * 1000.0).round() / 1000.0).collect()
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String], out: &mut impl Write) -> CmdResult {
     let path = args.first().ok_or("stats requires a graph file argument")?;
     // Auto-detects text vs binary and yields the frozen CSR snapshot the
     // read-only statistics run on.
     let graph = io::load_frozen_file(path).map_err(|e| format!("failed to read {path}: {e}"))?;
-    println!("graph: {path}");
-    print_stats(&graph);
+    writeln!(out, "graph: {path}")?;
+    print_stats(&graph, out)?;
     Ok(())
 }
 
@@ -177,7 +229,7 @@ fn correlation_method(flags: &FlagSet) -> Result<CorrelationMethod, String> {
     CorrelationMethod::from_parts(flags.get("--method").unwrap_or("truncation"), k, 1e-6)
 }
 
-fn cmd_synthesize(args: &[String]) -> Result<(), String> {
+fn cmd_synthesize(args: &[String], out: &mut impl Write) -> CmdResult {
     let flags = args::parse(
         args,
         &[
@@ -228,21 +280,21 @@ fn cmd_synthesize(args: &[String]) -> Result<(), String> {
     // The synthetic graph is done mutating: freeze it once and run the
     // statistics and the fidelity report on the CSR snapshots.
     let frozen_synthetic = synthetic.freeze();
-    println!("input  ({input}):");
-    print_stats(&graph);
-    println!("\nsynthetic ({output}):");
-    print_stats(&frozen_synthetic);
+    writeln!(out, "input  ({input}):")?;
+    print_stats(&graph, out)?;
+    writeln!(out, "\nsynthetic ({output}):")?;
+    print_stats(&frozen_synthetic, out)?;
     let report = GraphComparison::compare(&graph, &frozen_synthetic);
-    println!("\nfidelity: KS(degree) = {:.3}, H(degree) = {:.3}, triangle RE = {:.3}, clustering RE = {:.3}, m RE = {:.4}",
+    writeln!(out, "\nfidelity: KS(degree) = {:.3}, H(degree) = {:.3}, triangle RE = {:.3}, clustering RE = {:.3}, m RE = {:.4}",
         report.ks_degree,
         report.hellinger_degree,
         report.triangle_count_re,
         report.avg_clustering_re,
         report.edge_count_re,
-    );
+    )?;
     match config.privacy {
-        Privacy::NonPrivate => println!("privacy: non-private (exact parameters)"),
-        Privacy::Dp { epsilon } => println!("privacy: {epsilon}-differential privacy"),
+        Privacy::NonPrivate => writeln!(out, "privacy: non-private (exact parameters)")?,
+        Privacy::Dp { epsilon } => writeln!(out, "privacy: {epsilon}-differential privacy")?,
     }
     Ok(())
 }
@@ -268,7 +320,7 @@ fn write_graph_file<G: GraphView>(g: &G, path: &str, forced: Option<&str>) -> Re
     }
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
+fn cmd_convert(args: &[String], out: &mut impl Write) -> CmdResult {
     let flags = args::parse(args, &["--input", "--output", "--to"], &[])?;
     let input = flags.require("--input", "<graph>")?.to_string();
     let output = flags.require("--output", "<graph>")?.to_string();
@@ -277,16 +329,17 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     // conversion never mutates, so the frozen form serialises both targets.
     let graph = io::load_frozen_file(&input).map_err(|e| format!("failed to read {input}: {e}"))?;
     write_graph_file(&graph, &output, to)?;
-    println!(
+    writeln!(
+        out,
         "converted {input} -> {output} ({} nodes, {} edges, width {})",
         graph.num_nodes(),
         graph.num_edges(),
         graph.schema().width()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_generate_dataset(args: &[String]) -> Result<(), String> {
+fn cmd_generate_dataset(args: &[String], out: &mut impl Write) -> CmdResult {
     let flags = args::parse(args, &["--name", "--output", "--scale", "--seed"], &[])?;
     let name = flags.require("--name", "<dataset>")?;
     let output = flags.require("--output", "<graph>")?.to_string();
@@ -297,22 +350,23 @@ fn cmd_generate_dataset(args: &[String]) -> Result<(), String> {
         "petster" => DatasetSpec::petster(),
         "epinions" => DatasetSpec::epinions(),
         "pokec" => DatasetSpec::pokec(),
-        other => return Err(format!("unknown dataset '{other}'")),
+        other => return Err(format!("unknown dataset '{other}'").into()),
     }
     .scaled(scale);
     let graph =
         generate_dataset(&spec, seed).map_err(|e| format!("dataset generation failed: {e}"))?;
     write_graph_file(&graph, &output, None)?;
-    println!(
+    writeln!(
+        out,
         "wrote {} ({} nodes, {} edges) to {output}",
         spec.name,
         graph.num_nodes(),
         graph.num_edges()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_evaluate(args: &[String]) -> Result<(), String> {
+fn cmd_evaluate(args: &[String], out: &mut impl Write) -> CmdResult {
     let flags = args::parse(
         args,
         &[
@@ -340,16 +394,17 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     }
 
     let cells = plan.datasets.len() * plan.epsilons.len() * plan.models.len();
-    println!(
+    writeln!(
+        out,
         "running plan '{}' from {plan_path}: {cells} cells × {} repetitions = {} trials on {} thread(s)",
         plan.name,
         plan.repetitions,
         cells * plan.repetitions,
         plan.threads
-    );
+    )?;
     let report = plan.run().map_err(|e| e.to_string())?;
-    println!();
-    print!("{}", report.to_text_table());
+    writeln!(out)?;
+    write!(out, "{}", report.to_text_table())?;
 
     if let Some(dir) = flags.get("--out") {
         let dir = std::path::Path::new(dir);
@@ -366,41 +421,43 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
             std::fs::write(&path, contents)
                 .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
         }
-        println!(
+        writeln!(
+            out,
             "\nwrote report.json, aggregates.json, trials.csv, aggregates.csv to {}",
             dir.display()
-        );
+        )?;
     }
     if let Some(md_path) = flags.get("--markdown") {
         std::fs::write(md_path, report.to_markdown())
             .map_err(|e| format!("failed to write {md_path}: {e}"))?;
-        println!("wrote markdown tables to {md_path}");
+        writeln!(out, "wrote markdown tables to {md_path}")?;
     }
     // Echo every result-affecting override so the printed command really
     // reproduces this run (--threads is omitted: scheduling only).
-    println!(
+    writeln!(
+        out,
         "\nreproduce with: agmdp evaluate --plan {plan_path} --seed {} --repetitions {}",
         plan.seed, plan.repetitions
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_lint(args: &[String]) -> Result<(), String> {
+fn cmd_lint(args: &[String], out: &mut impl Write) -> CmdResult {
     let flags = args::parse(args, &["--root"], &["--json"])?;
     let root = std::path::Path::new(flags.get("--root").unwrap_or("."));
     let report = agmdp::analysis::lint_workspace(root).map_err(|e| e.to_string())?;
     if flags.has("--json") {
-        print!("{}", report.to_json());
+        write!(out, "{}", report.to_json())?;
     } else {
-        print!("{}", report.to_text());
+        write!(out, "{}", report.to_text())?;
     }
     match report.unwaived_count() {
         0 => Ok(()),
-        n => Err(format!("{n} unwaived lint finding(s)")),
+        n => Err(format!("{n} unwaived lint finding(s)").into()),
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut impl Write) -> CmdResult {
     let flags = args::parse(
         args,
         &[
@@ -424,7 +481,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(other) = flags.get("--transport").filter(|&t| t != "event") {
         return Err(format!(
             "--transport accepts only 'event' (the blocking transport was removed), got '{other}'"
-        ));
+        )
+        .into());
     }
     let default = ServiceConfig::default();
     let config = ServiceConfig {
@@ -464,8 +522,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         ..default
     };
     let handle = service::start(&config).map_err(|e| format!("failed to start server: {e}"))?;
-    println!(
-        "agmdp-service listening on http://{} (event transport, {} worker threads, max-conns {}, queue-depth {}, rate-limit {}, ledger: {}, access log: {})",
+    let banner = format!(
+        "agmdp-service listening on http://{} (event transport, {} worker threads, max-conns {}, queue-depth {}, rate-limit {}, ledger: {}, access log: {})\n\
+         release store: {}\n\
+         endpoints: GET /healthz · GET /datasets · POST /datasets · POST /synthesize · GET /jobs/:id · GET /budget/:dataset · GET /evaluate · GET /metrics\n",
         handle.local_addr(),
         config.threads,
         config.max_conns,
@@ -478,15 +538,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .as_deref()
             .map_or("in-memory".to_string(), |p| p.display().to_string()),
         if config.quiet { "off" } else { "stderr" },
-    );
-    println!(
-        "release store: {}",
         config
             .release_store
             .as_deref()
             .map_or("off".to_string(), |p| p.display().to_string()),
     );
-    println!("endpoints: GET /healthz · GET /datasets · POST /datasets · POST /synthesize · GET /jobs/:id · GET /budget/:dataset · GET /evaluate · GET /metrics");
+    // The banner is informational and goes out in one write. A reader that
+    // takes the listen line and leaves (`agmdp serve | head -1`) must not
+    // stop the server, so a failed write is ignored here, not returned.
+    let _ = out.write_all(banner.as_bytes()).and_then(|()| out.flush());
     handle.wait();
     Ok(())
 }

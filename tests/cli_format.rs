@@ -1,7 +1,8 @@
 //! Integration tests for the file-based release workflow used by the CLI:
 //! dataset generation → text serialisation → re-loading → private synthesis →
 //! serialisation of the publishable output, plus the categorical-attribute
-//! encoding path of Section 7.
+//! encoding path of Section 7, and the binary's behaviour when its reader
+//! goes away (`agmdp stats g.agb | head -1`).
 
 use agmdp::graph::categorical::{CategoricalAttribute, CategoricalEncoder};
 use agmdp::graph::io;
@@ -80,4 +81,40 @@ fn categorical_encoding_survives_synthesis_and_io() {
         assert!(["a", "b", "c"].contains(&labels[0]));
         assert!(["low", "high"].contains(&labels[1]));
     }
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    use std::process::{Command, Stdio};
+    let bin = env!("CARGO_BIN_EXE_agmdp");
+    let dir = std::env::temp_dir().join(format!("agmdp_cli_pipe_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("toy.graph");
+    io::write_file(&agmdp::datasets::toy_social_graph(), &path).unwrap();
+
+    // A pipe whose reader is already gone: the reader is a process that never
+    // reads its stdin and has exited, so the first write to the pipe fails
+    // with EPIPE — every time, not only when the test wins a race.
+    let mut reader = Command::new(bin)
+        .arg("help")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .unwrap();
+    let closed = reader.stdin.take().unwrap();
+    assert!(reader.wait().unwrap().success());
+
+    let run = Command::new(bin)
+        .arg("stats")
+        .arg(&path)
+        .stdout(Stdio::from(closed))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_ne!(run.status.code(), Some(101), "stderr: {stderr}");
+    assert!(run.status.success(), "{:?}, stderr: {stderr}", run.status);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
 }

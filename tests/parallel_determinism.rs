@@ -115,6 +115,30 @@ fn chunked_draw_sequence_is_version_pinned() {
     }
 }
 
+/// One heavy-tailed release, pinned by the FNV-1a digest of its `.agb`
+/// bytes. The toy and Last.fm inputs behind the other pins have short,
+/// similar-length neighbour lists; this Pokec stand-in (d_max 1174, average
+/// degree 12.6) makes the Ladder sensitivity and TriCycLe's rewiring
+/// intersect a hub's list with a leaf's, so a change to either kernel that
+/// moved a count would move these bytes.
+#[test]
+fn heavy_tailed_tricycle_release_is_pinned() {
+    let input = generate_dataset(&DatasetSpec::pokec().scaled(0.02), 2016).expect("dataset");
+    let config = AgmConfig {
+        privacy: Privacy::Dp { epsilon: 1.0 },
+        model: StructuralModelKind::TriCycLe,
+        threads: 2,
+        ..AgmConfig::default()
+    };
+    let mut rng = Rng::seed_from_u64(14);
+    let release = synthesize(&input, &config, &mut rng).expect("synthesis");
+    let digest = io::fnv1a64(&io::to_binary(&release));
+    assert_eq!(
+        digest, 0xa930_4ff9_b498_5376,
+        "heavy-tailed release bytes moved: {digest:#018x}"
+    );
+}
+
 /// The sampler rewrite must not buy determinism by waiving lints: the
 /// workspace lints clean with **zero waivers**, not just zero unwaived
 /// findings. (`crates/analysis/tests/workspace_clean.rs` pins the latter;
