@@ -2,10 +2,11 @@
 //!
 //! Two costs matter for the harness as a utility-regression backstop:
 //!
-//! * `utility_report_compare` — scoring one (original, synthetic) pair on
-//!   every metric column (degree histograms, CCDFs, assortativity, Θ_F,
-//!   attribute correlations, triangles/clustering). This is the per-trial
-//!   overhead the harness adds on top of synthesis itself.
+//! * `utility_report_compare` — profiling one (original, synthetic) pair
+//!   and scoring it on every metric column with `UtilityReport::between`
+//!   (degree histograms, CCDFs, assortativity, Θ_F, attribute correlations,
+//!   triangles/clustering). The harness profiles each original once, so its
+//!   per-trial overhead on top of synthesis is the synthetic half of this.
 //! * `plan_run_toy_grid` — a complete small plan end to end (parse → grid →
 //!   trials → aggregates → artifacts), the unit CI's `eval-smoke` pays for.
 
@@ -14,7 +15,7 @@ use std::hint::black_box;
 
 use agmdp_core::workflow::{synthesize, AgmConfig, Privacy, StructuralModelKind};
 use agmdp_datasets::{generate_dataset, DatasetSpec};
-use agmdp_eval::{EvalPlan, UtilityReport};
+use agmdp_eval::{EvalPlan, GraphProfile, UtilityReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,7 +32,13 @@ fn evalharness(c: &mut Criterion) {
         };
         let mut rng = StdRng::seed_from_u64(7);
         let synthetic = synthesize(&input, &config, &mut rng).expect("synthesis");
-        b.iter(|| black_box(UtilityReport::compare(&input, &synthetic)));
+        b.iter(|| {
+            let original = GraphProfile::of(&input);
+            black_box(UtilityReport::between(
+                &original,
+                &GraphProfile::of(&synthetic),
+            ))
+        });
     });
 
     group.bench_function("plan_run_toy_grid", |b| {

@@ -4,8 +4,9 @@
 //!
 //! The measured operations are the pipeline's hot read-only traversals —
 //! triangle counting, global clustering, the degree-distribution KS
-//! statistic and a full [`GraphComparison`] (every structural metric column
-//! at once) — run on identical graphs, so any timing difference is purely
+//! statistic and a full fidelity score (`comparison`: two fresh
+//! [`GraphProfile`]s scored by [`UtilityReport::between`], every metric
+//! column at once) — run on identical graphs, so any timing difference is purely
 //! the memory layout: one contiguous CSR scan versus one heap-allocated
 //! `Vec` per node. Freezing itself is also timed (`freeze`), since every
 //! consumer pays it exactly once per graph.
@@ -31,12 +32,12 @@ use agmdp_core::params::{ThetaF, ThetaM, ThetaX};
 use agmdp_core::workflow::{
     synthesize_from_parameters, AgmConfig, LearnedParameters, Privacy, StructuralModelKind,
 };
+use agmdp_eval::{GraphProfile, UtilityReport};
 use agmdp_graph::clustering::global_clustering;
 use agmdp_graph::degree::DegreeSequence;
 use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::{io, AttributeSchema, AttributedGraph, FrozenGraph};
 use agmdp_metrics::distance::ks_statistic;
-use agmdp_metrics::GraphComparison;
 
 /// An `n`-node FCL workload (average degree ≈ 6, one binary attribute with
 /// homophilic edge correlations) — the same synthetic shape the parallel
@@ -114,10 +115,22 @@ fn graphops(c: &mut Criterion) {
         });
 
         group.bench_function(format!("comparison_adj_{label}"), |b| {
-            b.iter(|| black_box(GraphComparison::compare(&original, &synthetic)));
+            b.iter(|| {
+                let original = GraphProfile::of(&original);
+                black_box(UtilityReport::between(
+                    &original,
+                    &GraphProfile::of(&synthetic),
+                ))
+            });
         });
         group.bench_function(format!("comparison_csr_{label}"), |b| {
-            b.iter(|| black_box(GraphComparison::compare(&original_csr, &synthetic_csr)));
+            b.iter(|| {
+                let original = GraphProfile::of(&original_csr);
+                black_box(UtilityReport::between(
+                    &original,
+                    &GraphProfile::of(&synthetic_csr),
+                ))
+            });
         });
 
         // The three `.agb` load tiers over the same graph on disk. The mmap

@@ -19,10 +19,8 @@ use agmdp_core::workflow::{
     synthesize, synthesize_from_parameters, AgmConfig, LearnedParameters, Privacy,
     StructuralModelKind,
 };
-use agmdp_core::ThetaF;
+use agmdp_eval::{GraphProfile, UtilityReport};
 use agmdp_graph::components::connected_components;
-use agmdp_metrics::distance::hellinger_distance;
-use agmdp_metrics::GraphComparison;
 use agmdp_privacy::budget::BudgetSplit;
 
 const EPSILON: f64 = std::f64::consts::LN_2;
@@ -34,7 +32,7 @@ fn main() {
     let mut records = Vec::new();
 
     for ds in &datasets {
-        let truth_f = ThetaF::from_graph(&ds.graph);
+        let input = GraphProfile::of(&ds.graph);
         let mut rng = rng_for(&args, &format!("ablation-{}", ds.spec.name));
         println!(
             "\n=== {} (epsilon = ln 2, {} trials per row) ===\n",
@@ -63,13 +61,9 @@ fn main() {
                 let c = connected_components(&synth);
                 orphans.push(c.orphaned_nodes().len() as f64);
                 comps.push(c.count() as f64);
-                let report = GraphComparison::compare(&ds.graph, &synth);
+                let report = UtilityReport::between(&input, &GraphProfile::of(&synth));
                 ks.push(report.ks_degree);
-                let achieved = ThetaF::from_graph(&synth);
-                hf.push(hellinger_distance(
-                    truth_f.probabilities(),
-                    achieved.probabilities(),
-                ));
+                hf.push(report.attr_edge_hellinger);
             }
             println!(
                 "{:<12} {:>16.1} {:>12.1} {:>10.3} {:>10.3}",
@@ -103,12 +97,9 @@ fn main() {
             let mut ks = Vec::new();
             for _ in 0..trials {
                 let synth = synthesize(&ds.graph, &config, &mut rng).expect("synthesis");
-                let achieved = ThetaF::from_graph(&synth);
-                hf.push(hellinger_distance(
-                    truth_f.probabilities(),
-                    achieved.probabilities(),
-                ));
-                ks.push(GraphComparison::compare(&ds.graph, &synth).ks_degree);
+                let report = UtilityReport::between(&input, &GraphProfile::of(&synth));
+                hf.push(report.attr_edge_hellinger);
+                ks.push(report.ks_degree);
             }
             println!("{:<12} {:>10.3} {:>10.3}", iterations, mean(&hf), mean(&ks));
             records.push(
@@ -173,12 +164,8 @@ fn main() {
                 };
                 let synth =
                     synthesize_from_parameters(&params, &config, &mut rng).expect("synthesis");
-                let achieved = ThetaF::from_graph(&synth);
-                hf.push(hellinger_distance(
-                    truth_f.probabilities(),
-                    achieved.probabilities(),
-                ));
-                let report = GraphComparison::compare(&ds.graph, &synth);
+                let report = UtilityReport::between(&input, &GraphProfile::of(&synth));
+                hf.push(report.attr_edge_hellinger);
                 ks.push(report.ks_degree);
                 tri.push(report.triangle_count_re);
             }

@@ -13,12 +13,11 @@
 //! ```
 
 use agmdp_bench::{load_datasets, maybe_write_json, rng_for, ExperimentArgs, ResultRecord};
-use agmdp_graph::clustering::{average_local_clustering, local_clustering_coefficients};
+use agmdp_eval::{GraphProfile, UtilityReport};
+use agmdp_graph::clustering::local_clustering_coefficients;
 use agmdp_graph::degree::DegreeSequence;
-use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::AttributedGraph;
 use agmdp_metrics::ccdf::{ccdf_at, ccdf_points};
-use agmdp_metrics::distance::{hellinger_distance, ks_statistic, relative_error};
 use agmdp_models::{ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel};
 
 const DEGREE_GRID: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
@@ -33,7 +32,7 @@ fn main() {
         let input = &ds.graph;
         let mut rng = rng_for(&args, &format!("fig23-{}", ds.spec.name));
         let degrees = input.degrees();
-        let triangles = count_triangles(input);
+        let original = GraphProfile::of(input);
 
         let fcl = ChungLuModel::new(degrees.clone())
             .expect("valid degrees")
@@ -44,7 +43,7 @@ fn main() {
             .expect("TCL fit")
             .generate(&GenerateRequest::default(), &mut rng)
             .expect("TCL generation");
-        let tricycle = TriCycLeModel::new(degrees, triangles)
+        let tricycle = TriCycLeModel::new(degrees, original.clustering.triangles)
             .expect("valid parameters")
             .generate(&GenerateRequest::default(), &mut rng)
             .expect("TriCycLe generation");
@@ -55,34 +54,32 @@ fn main() {
             "{:<10} {:>9} {:>9} {:>10} {:>10} {:>12} {:>10}",
             "model", "KS(deg)", "H(deg)", "triangles", "tri RE", "avg clust", "clust RE"
         );
-        let input_dist = DegreeSequence::from_graph(input).distribution();
-        let input_clust = average_local_clustering(input);
         for (name, g) in [
             ("input", input),
             ("FCL", &fcl),
             ("TCL", &tcl),
             ("TriCycLe", &tricycle),
         ] {
-            let dist = DegreeSequence::from_graph(g).distribution();
-            let c = average_local_clustering(g);
-            let tri = count_triangles(g);
+            let profile = GraphProfile::of(g);
+            let report = UtilityReport::between(&original, &profile);
+            let clustering = profile.clustering;
             println!(
                 "{:<10} {:>9.3} {:>9.3} {:>10} {:>10.3} {:>12.3} {:>10.3}",
                 name,
-                ks_statistic(&input_dist, &dist),
-                hellinger_distance(&input_dist, &dist),
-                tri,
-                relative_error(triangles as f64, tri as f64),
-                c,
-                relative_error(input_clust, c),
+                report.ks_degree,
+                report.hellinger_degree,
+                clustering.triangles,
+                report.triangle_count_re,
+                clustering.average_local,
+                report.avg_clustering_re,
             );
             records.push(
                 ResultRecord::new("fig2_fig3", &ds.spec.name)
                     .with_param("model", name)
-                    .with_metric("ks_degree", ks_statistic(&input_dist, &dist))
-                    .with_metric("hellinger_degree", hellinger_distance(&input_dist, &dist))
-                    .with_metric("triangles", tri as f64)
-                    .with_metric("avg_clustering", c),
+                    .with_metric("ks_degree", report.ks_degree)
+                    .with_metric("hellinger_degree", report.hellinger_degree)
+                    .with_metric("triangles", clustering.triangles as f64)
+                    .with_metric("avg_clustering", clustering.average_local),
             );
         }
 

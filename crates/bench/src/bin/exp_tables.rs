@@ -16,51 +16,23 @@ use agmdp_bench::{load_datasets, maybe_write_json, mean, rng_for, ExperimentArgs
 use agmdp_core::workflow::{
     learn_parameters, synthesize_from_parameters, AgmConfig, Privacy, StructuralModelKind,
 };
-use agmdp_core::ThetaF;
-use agmdp_graph::clustering::{average_local_clustering, global_clustering};
-use agmdp_graph::degree::DegreeSequence;
-use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::AttributedGraph;
-use agmdp_metrics::distance::{
-    hellinger_distance, ks_statistic, mean_relative_error, relative_error,
-};
+use agmdp_eval::{GraphProfile, UtilityReport};
+use agmdp_metrics::distance::{hellinger_distance, mean_absolute_error, mean_relative_error};
 use agmdp_models::baselines::{uniform_correlation_distribution, uniform_edge_graph};
 
-struct InputStats {
-    theta_f: ThetaF,
-    degree_dist: Vec<f64>,
-    triangles: f64,
-    avg_clustering: f64,
-    global_clustering: f64,
-    edges: f64,
-}
-
-impl InputStats {
-    fn of(graph: &AttributedGraph) -> Self {
-        Self {
-            theta_f: ThetaF::from_graph(graph),
-            degree_dist: DegreeSequence::from_graph(graph).distribution(),
-            triangles: count_triangles(graph) as f64,
-            avg_clustering: average_local_clustering(graph),
-            global_clustering: global_clustering(graph),
-            edges: graph.num_edges() as f64,
-        }
-    }
-
-    fn row_against(&self, synth: &AttributedGraph) -> [f64; 8] {
-        let achieved_f = ThetaF::from_graph(synth);
-        let dist = DegreeSequence::from_graph(synth).distribution();
-        [
-            mean_relative_error(self.theta_f.probabilities(), achieved_f.probabilities()),
-            hellinger_distance(self.theta_f.probabilities(), achieved_f.probabilities()),
-            ks_statistic(&self.degree_dist, &dist),
-            hellinger_distance(&self.degree_dist, &dist),
-            relative_error(self.triangles, count_triangles(synth) as f64),
-            relative_error(self.avg_clustering, average_local_clustering(synth)),
-            relative_error(self.global_clustering, global_clustering(synth)),
-            relative_error(self.edges, synth.num_edges() as f64),
-        ]
-    }
+/// The table columns of one synthetic graph against its input.
+fn row(input: &GraphProfile, synth: &GraphProfile) -> [f64; 8] {
+    let report = UtilityReport::between(input, synth);
+    [
+        mean_relative_error(input.theta_f.probabilities(), synth.theta_f.probabilities()),
+        report.attr_edge_hellinger,
+        report.ks_degree,
+        report.hellinger_degree,
+        report.triangle_count_re,
+        report.avg_clustering_re,
+        report.global_clustering_re,
+        report.edge_count_re,
+    ]
 }
 
 const COLUMNS: [&str; 8] = [
@@ -74,7 +46,7 @@ fn main() {
     let mut records = Vec::new();
 
     for ds in &datasets {
-        let stats = InputStats::of(&ds.graph);
+        let input = GraphProfile::of(&ds.graph);
         let mut rng = rng_for(&args, &format!("tables-{}", ds.spec.name));
         let epsilons: Vec<(String, Privacy)> = if ds.spec.name.starts_with("pokec") {
             vec![
@@ -127,8 +99,8 @@ fn main() {
                         .expect("parameter learning succeeds");
                     let synth = synthesize_from_parameters(&params, &config, &mut rng)
                         .expect("synthesis succeeds");
-                    let row = stats.row_against(&synth);
-                    for (col, value) in columns.iter_mut().zip(row) {
+                    let synth = GraphProfile::of(&synth);
+                    for (col, value) in columns.iter_mut().zip(row(&input, &synth)) {
                         col.push(value);
                     }
                     let _ = trial;
@@ -152,27 +124,22 @@ fn main() {
 
         // Calibration baselines quoted in Section 5.2.
         let uniform_corr = uniform_correlation_distribution(ds.graph.schema());
-        let h_uniform = hellinger_distance(stats.theta_f.probabilities(), &uniform_corr);
-        let mae_uniform = agmdp_metrics::distance::mean_absolute_error(
-            stats.theta_f.probabilities(),
-            &uniform_corr,
-        );
+        let h_uniform = hellinger_distance(input.theta_f.probabilities(), &uniform_corr);
+        let mae_uniform = mean_absolute_error(input.theta_f.probabilities(), &uniform_corr);
         let uniform_graph =
             uniform_edge_graph(ds.graph.num_nodes(), ds.graph.num_edges(), &mut rng)
                 .expect("uniform graph");
-        let uniform_dist = DegreeSequence::from_graph(&uniform_graph).distribution();
-        let ks_uniform = ks_statistic(&stats.degree_dist, &uniform_dist);
-        let h_deg_uniform = hellinger_distance(&stats.degree_dist, &uniform_dist);
+        let uniform = UtilityReport::between(&input, &GraphProfile::of(&uniform_graph));
         println!(
             "{:<14} {:<14} uniform-correlation baseline: MAE = {:.3}, H = {:.3}; uniform-edge baseline: KS = {:.3}, H = {:.3}",
-            "baseline", "-", mae_uniform, h_uniform, ks_uniform, h_deg_uniform
+            "baseline", "-", mae_uniform, h_uniform, uniform.ks_degree, uniform.hellinger_degree
         );
         records.push(
             ResultRecord::new("tables2-5-baseline", &ds.spec.name)
                 .with_metric("uniform_correlation_mae", mae_uniform)
                 .with_metric("uniform_correlation_hellinger", h_uniform)
-                .with_metric("uniform_edge_ks", ks_uniform)
-                .with_metric("uniform_edge_hellinger", h_deg_uniform),
+                .with_metric("uniform_edge_ks", uniform.ks_degree)
+                .with_metric("uniform_edge_hellinger", uniform.hellinger_degree),
         );
     }
 

@@ -23,6 +23,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use agmdp_datasets::{generate_dataset, DatasetSpec};
+use agmdp_graph::io::fnv1a64;
 use agmdp_graph::AttributedGraph;
 
 /// Command-line options shared by all experiment binaries.
@@ -135,7 +136,7 @@ pub fn load_datasets(args: &ExperimentArgs) -> Vec<ExperimentDataset> {
         .into_iter()
         .map(|spec| {
             let started = std::time::Instant::now();
-            let graph = generate_dataset(&spec, args.seed ^ hash_name(&spec.name))
+            let graph = generate_dataset(&spec, args.seed ^ fnv1a64(spec.name.as_bytes()))
                 .expect("dataset generation succeeds");
             eprintln!(
                 "[setup] generated {:<14} n = {:>7}, m = {:>8}, triangles = {:>9} ({:.1?})",
@@ -150,16 +151,10 @@ pub fn load_datasets(args: &ExperimentArgs) -> Vec<ExperimentDataset> {
         .collect()
 }
 
-fn hash_name(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// A deterministic RNG derived from the experiment seed and a context label.
 #[must_use]
 pub fn rng_for(args: &ExperimentArgs, label: &str) -> StdRng {
-    StdRng::seed_from_u64(args.seed ^ hash_name(label))
+    StdRng::seed_from_u64(args.seed ^ fnv1a64(label.as_bytes()))
 }
 
 /// A generic result record: experiment id, dataset, free-form parameter

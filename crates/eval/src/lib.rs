@@ -13,9 +13,12 @@
 //!   of `agmdp_models::parallel` with per-trial ChaCha streams derived via
 //!   `derive_chunk_seed(master, trial)`, so a whole grid is bit-identical at
 //!   any thread count.
-//! * [`report::UtilityReport`] — every metric column: degree KS (CDF and
-//!   CCDF), Hellinger, degree assortativity, attribute–edge (Θ_F Hellinger),
-//!   attribute–attribute and attribute–degree correlation distances, and the
+//! * [`report::GraphProfile`] — the one whole-graph summary the CLI, the
+//!   service, the harness and the experiment binaries read, and
+//!   [`report::UtilityReport::between`] — the one fidelity score over two
+//!   profiles: degree KS (CDF and CCDF), Hellinger, degree assortativity,
+//!   attribute–edge (Θ_F Hellinger), attribute–attribute and
+//!   attribute–degree correlation distances, and the
 //!   triangle/clustering/edge-count relative errors.
 //! * [`output`] — deterministic JSON/CSV/markdown artifact rendering; the
 //!   `eval-smoke` CI job diffs `aggregates.json` against a checked-in golden

@@ -1,10 +1,14 @@
-//! The per-trial utility report and its aggregation arithmetic.
+//! The graph profile, the per-trial utility report and its aggregation
+//! arithmetic.
 //!
-//! [`UtilityReport`] bundles every metric column of the harness for one
-//! (original, synthetic) pair: the structural columns the paper's tables
-//! report (degree KS/Hellinger, triangle/clustering/edge-count relative
-//! errors), the attribute–edge correlation distance (Hellinger on Θ_F), and
-//! the joint-structure measures added for the reproduction's results book
+//! [`GraphProfile`] is the one whole-graph summary: sizes, degrees, `n_Δ`,
+//! `C̄`, `C`, `Θ_F` and the distributions the distances compare.
+//! [`UtilityReport::between`] is the one fidelity score: it bundles every
+//! metric column of the harness for one (original, synthetic) pair of
+//! profiles: the structural columns the paper's tables report (degree
+//! KS/Hellinger, triangle/clustering/edge-count relative errors), the
+//! attribute–edge correlation distance (Hellinger on Θ_F), and the
+//! joint-structure measures added for the reproduction's results book
 //! (degree-CCDF KS, degree assortativity, attribute–attribute and
 //! attribute–degree correlation distances).
 //!
@@ -15,57 +19,64 @@
 use serde::{Deserialize, Serialize};
 
 use agmdp_core::ThetaF;
-use agmdp_graph::clustering::{average_local_clustering, global_clustering};
+use agmdp_graph::clustering::ClusteringSummary;
 use agmdp_graph::degree::DegreeSequence;
-use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::{AttributedGraph, GraphView};
+use agmdp_graph::GraphView;
 use agmdp_metrics::assortativity::degree_assortativity;
 use agmdp_metrics::correlation::{
     attribute_attribute_correlations, attribute_degree_correlations, correlation_distance,
 };
 use agmdp_metrics::distance::{hellinger_distance, ks_ccdf, ks_statistic, relative_error};
 
-/// The original-side half of every metric column, computed once per input
-/// graph and reused across trials (the harness compares many synthetic
-/// samples against one original, and the service scores every release of a
-/// dataset against the same registered graph — recomputing the original's
-/// triangles, clustering and correlations per comparison would dominate the
-/// scoring cost).
+/// Every whole-graph statistic the system reports, one traversal per
+/// statistic family (one triangle pass for `n_Δ`, `C̄` and `C`): the CLI
+/// prints it, the service serves it, and [`UtilityReport::between`] scores
+/// a synthetic graph's profile against its original's.
+///
+/// The harness and the service profile each input once and reuse it across
+/// every release scored against it, and profile each release once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphProfile {
+    /// Number of nodes.
+    pub nodes: usize,
+    /// Number of edges, `m`.
+    pub edges: usize,
+    /// Maximum degree.
+    pub max_degree: usize,
+    /// Average degree `2m / n`.
+    pub avg_degree: f64,
+    /// `n_Δ`, `C̄` and `C`, from one per-node triangle count.
+    pub clustering: ClusteringSummary,
+    /// The attribute–edge correlation distribution `Θ_F`.
+    pub theta_f: ThetaF,
     degree_distribution: Vec<f64>,
     degree_ccdf: Vec<f64>,
     assortativity: f64,
-    theta_f: Vec<f64>,
     attr_attr: Vec<f64>,
     attr_degree: Vec<f64>,
-    triangles: f64,
-    avg_clustering: f64,
-    global_clustering: f64,
-    edges: f64,
 }
 
 impl GraphProfile {
-    /// Precomputes every original-side statistic of `graph`.
+    /// Computes every statistic of `graph`.
     ///
-    /// Accepts any [`GraphView`]; callers that profile a long-lived input
-    /// (the harness, the service registry) should pass the frozen CSR
-    /// snapshot so the whole-graph traversals below stream linearly through
-    /// memory.
+    /// Accepts any [`GraphView`], with bit-identical results in either
+    /// representation; pass the frozen CSR snapshot where one exists so the
+    /// whole-graph traversals stream linearly through memory.
     #[must_use]
     pub fn of<G: GraphView>(graph: &G) -> Self {
         let distribution = DegreeSequence::from_graph(graph).distribution();
         Self {
+            nodes: graph.num_nodes(),
+            edges: graph.num_edges(),
+            max_degree: graph.max_degree(),
+            avg_degree: graph.avg_degree(),
+            clustering: ClusteringSummary::of(graph),
+            theta_f: ThetaF::from_graph(graph),
             degree_ccdf: ccdf_of(&distribution),
             degree_distribution: distribution,
             assortativity: degree_assortativity(graph),
-            theta_f: ThetaF::from_graph(graph).probabilities().to_vec(),
             attr_attr: attribute_attribute_correlations(graph),
             attr_degree: attribute_degree_correlations(graph),
-            triangles: count_triangles(graph) as f64,
-            avg_clustering: average_local_clustering(graph),
-            global_clustering: global_clustering(graph),
-            edges: graph.num_edges() as f64,
         }
     }
 }
@@ -137,55 +148,32 @@ impl UtilityReport {
         "edge_count_re",
     ];
 
-    /// Compares `synthetic` against `original` on every metric column.
-    ///
-    /// One-shot convenience over [`UtilityReport::against`]; when the same
-    /// original is compared against many synthetic samples, build its
-    /// [`GraphProfile`] once and call `against` directly.
+    /// Scores a synthetic graph against its original on every metric
+    /// column, from the two graphs' profiles.
     #[must_use]
-    pub fn compare(original: &AttributedGraph, synthetic: &AttributedGraph) -> Self {
-        Self::against(&GraphProfile::of(original), synthetic)
-    }
-
-    /// Scores `synthetic` against a precomputed original-side [`GraphProfile`].
-    ///
-    /// Accepts any [`GraphView`]; the harness and the service freeze each
-    /// synthetic sample once and score the CSR snapshot, which leaves every
-    /// metric value bit-identical while the repeated traversals (degrees,
-    /// triangles, clustering, assortativity, correlations) run on flat
-    /// arrays.
-    #[must_use]
-    pub fn against<G: GraphView>(profile: &GraphProfile, synthetic: &G) -> Self {
-        let dist_synth = DegreeSequence::from_graph(synthetic).distribution();
-        let ccdf_synth = ccdf_of(&dist_synth);
-        let theta_f_synth = ThetaF::from_graph(synthetic);
+    pub fn between(original: &GraphProfile, synthetic: &GraphProfile) -> Self {
+        let (o, s) = (original, synthetic);
         Self {
-            ks_degree: ks_statistic(&profile.degree_distribution, &dist_synth),
-            ks_degree_ccdf: ks_ccdf(&profile.degree_ccdf, &ccdf_synth),
-            hellinger_degree: hellinger_distance(&profile.degree_distribution, &dist_synth),
-            assortativity_dist: (profile.assortativity - degree_assortativity(synthetic)).abs(),
+            ks_degree: ks_statistic(&o.degree_distribution, &s.degree_distribution),
+            ks_degree_ccdf: ks_ccdf(&o.degree_ccdf, &s.degree_ccdf),
+            hellinger_degree: hellinger_distance(&o.degree_distribution, &s.degree_distribution),
+            assortativity_dist: (o.assortativity - s.assortativity).abs(),
             attr_edge_hellinger: hellinger_distance(
-                &profile.theta_f,
-                theta_f_synth.probabilities(),
+                o.theta_f.probabilities(),
+                s.theta_f.probabilities(),
             ),
-            attr_attr_corr_dist: correlation_distance(
-                &profile.attr_attr,
-                &attribute_attribute_correlations(synthetic),
+            attr_attr_corr_dist: correlation_distance(&o.attr_attr, &s.attr_attr),
+            attr_degree_corr_dist: correlation_distance(&o.attr_degree, &s.attr_degree),
+            triangle_count_re: relative_error(
+                o.clustering.triangles as f64,
+                s.clustering.triangles as f64,
             ),
-            attr_degree_corr_dist: correlation_distance(
-                &profile.attr_degree,
-                &attribute_degree_correlations(synthetic),
-            ),
-            triangle_count_re: relative_error(profile.triangles, count_triangles(synthetic) as f64),
             avg_clustering_re: relative_error(
-                profile.avg_clustering,
-                average_local_clustering(synthetic),
+                o.clustering.average_local,
+                s.clustering.average_local,
             ),
-            global_clustering_re: relative_error(
-                profile.global_clustering,
-                global_clustering(synthetic),
-            ),
-            edge_count_re: relative_error(profile.edges, synthetic.num_edges() as f64),
+            global_clustering_re: relative_error(o.clustering.global, s.clustering.global),
+            edge_count_re: relative_error(o.edges as f64, s.edges as f64),
         }
     }
 
@@ -277,7 +265,11 @@ impl UtilityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agmdp_graph::AttributeSchema;
+    use agmdp_graph::{AttributeSchema, AttributedGraph};
+
+    fn score(original: &AttributedGraph, synthetic: &AttributedGraph) -> UtilityReport {
+        UtilityReport::between(&GraphProfile::of(original), &GraphProfile::of(synthetic))
+    }
 
     fn ring(n: usize) -> AttributedGraph {
         let mut g = AttributedGraph::new(n, AttributeSchema::new(2));
@@ -302,7 +294,7 @@ mod tests {
     #[test]
     fn identical_graphs_score_zero_everywhere() {
         let g = ring(8);
-        let r = UtilityReport::compare(&g, &g);
+        let r = score(&g, &g);
         for (name, v) in UtilityReport::METRIC_NAMES.iter().zip(r.values()) {
             assert!(v.abs() < 1e-12, "{name} = {v} on identical graphs");
         }
@@ -310,7 +302,7 @@ mod tests {
 
     #[test]
     fn different_graphs_score_positive_on_structural_columns() {
-        let r = UtilityReport::compare(&ring(8), &star(7));
+        let r = score(&ring(8), &star(7));
         assert!(r.ks_degree > 0.0);
         assert!(r.ks_degree_ccdf > 0.0);
         assert!(r.hellinger_degree > 0.0);
@@ -322,13 +314,13 @@ mod tests {
     #[test]
     fn ks_ccdf_column_equals_cdf_ks_column() {
         // CCDF(d) = 1 − CDF(d) on a shared support: the two KS columns agree.
-        let r = UtilityReport::compare(&ring(10), &star(9));
+        let r = score(&ring(10), &star(9));
         assert!((r.ks_degree - r.ks_degree_ccdf).abs() < 1e-12);
     }
 
     #[test]
     fn values_roundtrip_and_names_align() {
-        let r = UtilityReport::compare(&ring(6), &star(5));
+        let r = score(&ring(6), &star(5));
         assert_eq!(UtilityReport::from_values(r.values()), r);
         assert_eq!(UtilityReport::METRIC_NAMES.len(), NUM_METRICS);
         assert_eq!(UtilityReport::metric_index("ks_degree"), Some(0));
@@ -337,25 +329,16 @@ mod tests {
     }
 
     #[test]
-    fn against_profile_equals_direct_compare() {
-        let original = ring(9);
-        let synthetic = star(8);
-        let profile = GraphProfile::of(&original);
-        assert_eq!(
-            UtilityReport::against(&profile, &synthetic),
-            UtilityReport::compare(&original, &synthetic)
-        );
-    }
-
-    #[test]
     fn frozen_scoring_is_bit_identical_to_adjacency_scoring() {
         // The harness and the service freeze both sides before scoring; the
         // committed golden aggregates rely on that changing nothing.
         let original = ring(9);
         let synthetic = star(8);
-        let mutable = UtilityReport::against(&GraphProfile::of(&original), &synthetic);
-        let frozen =
-            UtilityReport::against(&GraphProfile::of(&original.freeze()), &synthetic.freeze());
+        let mutable = score(&original, &synthetic);
+        let frozen = UtilityReport::between(
+            &GraphProfile::of(&original.freeze()),
+            &GraphProfile::of(&synthetic.freeze()),
+        );
         assert_eq!(mutable, frozen);
         assert_eq!(
             GraphProfile::of(&original),

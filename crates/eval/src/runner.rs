@@ -154,16 +154,16 @@ impl EvalPlan {
                         self.epsilons[cell.epsilon].label()
                     )
                 })?;
-                // Freeze once per trial: all eleven metric columns traverse
-                // the CSR snapshot instead of the adjacency lists.
-                let frozen = synthetic.freeze();
+                // Freeze and profile once per trial: all eleven metric
+                // columns read the profile of the CSR snapshot.
+                let release = GraphProfile::of(&synthetic.freeze());
                 Ok(TrialRow {
                     dataset: label.clone(),
                     model: model.name().to_string(),
                     epsilon: self.epsilons[cell.epsilon].label(),
                     rep,
                     trial_seed: derive_chunk_seed(self.seed, trial as u64),
-                    metrics: UtilityReport::against(profile, &frozen),
+                    metrics: UtilityReport::between(profile, &release),
                 })
             });
 

@@ -10,6 +10,68 @@
 use crate::triangles::{count_triangles, count_wedges, triangles_per_node};
 use crate::view::GraphView;
 
+/// The triangle count `n_Δ`, average local clustering `C̄` and global
+/// clustering `C` of one graph, from a single [`triangles_per_node`] pass.
+///
+/// Each value is bit-identical to its standalone function
+/// ([`count_triangles`], [`average_local_clustering`],
+/// [`global_clustering`]): all three share the arithmetic below.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClusteringSummary {
+    /// Number of triangles, `n_Δ`.
+    pub triangles: u64,
+    /// Average of the local clustering coefficients, `C̄`.
+    pub average_local: f64,
+    /// Global clustering coefficient (transitivity), `C`.
+    pub global: f64,
+}
+
+impl ClusteringSummary {
+    /// Counts the triangles at every node of `g` once and derives all three
+    /// statistics from those counts.
+    #[must_use]
+    pub fn of<G: GraphView>(g: &G) -> Self {
+        let per_node = triangles_per_node(g);
+        // Every triangle is counted once at each of its three corners.
+        let triangles = per_node.iter().sum::<u64>() / 3;
+        Self {
+            triangles,
+            average_local: mean_local_coefficient(g, &per_node),
+            global: transitivity(triangles, count_wedges(g)),
+        }
+    }
+}
+
+/// `C_i` of a node of degree `degree` in `triangles` triangles (`0` below
+/// degree 2).
+fn local_coefficient(triangles: u64, degree: usize) -> f64 {
+    if degree < 2 {
+        0.0
+    } else {
+        2.0 * triangles as f64 / (degree as f64 * (degree as f64 - 1.0))
+    }
+}
+
+/// `C̄` from per-node triangle counts (`0` on the empty graph).
+fn mean_local_coefficient<G: GraphView>(g: &G, per_node: &[u64]) -> f64 {
+    if g.num_nodes() == 0 {
+        return 0.0;
+    }
+    g.nodes()
+        .map(|v| local_coefficient(per_node[v as usize], g.degree(v)))
+        .sum::<f64>()
+        / g.num_nodes() as f64
+}
+
+/// `C = 3 n_Δ / n_W` (`0` when the graph has no wedges).
+fn transitivity(triangles: u64, wedges: u64) -> f64 {
+    if wedges == 0 {
+        0.0
+    } else {
+        3.0 * triangles as f64 / wedges as f64
+    }
+}
+
 /// Local clustering coefficient of every node.
 ///
 /// Nodes with degree `< 2` have a local coefficient of `0`, following the
@@ -18,25 +80,14 @@ use crate::view::GraphView;
 pub fn local_clustering_coefficients<G: GraphView>(g: &G) -> Vec<f64> {
     let tri = triangles_per_node(g);
     g.nodes()
-        .map(|v| {
-            let d = g.degree(v);
-            if d < 2 {
-                0.0
-            } else {
-                2.0 * tri[v as usize] as f64 / (d as f64 * (d as f64 - 1.0))
-            }
-        })
+        .map(|v| local_coefficient(tri[v as usize], g.degree(v)))
         .collect()
 }
 
 /// Average of the local clustering coefficients, `C̄`.
 #[must_use]
 pub fn average_local_clustering<G: GraphView>(g: &G) -> f64 {
-    if g.num_nodes() == 0 {
-        return 0.0;
-    }
-    let coeffs = local_clustering_coefficients(g);
-    coeffs.iter().sum::<f64>() / g.num_nodes() as f64
+    mean_local_coefficient(g, &triangles_per_node(g))
 }
 
 /// Global clustering coefficient (transitivity), `C(G) = 3 n_Δ / n_W`.
@@ -44,12 +95,7 @@ pub fn average_local_clustering<G: GraphView>(g: &G) -> f64 {
 /// Returns `0` when the graph has no wedges.
 #[must_use]
 pub fn global_clustering<G: GraphView>(g: &G) -> f64 {
-    let wedges = count_wedges(g);
-    if wedges == 0 {
-        0.0
-    } else {
-        3.0 * count_triangles(g) as f64 / wedges as f64
-    }
+    transitivity(count_triangles(g), count_wedges(g))
 }
 
 /// Degree-wise clustering coefficients `c_d` as used by the BTER model

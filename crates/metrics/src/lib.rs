@@ -1,15 +1,15 @@
 //! # agmdp-metrics
 //!
-//! Evaluation statistics used by the AGM-DP paper's empirical analysis
-//! (Section 5.1): the Kolmogorov–Smirnov statistic and Hellinger distance
-//! between degree distributions (CDF- and CCDF-based), Hellinger distance
-//! and mean absolute / relative error between attribute-correlation
-//! distributions, degree assortativity, attribute–attribute and
-//! attribute–degree correlations, clustering comparisons, CCDF extraction
-//! for the figure reproductions, and a [`report::GraphComparison`] that
-//! bundles every structural column of Tables 2–5 for a
-//! (original, synthetic) graph pair. The `agmdp-eval` experiment harness
-//! builds its utility tables from exactly these functions.
+//! The distance and correlation functions behind the AGM-DP paper's
+//! empirical analysis (Section 5.1): the Kolmogorov–Smirnov statistic and
+//! Hellinger distance between degree distributions (CDF- and CCDF-based),
+//! Hellinger distance and mean absolute / relative error between
+//! attribute-correlation distributions, relative errors of scalar
+//! statistics, degree assortativity, attribute–attribute and
+//! attribute–degree correlations, and CCDF extraction for the figure
+//! reproductions. Whole graphs are summarised and scored by
+//! `agmdp_eval::GraphProfile` and `agmdp_eval::UtilityReport::between`,
+//! which are built from exactly these functions.
 //!
 //! ```
 //! use agmdp_metrics::distance::{hellinger_distance, mean_absolute_error};
@@ -27,7 +27,6 @@ pub mod assortativity;
 pub mod ccdf;
 pub mod correlation;
 pub mod distance;
-pub mod report;
 
 pub use assortativity::degree_assortativity;
 pub use ccdf::{ccdf_points, CcdfPoint};
@@ -38,4 +37,3 @@ pub use distance::{
     hellinger_distance, ks_ccdf, ks_statistic, mean_absolute_error, mean_relative_error,
     relative_error,
 };
-pub use report::GraphComparison;

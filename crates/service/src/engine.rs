@@ -27,8 +27,7 @@ use agmdp_core::workflow::{
     learn_parameters, synthesize_from_parameters_observed, AgmConfig, LearnedParameters, Privacy,
     StructuralModelKind,
 };
-use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::{io, AttributedGraph, FrozenGraph, GraphView, MappedGraph};
+use agmdp_graph::{io, AttributedGraph, FrozenGraph, MappedGraph};
 use agmdp_models::observe::{StageObserver, SynthesisStage};
 
 use agmdp_eval::{GraphProfile, UtilityReport};
@@ -55,6 +54,10 @@ const IN_FLIGHT_WAIT_SLICE: Duration = Duration::from_millis(50);
 /// Cap on per-request sampling threads — tighter than the workflow's own
 /// limit because a multi-tenant server multiplies it by concurrent jobs.
 pub const MAX_REQUEST_THREADS: usize = 64;
+
+/// Cap on a request's acceptance-refinement iterations (Algorithm 3's outer
+/// loop), which bounds the sampling work one request can demand.
+const MAX_REQUEST_ITERATIONS: usize = 64;
 
 /// Keys whose fit is currently being computed by some admitted request.
 ///
@@ -183,13 +186,13 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    fn of<G: GraphView>(graph: &G) -> Self {
+    fn of(profile: &GraphProfile) -> Self {
         Self {
-            nodes: graph.num_nodes(),
-            edges: graph.num_edges(),
-            triangles: count_triangles(graph),
-            max_degree: graph.max_degree(),
-            avg_degree: graph.avg_degree(),
+            nodes: profile.nodes,
+            edges: profile.edges,
+            triangles: profile.clustering.triangles,
+            max_degree: profile.max_degree,
+            avg_degree: profile.avg_degree,
         }
     }
 }
@@ -408,15 +411,7 @@ impl SynthesisEngine {
     #[must_use]
     pub fn store_lookup(&self, request: &SynthesisRequest) -> Option<SynthesisOutcome> {
         let store = self.store.as_ref()?;
-        if !(request.epsilon.is_finite() && request.epsilon > 0.0)
-            || request.refinement_iterations == 0
-            || request.refinement_iterations > 64
-            || request.threads == 0
-            || request.threads > MAX_REQUEST_THREADS
-            || self.registry.get(&request.dataset).is_err()
-        {
-            return None;
-        }
+        self.check_request(request).ok()?;
         let Some(release) = store.lookup(request) else {
             self.telemetry.record_release_store(false, 0);
             return None;
@@ -437,26 +432,33 @@ impl SynthesisEngine {
         })
     }
 
-    /// Synchronous admission: cache lookup, or a journaled ledger spend.
-    pub fn admit(&self, request: &SynthesisRequest) -> Result<Admission, ServiceError> {
+    /// The request checks shared by [`SynthesisEngine::admit`] and
+    /// [`SynthesisEngine::store_lookup`]: ε, iterations and threads in
+    /// range, and the dataset registered (even on the cache-hit path).
+    fn check_request(&self, request: &SynthesisRequest) -> Result<(), ServiceError> {
         if !(request.epsilon.is_finite() && request.epsilon > 0.0) {
             return Err(ServiceError::InvalidRequest(format!(
                 "epsilon must be positive and finite, got {}",
                 request.epsilon
             )));
         }
-        if request.refinement_iterations == 0 || request.refinement_iterations > 64 {
-            return Err(ServiceError::InvalidRequest(
-                "iterations must be in 1..=64".to_string(),
-            ));
+        if !(1..=MAX_REQUEST_ITERATIONS).contains(&request.refinement_iterations) {
+            return Err(ServiceError::InvalidRequest(format!(
+                "iterations must be in 1..={MAX_REQUEST_ITERATIONS}"
+            )));
         }
-        if request.threads == 0 || request.threads > MAX_REQUEST_THREADS {
+        if !(1..=MAX_REQUEST_THREADS).contains(&request.threads) {
             return Err(ServiceError::InvalidRequest(format!(
                 "threads must be in 1..={MAX_REQUEST_THREADS}"
             )));
         }
-        // The dataset must exist even on the cache-hit path.
         self.registry.get(&request.dataset)?;
+        Ok(())
+    }
+
+    /// Synchronous admission: cache lookup, or a journaled ledger spend.
+    pub fn admit(&self, request: &SynthesisRequest) -> Result<Admission, ServiceError> {
+        self.check_request(request)?;
         let key = request.fit_key();
         if let Some(params) = self.cache.get(&key) {
             self.telemetry.record_fit_cache(true);
@@ -627,16 +629,18 @@ impl SynthesisEngine {
         timer.stage_start(SynthesisStage::Freeze);
         let frozen = synthetic.freeze();
         timer.stage_end(SynthesisStage::Freeze);
-        // Score the release against the original (ε-free post-processing)
-        // and fold it into the per-dataset utility aggregate that
-        // `GET /evaluate` reports. The original's half of every metric is
-        // computed once per dataset and cached, so repeat requests — in
-        // particular the ε-free fit-cache hits — only pay for the
-        // synthetic side.
+        // Profile the release once and score it against the original
+        // (ε-free post-processing); the job's stats read the same profile.
+        // The utility is folded into the per-dataset aggregate that
+        // `GET /evaluate` reports. The original's profile is computed once
+        // per dataset and cached, so repeat requests — in particular the
+        // ε-free fit-cache hits — only pay for the synthetic side.
         timer.stage_start(SynthesisStage::Score);
-        let profile = self.dataset_profile(&request.dataset)?;
-        let utility = UtilityReport::against(&profile, &frozen);
+        let original = self.dataset_profile(&request.dataset)?;
+        let release = GraphProfile::of(&frozen);
+        let utility = UtilityReport::between(&original, &release);
         self.evaluations.record(&request.dataset, &utility);
+        let stats = GraphStats::of(&release);
         timer.stage_end(SynthesisStage::Score);
         let graph_text = if request.return_graph {
             timer.stage_start(SynthesisStage::Serialize);
@@ -646,7 +650,6 @@ impl SynthesisEngine {
         } else {
             None
         };
-        let stats = GraphStats::of(&frozen);
         // Publish the release into the store (when configured) so identical
         // future requests skip the job entirely. Best-effort: a full disk
         // must not fail a synthesis that already succeeded, so the error is

@@ -1043,16 +1043,7 @@ fn outcome_value(outcome: &SynthesisOutcome) -> Value {
         ("epsilon", Value::Float(outcome.epsilon)),
         ("epsilon_spent", Value::Float(outcome.epsilon_spent)),
         ("cache_hit", Value::Bool(outcome.cache_hit)),
-        (
-            "stats",
-            obj(vec![
-                ("nodes", Value::UInt(outcome.stats.nodes as u64)),
-                ("edges", Value::UInt(outcome.stats.edges as u64)),
-                ("triangles", Value::UInt(outcome.stats.triangles)),
-                ("max_degree", Value::UInt(outcome.stats.max_degree as u64)),
-                ("avg_degree", Value::Float(outcome.stats.avg_degree)),
-            ]),
-        ),
+        ("stats", outcome.stats.to_json_value()),
         ("utility", outcome.utility.to_json_value()),
     ];
     if let Some(text) = &outcome.graph_text {
@@ -1598,6 +1589,46 @@ mod tests {
             0.0,
             "a restarted server re-serves the release for free"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stored_release_refuses_its_twin_with_out_of_range_threads() {
+        let dir = std::env::temp_dir().join(format!("agmdp_srv_threads_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let state = store_state(&dir);
+        let cold = post(
+            &state,
+            "/synthesize",
+            r#"{"dataset":"toy","epsilon":0.5,"seed":3}"#,
+        );
+        assert_eq!(cold.status, 202, "{}", cold.body);
+        let parsed = json::parse(&cold.body).unwrap();
+        let id = json::as_u64(json::get(&parsed, "job_id").unwrap()).unwrap();
+        assert!(matches!(wait_for_job(&state, id), JobState::Completed(_)));
+
+        // `threads` is not part of the release key: only the request check
+        // keeps the stored twin from answering these with a 202.
+        let budget = get(&state, "/budget/toy").body;
+        let store_hits = || {
+            let metrics = get(&state, "/metrics").body;
+            let hits = metrics
+                .lines()
+                .find(|l| l.starts_with("agmdp_release_store_hits_total"));
+            hits.map(str::to_string)
+        };
+        let hits = store_hits();
+        for threads in [0, crate::engine::MAX_REQUEST_THREADS + 1] {
+            let body = format!(r#"{{"dataset":"toy","epsilon":0.5,"seed":3,"threads":{threads}}}"#);
+            let refused = post(&state, "/synthesize", &body);
+            assert_eq!(refused.status, 400, "threads {threads}: {}", refused.body);
+        }
+        assert!(
+            state.jobs.get(id + 1).is_none(),
+            "a refused request made a job"
+        );
+        assert_eq!(get(&state, "/budget/toy").body, budget);
+        assert_eq!(store_hits(), hits);
         std::fs::remove_dir_all(&dir).ok();
     }
 

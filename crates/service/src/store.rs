@@ -29,6 +29,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use agmdp_eval::report::NUM_METRICS;
 use agmdp_eval::UtilityReport;
 use agmdp_graph::io::fnv1a64;
 use agmdp_graph::FrozenGraph;
@@ -211,7 +212,8 @@ impl ReleaseStore {
 /// Renders the sidecar JSON. Floats are written as `to_bits()` integers so
 /// the parse in [`ReleaseStore::lookup`] reproduces them bit-exactly.
 fn render_meta(key: &str, epsilon: f64, stats: &GraphStats, utility: &UtilityReport) -> String {
-    let utility_bits: Vec<String> = utility_values(utility)
+    let utility_bits: Vec<String> = utility
+        .values()
         .iter()
         .map(|v| v.to_bits().to_string())
         .collect();
@@ -234,23 +236,6 @@ fn render_meta(key: &str, epsilon: f64, stats: &GraphStats, utility: &UtilityRep
     )
 }
 
-/// The 11 utility metrics in `UtilityReport::METRIC_NAMES` order.
-fn utility_values(u: &UtilityReport) -> [f64; 11] {
-    [
-        u.ks_degree,
-        u.ks_degree_ccdf,
-        u.hellinger_degree,
-        u.assortativity_dist,
-        u.attr_edge_hellinger,
-        u.attr_attr_corr_dist,
-        u.attr_degree_corr_dist,
-        u.triangle_count_re,
-        u.avg_clustering_re,
-        u.global_clustering_re,
-        u.edge_count_re,
-    ]
-}
-
 fn parse_stats(v: &Value) -> Option<GraphStats> {
     let field = |key: &str| json::get(v, key).and_then(json::as_u64);
     Some(GraphStats {
@@ -264,26 +249,15 @@ fn parse_stats(v: &Value) -> Option<GraphStats> {
 
 fn parse_utility(v: &Value) -> Option<UtilityReport> {
     let Value::Array(items) = v else { return None };
-    let mut bits = items.iter().map(json::as_u64);
-    let mut next = || bits.next().flatten().map(f64::from_bits);
-    let report = UtilityReport {
-        ks_degree: next()?,
-        ks_degree_ccdf: next()?,
-        hellinger_degree: next()?,
-        assortativity_dist: next()?,
-        attr_edge_hellinger: next()?,
-        attr_attr_corr_dist: next()?,
-        attr_degree_corr_dist: next()?,
-        triangle_count_re: next()?,
-        avg_clustering_re: next()?,
-        global_clustering_re: next()?,
-        edge_count_re: next()?,
-    };
-    // Trailing entries mean a layout skew: degrade to a miss.
-    if bits.next().is_some() {
+    // A wrong entry count means a layout skew: degrade to a miss.
+    if items.len() != NUM_METRICS {
         return None;
     }
-    Some(report)
+    let mut values = [0.0; NUM_METRICS];
+    for (value, item) in values.iter_mut().zip(items) {
+        *value = f64::from_bits(json::as_u64(item)?);
+    }
+    Some(UtilityReport::from_values(values))
 }
 
 #[cfg(test)]
@@ -399,6 +373,17 @@ mod tests {
             .replace("\"version\":1", "\"version\":999");
         std::fs::write(store.meta_path(&stem), meta).unwrap();
         assert!(store.lookup(&request).is_none());
+
+        // One utility entry too few or too many.
+        let meta = render_meta(&ReleaseStore::release_key(&request), 0.5, &stats, &utility);
+        let entries = format!("{},", 0.125f64.to_bits());
+        for skewed in [
+            meta.replacen(&entries, "", 1),
+            meta.replacen(&entries, &entries.repeat(2), 1),
+        ] {
+            std::fs::write(store.meta_path(&stem), skewed).unwrap();
+            assert!(store.lookup(&request).is_none());
+        }
 
         // Key mismatch (as a hash collision would present).
         let meta = render_meta("v1;dataset=other", 0.5, &stats, &utility);

@@ -53,11 +53,10 @@ fn main() {
             }
         }
     }
+    let original = GraphProfile::of(&graph);
     println!(
         "input graph: {} nodes, {} edges, {} triangles",
-        graph.num_nodes(),
-        graph.num_edges(),
-        agmdp::graph::triangles::count_triangles(&graph)
+        original.nodes, original.edges, original.clustering.triangles
     );
 
     // 3. Publish a differentially private synthetic version.
@@ -67,7 +66,7 @@ fn main() {
         ..AgmConfig::default()
     };
     let synthetic = synthesize(&graph, &config, &mut rng).expect("synthesis succeeds");
-    let report = GraphComparison::compare(&graph, &synthetic);
+    let report = UtilityReport::between(&original, &GraphProfile::of(&synthetic));
     println!(
         "synthetic graph: {} edges | KS(degree) = {:.3} | clustering RE = {:.3}",
         synthetic.num_edges(),

@@ -14,12 +14,13 @@ fn main() {
     //    attributes); swap in `agmdp::graph::io::read_file("my.graph")` for
     //    real data.
     let input = agmdp::datasets::toy_social_graph();
+    let original = GraphProfile::of(&input);
     println!(
         "input graph: {} nodes, {} edges, {} triangles, avg clustering {:.3}",
-        input.num_nodes(),
-        input.num_edges(),
-        agmdp::graph::triangles::count_triangles(&input),
-        agmdp::graph::clustering::average_local_clustering(&input),
+        original.nodes,
+        original.edges,
+        original.clustering.triangles,
+        original.clustering.average_local,
     );
 
     // 2. Configure AGM-DP: a total privacy budget of ε = 1, TriCycLe as the
@@ -47,7 +48,7 @@ fn main() {
     for trial in 0..3 {
         let synthetic =
             synthesize_from_parameters(&params, &config, &mut rng).expect("synthesis succeeds");
-        let report = GraphComparison::compare(&input, &synthetic);
+        let report = UtilityReport::between(&original, &GraphProfile::of(&synthetic));
         println!(
             "synthetic #{trial}: {} edges | KS(deg) {:.3} | H(deg) {:.3} | triangle RE {:.3} | clustering RE {:.3}",
             synthetic.num_edges(),

@@ -20,7 +20,7 @@
 //! | [`core`] | AGM parameters, DP learners, the AGM-DP synthesis workflow |
 //! | [`metrics`] | KS / Hellinger / MRE / assortativity / correlation evaluation statistics |
 //! | [`datasets`] | synthetic stand-ins for the paper's four datasets |
-//! | [`eval`] | declarative, deterministic experiment harness (the paper's evaluation) |
+//! | [`eval`] | the graph profile and fidelity score, and the declarative, deterministic experiment harness (the paper's evaluation) |
 //! | [`obs`] | dependency-free metrics registry (Prometheus text exposition) and JSON tracing |
 //! | [`service`] | multi-tenant HTTP synthesis server: budget ledger, fitted-model cache, async jobs, `GET /metrics` |
 //! | [`analysis`] | `agmdp-lint`: static checks for the determinism, ε-flow, and panic-freedom invariants |
@@ -45,7 +45,9 @@
 //!
 //! // The synthetic graph can be published and analysed in place of the input.
 //! assert_eq!(synthetic.num_nodes(), input.num_nodes());
-//! let report = GraphComparison::compare(&input, &synthetic);
+//! // Score it against the input: profile each graph once, then compare.
+//! let (original, release) = (GraphProfile::of(&input), GraphProfile::of(&synthetic));
+//! let report = UtilityReport::between(&original, &release);
 //! assert!(report.ks_degree <= 1.0);
 //! ```
 
@@ -72,9 +74,10 @@ pub mod prelude {
     };
     pub use agmdp_core::{ThetaF, ThetaM, ThetaX};
     pub use agmdp_datasets::{generate_dataset, toy_social_graph, DatasetSpec};
-    pub use agmdp_eval::{DatasetRef, EpsilonSpec, EvalPlan, EvalReport, UtilityReport};
+    pub use agmdp_eval::{
+        DatasetRef, EpsilonSpec, EvalPlan, EvalReport, GraphProfile, UtilityReport,
+    };
     pub use agmdp_graph::{AttributeSchema, AttributedGraph, FrozenGraph, GraphBuilder, GraphView};
-    pub use agmdp_metrics::GraphComparison;
     pub use agmdp_models::{
         ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel,
     };

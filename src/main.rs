@@ -37,14 +37,11 @@ use rand::SeedableRng;
 
 use agmdp::core::correlations_dp::CorrelationMethod;
 use agmdp::core::workflow::{synthesize, AgmConfig, Privacy, StructuralModelKind};
-use agmdp::core::{ThetaF, ThetaX};
+use agmdp::core::ThetaX;
 use agmdp::datasets::{generate_dataset, DatasetSpec};
-use agmdp::eval::EvalPlan;
-use agmdp::graph::clustering::{average_local_clustering, global_clustering};
+use agmdp::eval::{EvalPlan, GraphProfile, UtilityReport};
 use agmdp::graph::components::connected_components;
-use agmdp::graph::triangles::count_triangles;
 use agmdp::graph::{io, GraphView};
-use agmdp::metrics::GraphComparison;
 use agmdp::service::{self, ServiceConfig};
 
 use args::FlagSet;
@@ -176,24 +173,24 @@ fn run(args: &[String], out: &mut impl Write) -> CmdResult {
     }
 }
 
-fn print_stats<G: GraphView>(graph: &G, out: &mut impl Write) -> std::io::Result<()> {
+fn print_stats<G: GraphView>(
+    graph: &G,
+    profile: &GraphProfile,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
     let comps = connected_components(graph);
-    writeln!(out, "nodes               : {}", graph.num_nodes())?;
-    writeln!(out, "edges               : {}", graph.num_edges())?;
+    writeln!(out, "nodes               : {}", profile.nodes)?;
+    writeln!(out, "edges               : {}", profile.edges)?;
     writeln!(out, "attribute width (w) : {}", graph.schema().width())?;
-    writeln!(out, "max degree          : {}", graph.max_degree())?;
-    writeln!(out, "avg degree          : {:.2}", graph.avg_degree())?;
-    writeln!(out, "triangles           : {}", count_triangles(graph))?;
-    writeln!(
-        out,
-        "avg local clustering: {:.4}",
-        average_local_clustering(graph)
-    )?;
-    writeln!(out, "global clustering   : {:.4}", global_clustering(graph))?;
+    writeln!(out, "max degree          : {}", profile.max_degree)?;
+    writeln!(out, "avg degree          : {:.2}", profile.avg_degree)?;
+    let clustering = profile.clustering;
+    writeln!(out, "triangles           : {}", clustering.triangles)?;
+    writeln!(out, "avg local clustering: {:.4}", clustering.average_local)?;
+    writeln!(out, "global clustering   : {:.4}", clustering.global)?;
     writeln!(out, "connected components: {}", comps.count())?;
     if graph.schema().width() > 0 {
         let tx = ThetaX::from_graph(graph);
-        let tf = ThetaF::from_graph(graph);
         writeln!(
             out,
             "Theta_X             : {:?}",
@@ -202,7 +199,7 @@ fn print_stats<G: GraphView>(graph: &G, out: &mut impl Write) -> std::io::Result
         writeln!(
             out,
             "Theta_F             : {:?}",
-            round3(tf.probabilities())
+            round3(profile.theta_f.probabilities())
         )?;
     }
     Ok(())
@@ -218,7 +215,7 @@ fn cmd_stats(args: &[String], out: &mut impl Write) -> CmdResult {
     // read-only statistics run on.
     let graph = io::load_frozen_file(path).map_err(|e| format!("failed to read {path}: {e}"))?;
     writeln!(out, "graph: {path}")?;
-    print_stats(&graph, out)?;
+    print_stats(&graph, &GraphProfile::of(&graph), out)?;
     Ok(())
 }
 
@@ -277,14 +274,17 @@ fn cmd_synthesize(args: &[String], out: &mut impl Write) -> CmdResult {
         synthesize(&graph, &config, &mut rng).map_err(|e| format!("synthesis failed: {e}"))?;
     write_graph_file(&synthetic, &output, None)?;
 
-    // The synthetic graph is done mutating: freeze it once and run the
-    // statistics and the fidelity report on the CSR snapshots.
+    // The synthetic graph is done mutating: freeze it once, profile both
+    // CSR graphs once, and print the statistics and the fidelity line from
+    // the two profiles.
     let frozen_synthetic = synthetic.freeze();
+    let original = GraphProfile::of(&graph);
+    let release = GraphProfile::of(&frozen_synthetic);
     writeln!(out, "input  ({input}):")?;
-    print_stats(&graph, out)?;
+    print_stats(&graph, &original, out)?;
     writeln!(out, "\nsynthetic ({output}):")?;
-    print_stats(&frozen_synthetic, out)?;
-    let report = GraphComparison::compare(&graph, &frozen_synthetic);
+    print_stats(&frozen_synthetic, &release, out)?;
+    let report = UtilityReport::between(&original, &release);
     writeln!(out, "\nfidelity: KS(degree) = {:.3}, H(degree) = {:.3}, triangle RE = {:.3}, clustering RE = {:.3}, m RE = {:.4}",
         report.ks_degree,
         report.hellinger_degree,

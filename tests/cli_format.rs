@@ -1,8 +1,9 @@
 //! Integration tests for the file-based release workflow used by the CLI:
 //! dataset generation → text serialisation → re-loading → private synthesis →
 //! serialisation of the publishable output, plus the categorical-attribute
-//! encoding path of Section 7, and the binary's behaviour when its reader
-//! goes away (`agmdp stats g.agb | head -1`).
+//! encoding path of Section 7, the binary's behaviour when its reader goes
+//! away (`agmdp stats g.agb | head -1`), and the exact stdout of `agmdp
+//! stats` and `agmdp synthesize`.
 
 use agmdp::graph::categorical::{CategoricalAttribute, CategoricalEncoder};
 use agmdp::graph::io;
@@ -116,5 +117,39 @@ fn closed_stdout_ends_the_command_quietly() {
     assert!(run.status.success(), "{:?}, stderr: {stderr}", run.status);
     assert!(stderr.is_empty(), "stderr: {stderr}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stats_and_synthesize_stdout_match_the_goldens() {
+    use std::process::Command;
+    let bin = env!("CARGO_BIN_EXE_agmdp");
+    let dir = std::env::temp_dir().join(format!("agmdp_cli_golden_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Relative paths: the synthesize header echoes them.
+    let run = |args: &str| {
+        let out = Command::new(bin)
+            .args(args.split(' '))
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "agmdp {args}: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let golden = |name: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        std::fs::read_to_string(path).unwrap()
+    };
+    run("generate-dataset --name lastfm --scale 0.1 --seed 2016 --output g.graph");
+    assert_eq!(run("stats g.graph"), golden("cli_stats.txt"));
+    for model in ["fcl", "tricycle"] {
+        let stdout = run(&format!(
+            "synthesize --input g.graph --output {model}.graph --epsilon 1 --seed 5 --model {model}"
+        ));
+        assert_eq!(stdout, golden(&format!("cli_synthesize_{model}.txt")));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,9 +3,12 @@
 
 use agmdp::core::acceptance::acceptance_probabilities;
 use agmdp::core::params::{edge_config_counts, node_config_counts, ThetaF, ThetaX};
+use agmdp::eval::GraphProfile;
+use agmdp::graph::clustering::{average_local_clustering, global_clustering};
 use agmdp::graph::degree::DegreeSequence;
+use agmdp::graph::triangles::count_triangles;
 use agmdp::graph::truncation::edge_truncation;
-use agmdp::graph::{AttributeSchema, AttributedGraph};
+use agmdp::graph::{AttributeSchema, AttributedGraph, GraphView};
 use agmdp::metrics::distance::{hellinger_distance, ks_statistic};
 use agmdp::privacy::constrained_inference::isotonic_regression;
 use agmdp::privacy::postprocess::normalize;
@@ -30,8 +33,68 @@ fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = 
     })
 }
 
+/// Graphs of 0 to 29 nodes and attribute width 0 to 2, with anywhere from
+/// no edges to a dense sample of them.
+fn any_size_graph() -> impl Strategy<Value = AttributedGraph> {
+    (0usize..30, 0usize..3).prop_flat_map(|(n, width)| {
+        let codes = proptest::collection::vec(0u32..(1 << width), n);
+        let edges = proptest::collection::vec((0usize..30, 0usize..30), 0..120);
+        (Just(width), codes, edges).prop_map(|(width, codes, edges)| {
+            let n = codes.len();
+            let mut g = AttributedGraph::new(n, AttributeSchema::new(width));
+            g.set_all_attribute_codes(&codes).unwrap();
+            for (u, v) in edges {
+                if u < n && v < n && u != v {
+                    let _ = g.try_add_edge(u as u32, v as u32).unwrap();
+                }
+            }
+            g
+        })
+    })
+}
+
+/// `(n_Δ, C̄, C)` of `g` from the standalone functions, floats as bits.
+fn standalone_clustering<G: GraphView>(g: &G) -> (u64, u64, u64) {
+    let c_avg = average_local_clustering(g).to_bits();
+    (count_triangles(g), c_avg, global_clustering(g).to_bits())
+}
+
+/// Asserts that the profile's `n_Δ`, `C̄` and `C`, from one per-node
+/// triangle pass, are bit-equal to the standalone functions in both graph
+/// representations.
+fn assert_profile_clustering_is_bit_equal(g: &AttributedGraph) {
+    let frozen = g.freeze();
+    let expected = standalone_clustering(g);
+    assert_eq!(standalone_clustering(&frozen), expected);
+    for profile in [GraphProfile::of(g), GraphProfile::of(&frozen)] {
+        let c = profile.clustering;
+        let got = (c.triangles, c.average_local.to_bits(), c.global.to_bits());
+        assert_eq!(got, expected);
+    }
+}
+
+#[test]
+fn profile_clustering_is_bit_equal_on_empty_and_edgeless_graphs() {
+    for (n, width) in [(0, 0), (0, 2), (5, 0), (5, 2)] {
+        let g = AttributedGraph::new(n, AttributeSchema::new(width));
+        assert_profile_clustering_is_bit_equal(&g);
+    }
+    // Width 0 with edges: a triangle plus a pendant node.
+    let mut g = AttributedGraph::unattributed(4);
+    for (u, v) in [(0, 1), (1, 2), (0, 2), (2, 3)] {
+        g.add_edge(u, v).unwrap();
+    }
+    assert_profile_clustering_is_bit_equal(&g);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass profile reproduces `n_Δ`, `C̄` and `C` bit for bit.
+    #[test]
+    fn profile_clustering_is_bit_equal_to_the_standalone_functions(g in any_size_graph()) {
+        assert_profile_clustering_is_bit_equal(&g);
+    }
 
     /// µ(G, k) always produces a k-bounded graph, never adds edges, and never
     /// touches nodes or attributes (Definition 2).
