@@ -16,6 +16,7 @@ use agmdp_datasets::{generate_dataset, DatasetSpec};
 use agmdp_graph::clustering::average_local_clustering;
 use agmdp_graph::degree::DegreeSequence;
 use agmdp_graph::triangles::count_triangles;
+use agmdp_graph::GraphView;
 use agmdp_metrics::distance::{hellinger_distance, mean_absolute_error};
 use agmdp_models::{ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel};
 

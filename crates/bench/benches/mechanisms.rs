@@ -14,6 +14,7 @@ use agmdp_core::correlations_dp::{learn_correlations_dp, CorrelationMethod};
 use agmdp_core::params::edge_config_counts;
 use agmdp_datasets::{generate_dataset, DatasetSpec};
 use agmdp_graph::truncation::{edge_truncation, heuristic_k};
+use agmdp_graph::GraphView;
 use agmdp_privacy::constrained_inference::dp_degree_sequence;
 use agmdp_privacy::ladder::{dp_triangle_count, triangle_local_sensitivity};
 use agmdp_privacy::laplace::LaplaceMechanism;

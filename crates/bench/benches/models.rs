@@ -11,6 +11,7 @@ use std::hint::black_box;
 use agmdp_datasets::{generate_dataset, DatasetSpec};
 use agmdp_graph::clustering::average_local_clustering;
 use agmdp_graph::triangles::count_triangles;
+use agmdp_graph::GraphView;
 use agmdp_models::{ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel};
 
 fn models(c: &mut Criterion) {

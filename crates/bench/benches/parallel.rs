@@ -24,7 +24,7 @@ use agmdp_core::params::{ThetaF, ThetaM, ThetaX};
 use agmdp_core::workflow::{
     synthesize_from_parameters, AgmConfig, LearnedParameters, Privacy, StructuralModelKind,
 };
-use agmdp_graph::AttributeSchema;
+use agmdp_graph::{AttributeSchema, GraphView};
 
 /// Synthetic learned parameters for an `n`-node FCL workload: a truncated
 /// power-law-ish degree sequence (average degree ≈ 6), a binary attribute

@@ -12,6 +12,7 @@ use agmdp_core::workflow::{
     StructuralModelKind,
 };
 use agmdp_datasets::{generate_dataset, DatasetSpec};
+use agmdp_graph::GraphView;
 
 fn pipeline(c: &mut Criterion) {
     let input = generate_dataset(&DatasetSpec::lastfm().scaled(0.3), 5).expect("dataset");

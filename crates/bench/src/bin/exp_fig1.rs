@@ -13,6 +13,7 @@ use agmdp_bench::{load_datasets, maybe_write_json, mean, rng_for, ExperimentArgs
 use agmdp_core::correlations_dp::learn_correlations_truncated;
 use agmdp_core::ThetaF;
 use agmdp_graph::truncation::heuristic_k;
+use agmdp_graph::GraphView;
 use agmdp_metrics::distance::mean_absolute_error;
 
 const EPSILONS: [f64; 5] = [0.1, 0.2, 0.3, 0.5, 1.0];

@@ -13,6 +13,7 @@
 use agmdp_bench::{load_datasets, maybe_write_json, ExperimentArgs, ResultRecord};
 use agmdp_graph::clustering::average_local_clustering;
 use agmdp_graph::triangles::count_triangles;
+use agmdp_graph::GraphView;
 
 fn main() {
     let args = ExperimentArgs::parse();

@@ -17,6 +17,7 @@ use agmdp_core::workflow::{
     learn_parameters, synthesize_from_parameters, AgmConfig, Privacy, StructuralModelKind,
 };
 use agmdp_eval::{GraphProfile, UtilityReport};
+use agmdp_graph::GraphView;
 use agmdp_metrics::distance::{hellinger_distance, mean_absolute_error, mean_relative_error};
 use agmdp_models::baselines::{uniform_correlation_distribution, uniform_edge_graph};
 

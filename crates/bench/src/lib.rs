@@ -24,7 +24,7 @@ use serde::Serialize;
 
 use agmdp_datasets::{generate_dataset, DatasetSpec};
 use agmdp_graph::io::fnv1a64;
-use agmdp_graph::AttributedGraph;
+use agmdp_graph::{AttributedGraph, GraphView};
 
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]

@@ -4,7 +4,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use agmdp_graph::degree::DegreeSequence;
 use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::{AttributeSchema, Edge, GraphView};
 
@@ -183,12 +182,6 @@ impl ThetaM {
     pub fn implied_edges(&self) -> usize {
         (self.degree_sequence.iter().sum::<usize>() as f64 / 2.0).round() as usize
     }
-
-    /// Convenience view of the degree sequence as a [`DegreeSequence`].
-    #[must_use]
-    pub fn degree_sequence_view(&self) -> DegreeSequence {
-        DegreeSequence::from_vec(self.degree_sequence.iter().map(|&d| d as f64).collect())
-    }
 }
 
 /// The raw node-configuration counts `Q_X` (one per element of `Y_w`).
@@ -282,7 +275,6 @@ mod tests {
         assert_eq!(tm.degree_sequence, vec![2, 2, 3, 1]);
         assert_eq!(tm.triangles, Some(1)); // triangle 0-1-2
         assert_eq!(tm.implied_edges(), 4);
-        assert_eq!(tm.degree_sequence_view().len(), 4);
         let tm2 = ThetaM::from_graph_degrees_only(&g);
         assert_eq!(tm2.triangles, None);
     }

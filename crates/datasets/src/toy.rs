@@ -59,6 +59,7 @@ mod tests {
     use agmdp_graph::clustering::average_local_clustering;
     use agmdp_graph::components::is_connected;
     use agmdp_graph::triangles::count_triangles;
+    use agmdp_graph::GraphView;
 
     #[test]
     fn toy_graph_is_well_formed() {

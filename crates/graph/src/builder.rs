@@ -90,6 +90,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::GraphView;
 
     #[test]
     fn builder_skips_noise_and_counts_it() {

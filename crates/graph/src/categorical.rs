@@ -164,6 +164,7 @@ impl CategoricalEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::GraphView;
 
     fn marital_and_age() -> CategoricalEncoder {
         CategoricalEncoder::new(vec![

@@ -98,29 +98,6 @@ pub fn global_clustering<G: GraphView>(g: &G) -> f64 {
     transitivity(count_triangles(g), count_wedges(g))
 }
 
-/// Degree-wise clustering coefficients `c_d` as used by the BTER model
-/// discussion in Section 3.3: for each degree `d`, the ratio of (three times)
-/// the triangles involving nodes of degree `d` to the wedges centered at nodes
-/// of degree `d`. Returned as a vector indexed by degree; degrees with no
-/// wedges get `0`.
-#[must_use]
-pub fn degreewise_clustering<G: GraphView>(g: &G) -> Vec<f64> {
-    let max_d = g.max_degree();
-    let mut tri_by_deg = vec![0.0f64; max_d + 1];
-    let mut wedge_by_deg = vec![0.0f64; max_d + 1];
-    let tri = triangles_per_node(g);
-    for v in g.nodes() {
-        let d = g.degree(v);
-        tri_by_deg[d] += tri[v as usize] as f64;
-        wedge_by_deg[d] += d as f64 * (d as f64 - 1.0) / 2.0;
-    }
-    tri_by_deg
-        .into_iter()
-        .zip(wedge_by_deg)
-        .map(|(t, w)| if w > 0.0 { t / w } else { 0.0 })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,15 +162,5 @@ mod tests {
         assert!((average_local_clustering(&g) - (1.0 + 1.0 + 1.0 / 3.0) / 4.0).abs() < 1e-12);
         // Transitivity: 3 triangles-as-closed-wedges / wedges = 3*1 / (1+1+3+0) = 3/5.
         assert!((global_clustering(&g) - 3.0 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degreewise_clustering_of_complete_graph() {
-        let g = complete_graph(4);
-        let cd = degreewise_clustering(&g);
-        // All nodes have degree 3 and coefficient 1.
-        assert_eq!(cd.len(), 4);
-        assert!((cd[3] - 1.0).abs() < 1e-12);
-        assert_eq!(cd[0], 0.0);
     }
 }

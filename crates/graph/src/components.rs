@@ -6,7 +6,7 @@
 //! graph (Section 3.3, footnote 2). The orphan post-processing step
 //! (Algorithm 2) repeatedly queries these notions.
 
-use crate::graph::{AttributedGraph, NodeId};
+use crate::graph::NodeId;
 use crate::view::GraphView;
 
 /// Labels each node with a component id in `0..num_components` and returns the
@@ -105,15 +105,6 @@ pub fn is_connected<G: GraphView>(g: &G) -> bool {
     g.num_nodes() <= 1 || connected_components(g).count() == 1
 }
 
-/// Extracts the subgraph induced by the largest connected component, relabeling
-/// nodes densely. Returns the new graph and the mapping `new id -> old id`.
-#[must_use]
-pub fn largest_component_subgraph<G: GraphView>(g: &G) -> (AttributedGraph, Vec<NodeId>) {
-    let comps = connected_components(g);
-    let keep = comps.largest_component_nodes();
-    crate::subgraph::induced_subgraph(g, &keep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,23 +147,6 @@ mod tests {
         assert_eq!(c.largest(), None);
         assert!(is_connected(&g));
         assert!(is_connected(&AttributedGraph::unattributed(1)));
-    }
-
-    #[test]
-    fn largest_component_extraction_preserves_structure() {
-        let mut g = AttributedGraph::new(5, crate::AttributeSchema::new(1));
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(0, 2).unwrap();
-        g.add_edge(3, 4).unwrap();
-        g.set_attribute_code(2, 1).unwrap();
-        let (sub, mapping) = largest_component_subgraph(&g);
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(sub.num_edges(), 3);
-        assert_eq!(mapping, vec![0, 1, 2]);
-        // Attribute carried over.
-        assert_eq!(sub.attribute_code(2), 1);
-        assert_eq!(crate::triangles::count_triangles(&sub), 1);
     }
 
     #[test]

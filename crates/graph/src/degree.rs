@@ -83,24 +83,6 @@ impl DegreeSequence {
         self.degrees.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Rounds every entry to the nearest integer in `0..=n-1` where `n` is the
-    /// sequence length, as done after constrained inference in Algorithm 6.
-    #[must_use]
-    pub fn rounded_clamped(&self) -> Vec<usize> {
-        let cap = self.degrees.len().saturating_sub(1);
-        self.degrees
-            .iter()
-            .map(|&d| {
-                let r = d.round();
-                if r < 0.0 {
-                    0
-                } else {
-                    (r as usize).min(cap)
-                }
-            })
-            .collect()
-    }
-
     /// Normalised degree histogram `D_S(d)`: the fraction of nodes with degree
     /// `d` (entries rounded to the nearest non-negative integer).
     ///
@@ -217,7 +199,6 @@ mod tests {
     #[test]
     fn noisy_sequences_round_and_clamp() {
         let s = DegreeSequence::from_vec(vec![-0.7, 1.4, 2.6, 99.0]);
-        assert_eq!(s.rounded_clamped(), vec![0, 1, 3, 3]);
         let dist = s.distribution();
         // Negative degrees clamp to 0 in the histogram.
         assert!(dist[0] > 0.0);

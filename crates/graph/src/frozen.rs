@@ -33,14 +33,13 @@ use crate::view::GraphView;
 /// An immutable attributed graph in compressed-sparse-row form, over an
 /// owned or memory-mapped word buffer.
 ///
-/// Construct one with [`AttributedGraph::freeze`] /
-/// [`FrozenGraph::from_graph`], by deserialising `.agb` bytes
-/// ([`crate::io::from_binary`]), or by opening an `.agb` file in place
+/// Construct one with [`AttributedGraph::freeze`], by deserialising `.agb`
+/// bytes ([`crate::io::from_binary`]), or by opening an `.agb` file in place
 /// ([`FrozenGraph::open`], [`FrozenGraph::open_trusted`]). The section
-/// bounds are fixed at construction, so [`FrozenGraph::neighbors`] is one
-/// slice of the buffer. The [`GraphView`] impl lets every analysis function
-/// and every DP learner read it in place; its values are identical to the
-/// [`AttributedGraph`] it was frozen from.
+/// bounds are fixed at construction, so [`GraphView::neighbors`] is one
+/// slice of the buffer. [`GraphView`] is its read API: every analysis
+/// function and every DP learner reads it in place, and its values are
+/// identical to the [`AttributedGraph`] it was frozen from.
 ///
 /// ## Validation tiers
 ///
@@ -98,7 +97,7 @@ impl FrozenGraph {
     /// offsets are 32-bit; at the pipeline's million-node scale this bound is
     /// three orders of magnitude away).
     #[must_use]
-    pub fn from_graph(g: &AttributedGraph) -> Self {
+    pub(crate) fn from_graph(g: &AttributedGraph) -> Self {
         let (n, m) = (g.num_nodes(), g.num_edges());
         assert!(
             u32::try_from(2 * m).is_ok(),
@@ -189,71 +188,22 @@ impl FrozenGraph {
         self
     }
 
-    /// The attribute schema of this graph.
-    #[must_use]
-    pub fn schema(&self) -> AttributeSchema {
-        self.schema
-    }
-
-    /// Number of nodes `n = |N|`.
+    /// Number of nodes: [`GraphView::num_nodes`], kept inherent because the
+    /// repository benchmark (`perfbench/`) calls it without importing
+    /// `GraphView`.
     #[must_use]
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.sections[1] - self.sections[0] - 1
+        GraphView::num_nodes(self)
     }
 
-    /// Number of undirected edges `m = |E|`.
+    /// Number of edges: [`GraphView::num_edges`], kept inherent because the
+    /// repository benchmark (`perfbench/`) calls it without importing
+    /// `GraphView`.
     #[must_use]
     #[inline]
     pub fn num_edges(&self) -> usize {
-        (self.sections[2] - self.sections[1]) / 2
-    }
-
-    /// Degree of node `v` — two adjacent offset reads, no indirection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    #[inline]
-    pub fn degree(&self, v: NodeId) -> usize {
-        let (offsets, _) = self.csr();
-        let v = v as usize;
-        (offsets[v + 1] - offsets[v]) as usize
-    }
-
-    /// The sorted neighbor list `Γ(v)` of node `v` — a contiguous slice of
-    /// the CSR array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (offsets, neighbors) = self.csr();
-        let v = v as usize;
-        &neighbors[offsets[v] as usize..offsets[v + 1] as usize]
-    }
-
-    /// The attribute code (`f_w` encoding) of node `v` (0 for every node of
-    /// a width-0 schema, which stores no attribute section).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    #[inline]
-    pub fn attribute_code(&self, v: NodeId) -> u32 {
-        let [_, _, a, end] = self.sections;
-        match self.words.as_slice()[a..end].get(v as usize) {
-            Some(&code) => code,
-            None => {
-                let n = self.num_nodes();
-                assert!((v as usize) < n, "node id {v} out of range for {n} nodes");
-                0
-            }
-        }
+        GraphView::num_edges(self)
     }
 
     /// Whether this graph is served zero-copy from a memory mapping (`false`
@@ -287,33 +237,43 @@ impl PartialEq for FrozenGraph {
 impl GraphView for FrozenGraph {
     #[inline]
     fn num_nodes(&self) -> usize {
-        FrozenGraph::num_nodes(self)
+        self.sections[1] - self.sections[0] - 1
     }
     #[inline]
     fn num_edges(&self) -> usize {
-        FrozenGraph::num_edges(self)
+        (self.sections[2] - self.sections[1]) / 2
     }
     #[inline]
     fn schema(&self) -> AttributeSchema {
-        FrozenGraph::schema(self)
+        self.schema
     }
+    /// A contiguous slice of the CSR neighbors section.
     #[inline]
     fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        FrozenGraph::neighbors(self, v)
+        let (offsets, neighbors) = self.csr();
+        let v = v as usize;
+        &neighbors[offsets[v] as usize..offsets[v + 1] as usize]
     }
+    /// 0 for every node of a width-0 schema, which stores no attribute
+    /// section.
     #[inline]
     fn attribute_code(&self, v: NodeId) -> u32 {
-        FrozenGraph::attribute_code(self, v)
+        let [_, _, a, end] = self.sections;
+        match self.words.as_slice()[a..end].get(v as usize) {
+            Some(&code) => code,
+            None => {
+                let n = GraphView::num_nodes(self);
+                assert!((v as usize) < n, "node id {v} out of range for {n} nodes");
+                0
+            }
+        }
     }
+    /// Two adjacent offset reads, no indirection.
     #[inline]
     fn degree(&self, v: NodeId) -> usize {
-        FrozenGraph::degree(self, v)
-    }
-}
-
-impl From<&AttributedGraph> for FrozenGraph {
-    fn from(g: &AttributedGraph) -> Self {
-        Self::from_graph(g)
+        let (offsets, _) = self.csr();
+        let v = v as usize;
+        (offsets[v + 1] - offsets[v]) as usize
     }
 }
 

@@ -6,15 +6,17 @@
 //! which keeps edge existence queries at `O(log d)`, neighbor iteration
 //! allocation-free, and common-neighbor counting at `O(d_u + d_v)` for
 //! similar degrees and `O(min · log(max / min))` when one endpoint is a hub
-//! ([`sorted_intersection_count`]) — the operations that dominate TriCycLe
-//! generation and triangle counting.
+//! ([`sorted_intersection_count`](crate::view::sorted_intersection_count))
+//! — the operations that dominate TriCycLe generation and triangle counting.
+//! Every read goes through the [`GraphView`] impl below.
 
 use serde::{Deserialize, Serialize};
 
-use crate::attributes::{AttributeSchema, EdgeConfigIndex};
+use crate::attributes::AttributeSchema;
 use crate::error::GraphError;
 use crate::frozen::FrozenGraph;
-use crate::view::{sorted_intersection_count, GraphView};
+use crate::mmap::validate_lists;
+use crate::view::GraphView;
 use crate::Result;
 
 /// Dense node identifier in `0..n`.
@@ -141,27 +143,28 @@ impl AttributedGraph {
         Ok(self)
     }
 
-    /// The attribute schema of this graph.
+    /// The attribute schema: [`GraphView::schema`], kept inherent because
+    /// the repository benchmark (`perfbench/`) calls it without importing
+    /// `GraphView`.
     #[must_use]
     pub fn schema(&self) -> AttributeSchema {
-        self.schema
+        GraphView::schema(self)
     }
 
-    /// Number of nodes `n = |N|`.
+    /// Number of nodes: [`GraphView::num_nodes`], kept inherent because the
+    /// repository benchmark (`perfbench/`) calls it without importing
+    /// `GraphView`.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        self.adjacency.len()
+        GraphView::num_nodes(self)
     }
 
-    /// Number of undirected edges `m = |E|`.
+    /// The degrees of all nodes: [`GraphView::degrees`], kept inherent
+    /// because the repository benchmark (`perfbench/`) calls it without
+    /// importing `GraphView`.
     #[must_use]
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Returns an iterator over all node ids `0..n`.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        0..self.num_nodes() as NodeId
+    pub fn degrees(&self) -> Vec<usize> {
+        GraphView::degrees(self)
     }
 
     fn check_node(&self, v: NodeId) -> Result<()> {
@@ -173,72 +176,6 @@ impl AttributedGraph {
                 num_nodes: self.num_nodes(),
             })
         }
-    }
-
-    /// Degree of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range (use [`Self::nodes`] to iterate safely).
-    #[must_use]
-    pub fn degree(&self, v: NodeId) -> usize {
-        self.adjacency[v as usize].len()
-    }
-
-    /// Allocation-free iterator over all node degrees, by node id.
-    ///
-    /// Hot paths that only fold over the sequence (histograms, maxima, sums)
-    /// should prefer this over the allocating [`Self::degrees`].
-    pub fn degree_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.adjacency.iter().map(Vec::len)
-    }
-
-    /// The degrees of all nodes, indexed by node id (routed through
-    /// [`Self::degree_iter`]).
-    #[must_use]
-    pub fn degrees(&self) -> Vec<usize> {
-        self.degree_iter().collect()
-    }
-
-    /// Maximum degree `d_max` (0 for an empty graph).
-    #[must_use]
-    pub fn max_degree(&self) -> usize {
-        self.degree_iter().max().unwrap_or(0)
-    }
-
-    /// Average degree `2m / n` (0 for an empty graph).
-    #[must_use]
-    pub fn avg_degree(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            0.0
-        } else {
-            2.0 * self.num_edges as f64 / self.num_nodes() as f64
-        }
-    }
-
-    /// The sorted neighbor list `Γ(v)` of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.adjacency[v as usize]
-    }
-
-    /// Returns `true` if the undirected edge `(u, v)` is present.
-    #[must_use]
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if (u as usize) >= self.num_nodes() || (v as usize) >= self.num_nodes() {
-            return false;
-        }
-        // Search the shorter adjacency list.
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.adjacency[a as usize].binary_search(&b).is_ok()
     }
 
     /// Adds the undirected edge `(u, v)`.
@@ -293,45 +230,12 @@ impl AttributedGraph {
         }
     }
 
-    /// Enumerates all edges in canonical (lexicographic) order with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.adjacency.iter().enumerate().flat_map(|(u, nbrs)| {
-            let u = u as NodeId;
-            nbrs.iter()
-                .copied()
-                .filter(move |&v| u < v)
-                .map(move |v| Edge { u, v })
-        })
-    }
-
     /// Collects all edges into a vector (canonical order).
     #[must_use]
     pub fn edge_vec(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.num_edges);
         out.extend(self.edges());
         out
-    }
-
-    /// Number of common neighbors `|Γ(u) ∩ Γ(v)|`, counted by
-    /// [`sorted_intersection_count`]: a merge when the two degrees are
-    /// similar, a gallop through the hub's list when they are skewed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    #[must_use]
-    pub fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        sorted_intersection_count(&self.adjacency[u as usize], &self.adjacency[v as usize])
-    }
-
-    /// The attribute code (`f_w` encoding) of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn attribute_code(&self, v: NodeId) -> u32 {
-        self.attributes[v as usize]
     }
 
     /// Attribute codes for all nodes, indexed by node id.
@@ -364,16 +268,6 @@ impl AttributedGraph {
         Ok(())
     }
 
-    /// The edge-configuration index `F_w(x_u, x_v)` of an edge's endpoints.
-    ///
-    /// The edge does not need to be present; the value depends only on the
-    /// endpoints' current attribute codes.
-    #[must_use]
-    pub fn edge_config(&self, u: NodeId, v: NodeId) -> EdgeConfigIndex {
-        self.schema
-            .edge_config(self.attributes[u as usize], self.attributes[v as usize])
-    }
-
     /// Snapshots this graph into an immutable CSR [`FrozenGraph`] for the
     /// read-only analysis phase (metrics, evaluation, serving). `O(n + m)`.
     ///
@@ -385,77 +279,52 @@ impl AttributedGraph {
         FrozenGraph::from_graph(self)
     }
 
-    /// Removes every edge while keeping nodes and attributes.
-    pub fn clear_edges(&mut self) {
-        for nbrs in &mut self.adjacency {
-            nbrs.clear();
-        }
-        self.num_edges = 0;
-    }
-
-    /// Verifies internal invariants (sorted, symmetric adjacency, consistent
-    /// edge count). Intended for tests and debug assertions.
+    /// Verifies the structural invariants: the edge count is half the degree
+    /// sum, and the lists pass the `.agb` verified tier's checks (each
+    /// strictly sorted, in range and loop-free, every edge mirrored), run
+    /// over this graph's [freeze](Self::freeze). Intended for tests and
+    /// debug assertions.
     pub fn check_consistency(&self) -> Result<()> {
-        let mut half_edges = 0usize;
-        for (u, nbrs) in self.adjacency.iter().enumerate() {
-            let mut prev: Option<NodeId> = None;
-            for &v in nbrs {
-                if (v as usize) >= self.num_nodes() {
-                    return Err(GraphError::NodeOutOfRange {
-                        node: v,
-                        num_nodes: self.num_nodes(),
-                    });
-                }
-                if v as usize == u {
-                    return Err(GraphError::SelfLoop { node: v });
-                }
-                if let Some(p) = prev {
-                    if p >= v {
-                        return Err(GraphError::InvalidParameter(format!(
-                            "adjacency list of node {u} is not strictly sorted"
-                        )));
-                    }
-                }
-                prev = Some(v);
-                if self.adjacency[v as usize]
-                    .binary_search(&(u as NodeId))
-                    .is_err()
-                {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "edge ({u}, {v}) is not symmetric"
-                    )));
-                }
-                half_edges += 1;
-            }
-        }
-        if half_edges != 2 * self.num_edges {
+        let half_edges: usize = self.adjacency.iter().map(Vec::len).sum();
+        // Checked first: `freeze` sizes its neighbor section from `num_edges`.
+        if self.num_edges.checked_mul(2) != Some(half_edges) {
             return Err(GraphError::InvalidParameter(format!(
-                "edge count {} does not match adjacency ({} half edges)",
-                self.num_edges, half_edges
+                "edge count {} does not match adjacency ({half_edges} half edges)",
+                self.num_edges
             )));
         }
-        Ok(())
+        let frozen = self.freeze();
+        let (offsets, neighbors, _) = frozen.sections();
+        validate_lists(offsets, neighbors)
     }
 }
 
+// `#[inline]` lets the generic metric, learner and model code in other
+// crates inline the accessors.
 impl GraphView for AttributedGraph {
+    #[inline]
     fn num_nodes(&self) -> usize {
-        AttributedGraph::num_nodes(self)
+        self.adjacency.len()
     }
+    #[inline]
     fn num_edges(&self) -> usize {
-        AttributedGraph::num_edges(self)
+        self.num_edges
     }
+    #[inline]
     fn schema(&self) -> AttributeSchema {
-        AttributedGraph::schema(self)
+        self.schema
     }
+    #[inline]
     fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        AttributedGraph::neighbors(self, v)
+        &self.adjacency[v as usize]
     }
+    #[inline]
     fn attribute_code(&self, v: NodeId) -> u32 {
-        AttributedGraph::attribute_code(self, v)
+        self.attributes[v as usize]
     }
+    #[inline]
     fn degree(&self, v: NodeId) -> usize {
-        AttributedGraph::degree(self, v)
+        self.adjacency[v as usize].len()
     }
 }
 
@@ -634,14 +503,30 @@ mod tests {
     }
 
     #[test]
-    fn clear_edges_keeps_nodes_and_attributes() {
-        let mut g = triangle_graph();
-        g.set_attribute_code(0, 1).unwrap();
-        g.clear_edges();
-        assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.attribute_code(0), 1);
-        g.check_consistency().unwrap();
+    fn consistency_check_rejects_each_defect() {
+        let check = |adjacency: Vec<Vec<NodeId>>, num_edges| {
+            AttributedGraph {
+                schema: AttributeSchema::new(0),
+                attributes: vec![0; adjacency.len()],
+                adjacency,
+                num_edges,
+            }
+            .check_consistency()
+        };
+        // Each graph breaks one invariant and keeps Σ degree = 2m, except
+        // the last, which breaks only that.
+        let defects = [
+            ("unsorted list", vec![vec![2, 1], vec![0], vec![0]], 2),
+            ("repeated neighbour", vec![vec![1, 1], vec![0, 0]], 2),
+            ("self-loop", vec![vec![0, 1], vec![0, 1]], 2),
+            ("out-of-range id", vec![vec![1, 5], vec![0, 5]], 2),
+            ("one-sided edge", vec![vec![1, 2], vec![0], vec![1]], 2),
+            ("edge count", triangle_graph().adjacency, 4),
+        ];
+        for (defect, adjacency, num_edges) in defects {
+            assert!(check(adjacency, num_edges).is_err(), "{defect} accepted");
+        }
+        assert!(check(triangle_graph().adjacency, 3).is_ok());
     }
 
     #[test]

@@ -214,7 +214,7 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 /// # Panics
 ///
 /// Panics if the graph has more than `u32::MAX / 2` edges (the CSR offsets
-/// are 32-bit; same bound as [`FrozenGraph::from_graph`]).
+/// are 32-bit; same bound as [`AttributedGraph::freeze`]).
 #[must_use]
 pub fn to_binary<G: GraphView>(g: &G) -> Vec<u8> {
     let n = g.num_nodes();

@@ -8,17 +8,19 @@
 //! `G = (N, E, X)` where every node carries a `w`-dimensional binary attribute
 //! vector. This crate provides:
 //!
-//! * [`AttributedGraph`] — the core graph representation with dense `u32` node
-//!   ids, sorted adjacency lists, an insertion-ordered edge list (the paper's
-//!   *canonical edge ordering*, needed by edge truncation and by TriCycLe's
-//!   oldest-edge rule), and per-node attribute codes.
+//! * [`AttributedGraph`] — the mutable build-phase graph, with dense `u32`
+//!   node ids, one sorted adjacency list per node and per-node attribute
+//!   codes. It keeps no edge list: edges enumerate in lexicographic order,
+//!   the canonical edge ordering edge truncation walks ([`truncation`]),
+//!   and TriCycLe keeps its sampler's insertion order for the oldest-edge
+//!   rule itself.
 //! * [`FrozenGraph`] — the one immutable CSR graph every read-side consumer
 //!   takes: frozen from an [`AttributedGraph`], deserialised from `.agb`
 //!   bytes, or memory-mapped from an `.agb` file and read in place
-//!   ([`FrozenGraph::open`] / [`FrozenGraph::open_trusted`]); and
-//!   [`GraphView`] — the trait both representations implement so every
-//!   analysis function and DP learner accepts either (see the [`frozen`]
-//!   module docs for the freeze contract).
+//!   ([`FrozenGraph::open`] / [`FrozenGraph::open_trusted`]).
+//! * [`GraphView`] — the one read API. Both representations implement it,
+//!   so every analysis function and DP learner accepts either (see the
+//!   [`frozen`] module docs for the freeze contract).
 //! * [`AttributeSchema`] / attribute-code helpers implementing the paper's
 //!   `f_w` (node-configuration) and `F_w` (edge-configuration) encodings.
 //! * Structural analyses used throughout the paper: degree sequences and
@@ -37,7 +39,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use agmdp_graph::{AttributedGraph, AttributeSchema};
+//! use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 //!
 //! // A 4-node graph with w = 2 binary attributes per node.
 //! let schema = AttributeSchema::new(2);

@@ -389,8 +389,9 @@ fn validate_offsets(offsets: &[u32], half_edges: usize) -> Result<()> {
 
 /// The verified tier's structural checks over offset-checked sections: every
 /// neighbor list strictly sorted, in range and self-loop-free, and every
-/// half-edge mirrored.
-fn validate_lists(offsets: &[u32], neighbors: &[NodeId]) -> Result<()> {
+/// half-edge mirrored. `AttributedGraph::check_consistency` runs them over
+/// its freeze.
+pub(crate) fn validate_lists(offsets: &[u32], neighbors: &[NodeId]) -> Result<()> {
     let n = offsets.len().saturating_sub(1);
     for v in 0..n {
         let mut prev: Option<NodeId> = None;

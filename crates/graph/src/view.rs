@@ -9,10 +9,14 @@
 //! phase) and the immutable CSR [`FrozenGraph`](crate::FrozenGraph) snapshot
 //! (analysis phase).
 //!
-//! All provided methods are defined in terms of the five required accessors
-//! and use the *same* iteration orders as `AttributedGraph`'s inherent
-//! methods, so a computation over a frozen snapshot is bit-identical to the
-//! same computation over the adjacency-list original — the invariance the
+//! `GraphView` is the one read API of both representations: each answers
+//! reads through its trait impl, and apart from five inherent pins that
+//! delegate to the trait (the repository benchmark calls them without
+//! importing it) neither type declares a read method of its own. The
+//! provided methods are defined in terms of the five required accessors, and
+//! both types keep every neighbor list sorted, so a computation over a
+//! frozen snapshot walks the same orders and is bit-identical to the same
+//! computation over the adjacency-list original — the invariance the
 //! committed golden evaluation aggregates pin down.
 
 use crate::attributes::{AttributeSchema, EdgeConfigIndex};
@@ -130,9 +134,7 @@ pub trait GraphView {
         sorted_intersection_count(self.neighbors(u), self.neighbors(v))
     }
 
-    /// Enumerates all edges in canonical (lexicographic) order with `u < v` —
-    /// the same order [`AttributedGraph::edges`](crate::AttributedGraph::edges)
-    /// produces.
+    /// Enumerates all edges in canonical (lexicographic) order with `u < v`.
     fn edges(&self) -> impl Iterator<Item = Edge> + '_
     where
         Self: Sized,
@@ -225,7 +227,6 @@ fn gallop_count(short: &[NodeId], long: &[NodeId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::AttributedGraph;
 
     /// A minimal hand-rolled implementation to exercise every provided method
     /// independently of the two real representations.
@@ -290,33 +291,5 @@ mod tests {
                 Edge { u: 2, v: 3 }
             ]
         );
-    }
-
-    #[test]
-    fn trait_agrees_with_attributed_graph_inherent_methods() {
-        let mut g = AttributedGraph::unattributed(5);
-        for (u, v) in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)] {
-            g.add_edge(u, v).unwrap();
-        }
-        fn generic_summary<G: GraphView>(g: &G) -> (usize, usize, Vec<usize>, usize) {
-            (g.num_nodes(), g.num_edges(), g.degrees(), g.edges().count())
-        }
-        let (n, m, degs, edge_count) = generic_summary(&g);
-        assert_eq!(n, g.num_nodes());
-        assert_eq!(m, g.num_edges());
-        assert_eq!(degs, g.degrees());
-        assert_eq!(edge_count, g.edges().count());
-        // has_edge / common neighbors agree including argument order.
-        for u in 0..5u32 {
-            for v in 0..5u32 {
-                assert_eq!(GraphView::has_edge(&g, u, v), g.has_edge(u, v));
-                if u != v {
-                    assert_eq!(
-                        GraphView::common_neighbor_count(&g, u, v),
-                        g.common_neighbor_count(u, v)
-                    );
-                }
-            }
-        }
     }
 }

@@ -8,7 +8,7 @@ use agmdp_graph::io::{
     fnv1a64, from_binary, is_binary, load_frozen_file, read_binary_file, to_binary, to_text,
     write_binary_file, BINARY_MAGIC, BINARY_VERSION,
 };
-use agmdp_graph::{AttributeSchema, AttributedGraph, GraphError};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphError, GraphView};
 
 fn sample_graph() -> AttributedGraph {
     let mut g = AttributedGraph::new(6, AttributeSchema::new(2));

@@ -10,7 +10,7 @@ use agmdp_graph::io::{from_text, to_text};
 use agmdp_graph::subgraph::induced_subgraph;
 use agmdp_graph::triangles::{count_triangles, count_wedges, triangles_per_node};
 use agmdp_graph::truncation::edge_truncation;
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 use proptest::prelude::*;
 
 fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = AttributedGraph> {

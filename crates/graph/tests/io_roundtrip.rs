@@ -3,7 +3,7 @@
 //! bytes, and malformed records must be rejected with line-numbered errors.
 
 use agmdp_graph::io::{from_text, read_file, to_text, write_file};
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 use proptest::prelude::*;
 
 fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = AttributedGraph> {

@@ -9,7 +9,7 @@
 use rand::Rng;
 use rand::RngCore;
 
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 
 use crate::error::ModelError;
 use crate::Result;

@@ -16,7 +16,7 @@ use rand::Rng;
 use rand::RngCore;
 
 use agmdp_graph::graph::Edge;
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 
 use crate::acceptance::{AcceptanceContext, GenerateRequest, StructuralModel};
 use crate::error::ModelError;
@@ -112,6 +112,26 @@ pub(crate) fn sample_cl_edges_chunked(
     let graph = AttributedGraph::from_unique_edges(n, schema, &order)
         .expect("sampled edges are deduplicated, in range and loop-free");
     (graph, order)
+}
+
+/// The CL graph a [`GenerateRequest`] asks for: [`sample_cl_edges_chunked`]
+/// under the request's execution policy, the serial [`sample_cl_edges`]
+/// without one.
+pub(crate) fn sample_cl_graph(
+    n: usize,
+    pi: &PiSampler,
+    target_edges: usize,
+    schema: AttributeSchema,
+    acceptance: Option<&AcceptanceContext>,
+    policy: Option<&ExecPolicy>,
+    rng: &mut dyn RngCore,
+) -> (AttributedGraph, Vec<Edge>) {
+    match policy {
+        Some(policy) => {
+            sample_cl_edges_chunked(n, pi, target_edges, schema, acceptance, policy, rng)
+        }
+        None => sample_cl_edges(n, pi, target_edges, schema, acceptance, rng),
+    }
 }
 
 /// The sampling core of [`sample_cl_edges_chunked`], stopping at the
@@ -260,6 +280,7 @@ fn edge_key(e: &Edge) -> u64 {
 /// The Chung-Lu / FCL structural model.
 ///
 /// ```
+/// use agmdp_graph::GraphView;
 /// use agmdp_models::{ChungLuModel, ExecPolicy, GenerateRequest, StructuralModel};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
@@ -347,12 +368,15 @@ impl StructuralModel for ChungLuModel {
         let schema = acceptance.map_or(AttributeSchema::new(0), |c| c.schema);
         let (n, pi, observer) = (self.degrees.len(), &self.pi, request.observer);
         observer.stage_start(SynthesisStage::EdgeSample);
-        let (mut graph, _order) = match request.policy {
-            Some(policy) => {
-                sample_cl_edges_chunked(n, pi, self.target_edges, schema, acceptance, policy, rng)
-            }
-            None => sample_cl_edges(n, pi, self.target_edges, schema, acceptance, rng),
-        };
+        let (mut graph, _order) = sample_cl_graph(
+            n,
+            pi,
+            self.target_edges,
+            schema,
+            acceptance,
+            request.policy,
+            rng,
+        );
         let applied = match acceptance {
             Some(ctx) => ctx.apply_attributes(&mut graph),
             None => Ok(()),

@@ -11,7 +11,7 @@
 use rand::Rng;
 
 use agmdp_graph::components::connected_components;
-use agmdp_graph::{AttributedGraph, NodeId};
+use agmdp_graph::{AttributedGraph, GraphView, NodeId};
 
 use crate::pi::PiSampler;
 

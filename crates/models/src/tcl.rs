@@ -22,10 +22,10 @@ use rand::Rng;
 use rand::RngCore;
 
 use agmdp_graph::graph::Edge;
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 
 use crate::acceptance::{GenerateRequest, StructuralModel};
-use crate::chung_lu::{sample_cl_edges, sample_cl_edges_chunked, sample_uniform};
+use crate::chung_lu::{sample_cl_graph, sample_uniform};
 use crate::error::ModelError;
 use crate::observe::SynthesisStage;
 use crate::pi::PiSampler;
@@ -100,10 +100,8 @@ impl TclModel {
         let m = self.target_edges().max(1);
         let pi = PiSampler::from_degrees(&self.degrees)?;
 
-        let (mut graph, order) = match request.policy {
-            Some(policy) => sample_cl_edges_chunked(n, &pi, m, schema, acceptance, policy, rng),
-            None => sample_cl_edges(n, &pi, m, schema, acceptance, rng),
-        };
+        let (mut graph, order) =
+            sample_cl_graph(n, &pi, m, schema, acceptance, request.policy, rng);
         if let Some(ctx) = acceptance {
             ctx.apply_attributes(&mut graph)?;
         }

@@ -27,10 +27,10 @@ use rand::RngCore;
 
 use agmdp_graph::graph::Edge;
 use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::{AttributeSchema, AttributedGraph};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 
 use crate::acceptance::{GenerateRequest, StructuralModel};
-use crate::chung_lu::{sample_cl_edges, sample_cl_edges_chunked, sample_uniform};
+use crate::chung_lu::{sample_cl_graph, sample_uniform};
 use crate::error::ModelError;
 use crate::observe::SynthesisStage;
 use crate::pi::PiSampler;
@@ -158,12 +158,8 @@ impl StructuralModel for TriCycLeModel {
 
         // Phase 1: Chung-Lu seed graph (with acceptance filtering when given).
         observer.stage_start(SynthesisStage::EdgeSample);
-        let (mut graph, order) = match request.policy {
-            Some(policy) => {
-                sample_cl_edges_chunked(n, pi, seed_edges, schema, acceptance, policy, rng)
-            }
-            None => sample_cl_edges(n, pi, seed_edges, schema, acceptance, rng),
-        };
+        let (mut graph, order) =
+            sample_cl_graph(n, pi, seed_edges, schema, acceptance, request.policy, rng);
         if self.orphan_extension {
             wire_orphans(&mut graph, &self.degrees, pi, rng);
         }

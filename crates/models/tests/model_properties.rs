@@ -5,7 +5,7 @@
 use std::sync::Mutex;
 
 use agmdp_graph::triangles::count_triangles;
-use agmdp_graph::AttributeSchema;
+use agmdp_graph::{AttributeSchema, GraphView};
 use agmdp_models::acceptance::AcceptanceContext;
 use agmdp_models::baselines::uniform_edge_graph;
 use agmdp_models::{

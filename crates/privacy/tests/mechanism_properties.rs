@@ -2,7 +2,7 @@
 //! and estimator invariants.
 
 use agmdp_graph::view::sorted_intersection_count;
-use agmdp_graph::{AttributedGraph, NodeId};
+use agmdp_graph::{AttributedGraph, GraphView, NodeId};
 use agmdp_privacy::budget::{BudgetSplit, PrivacyBudget};
 use agmdp_privacy::constrained_inference::{dp_degree_sequence, isotonic_regression};
 use agmdp_privacy::exponential::exponential_mechanism;

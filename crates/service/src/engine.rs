@@ -27,7 +27,7 @@ use agmdp_core::workflow::{
     learn_parameters, synthesize_from_parameters_observed, AgmConfig, LearnedParameters, Privacy,
     StructuralModelKind,
 };
-use agmdp_graph::{io, AttributedGraph, FrozenGraph, MappedGraph};
+use agmdp_graph::{io, AttributedGraph, FrozenGraph, GraphView, MappedGraph};
 use agmdp_models::observe::{StageObserver, SynthesisStage};
 
 use agmdp_eval::{GraphProfile, UtilityReport};

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use agmdp_graph::FrozenGraph;
+use agmdp_graph::{FrozenGraph, GraphView};
 
 use crate::error::{validate_dataset_name, ServiceError};
 

@@ -24,7 +24,10 @@ fn fit<G: GraphView>(
 }
 
 fn assert_fit_is_representation_blind(name: &str, graph: &AttributedGraph) {
-    let dir = std::env::temp_dir().join(format!("agmdp_in_place_fit_{}", std::process::id()));
+    // One directory per test: the tests run in parallel, and each removes
+    // its directory when done.
+    let dir =
+        std::env::temp_dir().join(format!("agmdp_in_place_fit_{}_{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{name}.agb"));
     io::write_binary_file(graph, &path).unwrap();
