@@ -386,7 +386,7 @@ mod tests {
             names(&fired),
             vec![("hash-container", 1), ("ambient-rng", 2), ("wall-clock", 3)]
         );
-        assert!(lint_source("crates/service/src/cache.rs", src).is_empty());
+        assert!(lint_source("crates/service/src/ledger.rs", src).is_empty());
     }
 
     #[test]
@@ -424,7 +424,7 @@ mod tests {
             ]
         );
         // Outside the request path the same code is fine.
-        assert!(lint_source("crates/service/src/cache.rs", src).is_empty());
+        assert!(lint_source("crates/service/src/ledger.rs", src).is_empty());
     }
 
     #[test]

@@ -33,6 +33,9 @@ const REQUEST_PATH_FILES: &[&str] = &[
     "crates/service/src/http.rs",
     "crates/service/src/json.rs",
     "crates/service/src/engine.rs",
+    "crates/service/src/cache.rs",
+    "crates/service/src/registry.rs",
+    "crates/service/src/evalstore.rs",
     "crates/service/src/reactor.rs",
     "crates/service/src/conn.rs",
     "crates/service/src/sys.rs",
@@ -163,11 +166,15 @@ mod tests {
         ] {
             assert!(scope_for(path).unwrap().panic_freedom, "{path}");
         }
-        assert!(
-            !scope_for("crates/service/src/cache.rs")
-                .unwrap()
-                .panic_freedom
-        );
+        // The fit cache (single-flight wait included) and the registry
+        // (profiles and utility aggregates) run on every `/synthesize`.
+        for path in [
+            "crates/service/src/cache.rs",
+            "crates/service/src/registry.rs",
+            "crates/service/src/evalstore.rs",
+        ] {
+            assert!(scope_for(path).unwrap().panic_freedom, "{path}");
+        }
         // The storage path keeps both the mmap loader (graph crate) and the
         // release store (service crate) inside the policy; other graph-crate
         // files stay outside.

@@ -58,7 +58,7 @@ fn panic_freedom_fires_on_bad_and_not_on_good() {
     );
     assert!(lint_source("crates/service/src/server.rs", PANIC_GOOD).is_empty());
     // The same code outside the request path is not panic-freedom scoped.
-    assert!(lint_source("crates/service/src/cache.rs", PANIC_BAD).is_empty());
+    assert!(lint_source("crates/service/src/ledger.rs", PANIC_BAD).is_empty());
 }
 
 #[test]

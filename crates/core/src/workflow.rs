@@ -134,6 +134,23 @@ impl Default for AgmConfig {
 }
 
 impl AgmConfig {
+    /// Rejects a configuration no run can use: zero refinement iterations,
+    /// or a thread count outside `1..=MAX_SYNTHESIS_THREADS`.
+    pub fn validate(&self) -> Result<()> {
+        if self.refinement_iterations == 0 {
+            return Err(CoreError::InvalidConfig(
+                "refinement_iterations must be at least 1".to_string(),
+            ));
+        }
+        if self.threads == 0 || self.threads > MAX_SYNTHESIS_THREADS {
+            return Err(CoreError::InvalidConfig(format!(
+                "threads must lie in 1..={MAX_SYNTHESIS_THREADS}, got {}",
+                self.threads
+            )));
+        }
+        Ok(())
+    }
+
     /// The budget split this configuration implies (Section 5): an even
     /// four-way split for TriCycLe, half-to-degrees for FCL. Returns an error
     /// in non-private mode.
@@ -185,12 +202,7 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
     if graph.num_edges() == 0 {
         return Err(CoreError::UnusableInput("graph has no edges".to_string()));
     }
-    if config.refinement_iterations == 0 {
-        return Err(CoreError::InvalidConfig(
-            "refinement_iterations must be at least 1".to_string(),
-        ));
-    }
-    validate_threads(config)?;
+    config.validate()?;
     let (theta_x, theta_f, theta_m) = match config.privacy {
         Privacy::NonPrivate => {
             let theta_m = match config.model {
@@ -226,17 +238,6 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
     })
 }
 
-/// Rejects thread counts outside `1..=MAX_SYNTHESIS_THREADS`.
-fn validate_threads(config: &AgmConfig) -> Result<()> {
-    if config.threads == 0 || config.threads > MAX_SYNTHESIS_THREADS {
-        return Err(CoreError::InvalidConfig(format!(
-            "threads must lie in 1..={MAX_SYNTHESIS_THREADS}, got {}",
-            config.threads
-        )));
-    }
-    Ok(())
-}
-
 /// Samples a synthetic attributed graph from learned parameters (lines 6–19 of
 /// Algorithm 3). This step never reads the input graph, so it is pure
 /// post-processing with respect to the privacy guarantee.
@@ -265,7 +266,7 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     rng: &mut R,
     observer: &dyn StageObserver,
 ) -> Result<AttributedGraph> {
-    validate_threads(config)?;
+    config.validate()?;
     let policy = ExecPolicy::new(config.threads);
     let model: Box<dyn StructuralModel> = match config.model {
         StructuralModelKind::Fcl => Box::new(
@@ -310,16 +311,11 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     );
     observer.stage_end(SynthesisStage::AttrSample);
 
-    // Temporary edge set E', independent of the attributes. With no
-    // refinement iterations it *is* the release and must be materialised;
-    // otherwise only its Θ_F is observed, so the edge list suffices and the
-    // model may skip building the graph (the stream-identity contract of
+    // Temporary edge set E', independent of the attributes. Only its Θ_F is
+    // observed, so the edge list suffices and the model may skip building
+    // the graph (the stream-identity contract of
     // `StructuralModel::generate_edges` guarantees the same sample either
     // way).
-    if config.refinement_iterations == 0 {
-        let temp = model.generate(&request, rng)?;
-        return Ok(temp.with_attributes(params.schema, &codes)?);
-    }
     let mut current = model.generate_edges(&request, rng)?;
 
     let mut previous_acceptance: Option<Vec<f64>> = None;
@@ -376,8 +372,6 @@ pub fn synthesize<G: GraphView, R: Rng>(
     synthesize_from_parameters(&params, config, rng)
 }
 
-/// Copies an edge set into a new graph that carries the given schema and
-/// attribute codes.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +430,9 @@ mod tests {
             ..AgmConfig::default()
         };
         assert!(synthesize(&toy_social_graph(), &bad_config, &mut rng).is_err());
+        let params =
+            learn_parameters(&toy_social_graph(), &AgmConfig::default(), &mut rng).unwrap();
+        assert!(synthesize_from_parameters(&params, &bad_config, &mut rng).is_err());
     }
 
     #[test]

@@ -134,15 +134,6 @@ impl AttributedGraph {
         })
     }
 
-    /// Re-labels the graph with a new schema and per-node attribute codes,
-    /// keeping the edge set. Consumes the graph so the adjacency structure is
-    /// reused rather than rebuilt edge by edge.
-    pub fn with_attributes(mut self, schema: AttributeSchema, codes: &[u32]) -> Result<Self> {
-        self.schema = schema;
-        self.set_all_attribute_codes(codes)?;
-        Ok(self)
-    }
-
     /// The attribute schema: [`GraphView::schema`], kept inherent because
     /// the repository benchmark (`perfbench/`) calls it without importing
     /// `GraphView`.

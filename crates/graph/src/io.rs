@@ -14,8 +14,8 @@
 //! ```
 //!
 //! `attr` lines are optional (missing nodes default to the all-zero vector);
-//! `edge` lines may contain duplicates or self-loops, which are skipped via
-//! [`crate::GraphBuilder`] exactly as the paper's pre-processing does.
+//! `edge` lines may contain duplicates or self-loops, which are skipped
+//! exactly as the paper's pre-processing does.
 //!
 //! ## Binary format (`.agb`)
 //!
@@ -60,7 +60,6 @@ use std::io::{Read, Seek};
 use std::path::Path;
 
 use crate::attributes::AttributeSchema;
-use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::frozen::FrozenGraph;
 use crate::graph::AttributedGraph;
@@ -95,7 +94,7 @@ pub fn to_text<G: GraphView>(g: &G) -> String {
 
 /// Parses a graph from the text format described in the module docs.
 pub fn from_text(text: &str) -> Result<AttributedGraph> {
-    let mut builder: Option<GraphBuilder> = None;
+    let mut graph: Option<AttributedGraph> = None;
     let mut schema = AttributeSchema::new(0);
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -121,10 +120,10 @@ pub fn from_text(text: &str) -> Result<AttributedGraph> {
                     return Err(ctx("attribute width exceeds 16"));
                 }
                 schema = AttributeSchema::new(w);
-                builder = Some(GraphBuilder::new(n, schema));
+                graph = Some(AttributedGraph::new(n, schema));
             }
             "attr" => {
-                let b = builder
+                let g = graph
                     .as_mut()
                     .ok_or_else(|| ctx("attr before nodes header"))?;
                 let v: u32 = parts
@@ -136,10 +135,10 @@ pub fn from_text(text: &str) -> Result<AttributedGraph> {
                     .map(|p| p.parse::<u8>().map_err(|_| ctx("invalid attribute bit")))
                     .collect::<Result<_>>()?;
                 let code = schema.code_from_bits(&bits)?;
-                b.attribute(v, code)?;
+                g.set_attribute_code(v, code)?;
             }
             "edge" => {
-                let b = builder
+                let g = graph
                     .as_mut()
                     .ok_or_else(|| ctx("edge before nodes header"))?;
                 let u: u32 = parts
@@ -152,16 +151,19 @@ pub fn from_text(text: &str) -> Result<AttributedGraph> {
                     .ok_or_else(|| ctx("missing edge endpoint"))?
                     .parse()
                     .map_err(|_| ctx("invalid edge endpoint"))?;
-                b.edge(u, v)?;
+                // Self-loops and duplicates are dataset noise and are
+                // skipped; a self-loop is skipped before its node ids are
+                // range-checked.
+                if u != v {
+                    g.try_add_edge(u, v)?;
+                }
             }
             other => {
                 return Err(ctx(&format!("unknown record type '{other}'")));
             }
         }
     }
-    builder
-        .map(GraphBuilder::build)
-        .ok_or_else(|| GraphError::Format("missing 'nodes' header".into()))
+    graph.ok_or_else(|| GraphError::Format("missing 'nodes' header".into()))
 }
 
 /// Writes a graph to a file in the text format.
@@ -347,6 +349,7 @@ mod tests {
         assert!(from_text("nodes 3 1\nedge 0\n").is_err());
         assert!(from_text("nodes 2 17\n").is_err());
         assert!(from_text("nodes 2 1\nedge 0 9\n").is_err());
+        assert!(from_text("nodes 2 1\nattr 7 1\n").is_err());
     }
 
     #[test]

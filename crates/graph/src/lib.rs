@@ -66,7 +66,6 @@
 #![warn(missing_docs)]
 
 pub mod attributes;
-pub mod builder;
 pub mod categorical;
 pub mod clustering;
 pub mod components;
@@ -83,7 +82,6 @@ pub mod truncation;
 pub mod view;
 
 pub use attributes::{AttributeSchema, EdgeConfigIndex, NodeConfigIndex};
-pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use frozen::FrozenGraph;
 pub use graph::{AttributedGraph, Edge, NodeId};

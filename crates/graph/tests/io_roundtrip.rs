@@ -96,7 +96,7 @@ fn malformed_records_are_rejected_with_line_numbers() {
             "input {input:?}: error {msg:?} does not mention {expected:?}"
         );
     }
-    // Semantic errors surfaced through the builder/schema (exact message is
+    // Semantic errors surfaced through the graph/schema (exact message is
     // owned by those layers; they only need to fail).
     assert!(
         from_text("nodes 3 1\nattr 0 2\n").is_err(),

@@ -9,10 +9,15 @@
 //! estimator (with its own parameters), and the learning seed. Repeat
 //! requests hit the cache, skip the DP learning step entirely and draw
 //! nothing from the ledger.
+//!
+//! The same table tracks the fits in flight. A cold admission claims its
+//! key in the same locked step as the lookup; identical admissions that
+//! arrive while it fits wait for the publish and ride it as cache hits, so
+//! concurrent identical cold requests draw ε once.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use agmdp_core::correlations_dp::CorrelationMethod;
 use agmdp_core::workflow::{LearnedParameters, Privacy, StructuralModelKind};
@@ -89,9 +94,16 @@ struct CacheInner {
     entries: BTreeMap<FitKey, Arc<LearnedParameters>>,
     /// Insertion order for eviction (oldest at the front).
     order: VecDeque<FitKey>,
+    /// Keys an admission has claimed and is fitting (see [`FitClaim`]).
+    in_flight: BTreeSet<FitKey>,
 }
 
-/// Thread-safe fitted-parameter cache with hit/miss counters.
+/// Thread-safe fitted-parameter cache and single-flight table.
+///
+/// One mutex guards both the published parameter sets and the keys being
+/// fitted, so a lookup and a claim are one atomic step: no publish can slip
+/// between them. Publishing and releasing a claim both wake the admissions
+/// waiting on the condvar.
 ///
 /// Bounded: once `capacity` parameter sets are cached, the oldest insertion
 /// is evicted. Evicting is always privacy-safe — a later identical request
@@ -102,16 +114,46 @@ struct CacheInner {
 #[derive(Debug)]
 pub struct FitCache {
     inner: Mutex<CacheInner>,
+    /// Signalled when a key is published or a claim is released.
+    changed: Condvar,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for CacheInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheInner")
             .field("len", &self.entries.len())
+            .field("in_flight", &self.in_flight.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// The outcome of [`FitCache::lookup_or_claim`].
+#[derive(Debug)]
+pub enum Lookup {
+    /// The parameters are published: re-sampling them costs no ε.
+    Hit(Arc<LearnedParameters>),
+    /// The caller now holds the key's claim and fits it.
+    Claimed(FitClaim),
+    /// Another admission held the claim for the whole wait. The caller fits
+    /// without a claim (it may pay twice for one key, but never hangs).
+    TimedOut,
+}
+
+/// The claim on one key's fit. At most one exists per key; dropping it —
+/// after the fit is published, after a failed fit, or with an abandoned
+/// admission — is the only way the key is released, so waiters can then
+/// claim it themselves.
+#[derive(Debug)]
+pub struct FitClaim {
+    cache: Arc<FitCache>,
+    key: FitKey,
+}
+
+impl Drop for FitClaim {
+    fn drop(&mut self) {
+        self.cache.lock().in_flight.remove(&self.key);
+        self.cache.changed.notify_all();
     }
 }
 
@@ -135,47 +177,70 @@ impl FitCache {
             inner: Mutex::new(CacheInner {
                 entries: BTreeMap::new(),
                 order: VecDeque::new(),
+                in_flight: BTreeSet::new(),
             }),
+            changed: Condvar::new(),
             capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
-    /// Looks up fitted parameters without touching the hit/miss counters
-    /// (used by polling paths that would otherwise inflate them).
+    /// The table, recovered from poisoning: no update can stop partway, so
+    /// the table stays consistent even if a lock holder panicked.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks up fitted parameters without claiming or waiting.
     #[must_use]
     pub fn peek(&self, key: &FitKey) -> Option<Arc<LearnedParameters>> {
-        self.inner
-            .lock()
-            .expect("cache lock poisoned")
-            .entries
-            .get(key)
-            .cloned()
+        self.lock().entries.get(key).cloned()
     }
 
-    /// Looks up fitted parameters, counting a hit or miss.
-    #[must_use]
-    pub fn get(&self, key: &FitKey) -> Option<Arc<LearnedParameters>> {
-        let found = self
-            .inner
-            .lock()
-            .expect("cache lock poisoned")
-            .entries
-            .get(key)
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    /// Returns the published parameters for `key`, or claims the key for
+    /// the caller to fit. While another admission holds the claim, waits up
+    /// to `max_wait` for it to publish (a hit) or to drop its claim
+    /// unpublished (the caller claims). `on_wait` runs once, under the
+    /// cache lock, before the first wait.
+    pub fn lookup_or_claim(
+        self: &Arc<Self>,
+        key: &FitKey,
+        max_wait: Duration,
+        on_wait: impl FnOnce(),
+    ) -> Lookup {
+        let started = Instant::now();
+        let mut on_wait = Some(on_wait);
+        let mut inner = self.lock();
+        loop {
+            if let Some(params) = inner.entries.get(key) {
+                return Lookup::Hit(Arc::clone(params));
+            }
+            if inner.in_flight.insert(key.clone()) {
+                return Lookup::Claimed(FitClaim {
+                    cache: Arc::clone(self),
+                    key: key.clone(),
+                });
+            }
+            let remaining = max_wait.saturating_sub(started.elapsed());
+            if remaining.is_zero() {
+                return Lookup::TimedOut;
+            }
+            if let Some(on_wait) = on_wait.take() {
+                on_wait();
+            }
+            inner = self
+                .changed
+                .wait_timeout(inner, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 
-    /// Inserts fitted parameters (last writer wins — both writers paid ε, so
-    /// keeping either is privacy-safe), evicting the oldest insertion beyond
-    /// capacity.
+    /// Publishes fitted parameters (last writer wins — both writers paid ε,
+    /// so keeping either is privacy-safe), evicting the oldest insertion
+    /// beyond capacity, and wakes the admissions waiting on any key. It
+    /// leaves every claim in place: only its holder releases one.
     pub fn insert(&self, key: FitKey, params: Arc<LearnedParameters>) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         if inner.entries.insert(key.clone(), params).is_none() {
             inner.order.push_back(key);
         }
@@ -185,25 +250,14 @@ impl FitCache {
             };
             inner.entries.remove(&oldest);
         }
-    }
-
-    /// `(hits, misses)` since startup.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        drop(inner);
+        self.changed.notify_all();
     }
 
     /// Number of cached parameter sets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("cache lock poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache is empty.
@@ -228,21 +282,74 @@ mod tests {
         Arc::new(learn_parameters(&graph, &config, &mut rng).unwrap())
     }
 
-    #[test]
-    fn hit_and_miss_counters() {
-        let cache = FitCache::new();
-        let key = FitKey::new(
+    fn key(seed: u64) -> FitKey {
+        FitKey::new(
             "toy",
             Privacy::Dp { epsilon: 1.0 },
             StructuralModelKind::TriCycLe,
             CorrelationMethod::default(),
-            7,
-        );
-        assert!(cache.get(&key).is_none());
-        cache.insert(key.clone(), fit());
-        assert!(cache.get(&key).is_some());
-        assert_eq!(cache.counters(), (1, 1));
-        assert_eq!(cache.len(), 1);
+            seed,
+        )
+    }
+
+    fn claim(cache: &Arc<FitCache>, key: &FitKey) -> FitClaim {
+        match cache.lookup_or_claim(key, Duration::ZERO, || {}) {
+            Lookup::Claimed(claim) => claim,
+            other => panic!("expected a claim on {key:?}, got {other:?}"),
+        }
+    }
+
+    fn times_out(cache: &Arc<FitCache>, key: &FitKey) -> bool {
+        matches!(
+            cache.lookup_or_claim(key, Duration::ZERO, || {}),
+            Lookup::TimedOut
+        )
+    }
+
+    #[test]
+    fn claim_lifecycle() {
+        let cache = Arc::new(FitCache::with_capacity(1));
+        let params = fit();
+
+        // While a key is claimed, a zero-wait lookup times out.
+        let holder = claim(&cache, &key(1));
+        assert!(times_out(&cache, &key(1)));
+
+        // A claim dropped unpublished (a failed fit) lets the next lookup
+        // claim the key.
+        drop(holder);
+        let holder = claim(&cache, &key(1));
+
+        // A lookup waiting on the claimed key returns a hit as soon as the
+        // key is published, while the claim is still held.
+        let (waiting_tx, waiting_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.lookup_or_claim(&key(1), Duration::from_secs(60), || {
+                    waiting_tx.send(()).unwrap();
+                })
+            })
+        };
+        // `on_wait` runs under the cache lock, so this publish can only
+        // take the lock once the waiter is inside its wait.
+        waiting_rx.recv().unwrap();
+        cache.insert(key(1), Arc::clone(&params));
+        assert!(matches!(waiter.join().unwrap(), Lookup::Hit(_)));
+        assert!(matches!(
+            cache.lookup_or_claim(&key(1), Duration::ZERO, || {}),
+            Lookup::Hit(_)
+        ));
+
+        // A publish from an admission without the claim (one whose wait
+        // timed out) leaves the holder's claim in place: once the entry is
+        // evicted, lookups wait on the claim again until its holder drops it.
+        cache.insert(key(1), Arc::clone(&params));
+        cache.insert(key(2), params);
+        assert!(cache.peek(&key(1)).is_none(), "capacity 1 evicted key 1");
+        assert!(times_out(&cache, &key(1)));
+        drop(holder);
+        let _reclaimed = claim(&cache, &key(1));
     }
 
     #[test]
@@ -306,27 +413,18 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest_insertion() {
         let cache = FitCache::with_capacity(2);
-        let key = |seed| {
-            FitKey::new(
-                "toy",
-                Privacy::Dp { epsilon: 1.0 },
-                StructuralModelKind::TriCycLe,
-                CorrelationMethod::default(),
-                seed,
-            )
-        };
         let params = fit();
         cache.insert(key(1), Arc::clone(&params));
         cache.insert(key(2), Arc::clone(&params));
         cache.insert(key(3), Arc::clone(&params));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(1)).is_none(), "oldest insertion evicted");
-        assert!(cache.get(&key(2)).is_some());
-        assert!(cache.get(&key(3)).is_some());
+        assert!(cache.peek(&key(1)).is_none(), "oldest insertion evicted");
+        assert!(cache.peek(&key(2)).is_some());
+        assert!(cache.peek(&key(3)).is_some());
         // Re-inserting an existing key does not grow the order queue.
         cache.insert(key(3), params);
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(2)).is_some());
+        assert!(cache.peek(&key(2)).is_some());
     }
 
     #[test]

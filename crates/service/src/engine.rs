@@ -1,22 +1,27 @@
 //! The synthesis engine: registry + ledger + fitted-parameter cache.
 //!
+//! The engine keeps one table per key: the [`FitCache`] holds the published
+//! parameters and the fits in flight, keyed by fit, and the
+//! [`DatasetRegistry`] holds each dataset's graph, profile and utility
+//! aggregate, keyed by name.
+//!
 //! A request's life is split in two so the server can refuse over-budget work
 //! *before* running anything:
 //!
-//! 1. [`SynthesisEngine::admit`] — synchronous. Looks up the dataset, checks
-//!    the fitted-parameter cache and, on a miss, draws ε from the ledger
-//!    (journaled before granted). A request that exceeds the remaining budget
-//!    fails here with [`ServiceError::BudgetExhausted`] and never reaches a
-//!    worker.
+//! 1. [`SynthesisEngine::admit`] — synchronous. Looks up the dataset, then
+//!    looks up the fit key once: a hit is served from the cache, and a cold
+//!    key is claimed (or waited on while an identical admission fits it) and
+//!    draws ε from the ledger (journaled before granted). A request that
+//!    exceeds the remaining budget fails here with
+//!    [`ServiceError::BudgetExhausted`] and never reaches a worker.
 //! 2. [`SynthesisEngine::run`] — the expensive part, safe to run on a
-//!    background thread: fit `Θ̃` (cache miss only), cache it, then sample a
-//!    synthetic graph from the parameters (pure post-processing, ε-free).
+//!    background thread: fit `Θ̃` (cache miss only), publish it, then sample
+//!    a synthetic graph from the parameters (pure post-processing, ε-free).
 //!
 //! The sampling RNG is seeded independently of the learning RNG so a cache
 //! hit reproduces byte-identical output to the cold path for the same seed.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -32,9 +37,8 @@ use agmdp_models::observe::{StageObserver, SynthesisStage};
 
 use agmdp_eval::{GraphProfile, UtilityReport};
 
-use crate::cache::{FitCache, FitKey};
+use crate::cache::{FitCache, FitClaim, FitKey, Lookup};
 use crate::error::ServiceError;
-use crate::evalstore::EvalStore;
 use crate::ledger::BudgetLedger;
 use crate::registry::{DatasetRegistry, DatasetSummary};
 use crate::store::ReleaseStore;
@@ -48,8 +52,6 @@ const SAMPLING_SEED_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// up and paying for its own (the waited-out fallback can double-charge, but
 /// never hangs).
 const IN_FLIGHT_MAX_WAIT: Duration = Duration::from_secs(60);
-/// Granularity of the in-flight wait (also bounds wake-up latency).
-const IN_FLIGHT_WAIT_SLICE: Duration = Duration::from_millis(50);
 
 /// Cap on per-request sampling threads — tighter than the workflow's own
 /// limit because a multi-tenant server multiplies it by concurrent jobs.
@@ -58,46 +60,6 @@ pub const MAX_REQUEST_THREADS: usize = 64;
 /// Cap on a request's acceptance-refinement iterations (Algorithm 3's outer
 /// loop), which bounds the sampling work one request can demand.
 const MAX_REQUEST_ITERATIONS: usize = 64;
-
-/// Keys whose fit is currently being computed by some admitted request.
-///
-/// Single-flight guard: without it, two concurrent identical cold requests
-/// would both miss the cache and both draw ε from the ledger for one released
-/// parameter set. Admissions for a key already in flight wait (bounded) for
-/// the fitter to publish into the cache and then ride it as a cache hit.
-#[derive(Debug, Default)]
-struct InFlight {
-    keys: Mutex<BTreeSet<FitKey>>,
-    done: Condvar,
-}
-
-impl InFlight {
-    /// Removes `key` (idempotent) and wakes all waiters.
-    fn complete(&self, key: &FitKey) {
-        // Recover from poisoning: the set only tracks which fits are in
-        // flight, so its contents stay valid even if a holder panicked.
-        self.keys
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(key);
-        self.done.notify_all();
-    }
-}
-
-/// RAII claim on an in-flight fit; released explicitly once the fit is
-/// published, or on drop (fit failed / admission abandoned) so waiters can
-/// take over.
-#[derive(Debug)]
-struct FitClaim {
-    in_flight: Arc<InFlight>,
-    key: FitKey,
-}
-
-impl Drop for FitClaim {
-    fn drop(&mut self) {
-        self.in_flight.complete(&self.key);
-    }
-}
 
 /// One synthesis request, fully specifying the fit and the sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,7 +173,7 @@ pub struct SynthesisOutcome {
     /// Structural summary of the synthetic graph.
     pub stats: GraphStats,
     /// Utility of the release relative to the registered original (ε-free
-    /// post-processing; also folded into the engine's [`EvalStore`]).
+    /// post-processing; also folded into the dataset's registry entry).
     pub utility: UtilityReport,
     /// The synthetic graph in the text interchange format, when requested.
     pub graph_text: Option<String>,
@@ -223,8 +185,8 @@ pub struct SynthesisOutcome {
 pub struct Admission {
     params: Option<Arc<LearnedParameters>>,
     epsilon_spent: f64,
-    /// Present on cold admissions: the single-flight claim on this fit key,
-    /// released when the fit is published (or the admission is dropped).
+    /// Present on cold admissions that claimed their fit key: released when
+    /// the admission is dropped, after the fit is published (or failed).
     _claim: Option<FitClaim>,
 }
 
@@ -247,14 +209,9 @@ impl Admission {
 pub struct SynthesisEngine {
     registry: DatasetRegistry,
     ledger: BudgetLedger,
-    cache: FitCache,
-    evaluations: EvalStore,
-    /// Original-side metric statistics per dataset, computed lazily on the
-    /// first job and reused by every later one (the registry refuses
-    /// re-registration with different data, so a profile can never go
-    /// stale for a live name).
-    profiles: Mutex<BTreeMap<String, Arc<GraphProfile>>>,
-    in_flight: Arc<InFlight>,
+    /// Shared with every cold [`Admission`]'s claim, which travels to the
+    /// job thread.
+    cache: Arc<FitCache>,
     telemetry: Arc<Telemetry>,
     /// Content-addressed `.agb` release store, when configured. Completed
     /// runs write their released graph here; [`SynthesisEngine::store_lookup`]
@@ -278,10 +235,7 @@ impl SynthesisEngine {
         Self {
             registry: DatasetRegistry::new(),
             ledger,
-            cache: FitCache::new(),
-            evaluations: EvalStore::new(),
-            profiles: Mutex::new(BTreeMap::new()),
-            in_flight: Arc::new(InFlight::default()),
+            cache: Arc::new(FitCache::new()),
             telemetry,
             store: None,
         }
@@ -322,12 +276,6 @@ impl SynthesisEngine {
     #[must_use]
     pub fn cache(&self) -> &FitCache {
         &self.cache
-    }
-
-    /// The per-dataset utility store backing `GET /evaluate`.
-    #[must_use]
-    pub fn evaluations(&self) -> &EvalStore {
-        &self.evaluations
     }
 
     /// Registers a dataset with its total ε budget (registry + ledger in one
@@ -419,7 +367,9 @@ impl SynthesisEngine {
         self.telemetry.record_release_store(true, release.bytes);
         // The stored utility is folded into `GET /evaluate` exactly like a
         // fit-cache replay of the same release would be.
-        self.evaluations.record(&request.dataset, &release.utility);
+        self.registry
+            .record_utility(&request.dataset, &release.utility)
+            .ok()?;
         let graph_text = request.return_graph.then(|| io::to_text(&release.graph));
         Some(SynthesisOutcome {
             dataset: request.dataset.clone(),
@@ -432,10 +382,11 @@ impl SynthesisEngine {
         })
     }
 
-    /// The request checks shared by [`SynthesisEngine::admit`] and
-    /// [`SynthesisEngine::store_lookup`]: ε, iterations and threads in
-    /// range, and the dataset registered (even on the cache-hit path).
-    fn check_request(&self, request: &SynthesisRequest) -> Result<(), ServiceError> {
+    /// The request checks shared by [`SynthesisEngine::admit`],
+    /// [`SynthesisEngine::store_lookup`] and the server's rate limiter: ε,
+    /// iterations and threads in range, and the dataset registered (even on
+    /// the cache-hit path).
+    pub fn check_request(&self, request: &SynthesisRequest) -> Result<(), ServiceError> {
         if !(request.epsilon.is_finite() && request.epsilon > 0.0) {
             return Err(ServiceError::InvalidRequest(format!(
                 "epsilon must be positive and finite, got {}",
@@ -459,32 +410,25 @@ impl SynthesisEngine {
     /// Synchronous admission: cache lookup, or a journaled ledger spend.
     pub fn admit(&self, request: &SynthesisRequest) -> Result<Admission, ServiceError> {
         self.check_request(request)?;
-        let key = request.fit_key();
-        if let Some(params) = self.cache.get(&key) {
-            self.telemetry.record_fit_cache(true);
-            return Ok(Admission {
-                params: Some(params),
-                epsilon_spent: 0.0,
-                _claim: None,
+        // Single-flight: an identical admission's fit in progress is waited
+        // for and ridden as a cache hit, spending nothing.
+        let lookup = self
+            .cache
+            .lookup_or_claim(&request.fit_key(), IN_FLIGHT_MAX_WAIT, || {
+                self.telemetry.record_single_flight_wait();
             });
-        }
-        // Single-flight: claim the key, or wait for the identical in-flight
-        // fit to publish and ride it as a cache hit (spending nothing).
-        let claim = self.claim_or_wait(&key);
-        // Re-check the cache in every outcome: a fitter may have published
-        // after our initial miss — while we waited, or even before we
-        // claimed (fit published and claim released between our miss and the
-        // claim). Without this, that race double-charges ε or 402s a request
-        // the cache could serve for free. A fresh claim is simply dropped
-        // (released) when the hit path wins.
-        if let Some(params) = self.cache.get(&key) {
-            self.telemetry.record_fit_cache(true);
-            return Ok(Admission {
-                params: Some(params),
-                epsilon_spent: 0.0,
-                _claim: None,
-            });
-        }
+        let claim = match lookup {
+            Lookup::Hit(params) => {
+                self.telemetry.record_fit_cache(true);
+                return Ok(Admission {
+                    params: Some(params),
+                    epsilon_spent: 0.0,
+                    _claim: None,
+                });
+            }
+            Lookup::Claimed(claim) => Some(claim),
+            Lookup::TimedOut => None,
+        };
         self.ledger.spend(&request.dataset, request.epsilon)?;
         self.telemetry.record_fit_cache(false);
         Ok(Admission {
@@ -492,48 +436,6 @@ impl SynthesisEngine {
             epsilon_spent: request.epsilon,
             _claim: claim,
         })
-    }
-
-    /// Claims `key` for fitting, or waits (bounded) while another admission
-    /// holds it. Returns `None` when the wait ended — either because the
-    /// fitter finished (check the cache) or the wait timed out (fall through
-    /// to an independent, possibly duplicate, spend: never hang admission).
-    fn claim_or_wait(&self, key: &FitKey) -> Option<FitClaim> {
-        let mut keys = self
-            .in_flight
-            .keys
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut waited = Duration::ZERO;
-        loop {
-            if !keys.contains(key) {
-                keys.insert(key.clone());
-                return Some(FitClaim {
-                    in_flight: Arc::clone(&self.in_flight),
-                    key: key.clone(),
-                });
-            }
-            if waited >= IN_FLIGHT_MAX_WAIT {
-                return None;
-            }
-            if waited == Duration::ZERO {
-                // Counted once per admission that actually blocks, not per
-                // wait slice.
-                self.telemetry.record_single_flight_wait();
-            }
-            let (guard, _) = self
-                .in_flight
-                .done
-                .wait_timeout(keys, IN_FLIGHT_WAIT_SLICE)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            keys = guard;
-            waited += IN_FLIGHT_WAIT_SLICE;
-            // The fitter may have published and released; if the cache now
-            // holds the key the caller will take the hit path.
-            if self.cache.peek(key).is_some() {
-                return None;
-            }
-        }
     }
 
     /// The parameter-acquisition half of [`SynthesisEngine::run`]: returns
@@ -559,41 +461,10 @@ impl SynthesisEngine {
             learn_parameters(graph.as_ref(), &request.config(), &mut learn_rng)
                 .map_err(|e| ServiceError::Synthesis(e.to_string()))?,
         );
-        let key = request.fit_key();
-        self.cache.insert(key.clone(), Arc::clone(&params));
-        // Wake identical admissions as soon as the fit is published instead
-        // of making them wait out the sampling step too (the claim's own
-        // drop-release is idempotent with this).
-        self.in_flight.complete(&key);
+        // Publishing wakes identical admissions as soon as the fit is done
+        // instead of making them wait out the sampling step too.
+        self.cache.insert(request.fit_key(), Arc::clone(&params));
         Ok(params)
-    }
-
-    /// The cached original-side metric profile of a registered dataset,
-    /// computed on first use.
-    fn dataset_profile(&self, dataset: &str) -> Result<Arc<GraphProfile>, ServiceError> {
-        if let Some(profile) = self
-            .profiles
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(dataset)
-        {
-            return Ok(Arc::clone(profile));
-        }
-        // Compute outside the lock (profiling a large graph is the expensive
-        // part); a concurrent duplicate computation is harmless — profiles
-        // of the same graph are identical, and the first insert wins. The
-        // profile's whole-graph traversals run on the CSR arrays.
-        let graph = self.registry.get(dataset)?;
-        let profile = Arc::new(GraphProfile::of(graph.as_ref()));
-        let mut profiles = self
-            .profiles
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Ok(Arc::clone(
-            profiles
-                .entry(dataset.to_string())
-                .or_insert_with(|| Arc::clone(&profile)),
-        ))
     }
 
     /// Runs an admitted request: fit (cache miss only) + sample.
@@ -636,10 +507,10 @@ impl SynthesisEngine {
         // per dataset and cached, so repeat requests — in particular the
         // ε-free fit-cache hits — only pay for the synthetic side.
         timer.stage_start(SynthesisStage::Score);
-        let original = self.dataset_profile(&request.dataset)?;
+        let original = self.registry.profile(&request.dataset)?;
         let release = GraphProfile::of(&frozen);
         let utility = UtilityReport::between(&original, &release);
-        self.evaluations.record(&request.dataset, &utility);
+        self.registry.record_utility(&request.dataset, &utility)?;
         let stats = GraphStats::of(&release);
         timer.stage_end(SynthesisStage::Score);
         let graph_text = if request.return_graph {
@@ -813,7 +684,7 @@ mod tests {
     #[test]
     fn every_run_records_utility_for_get_evaluate() {
         let engine = engine_with_toy(10.0);
-        assert!(engine.evaluations().is_empty());
+        assert!(engine.registry().utilities().is_empty());
         let request = SynthesisRequest::new("toy", 1.0, 1);
         let cold = engine.synthesize(&request).unwrap();
         assert!(cold.utility.ks_degree <= 1.0);
@@ -821,7 +692,7 @@ mod tests {
         let hot = engine.synthesize(&request).unwrap();
         assert!(hot.cache_hit);
         assert_eq!(hot.utility, cold.utility);
-        let summaries = engine.evaluations().summaries();
+        let summaries = engine.registry().utilities();
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].0, "toy");
         assert_eq!(summaries[0].1.runs, 2);

@@ -1,15 +1,13 @@
-//! Per-dataset utility accumulation backing `GET /evaluate`.
+//! Per-dataset utility aggregation backing `GET /evaluate`.
 //!
 //! Every completed synthesis job compares its released graph against the
 //! registered original (`agmdp_eval::UtilityReport` — pure post-processing,
-//! no ε) and folds the result into this store, so the server can report the
-//! *utility* of what it has released alongside the budget ledger's record of
-//! what the releases *cost*. Aggregation keeps running sums per metric, not
-//! the reports themselves, so memory stays constant per dataset no matter
-//! how many jobs run.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+//! no ε) and folds the result into an `Accumulator` held by the dataset's
+//! registry entry ([`crate::registry::DatasetRegistry::record_utility`]), so
+//! the server can report the *utility* of what it has released alongside
+//! the budget ledger's record of what the releases *cost*. Aggregation keeps
+//! running sums per metric, not the reports themselves, so memory stays
+//! constant per dataset no matter how many jobs run.
 
 use agmdp_eval::report::NUM_METRICS;
 use agmdp_eval::UtilityReport;
@@ -27,14 +25,14 @@ pub struct DatasetUtility {
 
 /// Running sums of one dataset's utility reports.
 #[derive(Debug, Clone, Copy)]
-struct Accumulator {
+pub(crate) struct Accumulator {
     count: u64,
     sum: [f64; NUM_METRICS],
     sum_sq: [f64; NUM_METRICS],
 }
 
 impl Accumulator {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             count: 0,
             sum: [0.0; NUM_METRICS],
@@ -42,7 +40,7 @@ impl Accumulator {
         }
     }
 
-    fn record(&mut self, report: &UtilityReport) {
+    pub(crate) fn record(&mut self, report: &UtilityReport) {
         self.count += 1;
         for ((s, sq), v) in self
             .sum
@@ -55,7 +53,7 @@ impl Accumulator {
         }
     }
 
-    fn summary(&self) -> DatasetUtility {
+    pub(crate) fn summary(&self) -> DatasetUtility {
         let n = self.count as f64;
         let mut mean = [0.0; NUM_METRICS];
         let mut stddev = [0.0; NUM_METRICS];
@@ -79,65 +77,12 @@ impl Accumulator {
     }
 }
 
-/// Thread-safe per-dataset utility store.
-#[derive(Debug, Default)]
-pub struct EvalStore {
-    inner: Mutex<BTreeMap<String, Accumulator>>,
-}
-
-impl EvalStore {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one release's utility report into `dataset`'s aggregate.
-    pub fn record(&self, dataset: &str, report: &UtilityReport) {
-        let mut inner = self.inner.lock().expect("eval store lock poisoned");
-        inner
-            .entry(dataset.to_string())
-            .or_insert_with(Accumulator::new)
-            .record(report);
-    }
-
-    /// Aggregated utility per dataset, sorted by dataset name.
-    #[must_use]
-    pub fn summaries(&self) -> Vec<(String, DatasetUtility)> {
-        let inner = self.inner.lock().expect("eval store lock poisoned");
-        inner
-            .iter()
-            .map(|(name, acc)| (name.clone(), acc.summary()))
-            .collect()
-    }
-
-    /// Number of datasets with at least one recorded run.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("eval store lock poisoned").len()
-    }
-
-    /// True when nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn empty_store_has_no_summaries() {
-        let store = EvalStore::new();
-        assert!(store.is_empty());
-        assert!(store.summaries().is_empty());
-    }
-
-    #[test]
     fn mean_and_stddev_match_direct_computation() {
-        let store = EvalStore::new();
         let a = UtilityReport {
             ks_degree: 0.2,
             edge_count_re: 0.1,
@@ -148,12 +93,16 @@ mod tests {
             edge_count_re: 0.3,
             ..Default::default()
         };
-        store.record("d", &a);
-        store.record("d", &b);
-        let summaries = store.summaries();
-        assert_eq!(summaries.len(), 1);
-        let (name, utility) = &summaries[0];
-        assert_eq!(name, "d");
+        let mut acc = Accumulator::new();
+        acc.record(&a);
+        // One run: its own mean, with zero spread.
+        let single = acc.summary();
+        assert_eq!(single.runs, 1);
+        assert_eq!(single.mean, a);
+        assert_eq!(single.stddev, UtilityReport::default());
+
+        acc.record(&b);
+        let utility = acc.summary();
         assert_eq!(utility.runs, 2);
         let direct_mean = UtilityReport::mean(&[a, b]);
         let direct_sd = UtilityReport::stddev(&[a, b]);
@@ -163,17 +112,5 @@ mod tests {
         for (got, want) in utility.stddev.values().iter().zip(direct_sd.values()) {
             assert!((got - want).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn single_run_has_zero_stddev_and_datasets_stay_separate() {
-        let store = EvalStore::new();
-        store.record("a", &UtilityReport::default());
-        store.record("b", &UtilityReport::default());
-        let summaries = store.summaries();
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].0, "a"); // sorted
-        assert_eq!(summaries[0].1.runs, 1);
-        assert_eq!(summaries[0].1.stddev, UtilityReport::default());
     }
 }

@@ -4,7 +4,8 @@
 //! service that answers many requests fast and provably within budget:
 //!
 //! * **Dataset registry** ([`registry`]) — named graphs, loaded once and
-//!   shared across requests.
+//!   shared across requests. A dataset's entry also holds its metric
+//!   profile and the utility aggregate of its releases.
 //! * **Privacy-budget ledger** ([`ledger`]) — one total ε per dataset,
 //!   enforced under concurrency via [`agmdp_privacy::PrivacyBudget`]
 //!   (sequential composition, Theorem 2 of the paper) and persisted through a
@@ -14,18 +15,20 @@
 //! * **Fitted-parameter cache** ([`cache`]) — learning `Θ̃` is the only
 //!   ε-spending step; re-sampling from already-released parameters is pure
 //!   post-processing and costs no ε. Repeat requests hit the cache, skip the
-//!   DP learning entirely and leave the ledger untouched.
+//!   DP learning entirely and leave the ledger untouched. The cache also
+//!   holds the fits in flight, so identical concurrent cold requests pay ε
+//!   once.
 //! * **Release store** ([`store`]) — the on-disk counterpart of the cache:
 //!   every completed job writes its released graph as a content-addressed
 //!   `.agb` artifact, and a repeat `/synthesize` for the same key is served
 //!   straight from the store — no job runs, no ε is drawn — surviving
 //!   restarts and re-sending the release byte-for-byte (zero-copy via the
 //!   mmap load path).
-//! * **Utility store** ([`evalstore`]) — every completed job's release is
-//!   compared against its original (`agmdp_eval::UtilityReport`, ε-free
-//!   post-processing) and aggregated per dataset, so `GET /evaluate` reports
-//!   the utility of what the server released alongside the ledger's record
-//!   of what it cost.
+//! * **Utility of served releases** ([`evalstore`]) — every completed job's
+//!   release is compared against its original (`agmdp_eval::UtilityReport`,
+//!   ε-free post-processing) and aggregated in the dataset's registry entry,
+//!   so `GET /evaluate` reports the utility of what the server released
+//!   alongside the ledger's record of what it cost.
 //! * **HTTP server** ([`server`]) — an event-driven front end: one reactor
 //!   thread running a nonblocking readiness loop ([`reactor`], over the raw
 //!   epoll shim in [`sys`], so the server runs on Linux) with

@@ -42,6 +42,8 @@ const TOKEN_WAKER: u64 = 1;
 /// increasing and never reused, so a late completion for a dead connection
 /// can never be misdelivered to a new one.
 const FIRST_CONN_TOKEN: u64 = 2;
+/// Requests served per connection before keep-alive is withdrawn.
+const KEEPALIVE_MAX_REQUESTS: u64 = 10_000;
 
 /// A framed request en route to the worker pool.
 pub struct HttpJob {
@@ -73,8 +75,6 @@ impl Waker {
 pub struct ReactorConfig {
     /// Open-connection cap; excess accepts are shed with a canned `503`.
     pub max_conns: usize,
-    /// Requests served per connection before keep-alive is withdrawn.
-    pub keepalive_max_requests: u64,
     /// Per-connection deadlines.
     pub timeouts: ConnTimeouts,
     /// Parser size caps.
@@ -350,7 +350,7 @@ impl Reactor {
         let Some(entry) = self.conns.get_mut(&token) else {
             return;
         };
-        let allow_keep_alive = entry.conn.served() + 1 < self.config.keepalive_max_requests;
+        let allow_keep_alive = entry.conn.served() + 1 < KEEPALIVE_MAX_REQUESTS;
         entry.conn.complete(response, allow_keep_alive, now);
         if entry.conn.served() > 1 {
             self.telemetry.record_keepalive_reuse();

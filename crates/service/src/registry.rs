@@ -1,22 +1,27 @@
-//! The in-memory dataset registry.
+//! The in-memory dataset registry: one entry per dataset name.
 //!
-//! Maps dataset names to **read-only** graphs: a dataset is registered once
-//! and then only ever read (parameter fits, metric profiles,
-//! `GET /evaluate`). Every dataset is a [`FrozenGraph`]: owned CSR words for
-//! text registrations and in-process embedding, or a memory-mapped `.agb`
-//! file for binary path registrations (microseconds to register, one
-//! page-cache copy shared across processes). The DP fit reads it in place.
-//! Datasets are held behind `Arc` so synthesis jobs can read them
-//! concurrently without cloning; the registry itself is never persisted
-//! (re-register after a restart — the *budget* is what must survive, and
-//! that lives in the ledger).
+//! A dataset is registered once and then only ever read. Its entry holds
+//! the **read-only** graph, the original-side metric profile every job
+//! scores its release against (built on first use), and the running utility
+//! of every release served from it (`GET /evaluate`).
+//!
+//! Every dataset is a [`FrozenGraph`]: owned CSR words for text
+//! registrations and in-process embedding, or a memory-mapped `.agb` file
+//! for binary path registrations (microseconds to register, one page-cache
+//! copy shared across processes). The DP fit reads it in place. Graphs are
+//! held behind `Arc` so synthesis jobs can read them concurrently without
+//! cloning; the registry itself is never persisted (re-register after a
+//! restart — the *budget* is what must survive, and that lives in the
+//! ledger).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use agmdp_eval::{GraphProfile, UtilityReport};
 use agmdp_graph::{FrozenGraph, GraphView};
 
 use crate::error::{validate_dataset_name, ServiceError};
+use crate::evalstore::{Accumulator, DatasetUtility};
 
 /// The name the repository benchmark (`perfbench/`) uses for a registered
 /// graph: the same [`FrozenGraph`].
@@ -38,10 +43,22 @@ pub struct DatasetSummary {
     pub mapped: bool,
 }
 
-/// A thread-safe name → graph map.
+/// One registered dataset.
+#[derive(Debug)]
+struct Entry {
+    graph: Arc<FrozenGraph>,
+    /// Original-side metric statistics, computed by the first job that needs
+    /// them and reused by every later one. The registry refuses
+    /// re-registration with different data, so a profile never goes stale.
+    profile: OnceLock<Arc<GraphProfile>>,
+    /// Running utility of every release served from this dataset.
+    utility: Mutex<Accumulator>,
+}
+
+/// A thread-safe name → dataset map.
 #[derive(Debug, Default)]
 pub struct DatasetRegistry {
-    graphs: Mutex<BTreeMap<String, Arc<FrozenGraph>>>,
+    entries: Mutex<BTreeMap<String, Arc<Entry>>>,
 }
 
 impl DatasetRegistry {
@@ -49,6 +66,19 @@ impl DatasetRegistry {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The table, recovered from poisoning: every update is one insert or
+    /// remove, so the table stays consistent even if a holder panicked.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Entry>>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn entry(&self, name: &str) -> Result<Arc<Entry>, ServiceError> {
+        self.lock()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
     }
 
     /// Registers a frozen or memory-mapped graph under `name`.
@@ -62,51 +92,87 @@ impl DatasetRegistry {
         graph: FrozenGraph,
     ) -> Result<Arc<FrozenGraph>, ServiceError> {
         validate_dataset_name(name)?;
-        let mut graphs = self.graphs.lock().expect("registry lock poisoned");
-        if let Some(existing) = graphs.get(name) {
-            if **existing == graph {
-                return Ok(Arc::clone(existing));
+        let mut entries = self.lock();
+        if let Some(existing) = entries.get(name) {
+            if *existing.graph == graph {
+                return Ok(Arc::clone(&existing.graph));
             }
             return Err(ServiceError::DatasetConflict(format!(
                 "'{name}' is already registered with different data"
             )));
         }
-        let arc = Arc::new(graph);
-        graphs.insert(name.to_string(), Arc::clone(&arc));
-        Ok(arc)
+        let graph = Arc::new(graph);
+        entries.insert(
+            name.to_string(),
+            Arc::new(Entry {
+                graph: Arc::clone(&graph),
+                profile: OnceLock::new(),
+                utility: Mutex::new(Accumulator::new()),
+            }),
+        );
+        Ok(graph)
     }
 
     /// Removes a dataset (used to roll back a failed registration).
     pub(crate) fn remove(&self, name: &str) {
-        self.graphs
-            .lock()
-            .expect("registry lock poisoned")
-            .remove(name);
+        self.lock().remove(name);
     }
 
     /// Looks up a dataset.
     pub fn get(&self, name: &str) -> Result<Arc<FrozenGraph>, ServiceError> {
-        self.graphs
+        Ok(Arc::clone(&self.entry(name)?.graph))
+    }
+
+    /// The original-side metric profile of a dataset, computed on first use.
+    /// Concurrent first callers wait for one computation; the profile's
+    /// whole-graph traversals run on the CSR arrays, outside the table lock.
+    pub fn profile(&self, name: &str) -> Result<Arc<GraphProfile>, ServiceError> {
+        let entry = self.entry(name)?;
+        let profile = entry
+            .profile
+            .get_or_init(|| Arc::new(GraphProfile::of(entry.graph.as_ref())));
+        Ok(Arc::clone(profile))
+    }
+
+    /// Folds one release's utility report into the dataset's aggregate.
+    pub fn record_utility(&self, name: &str, report: &UtilityReport) -> Result<(), ServiceError> {
+        self.entry(name)?
+            .utility
             .lock()
-            .expect("registry lock poisoned")
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
+            .unwrap_or_else(PoisonError::into_inner)
+            .record(report);
+        Ok(())
+    }
+
+    /// Aggregated utility of the datasets with at least one recorded run,
+    /// sorted by name.
+    #[must_use]
+    pub fn utilities(&self) -> Vec<(String, DatasetUtility)> {
+        self.lock()
+            .iter()
+            .map(|(name, entry)| {
+                let utility = entry
+                    .utility
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .summary();
+                (name.clone(), utility)
+            })
+            .filter(|(_, utility)| utility.runs > 0)
+            .collect()
     }
 
     /// Summaries of all registered datasets, sorted by name.
     #[must_use]
     pub fn summaries(&self) -> Vec<DatasetSummary> {
-        self.graphs
-            .lock()
-            .expect("registry lock poisoned")
+        self.lock()
             .iter()
-            .map(|(name, g)| DatasetSummary {
+            .map(|(name, entry)| DatasetSummary {
                 name: name.clone(),
-                nodes: g.num_nodes(),
-                edges: g.num_edges(),
-                attribute_width: g.schema().width(),
-                mapped: g.is_mapped(),
+                nodes: entry.graph.num_nodes(),
+                edges: entry.graph.num_edges(),
+                attribute_width: entry.graph.schema().width(),
+                mapped: entry.graph.is_mapped(),
             })
             .collect()
     }
@@ -135,6 +201,44 @@ mod tests {
         assert_eq!(summaries[0].nodes, g.num_nodes());
         assert_eq!(summaries[0].edges, g.num_edges());
         assert!(!summaries[0].mapped);
+    }
+
+    #[test]
+    fn entries_hold_the_profile_and_the_utility_aggregate() {
+        let reg = DatasetRegistry::new();
+        let g = toy_social_graph();
+        reg.register("b", g.freeze()).unwrap();
+        reg.register("a", g.freeze()).unwrap();
+        // No runs yet: no dataset is listed.
+        assert!(reg.utilities().is_empty());
+
+        // The profile is built once and shared by every later caller.
+        let profile = reg.profile("a").unwrap();
+        assert_eq!(*profile, GraphProfile::of(&g.freeze()));
+        assert!(Arc::ptr_eq(&profile, &reg.profile("a").unwrap()));
+
+        let report = UtilityReport {
+            ks_degree: 0.25,
+            ..Default::default()
+        };
+        reg.record_utility("b", &report).unwrap();
+        reg.record_utility("a", &report).unwrap();
+        reg.record_utility("a", &report).unwrap();
+        let utilities = reg.utilities();
+        let names: Vec<&str> = utilities.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["a", "b"], "sorted by name, datasets kept apart");
+        assert_eq!(utilities[0].1.runs, 2);
+        assert_eq!(utilities[1].1.runs, 1);
+        assert_eq!(utilities[1].1.mean, report);
+
+        assert!(matches!(
+            reg.profile("other"),
+            Err(ServiceError::UnknownDataset(_))
+        ));
+        assert!(matches!(
+            reg.record_utility("other", &report),
+            Err(ServiceError::UnknownDataset(_))
+        ));
     }
 
     #[test]

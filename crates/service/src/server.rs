@@ -84,8 +84,6 @@ pub struct ServiceConfig {
     pub write_timeout: Duration,
     /// How long an idle keep-alive connection is retained.
     pub idle_timeout: Duration,
-    /// Requests served per connection before keep-alive is withdrawn.
-    pub keepalive_max_requests: u64,
     /// Kernel send-buffer override for accepted sockets; used by the
     /// fault-injection tests to make write-stalls deterministic.
     pub send_buffer_bytes: Option<usize>,
@@ -115,7 +113,6 @@ impl Default for ServiceConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
-            keepalive_max_requests: 10_000,
             send_buffer_bytes: None,
             debug_endpoints: false,
             release_store: None,
@@ -251,7 +248,6 @@ pub fn start_with_engine(
     let completions: Completions = Arc::new(Mutex::new(VecDeque::new()));
     let reactor_config = ReactorConfig {
         max_conns: config.max_conns,
-        keepalive_max_requests: config.keepalive_max_requests.max(1),
         timeouts: ConnTimeouts {
             read: config.read_timeout,
             write: config.write_timeout,
@@ -457,7 +453,7 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
 }
 
 fn handle_healthz(engine: &Arc<SynthesisEngine>) -> Response {
-    let (hits, misses) = engine.cache().counters();
+    let (hits, misses) = engine.telemetry().fit_cache_counts();
     ok_json(
         200,
         obj(vec![
@@ -607,8 +603,13 @@ fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
         Err(resp) => return resp,
     };
     // Rate limiting is the outermost shed layer: a tenant hammering the
-    // endpoint burns 429s before touching job slots or the ε ledger.
+    // endpoint burns 429s before touching job slots or the ε ledger. Only a
+    // request the engine would admit gets a bucket, so a flood of unknown
+    // dataset names cannot grow the bucket table.
     if let Some(buckets) = &state.rate_limits {
+        if let Err(e) = state.engine.check_request(&request) {
+            return service_error(&e);
+        }
         if let Err(retry_after) = buckets.try_take(&request.dataset, Instant::now()) {
             state.engine.telemetry().record_shed("rate_limit");
             return error_body(
@@ -753,8 +754,8 @@ fn handle_job(jobs: &JobStore, id_text: &str) -> Response {
 /// (same metric columns, accumulated over live traffic instead of a plan).
 fn handle_evaluate(engine: &Arc<SynthesisEngine>) -> Response {
     let datasets: Vec<Value> = engine
-        .evaluations()
-        .summaries()
+        .registry()
+        .utilities()
         .into_iter()
         .map(|(name, utility)| {
             obj(vec![
@@ -1511,6 +1512,57 @@ mod tests {
             metrics.body
         );
         wait_for_job(&state, 1);
+    }
+
+    #[test]
+    fn rate_limit_buckets_only_requests_the_engine_would_admit() {
+        let mut state = test_state();
+        // Burst 1 at a near-zero rate: a second token takes days.
+        Arc::get_mut(&mut state)
+            .map(|s| s.rate_limits = Some(TokenBuckets::new(1e-6, 1.0)))
+            .unwrap();
+        // Refused by the engine's request check: same 404/400 every time,
+        // and no token taken.
+        for _ in 0..2 {
+            let unknown = post(&state, "/synthesize", r#"{"dataset":"nope","epsilon":0.5}"#);
+            assert_eq!(unknown.status, 404, "{}", unknown.body);
+        }
+        let bad_epsilon = post(&state, "/synthesize", r#"{"dataset":"toy","epsilon":-1}"#);
+        assert_eq!(bad_epsilon.status, 400, "{}", bad_epsilon.body);
+        // The registered dataset's one token is still there.
+        let accepted = post(
+            &state,
+            "/synthesize",
+            r#"{"dataset":"toy","epsilon":0.5,"seed":1}"#,
+        );
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        let metrics = get(&state, "/metrics").body;
+        assert!(!metrics.contains("reason=\"rate_limit\""), "{metrics}");
+        wait_for_job(&state, 1);
+    }
+
+    #[test]
+    fn healthz_reports_the_metrics_fit_cache_counts() {
+        let state = test_state();
+        let cold = SynthesisRequest::new("toy", 0.5, 1);
+        assert!(!state.engine.synthesize(&cold).unwrap().cache_hit);
+        let mut same_fit = cold.clone();
+        same_fit.refinement_iterations = 4;
+        assert!(state.engine.synthesize(&same_fit).unwrap().cache_hit);
+
+        let health = json::parse(&get(&state, "/healthz").body).unwrap();
+        let cache = json::get(&health, "cache").unwrap();
+        let healthz = |name| json::as_u64(json::get(cache, name).unwrap()).unwrap();
+        let metrics = get(&state, "/metrics").body;
+        let metric = |name: &str| -> u64 {
+            metrics
+                .lines()
+                .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap()
+        };
+        assert_eq!((healthz("hits"), healthz("misses")), (1, 1));
+        assert_eq!(metric("agmdp_fit_cache_hits_total"), healthz("hits"));
+        assert_eq!(metric("agmdp_fit_cache_misses_total"), healthz("misses"));
     }
 
     fn store_state(dir: &std::path::Path) -> Arc<ServerState> {

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use agmdp_models::observe::{StageObserver, SynthesisStage};
-use agmdp_obs::{IdSource, MetricsRegistry, TraceSink, LATENCY_BUCKETS_S};
+use agmdp_obs::{Counter, IdSource, MetricsRegistry, TraceSink, LATENCY_BUCKETS_S};
 
 /// Shared observability state: one metrics registry plus one trace sink,
 /// owned by the engine and shared with the server.
@@ -25,6 +25,10 @@ pub struct Telemetry {
     sink: TraceSink,
     request_ids: IdSource,
     run_ids: IdSource,
+    /// The fit-cache admission counters, registered once so `GET /healthz`
+    /// and `GET /metrics` read the same values.
+    fit_cache_hits: Arc<Counter>,
+    fit_cache_misses: Arc<Counter>,
 }
 
 impl Telemetry {
@@ -32,11 +36,24 @@ impl Telemetry {
     /// collected; only tracing is optional).
     #[must_use]
     pub fn new(sink: TraceSink) -> Self {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let fit_cache_hits = metrics.counter(
+            "agmdp_fit_cache_hits_total",
+            "Admissions satisfied by the fitted-parameter cache (no \u{3b5} spent).",
+            &[],
+        );
+        let fit_cache_misses = metrics.counter(
+            "agmdp_fit_cache_misses_total",
+            "Admissions that drew \u{3b5} from the ledger for a cold fit.",
+            &[],
+        );
         Self {
-            metrics: Arc::new(MetricsRegistry::new()),
+            metrics,
             sink,
             request_ids: IdSource::new(),
             run_ids: IdSource::new(),
+            fit_cache_hits,
+            fit_cache_misses,
         }
     }
 
@@ -98,22 +115,16 @@ impl Telemetry {
     /// Records a fit-cache admission outcome.
     pub fn record_fit_cache(&self, hit: bool) {
         if hit {
-            self.metrics
-                .counter(
-                    "agmdp_fit_cache_hits_total",
-                    "Admissions satisfied by the fitted-parameter cache (no \u{3b5} spent).",
-                    &[],
-                )
-                .inc();
+            self.fit_cache_hits.inc();
         } else {
-            self.metrics
-                .counter(
-                    "agmdp_fit_cache_misses_total",
-                    "Admissions that drew \u{3b5} from the ledger for a cold fit.",
-                    &[],
-                )
-                .inc();
+            self.fit_cache_misses.inc();
         }
+    }
+
+    /// `(hits, misses)` of the fit cache since start-up.
+    #[must_use]
+    pub fn fit_cache_counts(&self) -> (u64, u64) {
+        (self.fit_cache_hits.get(), self.fit_cache_misses.get())
     }
 
     /// Records one admission that blocked on an identical in-flight fit.
@@ -343,6 +354,10 @@ mod tests {
     #[test]
     fn cache_and_wait_counters() {
         let t = Telemetry::quiet();
+        // Both fit-cache families are exported from start-up.
+        let text = t.metrics().render();
+        assert!(text.contains("agmdp_fit_cache_hits_total 0"));
+        assert!(text.contains("agmdp_fit_cache_misses_total 0"));
         t.record_fit_cache(false);
         t.record_fit_cache(true);
         t.record_fit_cache(true);
@@ -350,6 +365,7 @@ mod tests {
         let text = t.metrics().render();
         assert!(text.contains("agmdp_fit_cache_hits_total 2"));
         assert!(text.contains("agmdp_fit_cache_misses_total 1"));
+        assert_eq!(t.fit_cache_counts(), (2, 1));
         assert!(text.contains("agmdp_single_flight_waits_total 1"));
     }
 

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use agmdp_eval::{
         DatasetRef, EpsilonSpec, EvalPlan, EvalReport, GraphProfile, UtilityReport,
     };
-    pub use agmdp_graph::{AttributeSchema, AttributedGraph, FrozenGraph, GraphBuilder, GraphView};
+    pub use agmdp_graph::{AttributeSchema, AttributedGraph, FrozenGraph, GraphView};
     pub use agmdp_models::{
         ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel,
     };
