@@ -7,8 +7,8 @@
 //! statistic and a full fidelity score (`comparison`: two fresh
 //! [`GraphProfile`]s scored by [`UtilityReport::between`], every metric
 //! column at once) — run on identical graphs, so any timing difference is purely
-//! the memory layout: one contiguous CSR scan versus one heap-allocated
-//! `Vec` per node. Freezing itself is also timed (`freeze`), since every
+//! the memory layout: one contiguous CSR scan versus span-addressed lists
+//! with slack in one arena. Freezing itself is also timed (`freeze`), since every
 //! consumer pays it exactly once per graph.
 //!
 //! The `.agb` load path is measured in three tiers over the same graphs

@@ -68,35 +68,51 @@ impl Components {
     }
 }
 
-/// Computes connected components with an iterative BFS (no recursion, so deep
-/// graphs cannot overflow the stack).
+/// Computes connected components with a union-find over the edges in node
+/// order, linking every root under the smaller one so that each component's
+/// root is its smallest node. Components are numbered in the order of their
+/// smallest nodes — the numbering a BFS started from each unlabelled node
+/// in turn would give — which fixes what [`Components::largest`] breaks ties
+/// on and the order of [`Components::orphaned_nodes`].
 #[must_use]
 pub fn connected_components<G: GraphView>(g: &G) -> Components {
-    let n = g.num_nodes();
-    let mut labels = vec![u32::MAX; n];
-    let mut sizes = Vec::new();
-    let mut queue: Vec<NodeId> = Vec::new();
-    for start in 0..n {
-        if labels[start] != u32::MAX {
-            continue;
-        }
-        let comp = sizes.len() as u32;
-        let mut size = 0usize;
-        labels[start] = comp;
-        queue.clear();
-        queue.push(start as NodeId);
-        while let Some(v) = queue.pop() {
-            size += 1;
-            for &w in g.neighbors(v) {
-                if labels[w as usize] == u32::MAX {
-                    labels[w as usize] = comp;
-                    queue.push(w);
-                }
+    let mut parent: Vec<NodeId> = g.nodes().collect();
+    for u in g.nodes() {
+        let mut root = find(&mut parent, u);
+        let neighbors = g.neighbors(u);
+        for &v in &neighbors[..neighbors.partition_point(|&v| v < u)] {
+            let other = find(&mut parent, v);
+            if other < root {
+                parent[root as usize] = other;
+                root = other;
+            } else if other > root {
+                parent[other as usize] = root;
             }
         }
-        sizes.push(size);
+    }
+    let mut labels = vec![0u32; parent.len()];
+    let mut sizes = Vec::new();
+    for v in g.nodes() {
+        let root = find(&mut parent, v);
+        if root == v {
+            labels[v as usize] = sizes.len() as u32;
+            sizes.push(0);
+        } else {
+            labels[v as usize] = labels[root as usize];
+        }
+        sizes[labels[v as usize] as usize] += 1;
     }
     Components { labels, sizes }
+}
+
+/// The root of `v`'s set, halving the path on the way.
+fn find(parent: &mut [NodeId], mut v: NodeId) -> NodeId {
+    while parent[v as usize] != v {
+        let grandparent = parent[parent[v as usize] as usize];
+        parent[v as usize] = grandparent;
+        v = grandparent;
+    }
+    v
 }
 
 /// Returns `true` if the graph is connected (trivially true for `n <= 1`).

@@ -75,6 +75,12 @@ pub enum GraphError {
     },
     /// An underlying I/O error (carried as a string so the error stays `Clone + Eq`).
     Io(String),
+    /// The graph's adjacency lists would need more arena slots than `u32`
+    /// offsets can address.
+    ArenaOverflow {
+        /// The arena slots the operation would have needed.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -126,6 +132,12 @@ impl fmt::Display for GraphError {
                 )
             }
             GraphError::Io(msg) => write!(f, "i/o error: {msg}"),
+            GraphError::ArenaOverflow { slots } => {
+                write!(
+                    f,
+                    "graph too large: its adjacency lists need {slots} slots, past u32 offsets"
+                )
+            }
         }
     }
 }

@@ -4,10 +4,10 @@
 //! and afterwards only ever reads finished graphs — TriCycLe acceptance
 //! scoring, every metric in `agmdp-metrics`, the evaluation harness, the
 //! service's datasets and releases. The mutable [`AttributedGraph`] pays for
-//! its insertability with one heap allocation per node (`Vec<Vec<NodeId>>`),
-//! which scatters neighbor lists across the heap; [`FrozenGraph`] is the
-//! same graph *frozen* into three flat sections of one `u32` word buffer
-//! (compressed sparse row):
+//! its insertability with slack behind every list in its arena, a per-node
+//! span to find each list, and lists that move to the arena's end as they
+//! grow; [`FrozenGraph`] is the same graph *frozen* into three flat sections
+//! of one `u32` word buffer (compressed sparse row):
 //!
 //! * `offsets[v] .. offsets[v + 1]` indexes node `v`'s slice of `neighbors`,
 //! * `neighbors` holds every (half-)edge endpoint, sorted within each node,

@@ -9,8 +9,8 @@
 //! vector. This crate provides:
 //!
 //! * [`AttributedGraph`] — the mutable build-phase graph, with dense `u32`
-//!   node ids, one sorted adjacency list per node and per-node attribute
-//!   codes. It keeps no edge list: edges enumerate in lexicographic order,
+//!   node ids, one sorted adjacency list per node (all in one arena) and
+//!   per-node attribute codes. It keeps no edge list: edges enumerate in lexicographic order,
 //!   the canonical edge ordering edge truncation walks ([`truncation`]),
 //!   and TriCycLe keeps its sampler's insertion order for the oldest-edge
 //!   rule itself.

@@ -169,7 +169,7 @@ const GALLOP_RATIO: usize = 8;
 ///
 /// Degrees on social graphs are heavy-tailed, so a pair often joins a hub's
 /// neighbor list with a leaf's. When the lists are similar in length this
-/// is a branch-free merge, `O(|a| + |b|)`. When the longer list is at least
+/// is a blocked merge, `O(|a| + |b|)`. When the longer list is at least
 /// `GALLOP_RATIO` (8) times the shorter, every element of the shorter list
 /// is located in the rest of the longer one by exponential then binary
 /// search, `O(min · log(max / min))`. Both paths return the same count.
@@ -185,9 +185,44 @@ pub fn sorted_intersection_count(a: &[NodeId], b: &[NodeId]) -> usize {
     }
 }
 
+/// Width of the blocks [`merge_count`] compares all-against-all.
+const MERGE_BLOCK: usize = 8;
+
+/// Blocked merge: compares the current `MERGE_BLOCK`-element blocks of both
+/// lists all against all (64 independent equality tests the compiler
+/// vectorises), then advances the block whose last element is smaller, or
+/// both on a tie. Every element of an advanced block is at most the other
+/// block's last element, so it cannot equal anything beyond that block:
+/// each equal pair meets in exactly one block comparison. Fewer than
+/// `MERGE_BLOCK` elements left on either side finish in
+/// [`scalar_merge_count`].
+fn merge_count(mut a: &[NodeId], mut b: &[NodeId]) -> usize {
+    let mut count = 0;
+    while let (Some((block_a, rest_a)), Some((block_b, rest_b))) = (
+        a.split_first_chunk::<MERGE_BLOCK>(),
+        b.split_first_chunk::<MERGE_BLOCK>(),
+    ) {
+        let mut hits = [0u32; MERGE_BLOCK];
+        for x in block_a {
+            for (hit, y) in hits.iter_mut().zip(block_b) {
+                *hit += u32::from(x == y);
+            }
+        }
+        count += hits.iter().sum::<u32>() as usize;
+        let (last_a, last_b) = (block_a[MERGE_BLOCK - 1], block_b[MERGE_BLOCK - 1]);
+        if last_a <= last_b {
+            a = rest_a;
+        }
+        if last_b <= last_a {
+            b = rest_b;
+        }
+    }
+    count + scalar_merge_count(a, b)
+}
+
 /// Branch-free merge: each step advances the side(s) holding the smaller
 /// head, so the only branch is the loop bound.
-fn merge_count(a: &[NodeId], b: &[NodeId]) -> usize {
+fn scalar_merge_count(a: &[NodeId], b: &[NodeId]) -> usize {
     let (mut i, mut j, mut count) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);

@@ -6,12 +6,14 @@ use agmdp_graph::clustering::{
 };
 use agmdp_graph::components::{connected_components, is_connected};
 use agmdp_graph::degree::DegreeSequence;
-use agmdp_graph::io::{from_text, to_text};
+use agmdp_graph::io::{from_text, to_binary, to_text};
 use agmdp_graph::subgraph::induced_subgraph;
 use agmdp_graph::triangles::{count_triangles, count_wedges, triangles_per_node};
 use agmdp_graph::truncation::edge_truncation;
-use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
+use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView, NodeId};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::BTreeSet;
 
 fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = AttributedGraph> {
     (2usize..max_nodes).prop_flat_map(move |n| {
@@ -28,6 +30,108 @@ fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = 
             g
         })
     })
+}
+
+/// `groups` components of `size` nodes each (paths) and `isolated` lone
+/// nodes, scattered over the ids by random keys: many components tie for
+/// largest, and singletons tie with size-1 groups.
+fn equal_size_components() -> impl Strategy<Value = AttributedGraph> {
+    (1usize..5, 1usize..10, 0usize..6).prop_flat_map(|(size, groups, isolated)| {
+        let n = size * groups + isolated;
+        let keys = proptest::collection::vec(0u32..1_000_000, n);
+        (Just((size, groups)), keys).prop_map(move |((size, groups), keys)| {
+            let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
+            ids.sort_by_key(|&v| keys[v as usize]);
+            let mut g = AttributedGraph::unattributed(n);
+            for group in ids[..size * groups].chunks(size) {
+                for pair in group.windows(2) {
+                    g.add_edge(pair[0], pair[1]).unwrap();
+                }
+            }
+            g
+        })
+    })
+}
+
+/// Component labels and sizes as a BFS from each unlabelled node in turn
+/// assigns them: components numbered by their smallest node.
+fn bfs_components(g: &AttributedGraph) -> (Vec<u32>, Vec<usize>) {
+    let mut labels = vec![u32::MAX; g.num_nodes()];
+    let mut sizes = Vec::new();
+    for start in g.nodes() {
+        if labels[start as usize] != u32::MAX {
+            continue;
+        }
+        let id = sizes.len() as u32;
+        labels[start as usize] = id;
+        let (mut queue, mut size) = (vec![start], 0);
+        while let Some(v) = queue.pop() {
+            size += 1;
+            for &w in g.neighbors(v) {
+                if labels[w as usize] == u32::MAX {
+                    labels[w as usize] = id;
+                    queue.push(w);
+                }
+            }
+        }
+        sizes.push(size);
+    }
+    (labels, sizes)
+}
+
+fn check_components(g: &AttributedGraph) -> Result<(), TestCaseError> {
+    let comps = connected_components(g);
+    prop_assert_eq!(comps.labels.len(), g.num_nodes());
+    prop_assert_eq!(comps.sizes.iter().sum::<usize>(), g.num_nodes());
+    prop_assert_eq!(comps.count() == 1, is_connected(g));
+    // Every edge joins nodes with the same label.
+    for e in g.edges() {
+        prop_assert_eq!(comps.labels[e.u as usize], comps.labels[e.v as usize]);
+    }
+    let largest = comps.largest_component_nodes().len();
+    let orphans = comps.orphaned_nodes();
+    prop_assert_eq!(largest + orphans.len(), g.num_nodes());
+    // Algorithm 2 reads the largest component (ties to the smallest id) and
+    // walks the orphans in node order: both follow from BFS numbering.
+    let (labels, sizes) = bfs_components(g);
+    prop_assert_eq!(&comps.labels, &labels);
+    prop_assert_eq!(&comps.sizes, &sizes);
+    let max = sizes.iter().copied().max();
+    let main = sizes
+        .iter()
+        .position(|&s| Some(s) == max)
+        .map(|id| id as u32);
+    prop_assert_eq!(comps.largest(), main);
+    let expected: Vec<NodeId> = g
+        .nodes()
+        .filter(|&v| Some(labels[v as usize]) != main)
+        .collect();
+    prop_assert_eq!(orphans, expected);
+    Ok(())
+}
+
+/// Checks every read of `g` against the edge set `model`.
+fn check_against_model(
+    g: &AttributedGraph,
+    model: &BTreeSet<(NodeId, NodeId)>,
+) -> Result<(), TestCaseError> {
+    prop_assert!(g.check_consistency().is_ok());
+    prop_assert_eq!(g.num_edges(), model.len());
+    let mut expected = vec![Vec::new(); g.num_nodes()];
+    for &(u, v) in model {
+        expected[u as usize].push(v);
+        expected[v as usize].push(u);
+    }
+    for v in g.nodes() {
+        let list = &mut expected[v as usize];
+        list.sort_unstable();
+        prop_assert_eq!(g.neighbors(v), &list[..]);
+        prop_assert_eq!(g.degree(v), list.len());
+        for w in g.nodes() {
+            prop_assert_eq!(g.has_edge(v, w), list.binary_search(&w).is_ok());
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -72,21 +176,15 @@ proptest! {
     }
 
     /// Component labels partition the node set; the component count is
-    /// consistent with `is_connected`.
+    /// consistent with `is_connected`; labels, sizes, the largest component
+    /// and the orphans match a BFS reference, on random graphs and on graphs
+    /// of many equal-size components and isolated nodes.
     #[test]
-    fn components_partition_nodes(g in arbitrary_graph(40, 120)) {
-        let comps = connected_components(&g);
-        prop_assert_eq!(comps.labels.len(), g.num_nodes());
-        prop_assert_eq!(comps.sizes.iter().sum::<usize>(), g.num_nodes());
-        prop_assert_eq!(comps.count() == 1, is_connected(&g));
-        // Every edge joins nodes with the same label.
-        for e in g.edges() {
-            prop_assert_eq!(comps.labels[e.u as usize], comps.labels[e.v as usize]);
-        }
-        let largest = comps.largest_component_nodes().len();
-        let orphans = comps.orphaned_nodes().len();
-        prop_assert_eq!(largest + orphans, g.num_nodes());
+    fn components_partition_nodes(g in arbitrary_graph(40, 120), tied in equal_size_components()) {
+        check_components(&g)?;
+        check_components(&tied)?;
     }
+
 
     /// Truncation is idempotent: truncating a k-bounded graph at k changes nothing.
     #[test]
@@ -152,5 +250,38 @@ proptest! {
         prop_assert!(idx < schema.num_edge_configs());
         let (lo, hi) = schema.edge_config_pair(idx).unwrap();
         prop_assert_eq!((lo, hi), (a.min(b), a.max(b)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Long add/remove/re-add churn — each step toggles one node pair —
+    /// moves full lists and compacts the arena; after every step the graph
+    /// reads exactly like a `BTreeSet` edge model, and at the end it equals
+    /// and freezes to the same `.agb` bytes as a graph rebuilt from its edges.
+    #[test]
+    fn arena_churn_matches_an_edge_set_model(
+        n in 16usize..28,
+        steps in proptest::collection::vec((0u32..28, 0u32..28), 300..700),
+    ) {
+        let mut g = AttributedGraph::unattributed(n);
+        let mut model = BTreeSet::new();
+        for (a, b) in steps {
+            let (u, v) = (a % n as NodeId, b % n as NodeId);
+            if u == v {
+                continue;
+            }
+            if model.remove(&(u.min(v), u.max(v))) {
+                g.remove_edge(u, v).unwrap();
+            } else {
+                g.add_edge(u, v).unwrap();
+                model.insert((u.min(v), u.max(v)));
+            }
+            check_against_model(&g, &model)?;
+        }
+        let rebuilt = AttributedGraph::from_unique_edges(n, g.schema(), &g.edge_vec()).unwrap();
+        prop_assert_eq!(&g, &rebuilt);
+        prop_assert_eq!(to_binary(&g.freeze()), to_binary(&rebuilt.freeze()));
     }
 }

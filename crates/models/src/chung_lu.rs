@@ -12,6 +12,7 @@
 //! (used by AGM-DP-FCL) and optionally excludes degree-one nodes from π and
 //! wires them up afterwards with the orphan post-processing of Algorithm 2.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use rand::RngCore;
 
@@ -92,6 +93,14 @@ pub(crate) fn sample_cl_edges(
 /// The surviving candidates are then merged serially in chunk order,
 /// skipping intra-round duplicates, until the target is reached.
 ///
+/// A round's chunks run in waves, and the round stops at the wave that
+/// reaches the target: the chunks after it could only add candidates the
+/// merge would never reach. The first wave covers the missing edges as if
+/// every proposal survived; each later wave is sized from the survival seen
+/// so far in the round. Waves only group chunks, so they change neither the
+/// draws nor the merge order, and chunk indices and the attempt count still
+/// advance by the whole round.
+///
 /// The chunk layout, per-chunk draw sequence and merge order depend only on
 /// the target and the master seed drawn from `rng`, so the output is
 /// **bit-identical for every thread count** — including `threads = 1`,
@@ -149,102 +158,145 @@ pub(crate) fn sample_cl_edge_list_chunked(
 ) -> Vec<Edge> {
     let master = rng.next_u64();
     let mut order: Vec<Edge> = Vec::with_capacity(target_edges);
-    // Canonical packed keys of every accepted edge, kept sorted between
-    // rounds: later rounds' structural filter binary-searches this flat
-    // array instead of walking per-node adjacency lists, and the graph
-    // itself is only materialised once, after sampling finishes.
-    let mut accepted_keys: Vec<u64> = Vec::with_capacity(target_edges);
+    // Canonical packed keys of every edge accepted in earlier rounds, sorted:
+    // later rounds' structural filter binary-searches this flat array
+    // instead of walking per-node adjacency lists, and the graph itself is
+    // only materialised once, after sampling finishes.
+    let mut accepted_keys: Vec<u64> = Vec::new();
     let max_attempts = MAX_ATTEMPT_FACTOR
         .saturating_mul(target_edges)
         .saturating_add(1_000);
     let mut attempts = 0usize;
     let mut next_chunk = 0u64;
-    // Round-scratch buffers, allocated once and reused: dense workloads
-    // converge through a geometric tail of tiny rounds, and per-round
-    // allocations would dominate those rounds' real work.
+    let chunk_size = policy.chunk_size();
+    // Wave-scratch buffers, allocated once and reused: dense workloads
+    // converge through a geometric tail of tiny rounds, and per-wave
+    // allocations would dominate those waves' real work.
     let mut candidates: Vec<Edge> = Vec::new();
     let mut by_key: Vec<(u64, u32)> = Vec::new();
     let mut first_arrival: Vec<bool> = Vec::new();
+    // Sorted keys accepted by this round's earlier waves.
+    let mut round_keys: Vec<u64> = Vec::new();
     while order.len() < target_edges && attempts < max_attempts {
         let missing = target_edges - order.len();
         let proposals = missing
             .saturating_mul(ROUND_OVERSAMPLE)
             .min(max_attempts - attempts)
             .max(1);
-        let chunk_size = policy.chunk_size();
         let num_chunks = proposals.div_ceil(chunk_size);
-        let snapshot = &accepted_keys;
+        let chunk_len = |chunk: usize| (proposals - chunk * chunk_size).min(chunk_size);
         let round_base = next_chunk;
-        let batches = run_chunks(policy.threads(), num_chunks, |chunk| {
-            let mut chunk_rng = BlockRng::new(chunk_rng(master, round_base + chunk as u64));
-            let count = if chunk + 1 == num_chunks {
-                proposals - chunk * chunk_size
-            } else {
-                chunk_size
+        round_keys.clear();
+        let (mut done, mut drawn, mut kept) = (0usize, 0usize, 0usize);
+        while done < num_chunks && order.len() < target_edges {
+            let missing = target_edges - order.len();
+            let wanted = match (drawn, kept) {
+                (0, _) => missing,
+                (_, 0) => usize::MAX,
+                _ => missing.saturating_mul(drawn).div_ceil(kept),
             };
-            // Pass 1: flat proposal buffer, sized once.
-            let mut survivors: Vec<Edge> = Vec::with_capacity(count);
-            for _ in 0..count {
-                let u = pi.sample(&mut chunk_rng);
-                let v = pi.sample(&mut chunk_rng);
-                survivors.push(Edge::new(u, v));
+            let wave = wanted.div_ceil(chunk_size).clamp(1, num_chunks - done);
+            let snapshot = &accepted_keys;
+            let batches = run_chunks(policy.threads(), wave, |k| {
+                let chunk = done + k;
+                let stream = chunk_rng(master, round_base + chunk as u64);
+                propose_chunk(pi, acceptance, snapshot, stream, chunk_len(chunk))
+            });
+            drawn += (done..done + wave).map(chunk_len).sum::<usize>();
+            done += wave;
+            // Serial merge in chunk order. Duplicates within the round were
+            // invisible to the snapshot filter; a sort over (key, arrival
+            // index) finds each key's first arrival in this wave, and a walk
+            // over the earlier waves' sorted keys drops keys they accepted.
+            // That replicates one-at-a-time insertion exactly — same edges
+            // kept, in the same order — without a per-edge adjacency insert.
+            candidates.clear();
+            candidates.extend(batches.into_iter().flatten());
+            by_key.clear();
+            by_key.extend(
+                candidates
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (edge_key(e), i as u32)),
+            );
+            by_key.sort_unstable();
+            first_arrival.clear();
+            first_arrival.resize(candidates.len(), false);
+            let split = round_keys.len();
+            round_keys.reserve(candidates.len());
+            let mut earlier = 0;
+            let mut prev_key = None;
+            for &(key, idx) in &by_key {
+                if prev_key == Some(key) {
+                    continue;
+                }
+                prev_key = Some(key);
+                while earlier < split && round_keys[earlier] < key {
+                    earlier += 1;
+                }
+                if earlier == split || round_keys[earlier] != key {
+                    first_arrival[idx as usize] = true;
+                    round_keys.push(key);
+                }
             }
-            // Pass 2: structural filter (consumes no randomness; the
-            // empty-snapshot skip therefore cannot change the stream).
-            if snapshot.is_empty() {
-                survivors.retain(|e| e.u != e.v);
-            } else {
-                survivors.retain(|e| e.u != e.v && snapshot.binary_search(&edge_key(e)).is_err());
+            let before = order.len();
+            for (i, e) in candidates.iter().enumerate() {
+                if order.len() >= target_edges {
+                    break;
+                }
+                if first_arrival[i] {
+                    order.push(*e);
+                }
             }
-            // Pass 3: acceptance coins, drawn from the same chunk stream.
-            if let Some(ctx) = acceptance {
-                survivors.retain(|e| ctx.accepts(e.u, e.v, &mut chunk_rng));
+            kept += order.len() - before;
+            // Below the target, every first arrival was accepted, so the
+            // wave's keys join the round's sorted set.
+            if order.len() < target_edges {
+                merge_sorted_tail(&mut round_keys, split);
             }
-            survivors
-        });
+        }
         next_chunk += num_chunks as u64;
         attempts += proposals;
-        // Serial merge in chunk order. Intra-round duplicates were invisible
-        // to the snapshot filter; a sort over (key, arrival index) finds each
-        // key's first arrival, which replicates one-at-a-time insertion
-        // exactly — same edges kept, in the same order — without paying a
-        // per-edge adjacency insertion.
-        candidates.clear();
-        candidates.extend(batches.into_iter().flatten());
-        by_key.clear();
-        by_key.extend(
-            candidates
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (edge_key(e), i as u32)),
-        );
-        by_key.sort_unstable();
-        first_arrival.clear();
-        first_arrival.resize(candidates.len(), false);
-        let mut prev_key = None;
-        for &(key, idx) in &by_key {
-            if prev_key != Some(key) {
-                prev_key = Some(key);
-                first_arrival[idx as usize] = true;
-            }
+        if order.len() < target_edges && attempts < max_attempts {
+            let split = accepted_keys.len();
+            accepted_keys.extend_from_slice(&round_keys);
+            merge_sorted_tail(&mut accepted_keys, split);
         }
-        let split = accepted_keys.len();
-        for (i, e) in candidates.iter().enumerate() {
-            if order.len() >= target_edges {
-                break;
-            }
-            if first_arrival[i] {
-                accepted_keys.push(edge_key(e));
-                order.push(*e);
-            }
-        }
-        // This round's keys form a small unsorted tail behind an already
-        // sorted prefix: sort the tail and merge in place instead of
-        // re-sorting the whole array every round.
-        accepted_keys[split..].sort_unstable();
-        merge_sorted_tail(&mut accepted_keys, split);
     }
     order
+}
+
+/// One chunk of CL proposals: `count` π-sampled endpoint pairs drawn from
+/// the chunk's `stream`, minus self-loops and edges in the sorted
+/// `snapshot`, then thinned by the acceptance coins drawn from the same
+/// stream.
+fn propose_chunk(
+    pi: &PiSampler,
+    acceptance: Option<&AcceptanceContext>,
+    snapshot: &[u64],
+    stream: StdRng,
+    count: usize,
+) -> Vec<Edge> {
+    let mut chunk_rng = BlockRng::new(stream);
+    // Pass 1: flat proposal buffer, sized once.
+    let mut survivors: Vec<Edge> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let u = pi.sample(&mut chunk_rng);
+        let v = pi.sample(&mut chunk_rng);
+        survivors.push(Edge::new(u, v));
+    }
+    // Pass 2: structural filter (consumes no randomness; the empty-snapshot
+    // skip therefore cannot change the stream).
+    if snapshot.is_empty() {
+        survivors.retain(|e| e.u != e.v);
+    } else {
+        survivors.retain(|e| e.u != e.v && snapshot.binary_search(&edge_key(e)).is_err());
+    }
+    // Pass 3: acceptance coins, drawn from the same chunk stream.
+    if let Some(ctx) = acceptance {
+        survivors.retain(|e| ctx.accepts(e.u, e.v, &mut chunk_rng));
+    }
+    survivors
 }
 
 /// Merges a sorted `keys[..split]` prefix with a sorted `keys[split..]` tail
@@ -424,7 +476,6 @@ pub(crate) fn sample_uniform<'a, T, R: Rng + ?Sized>(slice: &'a [T], rng: &mut R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn power_lawish_degrees(n: usize) -> Vec<usize> {
@@ -594,6 +645,74 @@ mod tests {
             assert_ne!(serial.edge_config(e.u, e.v), 0);
         }
         assert_eq!(generate(8).edge_vec(), serial.edge_vec());
+    }
+
+    /// The round-at-once algorithm the wave sampler must reproduce: each
+    /// round draws every one of its chunks in chunk order and keeps first
+    /// arrivals until the target. Returns the edges and the round count.
+    fn round_at_once(
+        pi: &PiSampler,
+        target: usize,
+        acceptance: Option<&AcceptanceContext>,
+        chunk_size: usize,
+        rng: &mut dyn RngCore,
+    ) -> (Vec<Edge>, usize) {
+        let master = rng.next_u64();
+        let max_attempts = MAX_ATTEMPT_FACTOR * target + 1_000;
+        let (mut order, mut accepted) = (Vec::new(), Vec::new());
+        let (mut attempts, mut next_chunk, mut rounds) = (0, 0u64, 0);
+        while order.len() < target && attempts < max_attempts {
+            rounds += 1;
+            let proposals = ((target - order.len()) * ROUND_OVERSAMPLE)
+                .min(max_attempts - attempts)
+                .max(1);
+            let num_chunks = proposals.div_ceil(chunk_size);
+            let mut seen = std::collections::HashSet::new();
+            for chunk in 0..num_chunks {
+                let stream = chunk_rng(master, next_chunk + chunk as u64);
+                let count = (proposals - chunk * chunk_size).min(chunk_size);
+                for e in propose_chunk(pi, acceptance, &accepted, stream, count) {
+                    if order.len() < target && seen.insert(e) {
+                        order.push(e);
+                    }
+                }
+            }
+            next_chunk += num_chunks as u64;
+            attempts += proposals;
+            accepted = order.iter().map(edge_key).collect();
+            accepted.sort_unstable();
+        }
+        (order, rounds)
+    }
+
+    #[test]
+    fn wave_sampler_matches_the_round_at_once_reference() {
+        // Dense: 40 nodes of desired degree 32 want 640 of 780 possible
+        // edges, so duplicates and coins force several rounds, and a round
+        // that runs out of chunks ran more than its first wave.
+        let n = 40;
+        let pi = PiSampler::from_degrees(&vec![32; n]).unwrap();
+        let target = 640;
+        let codes: Vec<u32> = (0..n as u32).map(|i| i % 2).collect();
+        let ctx =
+            AcceptanceContext::new(codes, AttributeSchema::new(1), vec![0.3, 0.9, 0.6]).unwrap();
+        for (acceptance, seed) in [(Some(&ctx), 21), (Some(&ctx), 22), (None, 23)] {
+            let (expected, rounds) = round_at_once(
+                &pi,
+                target,
+                acceptance,
+                16,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert!(rounds >= 2, "seed {seed}: {rounds} round(s)");
+            assert_eq!(expected.len(), target);
+            for threads in [1, 4] {
+                let policy = ExecPolicy::new(threads).with_chunk_size(16);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let edges = sample_cl_edge_list_chunked(&pi, target, acceptance, &policy, &mut rng);
+                assert_eq!(edges, expected, "seed {seed}, {threads} thread(s)");
+            }
+        }
     }
 
     #[test]

@@ -294,6 +294,44 @@ proptest! {
         prop_assert_eq!(sorted_intersection_count(&short, &long), expected);
         prop_assert_eq!(sorted_intersection_count(&long, &short), expected);
     }
+
+    /// Lists of similar length — the longer under `GALLOP_RATIO` (8) times
+    /// the shorter — take the blocked merge: exact lengths up to 512, whole
+    /// 8-element blocks or not, drawn from a universe 1 to 16 times the
+    /// longer list, so overlaps run from total to sparse.
+    #[test]
+    fn blocked_merge_matches_naive_merge(
+        short_len in 0usize..=512,
+        stretch in 0.0f64..1.0,
+        align in 0usize..4,
+        spread in 1.0f64..16.0,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let short_len = if align & 1 == 1 {
+            short_len.next_multiple_of(8).min(512)
+        } else {
+            short_len
+        };
+        let room = (7 * short_len).min(512 - short_len);
+        let mut long_len = short_len + (stretch * room as f64) as usize;
+        if align & 2 == 2 {
+            long_len = (long_len / 8 * 8).max(short_len);
+        }
+        prop_assert!(short_len == 0 || long_len / short_len < 8);
+        let universe = (long_len as f64 * spread).ceil() as NodeId;
+        let mut pool: Vec<NodeId> = (0..universe).collect();
+        let mut draw = |len: usize| {
+            pool.shuffle(&mut rng);
+            let mut list = pool[..len].to_vec();
+            list.sort_unstable();
+            list
+        };
+        let (short, long) = (draw(short_len), draw(long_len));
+        let expected = naive_intersection_count(&short, &long);
+        prop_assert_eq!(sorted_intersection_count(&short, &long), expected);
+        prop_assert_eq!(sorted_intersection_count(&long, &short), expected);
+    }
 }
 
 #[test]
