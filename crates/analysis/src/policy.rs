@@ -35,7 +35,7 @@ const REQUEST_PATH_FILES: &[&str] = &[
     "crates/service/src/engine.rs",
     "crates/service/src/cache.rs",
     "crates/service/src/registry.rs",
-    "crates/service/src/evalstore.rs",
+    "crates/service/src/jobs.rs",
     "crates/service/src/reactor.rs",
     "crates/service/src/conn.rs",
     "crates/service/src/sys.rs",
@@ -166,12 +166,13 @@ mod tests {
         ] {
             assert!(scope_for(path).unwrap().panic_freedom, "{path}");
         }
-        // The fit cache (single-flight wait included) and the registry
-        // (profiles and utility aggregates) run on every `/synthesize`.
+        // The fit cache (single-flight wait included), the registry
+        // (profiles and utility aggregates) and the job table run on every
+        // `/synthesize`.
         for path in [
             "crates/service/src/cache.rs",
             "crates/service/src/registry.rs",
-            "crates/service/src/evalstore.rs",
+            "crates/service/src/jobs.rs",
         ] {
             assert!(scope_for(path).unwrap().panic_freedom, "{path}");
         }
@@ -196,6 +197,18 @@ mod tests {
         assert!(!registry.determinism);
         assert!(registry.hygiene);
         assert!(!scope_for("crates/obs/src/lib.rs").unwrap().panic_freedom);
+    }
+
+    #[test]
+    fn every_scoped_path_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for path in REQUEST_PATH_FILES
+            .iter()
+            .chain(EXPOSITION_PATH_FILES)
+            .chain(STORAGE_PATH_FILES)
+        {
+            assert!(root.join(path).is_file(), "stale scope entry {path}");
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::http::{
     encode_response, parse_request, HttpError, HttpLimits, ParseOutcome, Request, Response,
     CONTINUE_INTERIM,
 };
+use crate::sys::Interest;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -52,15 +53,6 @@ pub struct ConnTimeouts {
     pub idle: std::time::Duration,
 }
 
-/// What a connection wants from the reactor after an I/O step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnInterest {
-    /// Register read interest (we are willing to accept more bytes).
-    pub readable: bool,
-    /// Register write interest (the transmit buffer is non-empty).
-    pub writable: bool,
-}
-
 /// Outcome of advancing a connection's read side.
 #[derive(Debug)]
 pub enum ReadStep {
@@ -69,8 +61,8 @@ pub enum ReadStep {
     /// A complete request is ready for dispatch. The connection has marked
     /// itself in-flight; the reactor must route it to a worker (or shed).
     Dispatch(Request),
-    /// The request could not be framed: the reactor should enqueue
-    /// `error_response(e)` and close after flushing.
+    /// The request could not be framed: the reactor should enqueue a
+    /// `bad_request` error document and close after flushing.
     Malformed(HttpError),
     /// The socket is finished (EOF with nothing pending, or a hard error).
     Closed,
@@ -309,9 +301,11 @@ impl Conn {
         !self.close_after_flush
     }
 
-    /// The readiness interest this connection currently needs.
-    pub fn interest(&self) -> ConnInterest {
-        ConnInterest {
+    /// The readiness interest this connection currently needs: read while
+    /// it may accept more bytes, write while the transmit buffer is
+    /// non-empty.
+    pub fn interest(&self) -> Interest {
+        Interest {
             // Keep read interest while idle even with in_flight backpressure
             // paused parsing — we still want EOF/RST notification promptly.
             readable: !self.close_after_flush,
@@ -393,7 +387,7 @@ mod tests {
         assert!(c.in_flight());
         // Pipelined follower must NOT dispatch while in flight.
         assert!(matches!(c.on_readable(now), ReadStep::Idle));
-        c.complete(&Response::json(200, "{}".into()), true, now);
+        c.complete(&Response::json_value(200, &0), true, now);
         assert!(!c.in_flight());
         // After completion the buffered follower dispatches with no new bytes.
         let ReadStep::Dispatch(req) = c.try_parse(now) else {
@@ -436,14 +430,14 @@ mod tests {
             panic!("expected dispatch despite half-close");
         };
         assert_eq!(req.path, "/only");
-        c.complete(&Response::json(200, "{\"ok\":1}".into()), true, now);
+        c.complete(&Response::json_value(200, &"ok"), true, now);
         assert!(!c.on_writable(), "flushed and close_after_flush → drop");
         // The reactor drops the conn once on_writable() says so; dropping
         // closes the socket and lets the client read to EOF.
         drop(c);
         let mut out = String::new();
         client.read_to_string(&mut out).unwrap();
-        assert!(out.contains("{\"ok\":1}"));
+        assert!(out.ends_with("\r\n\r\n\"ok\""));
         // keep-alive is suppressed for a half-closed peer.
         assert!(out.contains("Connection: close"));
     }
@@ -460,7 +454,7 @@ mod tests {
             panic!("expected malformed");
         };
         assert_eq!(e.status, 400);
-        c.fail(&Response::json(e.status, "{}".into()), now);
+        c.fail(&Response::error(e.status, "bad_request", &e.message), now);
         assert!(!c.on_writable(), "close_after_flush drops the conn");
     }
 

@@ -32,7 +32,7 @@ use agmdp_core::workflow::{
     learn_parameters, synthesize_from_parameters_observed, AgmConfig, LearnedParameters, Privacy,
     StructuralModelKind,
 };
-use agmdp_graph::{io, AttributedGraph, FrozenGraph, GraphView, MappedGraph};
+use agmdp_graph::{io, AttributedGraph, FrozenGraph, MappedGraph};
 use agmdp_models::observe::{StageObserver, SynthesisStage};
 
 use agmdp_eval::{GraphProfile, UtilityReport};
@@ -330,13 +330,7 @@ impl SynthesisEngine {
             }
             return Err(e);
         }
-        Ok(DatasetSummary {
-            name: name.to_string(),
-            nodes: arc.num_nodes(),
-            edges: arc.num_edges(),
-            attribute_width: arc.schema().width(),
-            mapped: arc.is_mapped(),
-        })
+        Ok(DatasetSummary::of(name, &arc))
     }
 
     /// [`SynthesisEngine::register_frozen_dataset`] under the name the

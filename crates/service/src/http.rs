@@ -10,6 +10,12 @@
 //! re-run against a connection's receive buffer as bytes arrive (a request
 //! split across N one-byte writes parses exactly like one delivered whole)
 //! and enforces its head/body caps **before** any body allocation happens.
+//!
+//! [`Response::json_value`] and [`Response::error`] are the one writer of
+//! JSON bodies: every route handler and every reactor-side refusal renders
+//! through them.
+
+use serde::{Serialize, Value};
 
 /// Size caps applied while parsing a request.
 ///
@@ -61,15 +67,31 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response with the given status.
+    /// A JSON response whose body is `value` serialised. A serialisation
+    /// failure degrades to a fixed `internal` error document rather than
+    /// panicking mid-request.
     #[must_use]
-    pub fn json(status: u16, body: String) -> Self {
+    pub fn json_value(status: u16, value: &impl Serialize) -> Self {
+        let body = serde_json::to_string(value).unwrap_or_else(|_| {
+            r#"{"error":"internal","message":"response serialisation failed"}"#.to_string()
+        });
         Self {
             status,
             body,
             content_type: "application/json",
             retry_after: None,
         }
+    }
+
+    /// The error document `{"error": kind, "message": message}`, with the
+    /// message escaped like any other JSON string.
+    #[must_use]
+    pub fn error(status: u16, kind: &str, message: &str) -> Self {
+        let document = Value::Object(vec![
+            ("error".to_string(), Value::Str(kind.to_string())),
+            ("message".to_string(), Value::Str(message.to_string())),
+        ]);
+        Self::json_value(status, &document)
     }
 
     /// A Prometheus text-exposition response with the given status.
@@ -551,7 +573,8 @@ mod tests {
 
     #[test]
     fn response_wire_format_is_well_formed() {
-        let out = encode_response(&Response::json(200, "{\"ok\":true}".into()), false);
+        let ok = Value::Object(vec![("ok".to_string(), Value::Bool(true))]);
+        let out = encode_response(&Response::json_value(200, &ok), false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -560,13 +583,28 @@ mod tests {
     }
 
     #[test]
+    fn error_documents_escape_what_they_echo() {
+        let plain = Response::error(503, "overloaded", "connection limit reached");
+        assert_eq!(
+            plain.body,
+            r#"{"error":"overloaded","message":"connection limit reached"}"#
+        );
+        assert_eq!(plain.content_type, "application/json");
+        let hostile = Response::error(505, "bad_request", "unsupported HTTP/2\"\\\u{1}");
+        assert_eq!(
+            hostile.body,
+            r#"{"error":"bad_request","message":"unsupported HTTP/2\"\\\u0001"}"#
+        );
+    }
+
+    #[test]
     fn keep_alive_and_retry_after_headers_are_encoded() {
-        let shed = Response::json(503, "{}".into()).with_retry_after(2);
+        let shed = Response::error(503, "overloaded", "retry").with_retry_after(2);
         let text = String::from_utf8(encode_response(&shed, true)).unwrap();
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         let closed =
-            String::from_utf8(encode_response(&Response::json(200, "x".into()), false)).unwrap();
+            String::from_utf8(encode_response(&Response::json_value(200, &1), false)).unwrap();
         assert!(closed.contains("Connection: close\r\n"));
         assert!(!closed.contains("Retry-After"));
     }

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::engine::SynthesisOutcome;
 
@@ -76,10 +76,16 @@ impl JobStore {
         }
     }
 
+    /// The table, recovered from poisoning: every update is one insert plus
+    /// evictions, so the table stays consistent even if a holder panicked.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, JobState>> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates a queued job, returning its id.
     pub fn create(&self) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut jobs = self.jobs.lock().expect("job lock poisoned");
+        let mut jobs = self.lock();
         jobs.insert(id, JobState::Queued);
         Self::evict_finished(&mut jobs, self.capacity);
         id
@@ -87,7 +93,7 @@ impl JobStore {
 
     /// Transitions a job to a new state.
     pub fn set(&self, id: u64, state: JobState) {
-        let mut jobs = self.jobs.lock().expect("job lock poisoned");
+        let mut jobs = self.lock();
         jobs.insert(id, state);
         Self::evict_finished(&mut jobs, self.capacity);
     }
@@ -109,18 +115,14 @@ impl JobStore {
     /// The state of a job, or `None` for an id that was never issued.
     #[must_use]
     pub fn get(&self, id: u64) -> Option<JobState> {
-        self.jobs
-            .lock()
-            .expect("job lock poisoned")
-            .get(&id)
-            .cloned()
+        self.lock().get(&id).cloned()
     }
 
     /// Number of currently queued and currently running jobs — the live
     /// queue depth exported at `GET /metrics`.
     #[must_use]
     pub fn live_counts(&self) -> (usize, usize) {
-        let jobs = self.jobs.lock().expect("job lock poisoned");
+        let jobs = self.lock();
         let queued = jobs
             .values()
             .filter(|s| matches!(s, JobState::Queued))
@@ -149,6 +151,24 @@ mod tests {
         store.set(a, JobState::Failed("boom".into()));
         assert!(matches!(store.get(a).unwrap(), JobState::Failed(_)));
         assert!(store.get(999).is_none());
+    }
+
+    #[test]
+    fn a_poisoned_table_keeps_serving() {
+        let store = std::sync::Arc::new(JobStore::new());
+        let id = store.create();
+        let holder = std::sync::Arc::clone(&store);
+        let panicked = std::thread::spawn(move || {
+            let _table = holder.lock();
+            panic!("job table holder panicked");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(store.jobs.is_poisoned());
+        store.set(id, JobState::Running);
+        assert_eq!(store.get(id), Some(JobState::Running));
+        assert_eq!(store.live_counts(), (0, 1));
+        assert_eq!(store.create(), id + 1);
     }
 
     #[test]

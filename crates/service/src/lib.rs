@@ -3,9 +3,16 @@
 //! Turns the one-shot synthesis pipeline into a long-running JSON-over-HTTP
 //! service that answers many requests fast and provably within budget:
 //!
+//! * **Synthesis engine** ([`engine`]) — the registry, ledger, cache and
+//!   store behind one admit/run split, so over-budget work is refused
+//!   before anything runs; [`error`] maps its failures onto HTTP statuses.
 //! * **Dataset registry** ([`registry`]) — named graphs, loaded once and
 //!   shared across requests. A dataset's entry also holds its metric
-//!   profile and the utility aggregate of its releases.
+//!   profile and the utility aggregate of its releases: every completed
+//!   job's release is compared against its original
+//!   (`agmdp_eval::UtilityReport`, ε-free post-processing), so
+//!   `GET /evaluate` reports the utility of what the server released
+//!   alongside the ledger's record of what it cost.
 //! * **Privacy-budget ledger** ([`ledger`]) — one total ε per dataset,
 //!   enforced under concurrency via [`agmdp_privacy::PrivacyBudget`]
 //!   (sequential composition, Theorem 2 of the paper) and persisted through a
@@ -24,11 +31,8 @@
 //!   straight from the store — no job runs, no ε is drawn — surviving
 //!   restarts and re-sending the release byte-for-byte (zero-copy via the
 //!   mmap load path).
-//! * **Utility of served releases** ([`evalstore`]) — every completed job's
-//!   release is compared against its original (`agmdp_eval::UtilityReport`,
-//!   ε-free post-processing) and aggregated in the dataset's registry entry,
-//!   so `GET /evaluate` reports the utility of what the server released
-//!   alongside the ledger's record of what it cost.
+//! * **Jobs** ([`jobs`]) — the table of asynchronous synthesis jobs that
+//!   `GET /jobs/:id` polls; finished jobs are evicted oldest first.
 //! * **HTTP server** ([`server`]) — an event-driven front end: one reactor
 //!   thread running a nonblocking readiness loop ([`reactor`], over the raw
 //!   epoll shim in [`sys`], so the server runs on Linux) with
@@ -37,7 +41,11 @@
 //!   (`429`/`503` + `Retry-After`, [`ratelimit`]), and per-connection
 //!   read/write/idle deadlines. The container has no crates.io access, so
 //!   there is no tokio; [`http`] and [`json`] are the minimal
-//!   framing/parsing the endpoints need.
+//!   framing/parsing the endpoints need. Every response body, from a
+//!   handler or from the reactor, is written by
+//!   [`Response::json_value`](http::Response::json_value) or
+//!   [`Response::error`](http::Response::error), and every request field is
+//!   read through one field reader in [`server`].
 //! * **Observability** ([`telemetry`]) — every request, cache outcome, and
 //!   synthesis stage is recorded into an `agmdp_obs` metrics registry served
 //!   at `GET /metrics`, with optional JSON access/span logging to stderr.
@@ -78,7 +86,6 @@ pub mod cache;
 pub mod conn;
 pub mod engine;
 pub mod error;
-pub mod evalstore;
 pub mod http;
 pub mod jobs;
 pub mod json;

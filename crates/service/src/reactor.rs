@@ -29,7 +29,7 @@ use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::conn::{Conn, ConnInterest, ConnTimeouts, ReadStep, TimeoutKind};
+use crate::conn::{Conn, ConnTimeouts, ReadStep, TimeoutKind};
 use crate::http::{encode_response, HttpLimits, Request, Response};
 use crate::sys::{Interest, Poller, PollerEvent};
 use crate::telemetry::{FrontendStats, Telemetry};
@@ -86,7 +86,7 @@ pub struct ReactorConfig {
 
 struct ConnEntry {
     conn: Conn,
-    registered: ConnInterest,
+    registered: Interest,
 }
 
 /// The reactor: owns the listener, poller, and every connection.
@@ -200,12 +200,9 @@ impl Reactor {
                         // Best-effort canned refusal; the socket is fresh so
                         // the bytes almost always fit the send buffer.
                         self.telemetry.record_shed("max_conns");
-                        let refusal = Response::json(
-                            503,
-                            r#"{"error":"overloaded","message":"connection limit reached"}"#
-                                .to_string(),
-                        )
-                        .with_retry_after(2);
+                        let refusal =
+                            Response::error(503, "overloaded", "connection limit reached")
+                                .with_retry_after(2);
                         let _ = (&stream).write(&encode_response(&refusal, false));
                         continue; // stream drops (closes) here
                     }
@@ -228,10 +225,7 @@ impl Reactor {
                         token,
                         ConnEntry {
                             conn,
-                            registered: ConnInterest {
-                                readable: true,
-                                writable: false,
-                            },
+                            registered: Interest::READ,
                         },
                     );
                     // Bytes may already be waiting (fast client): serve them
@@ -299,11 +293,8 @@ impl Reactor {
                     return;
                 }
                 ReadStep::Malformed(e) => {
-                    let body = format!(
-                        r#"{{"error":"bad_request","message":"{}"}}"#,
-                        e.message.replace('"', "'")
-                    );
-                    entry.conn.fail(&Response::json(e.status, body), now);
+                    let refusal = Response::error(e.status, "bad_request", &e.message);
+                    entry.conn.fail(&refusal, now);
                     break;
                 }
                 ReadStep::Dispatch(request) => {
@@ -313,12 +304,9 @@ impl Reactor {
                         Err(TrySendError::Full(_job)) => {
                             self.stats.job_dequeued();
                             self.telemetry.record_shed("queue_full");
-                            let shed = Response::json(
-                                503,
-                                r#"{"error":"overloaded","message":"job queue full; retry shortly"}"#
-                                    .to_string(),
-                            )
-                            .with_retry_after(1);
+                            let shed =
+                                Response::error(503, "overloaded", "job queue full; retry shortly")
+                                    .with_retry_after(1);
                             self.finish_conn_request(token, &shed, now);
                             // Loop: pipelined followers (if any) get their
                             // own shed/dispatch decision.
@@ -327,11 +315,7 @@ impl Reactor {
                             self.stats.job_dequeued();
                             if let Some(entry) = self.conns.get_mut(&token) {
                                 entry.conn.fail(
-                                    &Response::json(
-                                        503,
-                                        r#"{"error":"shutting_down","message":"server stopping"}"#
-                                            .to_string(),
-                                    ),
+                                    &Response::error(503, "shutting_down", "server stopping"),
                                     now,
                                 );
                             }
@@ -403,11 +387,7 @@ impl Reactor {
                     self.telemetry.record_conn_timeout("read");
                     if let Some(entry) = self.conns.get_mut(&token) {
                         entry.conn.fail(
-                            &Response::json(
-                                408,
-                                r#"{"error":"timeout","message":"request not received in time"}"#
-                                    .to_string(),
-                            ),
+                            &Response::error(408, "timeout", "request not received in time"),
                             now,
                         );
                     }
@@ -436,12 +416,8 @@ impl Reactor {
             if want == entry.registered {
                 continue;
             }
-            let interest = Interest {
-                readable: want.readable,
-                writable: want.writable,
-            };
             let fd = entry.conn.stream().as_raw_fd();
-            if self.poller.reregister(fd, *token, interest).is_err() {
+            if self.poller.reregister(fd, *token, want).is_err() {
                 to_drop.push(*token);
                 continue;
             }

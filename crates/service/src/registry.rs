@@ -5,6 +5,14 @@
 //! scores its release against (built on first use), and the running utility
 //! of every release served from it (`GET /evaluate`).
 //!
+//! Every completed job compares its release against the registered original
+//! (`agmdp_eval::UtilityReport`, ε-free post-processing) and folds the
+//! result into its dataset's `Accumulator`, so the server reports the
+//! *utility* of what it has released alongside the budget ledger's record of
+//! what the releases *cost*. The accumulator keeps running sums per metric,
+//! not the reports themselves, so memory stays constant per dataset no
+//! matter how many jobs run.
+//!
 //! Every dataset is a [`FrozenGraph`]: owned CSR words for text
 //! registrations and in-process embedding, or a memory-mapped `.agb` file
 //! for binary path registrations (microseconds to register, one page-cache
@@ -17,11 +25,11 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use agmdp_eval::report::NUM_METRICS;
 use agmdp_eval::{GraphProfile, UtilityReport};
 use agmdp_graph::{FrozenGraph, GraphView};
 
 use crate::error::{validate_dataset_name, ServiceError};
-use crate::evalstore::{Accumulator, DatasetUtility};
 
 /// The name the repository benchmark (`perfbench/`) uses for a registered
 /// graph: the same [`FrozenGraph`].
@@ -41,6 +49,84 @@ pub struct DatasetSummary {
     /// `true` when the dataset is served zero-copy from a memory-mapped
     /// `.agb` file rather than owned heap arrays.
     pub mapped: bool,
+}
+
+impl DatasetSummary {
+    /// The summary of `graph` registered under `name`.
+    pub(crate) fn of(name: &str, graph: &FrozenGraph) -> Self {
+        Self {
+            name: name.to_string(),
+            nodes: graph.num_nodes(),
+            edges: graph.num_edges(),
+            attribute_width: graph.schema().width(),
+            mapped: graph.is_mapped(),
+        }
+    }
+}
+
+/// Aggregated utility of every release served for one dataset.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+pub struct DatasetUtility {
+    /// Number of synthesis runs folded in.
+    pub runs: u64,
+    /// Element-wise mean over the runs.
+    pub mean: UtilityReport,
+    /// Element-wise sample standard deviation (zero for fewer than two runs).
+    pub stddev: UtilityReport,
+}
+
+/// Running sums of one dataset's utility reports.
+#[derive(Debug, Clone, Copy)]
+struct Accumulator {
+    count: u64,
+    sum: [f64; NUM_METRICS],
+    sum_sq: [f64; NUM_METRICS],
+}
+
+impl Accumulator {
+    fn new() -> Self {
+        Self {
+            count: 0,
+            sum: [0.0; NUM_METRICS],
+            sum_sq: [0.0; NUM_METRICS],
+        }
+    }
+
+    fn record(&mut self, report: &UtilityReport) {
+        self.count += 1;
+        for ((s, sq), v) in self
+            .sum
+            .iter_mut()
+            .zip(&mut self.sum_sq)
+            .zip(report.values())
+        {
+            *s += v;
+            *sq += v * v;
+        }
+    }
+
+    fn summary(&self) -> DatasetUtility {
+        let n = self.count as f64;
+        let mut mean = [0.0; NUM_METRICS];
+        let mut stddev = [0.0; NUM_METRICS];
+        if self.count > 0 {
+            for (m, s) in mean.iter_mut().zip(self.sum) {
+                *m = s / n;
+            }
+        }
+        if self.count > 1 {
+            for ((sd, sq), m) in stddev.iter_mut().zip(self.sum_sq).zip(mean) {
+                // Sample variance from running sums: (Σx² − n·x̄²) / (n − 1),
+                // clamped at zero against floating-point cancellation.
+                *sd = ((sq - n * m * m) / (n - 1.0)).max(0.0).sqrt();
+            }
+        }
+        DatasetUtility {
+            runs: self.count,
+            mean: UtilityReport::from_values(mean),
+            stddev: UtilityReport::from_values(stddev),
+        }
+    }
 }
 
 /// One registered dataset.
@@ -167,13 +253,7 @@ impl DatasetRegistry {
     pub fn summaries(&self) -> Vec<DatasetSummary> {
         self.lock()
             .iter()
-            .map(|(name, entry)| DatasetSummary {
-                name: name.clone(),
-                nodes: entry.graph.num_nodes(),
-                edges: entry.graph.num_edges(),
-                attribute_width: entry.graph.schema().width(),
-                mapped: entry.graph.is_mapped(),
-            })
+            .map(|(name, entry)| DatasetSummary::of(name, &entry.graph))
             .collect()
     }
 }
@@ -239,6 +319,39 @@ mod tests {
             reg.record_utility("other", &report),
             Err(ServiceError::UnknownDataset(_))
         ));
+    }
+
+    #[test]
+    fn mean_and_stddev_match_direct_computation() {
+        let a = UtilityReport {
+            ks_degree: 0.2,
+            edge_count_re: 0.1,
+            ..Default::default()
+        };
+        let b = UtilityReport {
+            ks_degree: 0.4,
+            edge_count_re: 0.3,
+            ..Default::default()
+        };
+        let mut acc = Accumulator::new();
+        acc.record(&a);
+        // One run: its own mean, with zero spread.
+        let single = acc.summary();
+        assert_eq!(single.runs, 1);
+        assert_eq!(single.mean, a);
+        assert_eq!(single.stddev, UtilityReport::default());
+
+        acc.record(&b);
+        let utility = acc.summary();
+        assert_eq!(utility.runs, 2);
+        let direct_mean = UtilityReport::mean(&[a, b]);
+        let direct_sd = UtilityReport::stddev(&[a, b]);
+        for (got, want) in utility.mean.values().iter().zip(direct_mean.values()) {
+            assert!((got - want).abs() < 1e-12);
+        }
+        for (got, want) in utility.stddev.values().iter().zip(direct_sd.values()) {
+            assert!((got - want).abs() < 1e-12);
+        }
     }
 
     #[test]

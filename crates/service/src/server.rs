@@ -39,9 +39,10 @@ use crate::error::ServiceError;
 use crate::http::{HttpLimits, Request, Response};
 use crate::jobs::{JobState, JobStore};
 use crate::json;
-use crate::ledger::BudgetLedger;
+use crate::ledger::{BudgetLedger, BudgetStatus};
 use crate::ratelimit::TokenBuckets;
 use crate::reactor::{Completions, HttpJob, Reactor, ReactorConfig, Waker};
+use crate::registry::DatasetSummary;
 use crate::store::ReleaseStore;
 use crate::telemetry::{FrontendStats, Telemetry};
 
@@ -431,7 +432,9 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => handle_healthz(engine),
         ("GET", "/datasets") => handle_list_datasets(engine),
-        ("POST", "/datasets") => handle_register_dataset(engine, &request.body),
+        ("POST", "/datasets") => {
+            handle_register_dataset(engine, &request.body).unwrap_or_else(std::convert::identity)
+        }
         ("POST", "/synthesize") => handle_synthesize(state, &request.body),
         ("GET", "/evaluate") => handle_evaluate(engine),
         ("GET", "/metrics") => handle_metrics(state),
@@ -443,36 +446,34 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
         }
         ("GET", _) if path.starts_with("/__debug/") => handle_debug(state, path),
         (_, "/healthz" | "/datasets" | "/synthesize" | "/evaluate" | "/metrics") => {
-            error_body(405, "method_not_allowed", "method not allowed")
+            Response::error(405, "method_not_allowed", "method not allowed")
         }
         (_, _) if path.starts_with("/jobs/") || path.starts_with("/budget/") => {
-            error_body(405, "method_not_allowed", "method not allowed")
+            Response::error(405, "method_not_allowed", "method not allowed")
         }
-        _ => error_body(404, "not_found", &format!("no route for {path}")),
+        _ => not_found(path),
     }
 }
 
 fn handle_healthz(engine: &Arc<SynthesisEngine>) -> Response {
     let (hits, misses) = engine.telemetry().fit_cache_counts();
-    ok_json(
-        200,
-        obj(vec![
-            ("status", Value::Str("ok".into())),
-            ("version", Value::Str(env!("CARGO_PKG_VERSION").into())),
-            (
-                "datasets",
-                Value::UInt(engine.registry().summaries().len() as u64),
-            ),
-            (
-                "cache",
-                obj(vec![
-                    ("entries", Value::UInt(engine.cache().len() as u64)),
-                    ("hits", Value::UInt(hits)),
-                    ("misses", Value::UInt(misses)),
-                ]),
-            ),
-        ]),
-    )
+    let health = obj(vec![
+        ("status", Value::Str("ok".into())),
+        ("version", Value::Str(env!("CARGO_PKG_VERSION").into())),
+        (
+            "datasets",
+            Value::UInt(engine.registry().summaries().len() as u64),
+        ),
+        (
+            "cache",
+            obj(vec![
+                ("entries", Value::UInt(engine.cache().len() as u64)),
+                ("hits", Value::UInt(hits)),
+                ("misses", Value::UInt(misses)),
+            ]),
+        ),
+    ]);
+    Response::json_value(200, &health)
 }
 
 /// `GET /__debug/sleep/:ms` and `GET /__debug/payload/:bytes`: fault
@@ -481,24 +482,24 @@ fn handle_healthz(engine: &Arc<SynthesisEngine>) -> Response {
 /// nothing).
 fn handle_debug(state: &Arc<ServerState>, path: &str) -> Response {
     if !state.debug_endpoints {
-        return error_body(404, "not_found", &format!("no route for {path}"));
+        return not_found(path);
     }
     if let Some(ms_text) = path.strip_prefix("/__debug/sleep/") {
         let Ok(ms) = ms_text.parse::<u64>() else {
-            return error_body(400, "invalid_request", "sleep duration must be an integer");
+            return invalid("sleep duration must be an integer");
         };
         let ms = ms.min(10_000);
         std::thread::sleep(Duration::from_millis(ms));
-        return ok_json(200, obj(vec![("slept_ms", Value::UInt(ms))]));
+        return Response::json_value(200, &obj(vec![("slept_ms", Value::UInt(ms))]));
     }
     if let Some(bytes_text) = path.strip_prefix("/__debug/payload/") {
         let Ok(bytes) = bytes_text.parse::<usize>() else {
-            return error_body(400, "invalid_request", "payload size must be an integer");
+            return invalid("payload size must be an integer");
         };
         let bytes = bytes.min(8 * 1024 * 1024);
         return Response::text(200, "x".repeat(bytes));
     }
-    error_body(404, "not_found", &format!("no route for {path}"))
+    not_found(path)
 }
 
 fn handle_list_datasets(engine: &Arc<SynthesisEngine>) -> Response {
@@ -508,93 +509,47 @@ fn handle_list_datasets(engine: &Arc<SynthesisEngine>) -> Response {
     let datasets: Vec<Value> = engine
         .registry()
         .summaries()
-        .into_iter()
-        .map(|summary| {
-            let mut entries = vec![
-                ("name", Value::Str(summary.name.clone())),
-                ("nodes", Value::UInt(summary.nodes as u64)),
-                ("edges", Value::UInt(summary.edges as u64)),
-                (
-                    "attribute_width",
-                    Value::UInt(summary.attribute_width as u64),
-                ),
-                ("mapped", Value::Bool(summary.mapped)),
-            ];
-            if let Some(status) = budgets.get(&summary.name) {
-                entries.push(("budget", budget_value(*status)));
-            }
-            obj(entries)
-        })
+        .iter()
+        .map(|summary| dataset_value(summary, budgets.get(&summary.name).copied()))
         .collect();
-    ok_json(200, obj(vec![("datasets", Value::Array(datasets))]))
+    Response::json_value(200, &obj(vec![("datasets", Value::Array(datasets))]))
 }
 
-fn handle_register_dataset(engine: &Arc<SynthesisEngine>, body: &[u8]) -> Response {
-    let parsed = match parse_body(body, &["name", "budget", "graph", "path"]) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let Some(name) = json::get(&parsed, "name").and_then(json::as_str) else {
-        return error_body(400, "invalid_request", "'name' (string) is required");
-    };
-    let Some(budget) = json::get(&parsed, "budget").and_then(json::as_f64) else {
-        return error_body(400, "invalid_request", "'budget' (number) is required");
-    };
+/// The reply when a registration names no graph source, or both.
+const ONE_GRAPH_SOURCE: &str =
+    "exactly one of 'graph' (inline text) or 'path' (server file) is required";
+
+fn handle_register_dataset(
+    engine: &Arc<SynthesisEngine>,
+    body: &[u8],
+) -> Result<Response, Response> {
+    let fields = Fields::parse(body, &["name", "budget", "graph", "path"])?;
+    let name = fields.required("name", json::as_str, "'name' (string) is required")?;
+    let budget = fields.required("budget", json::as_f64, "'budget' (number) is required")?;
+    // A source that is not a string counts as absent.
+    let inline = fields.optional("graph", json::as_str, ONE_GRAPH_SOURCE);
+    let path = fields.optional("path", json::as_str, ONE_GRAPH_SOURCE);
     // A server-side file loads in either interchange format, auto-detected
     // from the leading bytes: binary `.agb` files are **memory-mapped** (the
     // full-validation tier — checksum and structure — since the path may
     // point anywhere the operator can read) so registration cost is
     // independent of graph size; text files parse as before.
-    let graph = match (
-        json::get(&parsed, "graph").and_then(json::as_str),
-        json::get(&parsed, "path").and_then(json::as_str),
-    ) {
-        (Some(text), None) => match io::from_text(text) {
-            Ok(g) => g.freeze(),
-            Err(e) => return error_body(400, "invalid_request", &format!("bad graph: {e}")),
-        },
-        (None, Some(path)) => match io::load_frozen_file(path) {
-            Ok(graph) => graph,
-            // One message for every failure. Parse errors quote tokens of
-            // the file, and OS errors tell a missing file from an unreadable
-            // one, so echoing either would let a remote client probe the
-            // server's files.
-            Err(_) => {
-                return error_body(
-                    400,
-                    "invalid_request",
-                    &format!("cannot load '{path}' as a graph file"),
-                )
-            }
-        },
-        _ => {
-            return error_body(
-                400,
-                "invalid_request",
-                "exactly one of 'graph' (inline text) or 'path' (server file) is required",
-            )
-        }
+    let graph = match (inline.ok().flatten(), path.ok().flatten()) {
+        (Some(text), None) => io::from_text(text)
+            .map_err(|e| invalid(&format!("bad graph: {e}")))?
+            .freeze(),
+        // One message for every failure. Parse errors quote tokens of the
+        // file, and OS errors tell a missing file from an unreadable one, so
+        // echoing either would let a remote client probe the server's files.
+        (None, Some(path)) => io::load_frozen_file(path)
+            .map_err(|_| invalid(&format!("cannot load '{path}' as a graph file")))?,
+        _ => return Err(invalid(ONE_GRAPH_SOURCE)),
     };
-    match engine.register_frozen_dataset(name, graph, budget) {
-        Ok(summary) => {
-            let status = engine.ledger().status(name);
-            let mut entries = vec![
-                ("name", Value::Str(summary.name)),
-                ("nodes", Value::UInt(summary.nodes as u64)),
-                ("edges", Value::UInt(summary.edges as u64)),
-                (
-                    "attribute_width",
-                    Value::UInt(summary.attribute_width as u64),
-                ),
-                ("mapped", Value::Bool(summary.mapped)),
-            ];
-            if let Some(status) = status {
-                entries.push(("budget", budget_value(status)));
-            }
-            ok_json(201, obj(entries))
-        }
-        Err(e) => service_error(&e),
-    }
+    let summary = engine
+        .register_frozen_dataset(name, graph, budget)
+        .map_err(|e| service_error(&e))?;
+    let budget = engine.ledger().status(name);
+    Ok(Response::json_value(201, &dataset_value(&summary, budget)))
 }
 
 fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
@@ -612,7 +567,7 @@ fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
         }
         if let Err(retry_after) = buckets.try_take(&request.dataset, Instant::now()) {
             state.engine.telemetry().record_shed("rate_limit");
-            return error_body(
+            return Response::error(
                 429,
                 "rate_limited",
                 &format!(
@@ -631,22 +586,20 @@ fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
         let job_id = state.jobs.create();
         let epsilon_spent = outcome.epsilon_spent;
         state.jobs.set(job_id, JobState::Completed(outcome));
-        return ok_json(
-            202,
-            obj(vec![
-                ("job_id", Value::UInt(job_id)),
-                ("cache_hit", Value::Bool(true)),
-                ("store_hit", Value::Bool(true)),
-                ("epsilon_spent", Value::Float(epsilon_spent)),
-            ]),
-        );
+        let accepted = obj(vec![
+            ("job_id", Value::UInt(job_id)),
+            ("cache_hit", Value::Bool(true)),
+            ("store_hit", Value::Bool(true)),
+            ("epsilon_spent", Value::Float(epsilon_spent)),
+        ]);
+        return Response::json_value(202, &accepted);
     }
     // Acquire a job slot *before* admission: a refused request must not have
     // drawn ε, and the slot cap keeps a flood of (ε-free) cache hits from
     // spawning unbounded background work.
     let Some(slot) = state.try_acquire_job_slot() else {
         state.engine.telemetry().record_shed("job_slots");
-        return error_body(
+        return Response::error(
             503,
             "overloaded",
             &format!(
@@ -709,7 +662,7 @@ fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
         state
             .jobs
             .set(job_id, JobState::Failed(format!("spawn failed: {e}")));
-        let body = obj(vec![
+        let refusal = obj(vec![
             ("error", Value::Str("overloaded".into())),
             (
                 "message",
@@ -718,24 +671,22 @@ fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
             ("job_id", Value::UInt(job_id)),
             ("epsilon_spent", Value::Float(epsilon_spent)),
         ]);
-        return Response::json(503, render_json(&body));
+        return Response::json_value(503, &refusal);
     }
-    ok_json(
-        202,
-        obj(vec![
-            ("job_id", Value::UInt(job_id)),
-            ("cache_hit", Value::Bool(cache_hit)),
-            ("epsilon_spent", Value::Float(epsilon_spent)),
-        ]),
-    )
+    let accepted = obj(vec![
+        ("job_id", Value::UInt(job_id)),
+        ("cache_hit", Value::Bool(cache_hit)),
+        ("epsilon_spent", Value::Float(epsilon_spent)),
+    ]);
+    Response::json_value(202, &accepted)
 }
 
 fn handle_job(jobs: &JobStore, id_text: &str) -> Response {
     let Ok(id) = id_text.parse::<u64>() else {
-        return error_body(400, "invalid_request", "job id must be an integer");
+        return invalid("job id must be an integer");
     };
     let Some(state) = jobs.get(id) else {
-        return error_body(404, "not_found", &format!("unknown job {id}"));
+        return Response::error(404, "not_found", &format!("unknown job {id}"));
     };
     let mut entries = vec![
         ("id", Value::UInt(id)),
@@ -746,7 +697,7 @@ fn handle_job(jobs: &JobStore, id_text: &str) -> Response {
         JobState::Failed(message) => entries.push(("error", Value::Str(message))),
         JobState::Queued | JobState::Running => {}
     }
-    ok_json(200, obj(entries))
+    Response::json_value(200, &obj(entries))
 }
 
 /// `GET /evaluate`: the aggregated utility of every release served so far,
@@ -756,17 +707,10 @@ fn handle_evaluate(engine: &Arc<SynthesisEngine>) -> Response {
     let datasets: Vec<Value> = engine
         .registry()
         .utilities()
-        .into_iter()
-        .map(|(name, utility)| {
-            obj(vec![
-                ("dataset", Value::Str(name)),
-                ("runs", Value::UInt(utility.runs)),
-                ("mean", utility.mean.to_json_value()),
-                ("stddev", utility.stddev.to_json_value()),
-            ])
-        })
+        .iter()
+        .map(|(name, utility)| for_dataset(name, utility))
         .collect();
-    ok_json(200, obj(vec![("datasets", Value::Array(datasets))]))
+    Response::json_value(200, &obj(vec![("datasets", Value::Array(datasets))]))
 }
 
 /// `GET /metrics`: the Prometheus text exposition. Live counters and
@@ -779,110 +723,87 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
     let metrics = engine.telemetry().metrics();
     for (dataset, status) in engine.ledger().statuses() {
         let labels: &[(&str, &str)] = &[("dataset", dataset.as_str())];
-        metrics
-            .gauge(
+        for (name, help, value) in [
+            (
                 "agmdp_epsilon_total",
                 "Registered \u{3b5} budget, per dataset.",
-                labels,
-            )
-            .set(status.total);
-        metrics
-            .gauge(
+                status.total,
+            ),
+            (
                 "agmdp_epsilon_spent",
                 "Cumulative \u{3b5} drawn from the ledger, per dataset.",
-                labels,
-            )
-            .set(status.spent);
-        metrics
-            .gauge(
+                status.spent,
+            ),
+            (
                 "agmdp_epsilon_remaining",
                 "\u{3b5} still available in the ledger, per dataset.",
-                labels,
-            )
-            .set(status.remaining);
+                status.remaining,
+            ),
+        ] {
+            metrics.gauge(name, help, labels).set(value);
+        }
     }
     let (queued, running) = state.jobs.live_counts();
-    metrics
-        .gauge(
+    let mut gauges = vec![
+        (
             "agmdp_jobs_queued",
             "Synthesis jobs admitted but not yet running.",
-            &[],
-        )
-        .set(queued as f64);
-    metrics
-        .gauge(
+            queued as f64,
+        ),
+        (
             "agmdp_jobs_running",
             "Synthesis jobs currently fitting or sampling.",
-            &[],
-        )
-        .set(running as f64);
-    metrics
-        .gauge(
+            running as f64,
+        ),
+        (
             "agmdp_job_slots_in_use",
             "Concurrency slots currently held by synthesis jobs.",
-            &[],
-        )
-        .set(state.active_jobs.load(Ordering::SeqCst) as f64);
-    metrics
-        .gauge(
+            state.active_jobs.load(Ordering::SeqCst) as f64,
+        ),
+        (
             "agmdp_job_slots_max",
             "Concurrency slot cap (worker threads \u{d7} jobs per worker).",
-            &[],
-        )
-        .set(state.max_jobs as f64);
-    metrics
-        .gauge(
+            state.max_jobs as f64,
+        ),
+        (
             "agmdp_fit_cache_entries",
             "Fitted-parameter cache entries currently resident.",
-            &[],
-        )
-        .set(engine.cache().len() as f64);
-    if let Some(store) = engine.release_store() {
-        let occupancy = store.stats();
-        metrics
-            .gauge(
-                "agmdp_release_store_size_bytes",
-                "Total bytes of .agb artifacts in the release store.",
-                &[],
-            )
-            .set(occupancy.bytes as f64);
-        metrics
-            .gauge(
-                "agmdp_release_store_releases",
-                "Committed releases in the store.",
-                &[],
-            )
-            .set(occupancy.releases as f64);
-    }
-    metrics
-        .gauge(
+            engine.cache().len() as f64,
+        ),
+        (
             "agmdp_open_connections",
             "Connections currently registered with the reactor.",
-            &[],
-        )
-        .set(state.frontend.open_conns() as f64);
-    metrics
-        .gauge(
+            state.frontend.open_conns() as f64,
+        ),
+        (
             "agmdp_http_queue_depth",
             "Requests currently queued for or being handled by HTTP workers.",
-            &[],
-        )
-        .set(state.frontend.queued_jobs() as f64);
+            state.frontend.queued_jobs() as f64,
+        ),
+    ];
+    if let Some(store) = engine.release_store() {
+        let occupancy = store.stats();
+        gauges.push((
+            "agmdp_release_store_size_bytes",
+            "Total bytes of .agb artifacts in the release store.",
+            occupancy.bytes as f64,
+        ));
+        gauges.push((
+            "agmdp_release_store_releases",
+            "Committed releases in the store.",
+            occupancy.releases as f64,
+        ));
+    }
+    for (name, help, value) in gauges {
+        metrics.gauge(name, help, &[]).set(value);
+    }
     Response::metrics_text(200, metrics.render())
 }
 
 fn handle_budget(engine: &Arc<SynthesisEngine>, name: &str) -> Response {
     match engine.ledger().status(name) {
-        Some(status) => ok_json(
-            200,
-            obj(vec![
-                ("dataset", Value::Str(name.into())),
-                ("total", Value::Float(status.total)),
-                ("spent", Value::Float(status.spent)),
-                ("remaining", Value::Float(status.remaining)),
-            ]),
-        ),
-        None => error_body(404, "not_found", &format!("unknown dataset '{name}'")),
+        Some(status) => Response::json_value(200, &for_dataset(name, &status)),
+        None => Response::error(404, "not_found", &format!("unknown dataset '{name}'")),
     }
 }
 
@@ -890,35 +811,65 @@ fn handle_budget(engine: &Arc<SynthesisEngine>, name: &str) -> Response {
 // Body parsing
 // ---------------------------------------------------------------------------
 
-fn parse_body(body: &[u8], allowed_keys: &[&str]) -> Result<Value, Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| error_body(400, "invalid_request", "body must be UTF-8 JSON"))?;
-    let value =
-        json::parse(text).map_err(|e| error_body(400, "invalid_request", &e.to_string()))?;
-    let Value::Object(entries) = &value else {
-        return Err(error_body(
-            400,
-            "invalid_request",
-            "body must be a JSON object",
-        ));
-    };
-    for (key, _) in entries {
-        if !allowed_keys.contains(&key.as_str()) {
-            return Err(error_body(
-                400,
-                "invalid_request",
-                &format!(
-                    "unknown field '{key}' (allowed: {})",
-                    allowed_keys.join(", ")
-                ),
-            ));
+/// The fields of a JSON-object request body: the one way a handler reads
+/// what a client sent. Each read names the `400 invalid_request` message a
+/// missing or mistyped field gets.
+struct Fields(Vec<(String, Value)>);
+
+impl Fields {
+    /// Parses `body` as UTF-8 JSON holding one object whose keys are all in
+    /// `allowed`.
+    fn parse(body: &[u8], allowed: &[&str]) -> Result<Self, Response> {
+        let text = std::str::from_utf8(body).map_err(|_| invalid("body must be UTF-8 JSON"))?;
+        let Value::Object(entries) = json::parse(text).map_err(|e| invalid(&e.to_string()))? else {
+            return Err(invalid("body must be a JSON object"));
+        };
+        if let Some((key, _)) = entries
+            .iter()
+            .find(|(key, _)| !allowed.contains(&key.as_str()))
+        {
+            return Err(invalid(&format!(
+                "unknown field '{key}' (allowed: {})",
+                allowed.join(", ")
+            )));
+        }
+        Ok(Self(entries))
+    }
+
+    /// The field `key` as `read` converts it; absent or unconvertible gets
+    /// `message`.
+    fn required<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+        message: &str,
+    ) -> Result<T, Response> {
+        self.optional(key, read, message)?
+            .ok_or_else(|| invalid(message))
+    }
+
+    /// The field `key` as `read` converts it, `None` when absent; present
+    /// but unconvertible gets `message`.
+    fn optional<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+        message: &str,
+    ) -> Result<Option<T>, Response> {
+        match self.0.iter().find(|(name, _)| name == key) {
+            None => Ok(None),
+            Some((_, value)) => read(value).map(Some).ok_or_else(|| invalid(message)),
         }
     }
-    Ok(value)
 }
 
+/// The seed of a `/synthesize` request that names none.
+const DEFAULT_SEED: u64 = 2016;
+
+/// Reads a `/synthesize` body over [`SynthesisRequest::new`]'s defaults. The
+/// first bad field in the order read here is the one reported.
 fn parse_synthesize_body(body: &[u8]) -> Result<SynthesisRequest, Response> {
-    let parsed = parse_body(
+    let fields = Fields::parse(
         body,
         &[
             "dataset",
@@ -933,88 +884,47 @@ fn parse_synthesize_body(body: &[u8]) -> Result<SynthesisRequest, Response> {
             "threads",
         ],
     )?;
-    let dataset = json::get(&parsed, "dataset")
-        .and_then(json::as_str)
-        .ok_or_else(|| error_body(400, "invalid_request", "'dataset' (string) is required"))?;
-    let epsilon = json::get(&parsed, "epsilon")
-        .and_then(json::as_f64)
-        .ok_or_else(|| error_body(400, "invalid_request", "'epsilon' (number) is required"))?;
+    let dataset = fields.required("dataset", json::as_str, "'dataset' (string) is required")?;
+    let epsilon = fields.required("epsilon", json::as_f64, "'epsilon' (number) is required")?;
+    let mut request = SynthesisRequest::new(dataset, epsilon, DEFAULT_SEED);
+    if let Some(name) = fields.optional("model", json::as_str, "'model' must be a string")? {
+        request.model = StructuralModelKind::parse(name).map_err(|e| invalid(&e))?;
+    }
+    let k = fields.optional("k", as_usize, "'k' must be a non-negative integer")?;
+    let delta = fields.optional("delta", json::as_f64, "'delta' must be a number")?;
+    let method = fields.optional("method", json::as_str, "'method' must be a string")?;
+    request.method =
+        CorrelationMethod::from_parts(method.unwrap_or("truncation"), k, delta.unwrap_or(1e-6))
+            .map_err(|e| invalid(&e))?;
+    request.seed = fields
+        .optional(
+            "seed",
+            json::as_u64,
+            "'seed' must be a non-negative integer",
+        )?
+        .unwrap_or(request.seed);
+    request.refinement_iterations = fields
+        .optional(
+            "iterations",
+            as_usize,
+            "'iterations' must be a positive integer",
+        )?
+        .unwrap_or(request.refinement_iterations);
+    request.return_graph = fields
+        .optional(
+            "return_graph",
+            json::as_bool,
+            "'return_graph' must be a boolean",
+        )?
+        .unwrap_or(request.return_graph);
+    request.threads = fields
+        .optional("threads", as_usize, "'threads' must be a positive integer")?
+        .unwrap_or(request.threads);
+    Ok(request)
+}
 
-    let model = match json::get(&parsed, "model") {
-        None => StructuralModelKind::TriCycLe,
-        Some(v) => {
-            let name = json::as_str(v)
-                .ok_or_else(|| error_body(400, "invalid_request", "'model' must be a string"))?;
-            StructuralModelKind::parse(name).map_err(|e| error_body(400, "invalid_request", &e))?
-        }
-    };
-
-    let k = match json::get(&parsed, "k") {
-        None => None,
-        Some(v) => Some(json::as_u64(v).ok_or_else(|| {
-            error_body(400, "invalid_request", "'k' must be a non-negative integer")
-        })? as usize),
-    };
-    let delta = match json::get(&parsed, "delta") {
-        None => 1e-6,
-        Some(v) => json::as_f64(v)
-            .ok_or_else(|| error_body(400, "invalid_request", "'delta' must be a number"))?,
-    };
-    let method_name = match json::get(&parsed, "method") {
-        None => "truncation",
-        Some(v) => json::as_str(v)
-            .ok_or_else(|| error_body(400, "invalid_request", "'method' must be a string"))?,
-    };
-    let method = CorrelationMethod::from_parts(method_name, k, delta)
-        .map_err(|e| error_body(400, "invalid_request", &e))?;
-
-    let seed = match json::get(&parsed, "seed") {
-        None => 2016,
-        Some(v) => json::as_u64(v).ok_or_else(|| {
-            error_body(
-                400,
-                "invalid_request",
-                "'seed' must be a non-negative integer",
-            )
-        })?,
-    };
-    let iterations = match json::get(&parsed, "iterations") {
-        None => 3,
-        Some(v) => json::as_u64(v).ok_or_else(|| {
-            error_body(
-                400,
-                "invalid_request",
-                "'iterations' must be a positive integer",
-            )
-        })? as usize,
-    };
-    let return_graph = match json::get(&parsed, "return_graph") {
-        None => false,
-        Some(v) => json::as_bool(v).ok_or_else(|| {
-            error_body(400, "invalid_request", "'return_graph' must be a boolean")
-        })?,
-    };
-    let threads = match json::get(&parsed, "threads") {
-        None => 1,
-        Some(v) => json::as_u64(v).ok_or_else(|| {
-            error_body(
-                400,
-                "invalid_request",
-                "'threads' must be a positive integer",
-            )
-        })? as usize,
-    };
-
-    Ok(SynthesisRequest {
-        dataset: dataset.to_string(),
-        epsilon,
-        model,
-        method,
-        seed,
-        refinement_iterations: iterations,
-        return_graph,
-        threads,
-    })
+fn as_usize(value: &Value) -> Option<usize> {
+    json::as_u64(value).map(|n| n as usize)
 }
 
 // ---------------------------------------------------------------------------
@@ -1030,12 +940,24 @@ fn obj(entries: Vec<(&'static str, Value)>) -> Value {
     )
 }
 
-fn budget_value(status: crate::ledger::BudgetStatus) -> Value {
-    obj(vec![
-        ("total", Value::Float(status.total)),
-        ("spent", Value::Float(status.spent)),
-        ("remaining", Value::Float(status.remaining)),
-    ])
+/// A dataset object of `GET /datasets` and `POST /datasets`: the summary's
+/// fields, then its ledger state under `budget`.
+fn dataset_value(summary: &DatasetSummary, budget: Option<BudgetStatus>) -> Value {
+    let mut value = summary.to_json_value();
+    if let (Value::Object(entries), Some(budget)) = (&mut value, budget) {
+        entries.push(("budget".to_string(), budget.to_json_value()));
+    }
+    value
+}
+
+/// `{"dataset": name}` followed by `fields`' own entries: one dataset's
+/// object in `GET /budget/:name` and `GET /evaluate`.
+fn for_dataset(name: &str, fields: &impl Serialize) -> Value {
+    let mut entries = vec![("dataset".to_string(), Value::Str(name.to_string()))];
+    if let Value::Object(own) = fields.to_json_value() {
+        entries.extend(own);
+    }
+    Value::Object(entries)
 }
 
 fn outcome_value(outcome: &SynthesisOutcome) -> Value {
@@ -1053,28 +975,16 @@ fn outcome_value(outcome: &SynthesisOutcome) -> Value {
     obj(entries)
 }
 
-/// Serialises a response body, degrading to a fixed error document rather
-/// than panicking mid-request if serialisation ever fails.
-fn render_json(value: &Value) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| {
-        r#"{"error":"internal","message":"response serialisation failed"}"#.to_string()
-    })
+fn invalid(message: &str) -> Response {
+    Response::error(400, "invalid_request", message)
 }
 
-fn ok_json(status: u16, value: Value) -> Response {
-    Response::json(status, render_json(&value))
-}
-
-fn error_body(status: u16, kind: &str, message: &str) -> Response {
-    let value = obj(vec![
-        ("error", Value::Str(kind.into())),
-        ("message", Value::Str(message.into())),
-    ]);
-    Response::json(status, render_json(&value))
+fn not_found(path: &str) -> Response {
+    Response::error(404, "not_found", &format!("no route for {path}"))
 }
 
 fn service_error(error: &ServiceError) -> Response {
-    error_body(error.http_status(), error.kind(), &error.to_string())
+    Response::error(error.http_status(), error.kind(), &error.to_string())
 }
 
 #[cfg(test)]
@@ -1351,6 +1261,51 @@ mod tests {
         assert_eq!(wrong_method.status, 405);
         // Rejected requests must not leak job slots.
         assert_eq!(state.active_jobs.load(Ordering::SeqCst), 0);
+    }
+
+    /// The message of a `400 invalid_request` refusal.
+    fn refusal<T>(result: Result<T, Response>) -> String {
+        let response = result.err().expect("refused");
+        assert_eq!(response.status, 400);
+        let body = json::parse(&response.body).unwrap();
+        assert_eq!(
+            json::get(&body, "error").and_then(json::as_str),
+            Some("invalid_request")
+        );
+        json::get(&body, "message")
+            .and_then(json::as_str)
+            .unwrap()
+            .to_string()
+    }
+
+    #[test]
+    fn fields_read_present_absent_and_mistyped_keys() {
+        let fields = Fields::parse(br#"{"a":"x","n":3}"#, &["a", "n", "m"]).unwrap();
+        assert_eq!(fields.required("a", json::as_str, "need a").ok(), Some("x"));
+        assert_eq!(fields.optional("n", json::as_u64, "n?").ok(), Some(Some(3)));
+        assert_eq!(fields.optional("m", json::as_u64, "m?").ok(), Some(None));
+        assert_eq!(
+            refusal(fields.optional("a", json::as_u64, "a int")),
+            "a int"
+        );
+        assert_eq!(
+            refusal(fields.required("m", json::as_u64, "m req")),
+            "m req"
+        );
+        assert_eq!(
+            refusal(Fields::parse(br#"{"z":1}"#, &["a", "n"])),
+            "unknown field 'z' (allowed: a, n)"
+        );
+        assert_eq!(
+            refusal(Fields::parse(b"[]", &[])),
+            "body must be a JSON object"
+        );
+    }
+
+    #[test]
+    fn synthesize_defaults_are_the_request_defaults() {
+        let parsed = parse_synthesize_body(br#"{"dataset":"toy","epsilon":0.5}"#).unwrap();
+        assert_eq!(parsed, SynthesisRequest::new("toy", 0.5, DEFAULT_SEED));
     }
 
     #[test]

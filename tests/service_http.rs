@@ -4,6 +4,18 @@
 //! verify the ledger state survives a server restart. The `agmdp serve`
 //! command line that scripts depend on is pinned here too.
 //!
+//! `every_route_matches_the_pinned_transcript` compares the raw response
+//! bytes of a fixed script over every route with
+//! `tests/golden/service_transcript.txt`, byte for byte. A diff there means
+//! a response changed; the test writes what it saw to
+//! `target/tmp/service_transcript.txt`, and if the change is intended,
+//! re-pin with:
+//!
+//! ```text
+//! cargo test --test service_http every_route_matches_the_pinned_transcript
+//! cp target/tmp/service_transcript.txt tests/golden/service_transcript.txt
+//! ```
+//!
 //! The server's reactor needs epoll, so the suite runs on Linux only.
 #![cfg(target_os = "linux")]
 
@@ -592,4 +604,309 @@ fn serve_accepts_only_the_event_transport() {
     event.kill().ok();
     event.wait().ok();
     assert_eq!(healthz, Some(200), "listen line {line:?}");
+}
+
+// ---------------------------------------------------------------------------
+// The response-byte transcript of every route.
+// ---------------------------------------------------------------------------
+
+/// The pinned transcript: one `=== <request>` line per exchange, followed by
+/// the raw response bytes (status line, headers and body).
+const TRANSCRIPT_GOLDEN: &str = include_str!("golden/service_transcript.txt");
+
+/// Sends one raw request on a fresh connection and reads the reply to EOF.
+/// A reset after a framing error (the server closes with unread bytes) ends
+/// the reply like an EOF.
+fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(raw).unwrap();
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => reply.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("read reply to {:?}: {e}", String::from_utf8_lossy(raw)),
+        }
+    }
+    reply
+}
+
+/// Records a fixed `Connection: close` script against one server.
+struct Transcript {
+    addr: SocketAddr,
+    text: Vec<u8>,
+}
+
+impl Transcript {
+    fn record(&mut self, label: &str, raw: &[u8]) -> Vec<u8> {
+        let reply = raw_exchange(self.addr, raw);
+        self.text
+            .extend_from_slice(format!("=== {label}\n").as_bytes());
+        self.text.extend_from_slice(&reply);
+        self.text.push(b'\n');
+        reply
+    }
+
+    /// One request with a body; the label is the request line plus the body
+    /// when it is short text.
+    fn send(&mut self, method: &str, path: &str, body: &[u8]) -> Vec<u8> {
+        let label = match std::str::from_utf8(body) {
+            Ok(text) if text.len() <= 160 => format!("{method} {path} {text}"),
+            _ => format!("{method} {path} <{} bytes>", body.len()),
+        };
+        self.send_as(label.trim_end(), method, path, body)
+    }
+
+    fn send_as(&mut self, label: &str, method: &str, path: &str, body: &[u8]) -> Vec<u8> {
+        let mut raw = format!(
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body);
+        self.record(label, &raw)
+    }
+
+    /// Sends a `/synthesize` body, polls its job unrecorded until it
+    /// finishes, and records the final poll.
+    fn synthesize(&mut self, body: &str) {
+        let reply = self.send("POST", "/synthesize", body.as_bytes());
+        let reply = String::from_utf8(reply).unwrap();
+        let accepted = reply.split_once("\r\n\r\n").map(|(_, b)| b).unwrap();
+        let job_id = field_u64(&json::parse(accepted).unwrap(), "job_id");
+        wait_for_job(self.addr, job_id);
+        self.send("GET", &format!("/jobs/{job_id}"), b"");
+    }
+}
+
+/// Pins the response bytes of every route: registration (inline, from a
+/// path, repeated, conflicting), listing, cold, fit-cache-hit, store-hit and
+/// FCL-smooth jobs, each 400 of both body parsers in field order, 402, 404,
+/// 405, budget, evaluate, health, and the framing errors 400, 413, 431 and
+/// 505. `/metrics` (timings) and all job polls but the last are left out.
+/// The re-pin command is in this file's header.
+#[test]
+fn every_route_matches_the_pinned_transcript() {
+    let dir = std::env::temp_dir().join(format!("agmdp_service_transcript_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let toy = agmdp::datasets::toy_social_graph();
+    let agb_path = dir.join("toy.agb");
+    io::write_binary_file(&toy, &agb_path).unwrap();
+    let text_path = dir.join("toy.graph");
+    std::fs::write(&text_path, io::to_text(&toy)).unwrap();
+    let server = agmdp::service::start(&ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        ledger_path: None,
+        quiet: true,
+        release_store: Some(dir.join("store")),
+        ..ServiceConfig::default()
+    })
+    .expect("server start");
+    let mut t = Transcript {
+        addr: server.local_addr(),
+        text: Vec::new(),
+    };
+    let register = |name: &str, budget: f64, source: (&str, String)| {
+        serde_json::to_string(&Value::Object(vec![
+            ("name".to_string(), Value::Str(name.to_string())),
+            ("budget".to_string(), Value::Float(budget)),
+            (source.0.to_string(), Value::Str(source.1)),
+        ]))
+        .unwrap()
+    };
+    let inline = || ("graph", io::to_text(&toy));
+    let path = |p: &std::path::Path| ("path", p.display().to_string());
+
+    // Health and registration.
+    t.send("GET", "/healthz", b"");
+    t.send("GET", "/datasets", b"");
+    let toy_body = register("toy", 3.0, inline());
+    t.send("POST", "/datasets", toy_body.as_bytes());
+    t.send("POST", "/datasets", toy_body.as_bytes());
+    t.send(
+        "POST",
+        "/datasets",
+        register("toy", 5.0, inline()).as_bytes(),
+    );
+    t.send(
+        "POST",
+        "/datasets",
+        br#"{"name":"toy","budget":3,"graph":"nodes 3 0\nedge 0 1\n"}"#,
+    );
+    // The temporary paths are left out of the labels.
+    t.send_as(
+        "POST /datasets toy_agb from a path to an .agb file",
+        "POST",
+        "/datasets",
+        register("toy_agb", 2.0, path(&agb_path)).as_bytes(),
+    );
+    t.send_as(
+        "POST /datasets toy_text from a path to a text file",
+        "POST",
+        "/datasets",
+        register("toy_text", 2.0, path(&text_path)).as_bytes(),
+    );
+    for body in [
+        &b"\xff\xfe"[..],
+        b"{",
+        b"[1]",
+        br#"{"name":"x","budget":1,"graf":""}"#,
+        br#"{"budget":1,"graph":""}"#,
+        br#"{"name":7,"budget":1,"graph":""}"#,
+        br#"{"name":"x","graph":""}"#,
+        br#"{"name":"x","budget":"1","graph":""}"#,
+        br#"{"name":"x","budget":1}"#,
+        br#"{"name":"x","budget":1,"graph":"","path":"a"}"#,
+        br#"{"name":"x","budget":1,"graph":7}"#,
+        br#"{"name":"x","budget":1,"path":"no/such/file.graph"}"#,
+        br#"{"name":"x","budget":1,"graph":"nodes garbage"}"#,
+        br#"{"name":"x","budget":1,"graph":"nodes 0 0\n"}"#,
+        br#"{"name":"x","budget":-1,"graph":"nodes 3 0\nedge 0 1\n"}"#,
+        br#"{"name":"bad name","budget":1,"graph":"nodes 3 0\nedge 0 1\n"}"#,
+    ] {
+        t.send("POST", "/datasets", body);
+    }
+    t.send("GET", "/datasets", b"");
+
+    // Jobs: cold, fit-cache hit, store hit, a returned graph, FCL with the
+    // smooth-sensitivity method, sample-and-aggregate on a mapped dataset.
+    t.synthesize(r#"{"dataset":"toy","epsilon":0.5,"seed":1}"#);
+    t.synthesize(r#"{"dataset":"toy","epsilon":0.5,"seed":1,"iterations":2}"#);
+    t.synthesize(r#"{"dataset":"toy","epsilon":0.5,"seed":1}"#);
+    t.synthesize(r#"{"dataset":"toy","epsilon":0.5,"seed":2,"return_graph":true,"threads":2}"#);
+    t.synthesize(
+        r#"{"dataset":"toy","epsilon":0.5,"model":"fcl","method":"smooth","delta":0.000001,"seed":3}"#,
+    );
+    t.synthesize(
+        r#"{"dataset":"toy_agb","epsilon":1,"method":"sample-aggregate","k":4,"seed":4,"model":"tricycle","iterations":1,"return_graph":false}"#,
+    );
+
+    // Every 400 of the /synthesize parser, in field order, then bodies with
+    // two bad fields: the earlier field in that order is the one reported.
+    for body in [
+        &b"\xff"[..],
+        b"not json",
+        b"[1,2]",
+        br#"{"dataset":"toy","epsilon":0.5,"epsilonn":1}"#,
+        br#"{"epsilon":0.5}"#,
+        br#"{"dataset":1,"epsilon":0.5}"#,
+        br#"{"dataset":"toy"}"#,
+        br#"{"dataset":"toy","epsilon":"0.5"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"model":1}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"model":"tcl"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"k":-3}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"k":2.5}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"delta":"small"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"method":3}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"method":"exact"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"k":1}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"seed":-1}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"iterations":"3"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"return_graph":1}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"threads":"all"}"#,
+        br#"{"dataset":1,"epsilon":"x","model":2}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"model":"x","k":"x"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"seed":"x","k":"x"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"delta":"x","k":1}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"method":"x","delta":"x"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"seed":"x","method":"x"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"iterations":"x","seed":"x"}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"threads":"x","return_graph":"x","iterations":-1}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"threads":"x","return_graph":"x"}"#,
+        br#"{"dataset":"toy","epsilon":-1}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"threads":0}"#,
+        br#"{"dataset":"toy","epsilon":0.5,"iterations":0}"#,
+        br#"{"dataset":"ghost","epsilon":0.5}"#,
+        br#"{"dataset":"toy","epsilon":2.5,"seed":5}"#,
+    ] {
+        t.send("POST", "/synthesize", body);
+    }
+
+    // Read routes, their errors, and wrong methods.
+    t.send("GET", "/budget/toy", b"");
+    t.send("GET", "/budget/toy_agb", b"");
+    t.send("GET", "/budget/ghost", b"");
+    t.send("GET", "/evaluate", b"");
+    t.send("GET", "/healthz", b"");
+    t.send("GET", "/jobs/abc", b"");
+    t.send("GET", "/jobs/999", b"");
+    t.send("GET", "/no-such-route", b"");
+    t.send("GET", "/__debug/sleep/1", b"");
+    for (method, path) in [
+        ("DELETE", "/datasets"),
+        ("POST", "/healthz"),
+        ("PUT", "/synthesize"),
+        ("POST", "/evaluate"),
+        ("POST", "/metrics"),
+        ("POST", "/jobs/1"),
+        ("DELETE", "/budget/toy"),
+    ] {
+        t.send(method, path, b"");
+    }
+
+    // Framing errors: the reactor answers these itself and closes.
+    let big_head = format!(
+        "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(17 * 1024)
+    );
+    for (label, raw) in [
+        ("framing: garbage", &b"\x00\x01\x02 /x HTTP/1.1\r\n\r\n"[..]),
+        ("framing: no target", b"GET\r\n\r\n"),
+        ("framing: no version", b"GET /healthz\r\n\r\n"),
+        ("framing: relative target", b"GET healthz HTTP/1.1\r\n\r\n"),
+        (
+            "framing: header without colon",
+            b"GET /healthz HTTP/1.1\r\nHost\r\n\r\n",
+        ),
+        ("framing: non-UTF-8 head", b"GET /\xff HTTP/1.1\r\n\r\n"),
+        (
+            "framing: bad Content-Length",
+            b"POST /synthesize HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        ),
+        (
+            "framing: conflicting Content-Length",
+            b"POST /synthesize HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nhi",
+        ),
+        (
+            "framing: chunked",
+            b"POST /synthesize HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        ),
+        (
+            "framing: body over the cap",
+            b"POST /synthesize HTTP/1.1\r\nContent-Length: 67108865\r\n\r\n",
+        ),
+        ("framing: head over the cap", big_head.as_bytes()),
+        ("framing: HTTP/2.0", b"GET /healthz HTTP/2.0\r\n\r\n"),
+    ] {
+        t.record(label, raw);
+    }
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let got = t.text;
+    if got != TRANSCRIPT_GOLDEN.as_bytes() {
+        let seen = concat!(env!("CARGO_TARGET_TMPDIR"), "/service_transcript.txt");
+        std::fs::write(seen, &got).unwrap();
+        let at = got
+            .iter()
+            .zip(TRANSCRIPT_GOLDEN.as_bytes())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| got.len().min(TRANSCRIPT_GOLDEN.len()));
+        let from = at.saturating_sub(200);
+        panic!(
+            "response bytes diverged from tests/golden/service_transcript.txt at byte {at} \
+             (transcript written to {seen}; see this test's docs to re-pin):\n\
+             got:  {:?}\nwant: {:?}",
+            String::from_utf8_lossy(&got[from..(at + 200).min(got.len())]),
+            &TRANSCRIPT_GOLDEN
+                [from.min(TRANSCRIPT_GOLDEN.len())..(at + 200).min(TRANSCRIPT_GOLDEN.len())],
+        );
+    }
 }

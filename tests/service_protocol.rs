@@ -14,6 +14,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
+use agmdp::service::json;
 use agmdp::service::{ServerHandle, ServiceConfig};
 
 fn boot(config: ServiceConfig) -> ServerHandle {
@@ -278,10 +279,29 @@ fn http10_closes_by_default_and_keeps_alive_on_request() {
 #[test]
 fn unsupported_http_version_gets_505() {
     let server = boot(default_config());
-    let mut stream = connect(server.local_addr());
-    stream.write_all(b"GET /healthz HTTP/2.0\r\n\r\n").unwrap();
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 505, "{text}");
+    // The body echoes the version token, so it must stay valid JSON
+    // whatever the token holds: a quote, a backslash or a control byte.
+    for token in ["HTTP/2.0", "HTTP/2\"x", "HTTP/2\\", "HTTP/2\u{1}"] {
+        let mut stream = connect(server.local_addr());
+        stream
+            .write_all(format!("GET /healthz {token}\r\n\r\n").as_bytes())
+            .unwrap();
+        let (status, text) = read_one_response(&mut stream);
+        assert_eq!(status, 505, "{text}");
+        let body = text.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+        let parsed = json::parse(body)
+            .unwrap_or_else(|e| panic!("{token:?}: body is not JSON ({e}): {body:?}"));
+        assert_eq!(
+            json::get(&parsed, "error").and_then(json::as_str),
+            Some("bad_request"),
+            "{body:?}"
+        );
+        assert_eq!(
+            json::get(&parsed, "message").and_then(json::as_str),
+            Some(format!("unsupported {token}").as_str()),
+            "{body:?}"
+        );
+    }
     server.stop();
 }
 
