@@ -3,16 +3,15 @@
 //! All rules work on *stripped* text ([`crate::strip::prepare`]), so tokens
 //! inside strings, comments, and doc-tests can never fire, and anything
 //! gated behind a `test` attribute is skipped via
-//! [`crate::strip::test_item_ranges`]. Findings are then matched against
-//! `agmdp: allow(...)` waivers; waivers that match nothing become findings
-//! themselves.
+//! [`crate::strip::test_item_ranges`]. Every finding stands: the only way to
+//! keep a construct out of a family is to keep the file out of its scope in
+//! [`crate::policy`].
 
 use std::collections::BTreeSet;
 
 use crate::policy::{scope_for, Scope};
 use crate::report::{Finding, LintFamily};
-use crate::strip::{find_word, prepare, test_item_ranges, PreparedSource};
-use crate::waiver::{parse_waivers, Waiver};
+use crate::strip::{find_word, prepare, test_item_ranges};
 
 /// Lints one source file. `rel_path` is workspace-relative with forward
 /// slashes and selects the policy scope; files outside every scope return
@@ -21,33 +20,17 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let Some(scope) = scope_for(rel_path) else {
         return Vec::new();
     };
-    let prep = prepare(source);
-    let (waivers, waiver_errors) = parse_waivers(&prep.comments);
-    let test_lines = test_line_set(&prep.stripped);
+    let stripped = prepare(source);
+    let test_lines = test_line_set(&stripped);
 
     let mut findings = Vec::new();
-    for (idx, text) in prep.stripped.lines().enumerate() {
+    for (idx, text) in stripped.lines().enumerate() {
         let line = idx + 1;
         if test_lines.contains(&line) {
             continue;
         }
         scan_line(&scope, rel_path, line, text, &mut findings);
     }
-
-    for err in &waiver_errors {
-        findings.push(Finding {
-            family: LintFamily::Waiver,
-            rule: err.rule,
-            file: rel_path.to_string(),
-            line: err.line,
-            column: 1,
-            message: err.message.clone(),
-            snippet: "agmdp: allow".to_string(),
-            waived: None,
-        });
-    }
-
-    apply_waivers(rel_path, &prep, &waivers, &test_lines, &mut findings);
     findings
 }
 
@@ -74,58 +57,6 @@ fn test_line_set(stripped: &str) -> BTreeSet<usize> {
     set
 }
 
-/// Marks findings covered by a waiver on the same line or on a standalone
-/// comment line directly above, then reports unused waivers.
-fn apply_waivers(
-    rel_path: &str,
-    prep: &PreparedSource,
-    waivers: &[Waiver],
-    test_lines: &BTreeSet<usize>,
-    findings: &mut Vec<Finding>,
-) {
-    let stripped_lines: Vec<&str> = prep.stripped.lines().collect();
-    let mut used = vec![false; waivers.len()];
-    for f in findings
-        .iter_mut()
-        .filter(|f| f.family != LintFamily::Waiver)
-    {
-        for (wi, w) in waivers.iter().enumerate() {
-            if w.family != f.family {
-                continue;
-            }
-            let trailing = w.line == f.line;
-            // A standalone waiver (its line is blank once the comment is
-            // stripped) covers the line below it.
-            let standalone_above = w.line + 1 == f.line
-                && stripped_lines
-                    .get(w.line - 1)
-                    .is_some_and(|l| l.trim().is_empty());
-            if trailing || standalone_above {
-                f.waived = Some(w.reason.clone());
-                used[wi] = true;
-                break;
-            }
-        }
-    }
-    for (wi, w) in waivers.iter().enumerate() {
-        if !used[wi] && !test_lines.contains(&w.line) {
-            findings.push(Finding {
-                family: LintFamily::Waiver,
-                rule: "unused",
-                file: rel_path.to_string(),
-                line: w.line,
-                column: 1,
-                message: format!(
-                    "waiver for `{}` matches no finding on this line or the one below; remove it",
-                    w.family
-                ),
-                snippet: "agmdp: allow".to_string(),
-                waived: None,
-            });
-        }
-    }
-}
-
 /// Runs every in-scope rule over one stripped line.
 fn scan_line(scope: &Scope, file: &str, line: usize, text: &str, findings: &mut Vec<Finding>) {
     let mut push =
@@ -138,7 +69,6 @@ fn scan_line(scope: &Scope, file: &str, line: usize, text: &str, findings: &mut 
                 column,
                 message,
                 snippet: snippet.to_string(),
-                waived: None,
             });
         };
 
@@ -423,8 +353,13 @@ mod tests {
                 ("slice-index", 4)
             ]
         );
-        // Outside the request path the same code is fine.
-        assert!(lint_source("crates/service/src/ledger.rs", src).is_empty());
+        // The budget ledger is held to the same rules; outside the panic-free
+        // crates the same code is fine.
+        assert_eq!(
+            names(&lint_source("crates/service/src/ledger.rs", src)),
+            names(&fired)
+        );
+        assert!(lint_source("crates/graph/src/io.rs", src).is_empty());
     }
 
     #[test]
@@ -440,37 +375,6 @@ mod tests {
         assert_eq!(names(&fired), vec![("stdout-print", 1), ("debug-print", 2)]);
         assert!(lint_source("src/main.rs", src).is_empty());
         assert!(lint_source("crates/bench/src/report.rs", src).is_empty());
-    }
-
-    #[test]
-    fn waivers_silence_trailing_and_line_above() {
-        let src = "let a = x.unwrap(); // agmdp: allow(panic-freedom, reason = \"startup only\")\n// agmdp: allow(panic-freedom, reason = \"checked above\")\nlet b = y.unwrap();\n";
-        let fired = lint_source("crates/service/src/server.rs", src);
-        assert_eq!(fired.len(), 2);
-        assert!(fired.iter().all(|f| f.waived.is_some()));
-        assert_eq!(fired[0].waived.as_deref(), Some("startup only"));
-    }
-
-    #[test]
-    fn wrong_family_waiver_does_not_silence_and_is_unused() {
-        let src = "let a = x.unwrap(); // agmdp: allow(hygiene, reason = \"wrong family\")\n";
-        let fired = lint_source("crates/service/src/server.rs", src);
-        let rules: Vec<_> = names(&fired);
-        assert!(rules.contains(&("unwrap", 1)));
-        assert!(rules.contains(&("unused", 1)));
-        assert!(fired
-            .iter()
-            .find(|f| f.rule == "unwrap")
-            .unwrap()
-            .waived
-            .is_none());
-    }
-
-    #[test]
-    fn unused_waiver_is_reported() {
-        let src = "// agmdp: allow(determinism, reason = \"nothing here\")\nlet x = 1;\n";
-        let fired = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(names(&fired), vec![("unused", 1)]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The policy table: which lint families apply to which workspace paths.
 //!
-//! Paths are workspace-relative with forward slashes. The table is the
+//! This module is the only place that decides where a contract holds, and
+//! it decides by crate; no comment in a scanned file can exempt it. Paths
+//! are workspace-relative with forward slashes. The table is the
 //! machine-readable half of `docs/INVARIANTS.md`; keep the two in sync.
 
 /// The lint families in force for one source file.
@@ -21,43 +23,24 @@ pub struct Scope {
     pub models_crate: bool,
 }
 
-/// Crates whose non-test code must be bit-identical at any thread count.
-const DETERMINISTIC_CRATES: &[&str] = &["core", "datasets", "eval", "graph", "models"];
-
-/// The service request path: files where a panic kills a worker thread
-/// serving a request instead of a CLI run. The reactor path is stricter
-/// still: a panic there takes down *every* connection at once, not just the
-/// one being served.
-const REQUEST_PATH_FILES: &[&str] = &[
-    "crates/service/src/server.rs",
-    "crates/service/src/http.rs",
-    "crates/service/src/json.rs",
-    "crates/service/src/engine.rs",
-    "crates/service/src/cache.rs",
-    "crates/service/src/registry.rs",
-    "crates/service/src/jobs.rs",
-    "crates/service/src/reactor.rs",
-    "crates/service/src/conn.rs",
-    "crates/service/src/sys.rs",
-    "crates/service/src/ratelimit.rs",
+/// Crates whose non-test code must be bit-identical at any thread count:
+/// everything from the fit's noise (`privacy`) through sampling (`models`)
+/// to the eval golden's scores (`metrics`).
+const DETERMINISTIC_CRATES: &[&str] = &[
+    "core", "datasets", "eval", "graph", "metrics", "models", "privacy",
 ];
 
-/// The metrics/tracing exposition path: every request ticks counters and
-/// `GET /metrics` renders the registry, so the observability code runs on
-/// the same worker threads as the request path and must be equally
-/// panic-free (a poisoned or panicking metric must never fail a request).
-const EXPOSITION_PATH_FILES: &[&str] = &[
-    "crates/obs/src/registry.rs",
-    "crates/obs/src/trace.rs",
-    "crates/service/src/telemetry.rs",
-];
+/// Crates whose every file runs on a service worker or reactor thread: a
+/// panic there kills the thread serving a request (or, in the reactor, every
+/// open connection at once), and a poisoned or panicking metric must never
+/// fail a request.
+const PANIC_FREE_CRATES: &[&str] = &["obs", "service"];
 
-/// The zero-copy storage path: the `.agb` parser and mmap loader read a
-/// file whose contents the process does not control, and the release
-/// store's lookups run on the `/synthesize` request path — a corrupt or
-/// truncated file must degrade to a typed error (or a store miss), never a
-/// panic in a worker.
-const STORAGE_PATH_FILES: &[&str] = &["crates/graph/src/mmap.rs", "crates/service/src/store.rs"];
+/// The one panic-free file outside those crates: the `.agb` mmap loader
+/// reads a file whose contents the process does not control, so a corrupt
+/// or truncated file must degrade to a typed error. The rest of the graph
+/// crate indexes by contract.
+const MMAP_LOADER: &str = "crates/graph/src/mmap.rs";
 
 /// Classifies one workspace-relative path. Returns `None` for files the
 /// linter should not scan at all (vendored code, tests, benches, fixtures).
@@ -85,6 +68,7 @@ pub fn scope_for(rel_path: &str) -> Option<Scope> {
     if let Some(rest) = rel_path.strip_prefix("crates/") {
         let crate_name = rest.split('/').next().unwrap_or_default();
         scope.determinism = DETERMINISTIC_CRATES.contains(&crate_name);
+        scope.panic_freedom = PANIC_FREE_CRATES.contains(&crate_name) || rel_path == MMAP_LOADER;
         scope.epsilon_flow = true;
         scope.models_crate = crate_name == "models";
         scope.noise_allowed = crate_name == "privacy"
@@ -96,16 +80,28 @@ pub fn scope_for(rel_path: &str) -> Option<Scope> {
         // sample noise directly either).
         scope.epsilon_flow = true;
     }
-
-    scope.panic_freedom = REQUEST_PATH_FILES.contains(&rel_path)
-        || EXPOSITION_PATH_FILES.contains(&rel_path)
-        || STORAGE_PATH_FILES.contains(&rel_path);
     Some(scope)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn workspace_root() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Every `.rs` file under `crates/<name>/src`, workspace-relative.
+    fn crate_files(name: &str) -> Vec<String> {
+        let root = workspace_root();
+        let mut files = Vec::new();
+        crate::collect_rs_files(&root.join("crates").join(name).join("src"), &mut files).unwrap();
+        assert!(!files.is_empty(), "no sources under crates/{name}/src");
+        files
+            .iter()
+            .map(|path| crate::rel_path(&root, path))
+            .collect()
+    }
 
     #[test]
     fn deterministic_crates_get_determinism() {
@@ -115,14 +111,12 @@ mod tests {
             "crates/graph/src/csr.rs",
             "crates/eval/src/lib.rs",
             "crates/datasets/src/lib.rs",
+            "crates/privacy/src/lib.rs",
+            "crates/metrics/src/lib.rs",
         ] {
             assert!(scope_for(path).unwrap().determinism, "{path}");
         }
-        for path in [
-            "crates/service/src/server.rs",
-            "crates/privacy/src/lib.rs",
-            "src/main.rs",
-        ] {
+        for path in ["crates/service/src/server.rs", "src/main.rs"] {
             assert!(!scope_for(path).unwrap().determinism, "{path}");
         }
     }
@@ -149,42 +143,32 @@ mod tests {
 
     #[test]
     fn panic_freedom_covers_exactly_the_request_and_exposition_paths() {
-        for path in REQUEST_PATH_FILES
-            .iter()
-            .chain(EXPOSITION_PATH_FILES)
-            .chain(STORAGE_PATH_FILES)
-        {
-            assert!(scope_for(path).unwrap().panic_freedom, "{path}");
-        }
-        // The event-driven front end is inside the policy: a panic in the
-        // reactor drops every open connection.
+        // The request path, the event-driven front end (a panic in the
+        // reactor drops every open connection), the budget ledger, the
+        // release store and the exposition path, file by file.
         for path in [
+            "crates/service/src/server.rs",
+            "crates/service/src/http.rs",
+            "crates/service/src/json.rs",
+            "crates/service/src/engine.rs",
+            "crates/service/src/cache.rs",
+            "crates/service/src/registry.rs",
+            "crates/service/src/jobs.rs",
+            "crates/service/src/ledger.rs",
             "crates/service/src/reactor.rs",
             "crates/service/src/conn.rs",
             "crates/service/src/sys.rs",
             "crates/service/src/ratelimit.rs",
+            "crates/service/src/store.rs",
+            "crates/service/src/telemetry.rs",
+            "crates/obs/src/lib.rs",
+            "crates/obs/src/registry.rs",
+            "crates/obs/src/trace.rs",
+            "crates/graph/src/mmap.rs",
         ] {
             assert!(scope_for(path).unwrap().panic_freedom, "{path}");
         }
-        // The fit cache (single-flight wait included), the registry
-        // (profiles and utility aggregates) and the job table run on every
-        // `/synthesize`.
-        for path in [
-            "crates/service/src/cache.rs",
-            "crates/service/src/registry.rs",
-            "crates/service/src/jobs.rs",
-        ] {
-            assert!(scope_for(path).unwrap().panic_freedom, "{path}");
-        }
-        // The storage path keeps both the mmap loader (graph crate) and the
-        // release store (service crate) inside the policy; other graph-crate
-        // files stay outside.
-        assert!(scope_for("crates/graph/src/mmap.rs").unwrap().panic_freedom);
-        assert!(
-            scope_for("crates/service/src/store.rs")
-                .unwrap()
-                .panic_freedom
-        );
+        // Other graph-crate files and the pipeline stay outside.
         assert!(!scope_for("crates/graph/src/io.rs").unwrap().panic_freedom);
         assert!(
             !scope_for("crates/core/src/workflow.rs")
@@ -192,23 +176,37 @@ mod tests {
                 .panic_freedom
         );
         // The obs crate is outside the determinism boundary — it owns the
-        // clocks — but its exposition files still get hygiene + panics.
+        // clocks — but still gets hygiene + panics.
         let registry = scope_for("crates/obs/src/registry.rs").unwrap();
         assert!(!registry.determinism);
         assert!(registry.hygiene);
-        assert!(!scope_for("crates/obs/src/lib.rs").unwrap().panic_freedom);
+    }
+
+    #[test]
+    fn crate_scopes_cover_every_file_of_the_crate() {
+        for name in ["service", "obs"] {
+            for path in crate_files(name) {
+                assert!(scope_for(&path).unwrap().panic_freedom, "{path}");
+            }
+        }
+        for name in ["privacy", "metrics"] {
+            for path in crate_files(name) {
+                assert!(scope_for(&path).unwrap().determinism, "{path}");
+            }
+        }
     }
 
     #[test]
     fn every_scoped_path_exists() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for path in REQUEST_PATH_FILES
-            .iter()
-            .chain(EXPOSITION_PATH_FILES)
-            .chain(STORAGE_PATH_FILES)
-        {
-            assert!(root.join(path).is_file(), "stale scope entry {path}");
+        let root = workspace_root();
+        for name in DETERMINISTIC_CRATES.iter().chain(PANIC_FREE_CRATES) {
+            let src = root.join("crates").join(name).join("src");
+            assert!(src.is_dir(), "stale scope entry crates/{name}");
         }
+        assert!(
+            root.join(MMAP_LOADER).is_file(),
+            "stale scope entry {MMAP_LOADER}"
+        );
     }
 
     #[test]

@@ -8,9 +8,7 @@
 use std::fmt;
 
 /// The four lint families, mirroring the policy table in
-/// `docs/INVARIANTS.md`. The synthetic `Waiver` family carries problems with
-/// the waivers themselves (missing reason, unknown lint, unused) and can
-/// never be waived.
+/// `docs/INVARIANTS.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LintFamily {
     /// Ambient RNGs, wall clocks, and hash-ordered containers in the
@@ -23,31 +21,16 @@ pub enum LintFamily {
     PanicFreedom,
     /// Stray debug output outside the CLI, benches, and tests.
     Hygiene,
-    /// Problems with waiver comments themselves; unwaivable.
-    Waiver,
 }
 
 impl LintFamily {
-    /// The kebab-case name used in waivers, reports, and docs.
+    /// The kebab-case name used in reports and docs.
     pub fn name(self) -> &'static str {
         match self {
             LintFamily::Determinism => "determinism",
             LintFamily::EpsilonFlow => "epsilon-flow",
             LintFamily::PanicFreedom => "panic-freedom",
             LintFamily::Hygiene => "hygiene",
-            LintFamily::Waiver => "waiver",
-        }
-    }
-
-    /// Resolves a waiver name. `waiver` is not resolvable: waiver findings
-    /// cannot be waived.
-    pub fn from_name(name: &str) -> Option<LintFamily> {
-        match name {
-            "determinism" => Some(LintFamily::Determinism),
-            "epsilon-flow" => Some(LintFamily::EpsilonFlow),
-            "panic-freedom" => Some(LintFamily::PanicFreedom),
-            "hygiene" => Some(LintFamily::Hygiene),
-            _ => None,
         }
     }
 }
@@ -58,7 +41,7 @@ impl fmt::Display for LintFamily {
     }
 }
 
-/// One lint finding, waived or not.
+/// One lint finding. Every finding fails the lint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Which family the finding belongs to.
@@ -75,8 +58,6 @@ pub struct Finding {
     pub message: String,
     /// The offending token or line excerpt.
     pub snippet: String,
-    /// Reason from a matching `agmdp: allow(...)` waiver, if any.
-    pub waived: Option<String>,
 }
 
 impl Finding {
@@ -90,7 +71,7 @@ impl Finding {
 pub struct LintReport {
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// All findings, waived and unwaived.
+    /// All findings; the tool exits nonzero if this is nonempty.
     pub findings: Vec<Finding>,
 }
 
@@ -102,51 +83,30 @@ impl LintReport {
             .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     }
 
-    /// Findings not covered by a waiver. The tool exits nonzero if this is
-    /// nonempty.
-    pub fn unwaived(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.waived.is_none())
-    }
-
-    /// Number of unwaived findings.
-    pub fn unwaived_count(&self) -> usize {
-        self.unwaived().count()
-    }
-
     /// Human-readable report, one finding per line plus a summary.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            let status = match &f.waived {
-                Some(reason) => format!("waived: {reason}"),
-                None => "error".to_string(),
-            };
             out.push_str(&format!(
-                "{}:{}:{}: [{}/{}] {} ({})\n",
-                f.file, f.line, f.column, f.family, f.rule, f.message, status
+                "{}:{}:{}: [{}/{}] {} (error)\n",
+                f.file, f.line, f.column, f.family, f.rule, f.message
             ));
         }
-        let waived = self.findings.len() - self.unwaived_count();
         out.push_str(&format!(
-            "agmdp-lint: {} file(s) scanned, {} finding(s), {} waived, {} unwaived\n",
+            "agmdp-lint: {} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.findings.len(),
-            waived,
-            self.unwaived_count()
+            self.findings.len()
         ));
         out
     }
 
     /// Stable JSON for CI diffing: sorted findings, one per line.
     pub fn to_json(&self) -> String {
-        let waived = self.findings.len() - self.unwaived_count();
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\n  \"version\": 1,\n  \"files_scanned\": {},\n  \"total\": {},\n  \"waived\": {},\n  \"unwaived\": {},\n  \"findings\": [",
+            "{{\n  \"version\": 2,\n  \"files_scanned\": {},\n  \"total\": {},\n  \"findings\": [",
             self.files_scanned,
-            self.findings.len(),
-            waived,
-            self.unwaived_count()
+            self.findings.len()
         ));
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
@@ -160,10 +120,6 @@ impl LintReport {
             out.push_str(&format!(", \"column\": {}", f.column));
             out.push_str(&format!(", \"message\": {}", json_string(&f.message)));
             out.push_str(&format!(", \"snippet\": {}", json_string(&f.snippet)));
-            match &f.waived {
-                Some(reason) => out.push_str(&format!(", \"waived\": {}", json_string(reason))),
-                None => out.push_str(", \"waived\": null"),
-            }
             out.push('}');
         }
         if self.findings.is_empty() {
@@ -207,7 +163,6 @@ mod tests {
             column,
             message: "m".to_string(),
             snippet: "println!".to_string(),
-            waived: None,
         }
     }
 
@@ -236,14 +191,12 @@ mod tests {
             files_scanned: 1,
             findings: vec![Finding {
                 message: "quote \" slash \\ tab \t".to_string(),
-                waived: Some("ok".to_string()),
                 ..finding("a.rs", 1, 1)
             }],
         };
         report.finalize();
         let json = report.to_json();
         assert!(json.contains("\"quote \\\" slash \\\\ tab \\t\""));
-        assert!(json.contains("\"waived\": \"ok\""));
         assert_eq!(
             json.lines()
                 .filter(|l| l.trim_start().starts_with('{') && l.contains("family"))
@@ -255,19 +208,8 @@ mod tests {
     #[test]
     fn empty_report_is_valid_json_shape() {
         let report = LintReport::default();
-        assert!(report.to_json().contains("\"findings\": []"));
-        assert_eq!(report.unwaived_count(), 0);
-    }
-
-    #[test]
-    fn unwaived_counts_only_missing_waivers() {
-        let mut report = LintReport::default();
-        report.findings.push(finding("a.rs", 1, 1));
-        report.findings.push(Finding {
-            waived: Some("fine".to_string()),
-            ..finding("a.rs", 2, 1)
-        });
-        assert_eq!(report.unwaived_count(), 1);
-        assert_eq!(report.findings.len(), 2);
+        let json = report.to_json();
+        assert!(json.contains("\"version\": 2"));
+        assert!(json.contains("\"findings\": []"));
     }
 }

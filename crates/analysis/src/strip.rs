@@ -1,31 +1,16 @@
 //! Source preparation for the token scan.
 //!
-//! [`prepare`] walks a Rust source file once and produces:
-//!
-//! * a *stripped* copy in which every comment and every string/char literal
-//!   body is blanked to spaces — byte-for-byte the same length as the input,
-//!   with newlines preserved, so line numbers and columns in the stripped
-//!   text match the original exactly;
-//! * the text of every `//` comment, keyed by 1-based line number, from
-//!   which [`crate::waiver`] extracts `agmdp: allow(...)` waivers.
+//! [`prepare`] walks a Rust source file once and produces a *stripped* copy
+//! in which every comment and every string/char literal body is blanked to
+//! spaces — byte-for-byte the same length as the input, with newlines
+//! preserved, so line numbers and columns in the stripped text match the
+//! original exactly.
 //!
 //! The scanner then never has to worry about a forbidden token appearing
 //! inside a string literal, a doc comment, or a doc-test: all of those are
 //! comments or literals and are blanked before any lint rule looks at the
-//! text. Waivers are only recognised in `//` line comments (block comments
-//! are not searched — a deliberate simplification that keeps the waiver
-//! grammar one-line and greppable).
-
-/// A source file after comment/literal blanking.
-#[derive(Debug)]
-pub struct PreparedSource {
-    /// The input with comments and literal bodies replaced by spaces.
-    pub stripped: String,
-    /// `(line, text)` for every `//` comment, 1-based, in file order. The
-    /// text excludes the `//` introducer but keeps any further leading `/`
-    /// or `!` (doc-comment sigils), which the waiver parser trims.
-    pub comments: Vec<(usize, String)>,
-}
+//! text. Nothing inside a comment is ever read, so no comment can change
+//! what the lint reports.
 
 fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
@@ -59,11 +44,9 @@ fn raw_string_open(bytes: &[u8], i: usize) -> Option<(usize, usize)> {
 }
 
 /// Strips comments and literal bodies from `source`; see the module docs.
-pub fn prepare(source: &str) -> PreparedSource {
+pub fn prepare(source: &str) -> String {
     let bytes = source.as_bytes();
     let mut out = vec![b' '; bytes.len()];
-    let mut comments: Vec<(usize, String)> = Vec::new();
-    let mut line = 1usize;
     let mut i = 0usize;
 
     // Every branch either copies bytes into `out` (code) or leaves the
@@ -73,22 +56,14 @@ pub fn prepare(source: &str) -> PreparedSource {
         let b = bytes[i];
         if b == b'\n' {
             out[i] = b'\n';
-            line += 1;
             i += 1;
             continue;
         }
-        // Line comment: capture its text for the waiver parser.
+        // Line comment: blanked up to (not including) its newline.
         if b == b'/' && bytes.get(i + 1) == Some(&b'/') {
-            let start = i + 2;
-            let mut end = start;
-            while end < bytes.len() && bytes[end] != b'\n' {
-                end += 1;
+            while i < bytes.len() && bytes[i] != b'\n' {
+                i += 1;
             }
-            comments.push((
-                line,
-                String::from_utf8_lossy(&bytes[start..end]).into_owned(),
-            ));
-            i = end;
             continue;
         }
         // Block comment (Rust block comments nest).
@@ -98,7 +73,6 @@ pub fn prepare(source: &str) -> PreparedSource {
             while i < bytes.len() && depth > 0 {
                 if bytes[i] == b'\n' {
                     out[i] = b'\n';
-                    line += 1;
                     i += 1;
                 } else if bytes[i] == b'/' && bytes.get(i + 1) == Some(&b'*') {
                     depth += 1;
@@ -122,7 +96,6 @@ pub fn prepare(source: &str) -> PreparedSource {
             'raw: while i < bytes.len() {
                 if bytes[i] == b'\n' {
                     out[i] = b'\n';
-                    line += 1;
                     i += 1;
                     continue;
                 }
@@ -152,7 +125,6 @@ pub fn prepare(source: &str) -> PreparedSource {
                     }
                     b'\n' => {
                         out[i] = b'\n';
-                        line += 1;
                         i += 1;
                     }
                     _ => i += 1,
@@ -193,9 +165,7 @@ pub fn prepare(source: &str) -> PreparedSource {
         i += 1;
     }
 
-    let stripped = String::from_utf8(out)
-        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-    PreparedSource { stripped, comments }
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Byte ranges of items gated behind a `test` attribute (`#[cfg(test)]`,
@@ -299,39 +269,38 @@ mod tests {
     #[test]
     fn strings_and_comments_are_blanked() {
         let src = "let x = \"panic!\"; // a .unwrap() note\nlet y = 1;\n";
-        let prep = prepare(src);
-        assert_eq!(prep.stripped.len(), src.len());
-        assert!(!prep.stripped.contains("panic"));
-        assert!(!prep.stripped.contains("unwrap"));
-        assert!(prep.stripped.contains("let x ="));
-        assert!(prep.stripped.contains("let y = 1;"));
-        assert_eq!(prep.comments, vec![(1, " a .unwrap() note".to_string())]);
+        let stripped = prepare(src);
+        assert_eq!(stripped.len(), src.len());
+        assert!(!stripped.contains("panic"));
+        assert!(!stripped.contains("unwrap"));
+        assert!(stripped.contains("let x ="));
+        assert!(stripped.contains("let y = 1;"));
     }
 
     #[test]
     fn raw_strings_and_escapes_are_blanked() {
         let src = "let a = r#\"thread_rng \"quoted\"\"#; let b = \"esc \\\" HashMap\";\n";
-        let prep = prepare(src);
-        assert!(!prep.stripped.contains("thread_rng"));
-        assert!(!prep.stripped.contains("HashMap"));
-        assert!(prep.stripped.contains("let b ="));
+        let stripped = prepare(src);
+        assert!(!stripped.contains("thread_rng"));
+        assert!(!stripped.contains("HashMap"));
+        assert!(stripped.contains("let b ="));
     }
 
     #[test]
     fn char_literals_and_lifetimes() {
         let src = "fn f<'a>(x: &'a str) -> char { let c = '['; let d = '\\n'; c }\n";
-        let prep = prepare(src);
+        let stripped = prepare(src);
         // The bracket char literal is blanked; the lifetime survives as code.
-        assert!(!prep.stripped.contains("'['"));
-        assert!(prep.stripped.contains("<'a>"));
-        assert!(prep.stripped.contains("&'a str"));
+        assert!(!stripped.contains("'['"));
+        assert!(stripped.contains("<'a>"));
+        assert!(stripped.contains("&'a str"));
     }
 
     #[test]
     fn nested_block_comments_preserve_lines() {
         let src = "a\n/* one /* two\nstill */ done */\nb\n";
-        let prep = prepare(src);
-        let lines: Vec<&str> = prep.stripped.lines().collect();
+        let stripped = prepare(src);
+        let lines: Vec<&str> = stripped.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0].trim(), "a");
         assert_eq!(lines[3].trim(), "b");
@@ -339,19 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn doc_comment_text_is_captured_per_line() {
-        let src = "/// first\n//! second\ncode();\n";
-        let prep = prepare(src);
-        assert_eq!(prep.comments.len(), 2);
-        assert_eq!(prep.comments[0], (1, "/ first".to_string()));
-        assert_eq!(prep.comments[1], (2, "! second".to_string()));
-    }
-
-    #[test]
     fn cfg_test_mod_is_ranged() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn inner() { x.unwrap(); }\n}\nfn live2() {}\n";
-        let prep = prepare(src);
-        let ranges = test_item_ranges(&prep.stripped);
+        let ranges = test_item_ranges(&prepare(src));
         assert_eq!(ranges.len(), 1);
         let (start, end) = ranges[0];
         let covered = &src[start..=end];
@@ -363,8 +322,7 @@ mod tests {
     #[test]
     fn cfg_test_with_extra_attrs_and_use() {
         let src = "#[cfg(test)]\n#[allow(dead_code)]\nfn helper() { body(); }\n#[cfg(test)]\nuse std::collections::HashSet;\nfn live() {}\n";
-        let prep = prepare(src);
-        let ranges = test_item_ranges(&prep.stripped);
+        let ranges = test_item_ranges(&prepare(src));
         assert_eq!(ranges.len(), 2);
         assert!(src[ranges[0].0..=ranges[0].1].contains("helper"));
         assert!(src[ranges[1].0..=ranges[1].1].contains("HashSet"));

@@ -1,6 +1,6 @@
-//! Fixture: findings silenced by waivers with mandatory reasons, in both
-//! positions — standalone line above and trailing the offending line
-//! (linted as crates/service/src/engine.rs).
+//! Fixture: `agmdp: allow(...)` comments with reasons, in both positions —
+//! standalone line above and trailing the offending line — which silence
+//! nothing (linted as crates/service/src/engine.rs).
 
 pub fn drain(receiver: &Mutex<Receiver<Job>>) -> Job {
     // agmdp: allow(panic-freedom, reason = "fixture: the lock holder cannot panic")

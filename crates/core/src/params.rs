@@ -2,7 +2,7 @@
 //! learners (Section 2.2 of the paper).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::{AttributeSchema, Edge, GraphView};
@@ -13,7 +13,7 @@ use crate::Result;
 /// `Θ_X`: the distribution of attribute configurations over nodes.
 ///
 /// `ΘX(y)` is the fraction of nodes whose attribute vector encodes to `y`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThetaX {
     schema: AttributeSchema,
     probabilities: Vec<f64>,
@@ -78,7 +78,7 @@ impl ThetaX {
 
 /// `Θ_F`: the distribution of attribute configurations over edges — the
 /// attribute–edge correlations (homophily etc.).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThetaF {
     schema: AttributeSchema,
     probabilities: Vec<f64>,
@@ -149,7 +149,7 @@ impl ThetaF {
 
 /// `Θ_M`: the structural-model parameters. For TriCycLe these are the degree
 /// sequence `S` and the triangle count `n_Δ`; FCL only uses the degrees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThetaM {
     /// The (noisy or exact) degree sequence, one entry per node.
     pub degree_sequence: Vec<usize>,

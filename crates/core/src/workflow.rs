@@ -19,7 +19,7 @@
 //! ε-differential privacy (Theorem 2).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 use agmdp_models::acceptance::{AcceptanceContext, GenerateRequest};
@@ -39,7 +39,7 @@ use crate::structural_dp::{fit_fcl_dp, fit_tricycle_dp};
 use crate::Result;
 
 /// Which structural model AGM is instantiated with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum StructuralModelKind {
     /// The simple (fast) Chung-Lu model — "AGM(DP)-FCL" in the tables.
     Fcl,
@@ -79,7 +79,7 @@ impl std::fmt::Display for StructuralModelKind {
 }
 
 /// Privacy setting of a synthesis run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Privacy {
     /// Learn the model parameters exactly (the "non-private" table rows).
     NonPrivate,

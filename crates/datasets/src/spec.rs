@@ -1,13 +1,13 @@
 //! Dataset specifications calibrated to Table 6 of the paper.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Target statistics of a synthetic dataset stand-in.
 ///
 /// The four presets carry the exact Table 6 numbers; [`DatasetSpec::scaled`]
 /// shrinks node, edge and triangle counts proportionally for experiments that
 /// must stay laptop-friendly (the paper's Pokec crawl has 592k nodes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DatasetSpec {
     /// Human-readable dataset name (e.g. `"lastfm"`).
     pub name: String,
@@ -106,6 +106,15 @@ impl DatasetSpec {
         ]
     }
 
+    /// The paper preset called `name` (`lastfm`, `petster`, `epinions` or
+    /// `pokec`) at full size.
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<Self> {
+        Self::paper_presets()
+            .into_iter()
+            .find(|spec| spec.name == name)
+    }
+
     /// The default experiment suite: Last.fm and Petster at full size, the two
     /// large datasets scaled down so the whole table/figure reproduction runs
     /// in minutes rather than hours (documented in DESIGN.md / EXPERIMENTS.md).
@@ -182,6 +191,14 @@ mod tests {
         assert_eq!((k.nodes, k.edges), (592_627, 3_725_424));
         assert!((k.edges as f64 / k.nodes as f64 - 6.3).abs() < 0.1);
         assert_eq!(DatasetSpec::paper_presets().len(), 4);
+    }
+
+    #[test]
+    fn presets_are_found_by_name() {
+        for spec in DatasetSpec::paper_presets() {
+            assert_eq!(DatasetSpec::by_name(&spec.name), Some(spec));
+        }
+        assert_eq!(DatasetSpec::by_name("toy"), None);
     }
 
     #[test]

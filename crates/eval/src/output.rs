@@ -8,14 +8,14 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::report::UtilityReport;
 use crate::runner::{AggregateRow, EvalReport};
 
 /// The aggregate-only JSON artifact (`aggregates.json`): everything needed
 /// to regression-diff a run without the per-trial bulk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AggregatesArtifact {
     /// Plan name.
     pub plan: String,

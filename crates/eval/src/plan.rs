@@ -87,17 +87,11 @@ impl DatasetRef {
         match self {
             DatasetRef::Toy => Ok(toy_social_graph()),
             DatasetRef::Synthetic { name, scale, seed } => {
-                let spec = match name.as_str() {
-                    "lastfm" => DatasetSpec::lastfm(),
-                    "petster" => DatasetSpec::petster(),
-                    "epinions" => DatasetSpec::epinions(),
-                    "pokec" => DatasetSpec::pokec(),
-                    other => {
-                        return Err(EvalError::Dataset(format!(
-                            "unknown dataset '{other}' (expected toy, lastfm, petster, epinions or pokec)"
-                        )))
-                    }
-                };
+                let spec = DatasetSpec::by_name(name).ok_or_else(|| {
+                    EvalError::Dataset(format!(
+                        "unknown dataset '{name}' (expected toy, lastfm, petster, epinions or pokec)"
+                    ))
+                })?;
                 generate_dataset(&spec.scaled(*scale), *seed)
                     .map_err(|e| EvalError::Dataset(format!("generating '{}': {e}", self.label())))
             }

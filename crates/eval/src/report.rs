@@ -16,7 +16,7 @@
 //! name table ([`UtilityReport::METRIC_NAMES`]) so mean/stddev aggregation,
 //! CSV headers and markdown tables all derive from one source of truth.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use agmdp_core::ThetaF;
 use agmdp_graph::clustering::ClusteringSummary;
@@ -99,7 +99,7 @@ fn ccdf_of(distribution: &[f64]) -> Vec<f64> {
 ///
 /// Every field is a *discrepancy* (distance or error): 0 means the synthetic
 /// graph matches the original perfectly on that measure, larger is worse.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct UtilityReport {
     /// KS statistic between degree distributions (`KS_S`).
     pub ks_degree: f64,

@@ -11,7 +11,7 @@
 //! own sampling runs serially — the harness parallelises *across* trials,
 //! which is the embarrassingly parallel axis.)
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use agmdp_core::workflow::{synthesize, AgmConfig};
 use agmdp_graph::AttributedGraph;
@@ -23,7 +23,7 @@ use crate::report::{GraphProfile, UtilityReport};
 
 /// One synthesis trial: the cell coordinates, the derived seed, and every
 /// metric column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrialRow {
     /// Dataset label (see `DatasetRef::label`).
     pub dataset: String,
@@ -41,7 +41,7 @@ pub struct TrialRow {
 }
 
 /// Mean and sample standard deviation of one (dataset, ε, model) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AggregateRow {
     /// Dataset label.
     pub dataset: String,
@@ -59,7 +59,7 @@ pub struct AggregateRow {
 
 /// The complete result of one plan run: per-trial rows plus per-cell
 /// aggregates, with enough header context to reproduce the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvalReport {
     /// Plan name.
     pub plan: String,

@@ -14,7 +14,7 @@
 //! dense triangular pair index. [`AttributeSchema`] owns the width `w` and the
 //! derived cardinalities so downstream code never recomputes them.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::GraphError;
 
@@ -27,7 +27,7 @@ pub type EdgeConfigIndex = usize;
 /// Describes the attribute space of a graph: `w` binary attributes per node.
 ///
 /// The schema is cheap to copy and is stored inside every [`crate::AttributedGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct AttributeSchema {
     width: usize,
 }

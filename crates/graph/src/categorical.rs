@@ -9,14 +9,14 @@
 //! binary width `w`, and maps per-node category selections to/from the compact
 //! attribute codes used by [`crate::AttributedGraph`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::attributes::AttributeSchema;
 use crate::error::GraphError;
 use crate::Result;
 
 /// One categorical attribute: a name plus its category labels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CategoricalAttribute {
     /// Attribute name (e.g. `"marital_status"`).
     pub name: String,
@@ -41,7 +41,7 @@ impl CategoricalAttribute {
 
 /// Encodes a set of categorical attributes as the one-hot binary attribute
 /// vector the AGM framework operates on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CategoricalEncoder {
     attributes: Vec<CategoricalAttribute>,
     /// Bit offset of every attribute within the binary vector.

@@ -6,7 +6,7 @@
 //! Hellinger distance, both of which are computed from the normalised degree
 //! histogram. This module provides those primitives.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::view::GraphView;
 
@@ -15,7 +15,7 @@ use crate::view::GraphView;
 /// The sequence stores one entry per node. The paper's constrained-inference
 /// estimator (Appendix C.3.1) operates on the sequence sorted in
 /// non-decreasing order; [`Self::sorted`] provides that view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegreeSequence {
     degrees: Vec<f64>,
 }

@@ -25,7 +25,7 @@
 //!
 //! [`from_unique_edges`]: AttributedGraph::from_unique_edges
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::attributes::AttributeSchema;
 use crate::error::GraphError;
@@ -38,7 +38,7 @@ use crate::Result;
 pub type NodeId = u32;
 
 /// An undirected edge; stored with `u <= v` by convention when enumerated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Edge {
     /// First endpoint.
     pub u: NodeId,

@@ -4,10 +4,10 @@
 //! whose degree (respectively local clustering coefficient) is *greater than*
 //! a given x-value. [`ccdf_points`] turns a sample vector into that curve.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point of a CCDF curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CcdfPoint {
     /// The x-value (a degree, clustering coefficient, …).
     pub value: f64,

@@ -7,7 +7,7 @@
 //! that enforces the total; [`BudgetSplit`] captures the concrete splits used
 //! in Section 5 for the TriCycLe- and FCL-based instantiations.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::PrivacyError;
 use crate::Result;
@@ -17,7 +17,7 @@ use crate::Result;
 /// Mechanism invocations call [`PrivacyBudget::spend`] before running; once
 /// the total is exhausted further spends fail, which surfaces composition bugs
 /// in tests instead of silently over-spending ε.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PrivacyBudget {
     total: f64,
     spent: f64,
@@ -110,7 +110,7 @@ impl PrivacyBudget {
 /// * `degree_sequence` — ε_S for the noisy degree sequence.
 /// * `triangles` — ε_Δ for the Ladder triangle-count estimate
 ///   (zero for structural models that do not need a triangle count, e.g. FCL).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BudgetSplit {
     /// ε_X for the attribute distribution.
     pub attributes: f64,

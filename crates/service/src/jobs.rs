@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::engine::SynthesisOutcome;
 
@@ -18,8 +18,9 @@ pub enum JobState {
     Queued,
     /// A worker is fitting/sampling.
     Running,
-    /// Finished; the outcome is available.
-    Completed(SynthesisOutcome),
+    /// Finished; the outcome is available. Shared, so a poll copies a
+    /// pointer rather than the release's graph text.
+    Completed(Arc<SynthesisOutcome>),
     /// The pipeline failed after admission.
     Failed(String),
 }

@@ -19,12 +19,17 @@
 //!
 //! ε values are journaled as the hex of their IEEE-754 bits so replay is
 //! bit-exact; the trailing decimal rendering is for humans only.
+//!
+//! A poisoned lock fails closed for writers: once a holder has panicked,
+//! [`BudgetLedger::register`] and [`BudgetLedger::spend`] answer
+//! [`ServiceError::Ledger`] and move no ε until a restart replays the
+//! journal. Readers recover the lock, since a read cannot spend ε.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use agmdp_privacy::PrivacyBudget;
 
@@ -114,6 +119,22 @@ impl BudgetLedger {
         })
     }
 
+    /// The state for a write; a poisoned lock refuses it (see the module
+    /// docs).
+    fn lock_for_write(&self) -> Result<MutexGuard<'_, LedgerInner>, ServiceError> {
+        self.inner.lock().map_err(|_| {
+            ServiceError::Ledger(
+                "lock poisoned by a panicked holder; no budget moves until a restart replays the journal"
+                    .to_string(),
+            )
+        })
+    }
+
+    /// The state for a read, recovered from poisoning.
+    fn lock_for_read(&self) -> MutexGuard<'_, LedgerInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The journal path, if this ledger is persistent.
     #[must_use]
     pub fn path(&self) -> Option<&Path> {
@@ -130,7 +151,7 @@ impl BudgetLedger {
         let budget = PrivacyBudget::new(total_epsilon).map_err(|e| {
             ServiceError::InvalidRequest(format!("invalid budget for '{dataset}': {e}"))
         })?;
-        let mut inner = self.inner.lock().expect("ledger lock poisoned");
+        let mut inner = self.lock_for_write()?;
         if let Some(existing) = inner.budgets.get(dataset) {
             if existing.total() == total_epsilon {
                 return Ok(());
@@ -140,7 +161,7 @@ impl BudgetLedger {
                 existing.total()
             )));
         }
-        append_entry(&mut inner, "open", dataset, total_epsilon)?;
+        append_entry(&mut inner.journal, "open", dataset, total_epsilon)?;
         inner.budgets.insert(dataset.to_string(), budget);
         Ok(())
     }
@@ -152,9 +173,9 @@ impl BudgetLedger {
     /// is considered granted, so a crash can lose an unused grant (the
     /// conservative direction) but never an executed one.
     pub fn spend(&self, dataset: &str, epsilon: f64) -> Result<(), ServiceError> {
-        let mut inner = self.inner.lock().expect("ledger lock poisoned");
-        let budget = inner
-            .budgets
+        let mut inner = self.lock_for_write()?;
+        let LedgerInner { budgets, journal } = &mut *inner;
+        let budget = budgets
             .get_mut(dataset)
             .ok_or_else(|| ServiceError::UnknownDataset(dataset.to_string()))?;
         // Probe on a copy first: the journal must never record a refused
@@ -171,30 +192,28 @@ impl BudgetLedger {
             },
             other => ServiceError::InvalidRequest(other.to_string()),
         })?;
-        append_entry(&mut inner, "spend", dataset, epsilon)?;
-        *inner
-            .budgets
-            .get_mut(dataset)
-            .expect("dataset vanished under lock") = probe;
+        append_entry(journal, "spend", dataset, epsilon)?;
+        *budget = probe;
         Ok(())
     }
 
     /// The budget state of one dataset.
     #[must_use]
     pub fn status(&self, dataset: &str) -> Option<BudgetStatus> {
-        let inner = self.inner.lock().expect("ledger lock poisoned");
-        inner.budgets.get(dataset).map(|b| BudgetStatus {
-            total: b.total(),
-            spent: b.spent(),
-            remaining: b.remaining(),
-        })
+        self.lock_for_read()
+            .budgets
+            .get(dataset)
+            .map(|b| BudgetStatus {
+                total: b.total(),
+                spent: b.spent(),
+                remaining: b.remaining(),
+            })
     }
 
     /// All registered dataset names with their budget states.
     #[must_use]
     pub fn statuses(&self) -> Vec<(String, BudgetStatus)> {
-        let inner = self.inner.lock().expect("ledger lock poisoned");
-        inner
+        self.lock_for_read()
             .budgets
             .iter()
             .map(|(name, b)| {
@@ -212,12 +231,12 @@ impl BudgetLedger {
 }
 
 fn append_entry(
-    inner: &mut LedgerInner,
+    journal: &mut Option<File>,
     op: &str,
     dataset: &str,
     epsilon: f64,
 ) -> Result<(), ServiceError> {
-    let Some(journal) = inner.journal.as_mut() else {
+    let Some(journal) = journal.as_mut() else {
         return Ok(());
     };
     let line = format!("{op} {dataset} {:016x} {epsilon}\n", epsilon.to_bits());
@@ -326,6 +345,39 @@ mod tests {
             reopened.spend("b", 0.3),
             Err(ServiceError::BudgetExhausted { .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_poisoned_ledger_fails_closed_for_writers_and_keeps_reading() {
+        let path = temp_journal("poisoned");
+        std::fs::remove_file(&path).ok();
+        let ledger = std::sync::Arc::new(BudgetLedger::open(&path).unwrap());
+        ledger.register("d", 1.0).unwrap();
+        ledger.spend("d", 0.25).unwrap();
+        let journal = std::fs::read(&path).unwrap();
+        let holder = std::sync::Arc::clone(&ledger);
+        let panicked = std::thread::spawn(move || {
+            let _inner = holder.inner.lock();
+            panic!("ledger holder panicked");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(ledger.inner.is_poisoned());
+
+        assert!(matches!(
+            ledger.spend("d", 0.25),
+            Err(ServiceError::Ledger(_))
+        ));
+        assert!(matches!(
+            ledger.register("e", 1.0),
+            Err(ServiceError::Ledger(_))
+        ));
+        // Reads still answer, and neither refused write moved ε or wrote a
+        // journal line.
+        assert_eq!(ledger.status("d").unwrap().spent, 0.25);
+        assert_eq!(ledger.statuses().len(), 1);
+        assert_eq!(std::fs::read(&path).unwrap(), journal);
         std::fs::remove_file(&path).ok();
     }
 

@@ -526,15 +526,14 @@ fn handle_register_dataset(
     let fields = Fields::parse(body, &["name", "budget", "graph", "path"])?;
     let name = fields.required("name", json::as_str, "'name' (string) is required")?;
     let budget = fields.required("budget", json::as_f64, "'budget' (number) is required")?;
-    // A source that is not a string counts as absent.
-    let inline = fields.optional("graph", json::as_str, ONE_GRAPH_SOURCE);
-    let path = fields.optional("path", json::as_str, ONE_GRAPH_SOURCE);
+    let inline = fields.optional("graph", json::as_str, ONE_GRAPH_SOURCE)?;
+    let path = fields.optional("path", json::as_str, ONE_GRAPH_SOURCE)?;
     // A server-side file loads in either interchange format, auto-detected
     // from the leading bytes: binary `.agb` files are **memory-mapped** (the
     // full-validation tier — checksum and structure — since the path may
     // point anywhere the operator can read) so registration cost is
     // independent of graph size; text files parse as before.
-    let graph = match (inline.ok().flatten(), path.ok().flatten()) {
+    let graph = match (inline, path) {
         (Some(text), None) => io::from_text(text)
             .map_err(|e| invalid(&format!("bad graph: {e}")))?
             .freeze(),
@@ -585,7 +584,7 @@ fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
     if let Some(outcome) = state.engine.store_lookup(&request) {
         let job_id = state.jobs.create();
         let epsilon_spent = outcome.epsilon_spent;
-        state.jobs.set(job_id, JobState::Completed(outcome));
+        state.jobs.set(job_id, JobState::Completed(outcome.into()));
         let accepted = obj(vec![
             ("job_id", Value::UInt(job_id)),
             ("cache_hit", Value::Bool(true)),
@@ -635,7 +634,7 @@ fn handle_synthesize(state: &Arc<ServerState>, body: &[u8]) -> Response {
             match run {
                 Ok(Ok(outcome)) => {
                     state.engine.telemetry().record_job_outcome(true);
-                    state.jobs.set(job_id, JobState::Completed(outcome));
+                    state.jobs.set(job_id, JobState::Completed(outcome.into()));
                 }
                 Ok(Err(e)) => {
                     state.engine.telemetry().record_job_outcome(false);
@@ -1333,6 +1332,34 @@ mod tests {
             r#"{"name":"x","budget":1,"graph":"nodes garbage"}"#,
         );
         assert_eq!(bad_graph.status, 400);
+    }
+
+    #[test]
+    fn mistyped_graph_sources_register_nothing() {
+        let state = test_state_with(SynthesisEngine::new(BudgetLedger::in_memory()), 16);
+        let dir = std::env::temp_dir().join(format!("agmdp_server_sources_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let agb = dir.join("toy.agb");
+        std::fs::write(&agb, io::to_binary(&toy_social_graph())).unwrap();
+        let path = Value::Str(agb.display().to_string());
+        let inline = Value::Str(io::to_text(&toy_social_graph()));
+        // A source of the wrong type beside a valid one is refused, not
+        // ignored.
+        for (graph, path) in [(Value::UInt(7), path), (inline, Value::UInt(7))] {
+            let body = serde_json::to_string(&obj(vec![
+                ("name", Value::Str("a".into())),
+                ("budget", Value::Float(1.0)),
+                ("graph", graph),
+                ("path", path),
+            ]))
+            .unwrap();
+            let refused = post(&state, "/datasets", &body);
+            assert_eq!(refused.status, 400, "{}", refused.body);
+            assert!(refused.body.contains(ONE_GRAPH_SOURCE), "{}", refused.body);
+            assert!(state.engine.registry().summaries().is_empty());
+            assert_eq!(get(&state, "/budget/a").status, 404);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -139,10 +139,8 @@ fn heavy_tailed_tricycle_release_is_pinned() {
     );
 }
 
-/// The sampler rewrite must not buy determinism by waiving lints: the
-/// workspace lints clean with **zero waivers**, not just zero unwaived
-/// findings. (`crates/analysis/tests/workspace_clean.rs` pins the latter;
-/// this pins the stronger invariant at the integration tier.)
+/// The workspace lints clean: zero findings. No comment can silence one, so
+/// the only exemptions are the scopes in `crates/analysis/src/policy.rs`.
 #[test]
 fn the_workspace_lints_clean_with_zero_waivers() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));

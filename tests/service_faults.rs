@@ -7,19 +7,14 @@
 //! control *when* the server is saturated instead of racing it.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use agmdp::service::ServiceConfig;
-
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-}
+use common::{connect, read_one_response};
 
 fn send_get(stream: &mut TcpStream, path: &str, close: bool) {
     let connection = if close { "close" } else { "keep-alive" };
@@ -29,32 +24,6 @@ fn send_get(stream: &mut TcpStream, path: &str, close: bool) {
                 .as_bytes(),
         )
         .unwrap();
-}
-
-/// Reads one response off the stream; returns (status, head, body).
-fn read_one_response(stream: &mut TcpStream) -> (u16, String, String) {
-    let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
-    while !buf.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte).expect("read head byte");
-        assert!(n > 0, "EOF inside response head: {buf:?}");
-        buf.push(byte[0]);
-        assert!(buf.len() < 64 * 1024, "unterminated head");
-    }
-    let head = String::from_utf8_lossy(&buf).to_string();
-    let content_length: usize = head
-        .lines()
-        .find_map(|line| line.strip_prefix("Content-Length: "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no Content-Length in {head:?}"));
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).expect("read body");
-    let status: u16 = head
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {head:?}"));
-    (status, head, String::from_utf8_lossy(&body).to_string())
 }
 
 /// Scrapes `/metrics` over a fresh connection.

@@ -10,12 +10,14 @@
 //! The reactor needs epoll, so the suite runs on Linux only.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::Shutdown;
 
 use agmdp::service::json;
 use agmdp::service::{ServerHandle, ServiceConfig};
+use common::{connect, read_one_response};
 
 fn boot(config: ServiceConfig) -> ServerHandle {
     agmdp::service::start(&config).expect("server start")
@@ -43,43 +45,6 @@ fn default_config() -> ServiceConfig {
     }
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-}
-
-/// Reads exactly one HTTP/1.1 response (head + Content-Length body) from the
-/// stream, leaving any pipelined follower bytes unread. Returns
-/// `(status, full_response_text)`.
-fn read_one_response(stream: &mut TcpStream) -> (u16, String) {
-    let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
-    // Read to end of head.
-    while !buf.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte).expect("read head byte");
-        assert!(n > 0, "EOF inside response head: {buf:?}");
-        buf.push(byte[0]);
-        assert!(buf.len() < 64 * 1024, "unterminated head");
-    }
-    let head = String::from_utf8_lossy(&buf).to_string();
-    let content_length: usize = head
-        .lines()
-        .find_map(|line| line.strip_prefix("Content-Length: "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no Content-Length in {head:?}"));
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).expect("read body");
-    let status: u16 = head
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {head:?}"));
-    (status, head + &String::from_utf8_lossy(&body))
-}
-
 #[test]
 fn pipelined_requests_answered_in_order_on_one_connection() {
     let server = boot(default_config());
@@ -95,13 +60,13 @@ fn pipelined_requests_answered_in_order_on_one_connection() {
         )
         .unwrap();
 
-    let (first, text) = read_one_response(&mut stream);
-    assert_eq!(first, 200, "{text}");
-    let (second, text) = read_one_response(&mut stream);
-    assert_eq!(second, 404, "{text}");
-    let (third, text) = read_one_response(&mut stream);
-    assert_eq!(third, 200, "{text}");
-    assert!(text.contains("Connection: close"), "{text}");
+    let (first, head, _) = read_one_response(&mut stream);
+    assert_eq!(first, 200, "{head}");
+    let (second, head, _) = read_one_response(&mut stream);
+    assert_eq!(second, 404, "{head}");
+    let (third, head, _) = read_one_response(&mut stream);
+    assert_eq!(third, 200, "{head}");
+    assert!(head.contains("Connection: close"), "{head}");
 
     // The final `Connection: close` is honored: EOF, no fourth response.
     let mut rest = Vec::new();
@@ -121,9 +86,9 @@ fn request_split_into_single_byte_writes_still_parses() {
         stream.flush().unwrap();
     }
     // Malformed JSON (not malformed HTTP): a clean 400 from the handler.
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 400, "{text}");
-    assert!(text.contains("invalid_request"), "{text}");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("invalid_request"), "{body}");
     server.stop();
 }
 
@@ -139,8 +104,8 @@ fn oversized_head_is_rejected_431_before_request_completes() {
     stream.write_all(filler.as_bytes()).unwrap();
     stream.write_all(filler.as_bytes()).unwrap();
 
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 431, "{text}");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!(status, 431, "{body}");
     // Parse errors are not recoverable: the server closes.
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
@@ -158,8 +123,8 @@ fn oversized_body_is_rejected_413_from_headers_alone() {
     stream
         .write_all(b"POST /synthesize HTTP/1.1\r\nHost: t\r\nContent-Length: 10000000\r\n\r\n")
         .unwrap();
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 413, "{text}");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!(status, 413, "{body}");
     server.stop();
 }
 
@@ -170,8 +135,8 @@ fn garbage_before_request_line_is_400() {
     stream
         .write_all(b"\x16\x03\x01\x02garbage here\r\n\r\n")
         .unwrap();
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 400, "{text}");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!(status, 400, "{body}");
     server.stop();
 }
 
@@ -185,8 +150,8 @@ fn transfer_encoding_is_rejected_not_misframed() {
               5\r\nhello\r\n0\r\n\r\n",
         )
         .unwrap();
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 400, "{text}");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!(status, 400, "{body}");
     server.stop();
 }
 
@@ -226,27 +191,27 @@ fn connection_survives_application_errors_and_is_reusable() {
     stream
         .write_all(b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
-    let (status, _) = read_one_response(&mut stream);
+    let (status, _, _) = read_one_response(&mut stream);
     assert_eq!(status, 404);
 
     stream
         .write_all(b"DELETE /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
-    let (status, _) = read_one_response(&mut stream);
+    let (status, _, _) = read_one_response(&mut stream);
     assert_eq!(status, 405);
 
     stream
         .write_all(b"POST /synthesize HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}")
         .unwrap();
-    let (status, _) = read_one_response(&mut stream);
+    let (status, _, _) = read_one_response(&mut stream);
     assert_eq!(status, 400);
 
     // …and the connection still serves a healthy request afterwards.
     stream
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
         .unwrap();
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 200, "{text}");
+    let (status, _, body) = read_one_response(&mut stream);
+    assert_eq!(status, 200, "{body}");
     server.stop();
 }
 
@@ -267,11 +232,11 @@ fn http10_closes_by_default_and_keeps_alive_on_request() {
     stream
         .write_all(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
         .unwrap();
-    let (status, text) = read_one_response(&mut stream);
-    assert_eq!(status, 200, "{text}");
-    assert!(text.contains("Connection: keep-alive"), "{text}");
+    let (status, head, _) = read_one_response(&mut stream);
+    assert_eq!(status, 200, "{head}");
+    assert!(head.contains("Connection: keep-alive"), "{head}");
     stream.write_all(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
-    let (status, _) = read_one_response(&mut stream);
+    let (status, _, _) = read_one_response(&mut stream);
     assert_eq!(status, 200);
     server.stop();
 }
@@ -286,10 +251,9 @@ fn unsupported_http_version_gets_505() {
         stream
             .write_all(format!("GET /healthz {token}\r\n\r\n").as_bytes())
             .unwrap();
-        let (status, text) = read_one_response(&mut stream);
-        assert_eq!(status, 505, "{text}");
-        let body = text.split_once("\r\n\r\n").map_or("", |(_, body)| body);
-        let parsed = json::parse(body)
+        let (status, _, body) = read_one_response(&mut stream);
+        assert_eq!(status, 505, "{body}");
+        let parsed = json::parse(&body)
             .unwrap_or_else(|e| panic!("{token:?}: body is not JSON ({e}): {body:?}"));
         assert_eq!(
             json::get(&parsed, "error").and_then(json::as_str),
@@ -322,7 +286,7 @@ fn expect_100_continue_gets_interim_then_final_response() {
 
     // …then the body completes the request and the real response follows.
     stream.write_all(b"{}").unwrap();
-    let (status, _) = read_one_response(&mut stream);
+    let (status, _, _) = read_one_response(&mut stream);
     assert_eq!(status, 400); // `{}` is valid JSON but an invalid request
     server.stop();
 }
