@@ -14,7 +14,7 @@
 //! | family | scope | forbids |
 //! |---|---|---|
 //! | `determinism` | `core`, `datasets`, `eval`, `graph`, `metrics`, `models`, `privacy` (non-test) | `thread_rng`/`rand::random`/`OsRng`, `Instant`/`SystemTime`, `HashMap`/`HashSet` |
-//! | `epsilon-flow` | everywhere outside `privacy` + `core/src/*_dp.rs` | `sample_laplace`/`sample_geometric`; `models` importing `agmdp_datasets` |
+//! | `epsilon-flow` | everywhere outside `privacy` + `core/src/*_dp.rs` | the ε-spending entry points `LaplaceMechanism`/`dp_degree_sequence`/`dp_triangle_count`/`sample_and_aggregate_distribution`/`sample_laplace`; `models` importing `agmdp_datasets` |
 //! | `panic-freedom` | every file of `service` and `obs`, plus `graph/src/mmap.rs` | `.unwrap()`, `.expect()`, `panic!`/`todo!`, slice indexing |
 //! | `hygiene` | everywhere outside the CLI, benches, tests | `println!`/`print!`, `dbg!` |
 //!
@@ -78,13 +78,23 @@ impl std::error::Error for AnalysisError {
 /// Lints every first-party source file under `root` (the workspace root):
 /// `src/**/*.rs` plus `crates/*/src/**/*.rs`, in sorted order. Vendored
 /// code, tests, benches, and fixtures are never scanned.
+///
+/// A root with neither `src/` nor `crates/` is an error, not a clean
+/// report: a mistyped root must not pass the lint by scanning nothing.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, AnalysisError> {
     let mut files = Vec::new();
     let cli_src = root.join("src");
+    let crates_dir = root.join("crates");
+    if !cli_src.is_dir() && !crates_dir.is_dir() {
+        let source = io::Error::new(io::ErrorKind::NotFound, "no `src/` or `crates/` to lint");
+        return Err(AnalysisError {
+            path: root.to_path_buf(),
+            source,
+        });
+    }
     if cli_src.is_dir() {
         collect_rs_files(&cli_src, &mut files)?;
     }
-    let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)
             .map_err(|source| AnalysisError {
@@ -168,9 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_root_yields_empty_report() {
-        let report = lint_workspace(Path::new("/nonexistent/agmdp-lint-test")).unwrap();
-        assert_eq!(report.files_scanned, 0);
-        assert!(report.findings.is_empty());
+    fn missing_root_is_an_error() {
+        let err = lint_workspace(Path::new("/nonexistent/agmdp-lint-test")).unwrap_err();
+        assert_eq!(err.path, Path::new("/nonexistent/agmdp-lint-test"));
+        assert_eq!(err.source.kind(), io::ErrorKind::NotFound);
     }
 }

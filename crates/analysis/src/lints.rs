@@ -13,6 +13,16 @@ use crate::policy::{scope_for, Scope};
 use crate::report::{Finding, LintFamily};
 use crate::strip::{find_word, prepare, test_item_ranges};
 
+/// Every way to spend ε: the one noise type, the three mechanisms built on
+/// it, and its crate-private raw draw (caught should it be re-exported).
+const NOISE_ENTRY_POINTS: &[&str] = &[
+    "LaplaceMechanism",
+    "dp_degree_sequence",
+    "dp_triangle_count",
+    "sample_and_aggregate_distribution",
+    "sample_laplace",
+];
+
 /// Lints one source file. `rel_path` is workspace-relative with forward
 /// slashes and selects the policy scope; files outside every scope return
 /// no findings.
@@ -120,7 +130,7 @@ fn scan_line(scope: &Scope, file: &str, line: usize, text: &str, findings: &mut 
     }
 
     if scope.epsilon_flow && !scope.noise_allowed {
-        for tok in ["sample_laplace", "sample_geometric"] {
+        for &tok in NOISE_ENTRY_POINTS {
             each_word(text, tok, |at| {
                 push(
                     LintFamily::EpsilonFlow,
@@ -338,6 +348,23 @@ mod tests {
             names(&lint_source("src/commands.rs", src)),
             vec![("noise-primitive", 1)]
         );
+    }
+
+    /// A rule that names a function nobody defines checks nothing.
+    #[test]
+    fn noise_entry_points_are_defined_in_the_privacy_crate() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        crate::collect_rs_files(&root.join("crates/privacy/src"), &mut files).unwrap();
+        let mut all = String::new();
+        for path in files {
+            all += &std::fs::read_to_string(path).unwrap();
+        }
+        for name in NOISE_ENTRY_POINTS {
+            let defined =
+                all.contains(&format!("fn {name}<")) || all.contains(&format!("struct {name} "));
+            assert!(defined, "`{name}` is not defined under crates/privacy/src");
+        }
     }
 
     #[test]

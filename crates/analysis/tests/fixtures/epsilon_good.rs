@@ -1,6 +1,10 @@
-//! Fixture: the same noise primitive is legal inside the privacy boundary
-//! (linted as crates/privacy/src/fixture.rs).
+//! Fixture: the same entry points are legal inside the privacy boundary
+//! (linted as crates/privacy/src/fixture.rs and crates/core/src/*_dp.rs).
 
-pub fn mechanism(rng: &mut StdRng, scale: f64) -> f64 {
-    sample_laplace(rng, scale)
+pub fn mechanism(rng: &mut StdRng, graph: &AttributedGraph, groups: &[Vec<f64>]) -> f64 {
+    let mech = LaplaceMechanism::new(1.0, 2.0).unwrap();
+    let degrees = dp_degree_sequence(&graph.degrees(), 0.5, rng).unwrap();
+    let ladder = dp_triangle_count(graph, 0.5, rng).unwrap();
+    let theta = sample_and_aggregate_distribution(groups, 0.5, rng).unwrap();
+    mech.randomize(ladder.estimate, rng) + sample_laplace(rng, 2.0) + theta[0] + degrees[0] as f64
 }

@@ -40,11 +40,37 @@ fn determinism_fires_on_bad_and_not_on_good() {
 fn epsilon_flow_fires_on_bad_and_not_inside_the_boundary() {
     let fired = lint_source("crates/models/src/fixture.rs", EPSILON_BAD);
     assert!(fired.iter().all(|f| f.family == LintFamily::EpsilonFlow));
-    let fired_rules = rules(&fired);
-    assert!(fired_rules.contains(&"noise-primitive"));
-    assert!(fired_rules.contains(&"sensitive-import"));
-    // The identical call is legal inside the privacy crate.
-    assert!(lint_source("crates/privacy/src/fixture.rs", EPSILON_GOOD).is_empty());
+    assert!(rules(&fired).contains(&"sensitive-import"));
+    // Every ε-spending entry point fires anywhere outside the boundary ...
+    let entry_points = [
+        "LaplaceMechanism",
+        "dp_degree_sequence",
+        "dp_triangle_count",
+        "sample_and_aggregate_distribution",
+        "sample_laplace",
+    ];
+    for path in [
+        "crates/models/src/fixture.rs",
+        "crates/eval/src/fixture.rs",
+        "crates/core/src/workflow.rs",
+        "src/main.rs",
+    ] {
+        let fired = lint_source(path, EPSILON_BAD);
+        let noise = fired.iter().filter(|f| f.rule == "noise-primitive");
+        assert_eq!(
+            noise.map(|f| f.snippet.as_str()).collect::<Vec<_>>(),
+            entry_points,
+            "{path}"
+        );
+    }
+    // ... and the identical calls are legal inside it.
+    for path in [
+        "crates/privacy/src/fixture.rs",
+        "crates/core/src/correlations_dp.rs",
+        "crates/core/src/node_dp.rs",
+    ] {
+        assert!(lint_source(path, EPSILON_GOOD).is_empty(), "{path}");
+    }
 }
 
 #[test]

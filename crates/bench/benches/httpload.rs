@@ -25,80 +25,13 @@ use std::time::Duration;
 
 use serde::Serialize;
 
-use agmdp_bench::loadgen::{run_load, ConnMode, LoadSpec, Workload};
+use agmdp_bench::loadgen::{run_load, ConnMode, LoadOptions, LoadSpec, Workload};
 use agmdp_service::engine::{SynthesisEngine, SynthesisRequest};
 use agmdp_service::ledger::BudgetLedger;
 use agmdp_service::{ReleaseStore, ServerHandle, ServiceConfig};
 
 /// The fixed cache-hit request. Must stay in sync with `warm_engine`.
 const SYNTH_BODY: &str = r#"{"dataset":"toy","epsilon":0.5,"seed":7}"#;
-
-struct Options {
-    addr: Option<SocketAddr>,
-    seconds: f64,
-    connections: Vec<usize>,
-    threads: usize,
-    strict: bool,
-    out: Option<String>,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Self {
-            addr: None,
-            seconds: 2.0,
-            connections: vec![1, 4, 16],
-            threads: 4,
-            strict: false,
-            out: None,
-        }
-    }
-}
-
-fn parse_options() -> Options {
-    let mut out = Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => out.addr = args.next().and_then(|v| v.parse().ok()),
-            "--seconds" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    out.seconds = v;
-                }
-            }
-            "--connections" => {
-                if let Some(v) = args.next() {
-                    let parsed: Vec<usize> =
-                        v.split(',').filter_map(|c| c.trim().parse().ok()).collect();
-                    if !parsed.is_empty() {
-                        out.connections = parsed;
-                    }
-                }
-            }
-            "--threads" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    out.threads = v;
-                }
-            }
-            "--strict" => out.strict = true,
-            "--out" => out.out = args.next(),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: httpload [--addr HOST:PORT] [--seconds F] [--connections 1,4,16] [--threads N] [--strict] [--out FILE]"
-                );
-                std::process::exit(0);
-            }
-            // `cargo bench` passes `--bench`; ignore it and anything else
-            // harness-shaped so the binary works under both invocations.
-            other => {
-                if !other.starts_with("--") && !other.is_empty() {
-                    eprintln!("[httpload] ignoring argument {other:?}");
-                }
-            }
-        }
-    }
-    out
-}
 
 /// An engine with the toy dataset registered (effectively unlimited budget),
 /// a release store attached, and the fixed request already synthesized once —
@@ -199,7 +132,7 @@ fn run_cell(
 }
 
 fn main() {
-    let options = parse_options();
+    let options = LoadOptions::parse();
     let workloads = [
         Workload::Healthz,
         Workload::SynthesizeCacheHit {

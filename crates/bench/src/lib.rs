@@ -54,48 +54,61 @@ impl Default for ExperimentArgs {
     }
 }
 
+/// The usage line every experiment binary prints with `--help` or a bad flag.
+const USAGE: &str = "usage: <experiment> [--dataset lastfm,petster,...] [--trials N] [--full] [--seed S] [--json out.json]";
+
+/// Parses the value that follows `flag`; the error names both, so a
+/// malformed value is refused instead of falling back to a default.
+pub(crate) fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<String>,
+) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid value for {flag}: '{value}'"))
+}
+
 impl ExperimentArgs {
-    /// Parses the process arguments. Unknown flags abort with a usage message.
+    /// Parses the process arguments. A malformed or unknown flag prints the
+    /// error and the usage line and exits with status 2.
     #[must_use]
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit iterator of arguments (used by tests).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parses an explicit iterator of arguments (used by tests). `--help`
+    /// prints the usage line and exits 0.
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = Self::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--dataset" | "--datasets" => {
-                    if let Some(v) = iter.next() {
-                        out.datasets
-                            .extend(v.split(',').map(|s| s.trim().to_lowercase()));
+                    let v: String = flag_value(&arg, iter.next())?;
+                    let names: Vec<String> =
+                        v.split(',').map(|s| s.trim().to_lowercase()).collect();
+                    // An empty name is a substring of every dataset's name.
+                    if names.iter().any(String::is_empty) {
+                        return Err(format!("invalid value for {arg}: '{v}'"));
                     }
+                    out.datasets.extend(names);
                 }
-                "--trials" => {
-                    out.trials = iter.next().and_then(|v| v.parse().ok());
-                }
+                "--trials" => out.trials = Some(flag_value(&arg, iter.next())?),
                 "--full" => out.full_scale = true,
-                "--json" => out.json = iter.next(),
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        out.seed = v;
-                    }
-                }
+                "--json" => out.json = Some(flag_value(&arg, iter.next())?),
+                "--seed" => out.seed = flag_value(&arg, iter.next())?,
                 "--help" | "-h" => {
-                    eprintln!(
-                        "usage: <experiment> [--dataset lastfm,petster,...] [--trials N] [--full] [--seed S] [--json out.json]"
-                    );
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => {
-                    eprintln!("unknown argument: {other}");
-                    std::process::exit(2);
-                }
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// The dataset specifications selected by these arguments.
@@ -224,21 +237,13 @@ pub fn mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn parse(args: &str) -> Result<ExperimentArgs, String> {
+        ExperimentArgs::parse_from(args.split(' ').map(str::to_string))
+    }
+
     #[test]
     fn args_parse_recognised_flags() {
-        let args = ExperimentArgs::parse_from(
-            [
-                "--dataset",
-                "lastfm,petster",
-                "--trials",
-                "7",
-                "--full",
-                "--seed",
-                "9",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let args = parse("--dataset lastfm,petster --trials 7 --full --seed 9").unwrap();
         assert_eq!(args.datasets, vec!["lastfm", "petster"]);
         assert_eq!(args.trials, Some(7));
         assert!(args.full_scale);
@@ -246,6 +251,23 @@ mod tests {
         let specs = args.specs();
         assert_eq!(specs.len(), 2);
         assert!(specs.iter().any(|s| s.name.contains("lastfm")));
+    }
+
+    #[test]
+    fn malformed_values_name_the_flag_and_the_value() {
+        for args in ["--trials abc", "--trials -1", "--seed abc", "--dataset a,"] {
+            let (flag, value) = args.split_once(' ').unwrap();
+            let message = format!("invalid value for {flag}: '{value}'");
+            assert_eq!(parse(args).unwrap_err(), message);
+        }
+        for (args, message) in [
+            ("--dataset", "--dataset needs a value"),
+            ("--datasets lastfm --seed", "--seed needs a value"),
+            ("--json", "--json needs a value"),
+            ("--trails 3", "unknown argument: --trails"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), message, "{args}");
+        }
     }
 
     #[test]

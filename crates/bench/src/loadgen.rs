@@ -18,6 +18,96 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The options of the `httpload` bench binary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoadOptions {
+    /// Aim at a running server instead of booting one in-process.
+    pub addr: Option<SocketAddr>,
+    /// Measured seconds per grid cell.
+    pub seconds: f64,
+    /// The connection counts of the grid.
+    pub connections: Vec<usize>,
+    /// Worker threads of the in-process server.
+    pub threads: usize,
+    /// Exit nonzero on any 5xx that is not a deliberate shed.
+    pub strict: bool,
+    /// Where to write the JSON report (stdout when absent).
+    pub out: Option<String>,
+}
+
+/// The usage line `httpload` prints with `--help` or a bad flag.
+const LOAD_USAGE: &str = "usage: httpload [--addr HOST:PORT] [--seconds F] [--connections 1,4,16] [--threads N] [--strict] [--out FILE]";
+
+impl Default for LoadOptions {
+    fn default() -> Self {
+        Self {
+            addr: None,
+            seconds: 2.0,
+            connections: vec![1, 4, 16],
+            threads: 4,
+            strict: false,
+            out: None,
+        }
+    }
+}
+
+impl LoadOptions {
+    /// Parses the process arguments. A malformed value prints the error and
+    /// the usage line and exits with status 2.
+    #[must_use]
+    pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n{LOAD_USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `httpload`'s arguments. A value that does not parse, or a
+    /// count or duration that is not positive, is an error naming the flag
+    /// and the value, and so is an unknown argument. `--bench`, which `cargo
+    /// bench` passes, is accepted and ignored; `--help` prints the usage line
+    /// and exits 0.
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let mut out = Self::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let invalid = |value: &str| format!("invalid value for {arg}: '{value}'");
+            match arg.as_str() {
+                "--addr" => out.addr = Some(crate::flag_value(&arg, args.next())?),
+                "--seconds" => {
+                    out.seconds = crate::flag_value(&arg, args.next())?;
+                    if !(out.seconds.is_finite() && out.seconds > 0.0) {
+                        return Err(invalid(&out.seconds.to_string()));
+                    }
+                }
+                "--connections" => {
+                    let value: String = crate::flag_value(&arg, args.next())?;
+                    out.connections = value
+                        .split(',')
+                        .map(|c| c.trim().parse().ok().filter(|&n: &usize| n > 0))
+                        .collect::<Option<_>>()
+                        .ok_or_else(|| invalid(&value))?;
+                }
+                "--threads" => {
+                    out.threads = crate::flag_value(&arg, args.next())?;
+                    if out.threads == 0 {
+                        return Err(invalid("0"));
+                    }
+                }
+                "--strict" => out.strict = true,
+                "--out" => out.out = Some(crate::flag_value(&arg, args.next())?),
+                "--bench" => {}
+                "--help" | "-h" => {
+                    eprintln!("{LOAD_USAGE}");
+                    std::process::exit(0);
+                }
+                other => return Err(format!("unknown argument: {other}")),
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// How the client uses connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnMode {
@@ -267,4 +357,46 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<RawReply> {
         has_retry_after: head_text.contains("\r\nRetry-After: "),
         closed: head_text.contains("\r\nConnection: close"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<LoadOptions, String> {
+        LoadOptions::parse_from(args.split(' ').map(str::to_string))
+    }
+
+    #[test]
+    fn load_options_parse_the_grid_and_accept_cargo_bench() {
+        let options = parse("--seconds 2 --connections 64 --strict --out r.json --bench").unwrap();
+        assert_eq!(options.connections, vec![64]);
+        assert_eq!(options.seconds, 2.0);
+        assert!(options.strict);
+        assert_eq!(options.out.as_deref(), Some("r.json"));
+        assert_eq!(parse("--bench").unwrap(), LoadOptions::default());
+    }
+
+    #[test]
+    fn malformed_load_options_name_the_flag_and_the_value() {
+        for args in [
+            "--connections 6x4",
+            "--connections 1,,4",
+            "--connections 0",
+            "--seconds two",
+            "--seconds -1",
+            "--threads 0",
+            "--addr localhost",
+        ] {
+            let (flag, value) = args.split_once(' ').unwrap();
+            let message = format!("invalid value for {flag}: '{value}'");
+            assert_eq!(parse(args).unwrap_err(), message);
+        }
+        assert_eq!(parse("--seconds").unwrap_err(), "--seconds needs a value");
+        // A misspelt flag must not run the default grid in its place.
+        assert_eq!(
+            parse("--connection 64").unwrap_err(),
+            "unknown argument: --connection"
+        );
+    }
 }

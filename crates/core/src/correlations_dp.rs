@@ -23,11 +23,11 @@ use rand::Rng;
 
 use agmdp_graph::subgraph::{induced_subgraph, partition_nodes};
 use agmdp_graph::truncation::{edge_truncation, heuristic_k};
-use agmdp_graph::{GraphView, NodeId};
+use agmdp_graph::{AttributeSchema, GraphView, NodeId};
 use agmdp_privacy::laplace::LaplaceMechanism;
 use agmdp_privacy::postprocess::normalize;
 use agmdp_privacy::sample_aggregate::sample_and_aggregate_distribution;
-use agmdp_privacy::smooth::{beta, smooth_sensitivity_qf, SmoothLaplaceMechanism};
+use agmdp_privacy::smooth::{beta, check_delta, smooth_sensitivity_qf};
 
 use crate::error::CoreError;
 use crate::params::{edge_config_counts, ThetaF};
@@ -75,26 +75,49 @@ impl CorrelationMethod {
     /// accepted by both the CLI (`--method`/`--k`) and the service API
     /// (`"method"`/`"k"`/`"delta"`): `k` parameterises truncation (or, reused,
     /// the sample-aggregate group size), `delta` the smooth-sensitivity
-    /// (ε, δ) guarantee. A truncation `k` below [`MIN_TRUNCATION_K`] is
-    /// rejected here, before any ε is drawn.
+    /// (ε, δ) guarantee and nothing else. Parameters that [`Self::check`]
+    /// refuses on every graph are rejected here, before any ε is drawn.
     pub fn from_parts(
         name: &str,
         k: Option<usize>,
         delta: f64,
     ) -> std::result::Result<Self, String> {
-        match name {
-            "truncation" => match k {
-                Some(k) if k < MIN_TRUNCATION_K => Err(format!(
-                    "truncation parameter k must be at least {MIN_TRUNCATION_K}, got {k}"
-                )),
-                _ => Ok(CorrelationMethod::EdgeTruncation { k }),
-            },
-            "smooth" => Ok(CorrelationMethod::SmoothSensitivity { delta }),
-            "sample-aggregate" => Ok(CorrelationMethod::SampleAggregate {
+        let method = match name {
+            "truncation" => CorrelationMethod::EdgeTruncation { k },
+            "smooth" => CorrelationMethod::SmoothSensitivity { delta },
+            "sample-aggregate" => CorrelationMethod::SampleAggregate {
                 group_size: k.unwrap_or(32).max(2),
-            }),
-            "naive" => Ok(CorrelationMethod::NaiveLaplace),
-            other => Err(format!("unknown correlation method '{other}'")),
+            },
+            "naive" => CorrelationMethod::NaiveLaplace,
+            other => return Err(format!("unknown correlation method '{other}'")),
+        };
+        // The graph is not known yet: no n bounds the group size here.
+        method.check(usize::MAX)?;
+        Ok(method)
+    }
+
+    /// Refuses the parameters a fit on a graph of `num_nodes` nodes cannot
+    /// use: a truncation `k` below [`MIN_TRUNCATION_K`], a smooth-sensitivity
+    /// δ outside (0, 1) (the rule of [`beta`]) and a sample-and-aggregate
+    /// group size outside `1..=n`. The learners refuse through the same
+    /// rules, so a caller that checks first draws no ε for a fit that is
+    /// certain to fail.
+    pub fn check(&self, num_nodes: usize) -> std::result::Result<(), String> {
+        match *self {
+            CorrelationMethod::EdgeTruncation { k: Some(k) } if k < MIN_TRUNCATION_K => Err(
+                format!("truncation parameter k must be at least {MIN_TRUNCATION_K}, got {k}"),
+            ),
+            CorrelationMethod::SmoothSensitivity { delta } => {
+                check_delta(delta).map_err(|e| e.to_string())
+            }
+            CorrelationMethod::SampleAggregate { group_size }
+                if group_size == 0 || group_size > num_nodes =>
+            {
+                Err(format!(
+                    "sample-and-aggregate group size {group_size} must lie in 1..=n (n = {num_nodes})"
+                ))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -133,25 +156,18 @@ pub fn learn_correlations_truncated<G: GraphView, R: Rng + ?Sized>(
     k: usize,
     rng: &mut R,
 ) -> Result<ThetaF> {
-    if k < MIN_TRUNCATION_K {
-        return Err(CoreError::InvalidConfig(format!(
-            "truncation parameter k must be at least {MIN_TRUNCATION_K}, got {k}"
-        )));
-    }
+    CorrelationMethod::EdgeTruncation { k: Some(k) }
+        .check(graph.num_nodes())
+        .map_err(CoreError::InvalidConfig)?;
     // Sensitivity 2k for k ≥ 2 (Proposition 1; see the module docs).
     let mech = LaplaceMechanism::new(epsilon, 2.0 * k as f64)?;
     let truncated = edge_truncation(graph, k).graph;
-    let counts = edge_config_counts(&truncated);
-    let noisy = mech.randomize_vec(&counts, rng);
-    // Negative noisy counts are clamped to zero before normalising (free
-    // post-processing). Unlike the Q_X counts, per-configuration edge counts
-    // can legitimately exceed n, so no upper clamp is applied.
-    let probabilities = normalize(&noisy);
-    ThetaF::new(graph.schema(), probabilities)
+    noisy_theta_f(graph.schema(), &edge_config_counts(&truncated), mech, rng)
 }
 
 /// Appendix B.1: exact `Q_F` counts with Laplace noise calibrated to the
-/// β-smooth sensitivity of Corollary 5 (an (ε, δ)-DP mechanism).
+/// β-smooth sensitivity of Corollary 5 (an (ε, δ)-DP mechanism): scale
+/// `2 S*/ε`, the Laplace mechanism with sensitivity `2 S*`.
 pub fn learn_correlations_smooth<G: GraphView, R: Rng + ?Sized>(
     graph: &G,
     epsilon: f64,
@@ -160,14 +176,8 @@ pub fn learn_correlations_smooth<G: GraphView, R: Rng + ?Sized>(
 ) -> Result<ThetaF> {
     let b = beta(epsilon, delta)?;
     let s_star = smooth_sensitivity_qf(graph.max_degree(), graph.num_nodes(), b).max(1e-9);
-    let mech = SmoothLaplaceMechanism::new(epsilon, delta, s_star)?;
-    let counts = edge_config_counts(graph);
-    let noisy = mech.randomize_vec(&counts, rng);
-    // Negative noisy counts are clamped to zero before normalising (free
-    // post-processing). Unlike the Q_X counts, per-configuration edge counts
-    // can legitimately exceed n, so no upper clamp is applied.
-    let probabilities = normalize(&noisy);
-    ThetaF::new(graph.schema(), probabilities)
+    let mech = LaplaceMechanism::new(epsilon, 2.0 * s_star)?;
+    noisy_theta_f(graph.schema(), &edge_config_counts(graph), mech, rng)
 }
 
 /// Appendix B.2: random node partition, per-group `Θ_F` on induced subgraphs,
@@ -178,12 +188,9 @@ pub fn learn_correlations_sample_aggregate<G: GraphView, R: Rng + ?Sized>(
     group_size: usize,
     rng: &mut R,
 ) -> Result<ThetaF> {
-    if group_size == 0 || group_size > graph.num_nodes() {
-        return Err(CoreError::InvalidConfig(format!(
-            "sample-and-aggregate group size {group_size} must lie in 1..=n (n = {})",
-            graph.num_nodes()
-        )));
-    }
+    CorrelationMethod::SampleAggregate { group_size }
+        .check(graph.num_nodes())
+        .map_err(CoreError::InvalidConfig)?;
     let mut order: Vec<NodeId> = graph.nodes().collect();
     order.shuffle(rng);
     let groups = partition_nodes(&order, group_size);
@@ -212,13 +219,21 @@ pub fn learn_correlations_naive<G: GraphView, R: Rng + ?Sized>(
 ) -> Result<ThetaF> {
     let sensitivity = (2.0 * graph.num_nodes() as f64 - 2.0).max(2.0);
     let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-    let counts = edge_config_counts(graph);
-    let noisy = mech.randomize_vec(&counts, rng);
-    // Negative noisy counts are clamped to zero before normalising (free
-    // post-processing). Unlike the Q_X counts, per-configuration edge counts
-    // can legitimately exceed n, so no upper clamp is applied.
-    let probabilities = normalize(&noisy);
-    ThetaF::new(graph.schema(), probabilities)
+    noisy_theta_f(graph.schema(), &edge_config_counts(graph), mech, rng)
+}
+
+/// The tail of every count-based `Θ_F` learner, where each spends its ε: one
+/// Laplace draw per `Q_F` count, in configuration order. Negative noisy counts
+/// are clamped to zero before normalising (free post-processing); unlike `Q_X`
+/// counts, edge counts can legitimately exceed n, so there is no upper clamp.
+pub(crate) fn noisy_theta_f<R: Rng + ?Sized>(
+    schema: AttributeSchema,
+    counts: &[f64],
+    mechanism: LaplaceMechanism,
+    rng: &mut R,
+) -> Result<ThetaF> {
+    let noisy = mechanism.randomize_vec(counts, rng);
+    ThetaF::new(schema, normalize(&noisy))
 }
 
 #[cfg(test)]
@@ -282,6 +297,7 @@ mod tests {
         assert!(learn_correlations_smooth(&g, 1.0, 0.0, &mut rng).is_err());
         assert!(learn_correlations_sample_aggregate(&g, 1.0, 0, &mut rng).is_err());
         assert!(learn_correlations_sample_aggregate(&g, 1.0, g.num_nodes() + 1, &mut rng).is_err());
+        assert!(learn_correlations_sample_aggregate(&g, 1.0, g.num_nodes(), &mut rng).is_ok());
     }
 
     /// The counterexample behind [`MIN_TRUNCATION_K`]: at k = 1 one added
@@ -321,6 +337,18 @@ mod tests {
         );
         // The sample-aggregate group size reuses `k` and keeps its own floor.
         assert!(CorrelationMethod::from_parts("sample-aggregate", Some(1), 1e-6).is_ok());
+    }
+
+    #[test]
+    fn from_parts_checks_delta_only_for_smooth() {
+        for delta in [0.0, 1.0, 2.0, -1e-6, f64::NAN] {
+            assert!(CorrelationMethod::from_parts("smooth", None, delta).is_err());
+            // Every other method ignores δ, as it always has.
+            for name in ["truncation", "sample-aggregate", "naive"] {
+                assert!(CorrelationMethod::from_parts(name, None, delta).is_ok());
+            }
+        }
+        assert!(CorrelationMethod::from_parts("smooth", None, 0.01).is_ok());
     }
 
     #[test]

@@ -29,9 +29,10 @@ use rand::Rng;
 
 use agmdp_graph::truncation::{edge_truncation, heuristic_k};
 use agmdp_graph::GraphView;
-use agmdp_privacy::postprocess::normalize;
-use agmdp_privacy::smooth::{beta, smooth_bound, SmoothLaplaceMechanism};
+use agmdp_privacy::laplace::LaplaceMechanism;
+use agmdp_privacy::smooth::{beta, smooth_bound};
 
+use crate::correlations_dp::noisy_theta_f;
 use crate::error::CoreError;
 use crate::params::{edge_config_counts, ThetaF};
 use crate::Result;
@@ -52,29 +53,21 @@ pub fn learn_correlations_node_dp<G: GraphView, R: Rng + ?Sized>(
         return Err(CoreError::UnusableInput("graph has no nodes".to_string()));
     }
     let k = k.unwrap_or_else(|| heuristic_k(n)).max(1);
-    let b = beta(epsilon, delta)?;
-    let cap = (2.0 * n as f64 - 2.0).max(2.0);
-    let ls_profile = |t: usize| (2.0 * k as f64 * (t as f64 + 2.0)).min(cap);
-    // The profile saturates once 2k(t + 2) >= 2n - 2.
-    let t_saturation = ((cap / (2.0 * k as f64)).ceil() as usize).max(1);
-    let s_star = smooth_bound(ls_profile, b, t_saturation).max(1e-9);
-    let mech = SmoothLaplaceMechanism::new(epsilon, delta, s_star)?;
-
+    let s_star = node_dp_smooth_sensitivity(n, k, epsilon, delta)?.max(1e-9);
+    let mech = LaplaceMechanism::new(epsilon, 2.0 * s_star)?;
     let truncated = edge_truncation(graph, k).graph;
-    let counts = edge_config_counts(&truncated);
-    let noisy = mech.randomize_vec(&counts, rng);
-    let probabilities = normalize(&noisy);
-    ThetaF::new(graph.schema(), probabilities)
+    noisy_theta_f(graph.schema(), &edge_config_counts(&truncated), mech, rng)
 }
 
 /// The node-adjacency smooth-sensitivity bound used by
 /// [`learn_correlations_node_dp`], exposed for the Section 7 experiment
-/// harness and for tests.
+/// harness and for tests. Checks ε and δ through [`beta`].
 pub fn node_dp_smooth_sensitivity(n: usize, k: usize, epsilon: f64, delta: f64) -> Result<f64> {
     let b = beta(epsilon, delta)?;
     let cap = (2.0 * n as f64 - 2.0).max(2.0);
     let k = k.max(1);
     let ls_profile = |t: usize| (2.0 * k as f64 * (t as f64 + 2.0)).min(cap);
+    // The profile saturates once 2k(t + 2) >= 2n - 2.
     let t_saturation = ((cap / (2.0 * k as f64)).ceil() as usize).max(1);
     Ok(smooth_bound(ls_profile, b, t_saturation))
 }

@@ -20,8 +20,6 @@ pub enum PrivacyError {
         /// ε still available.
         remaining: f64,
     },
-    /// A candidate set for the exponential mechanism was empty.
-    EmptyCandidateSet,
 }
 
 impl fmt::Display for PrivacyError {
@@ -42,12 +40,6 @@ impl fmt::Display for PrivacyError {
                 f,
                 "privacy budget exceeded: requested epsilon {requested}, only {remaining} remaining"
             ),
-            PrivacyError::EmptyCandidateSet => {
-                write!(
-                    f,
-                    "the exponential mechanism requires at least one candidate"
-                )
-            }
         }
     }
 }
@@ -76,8 +68,5 @@ mod tests {
         }
         .to_string()
         .contains("0.5"));
-        assert!(PrivacyError::EmptyCandidateSet
-            .to_string()
-            .contains("candidate"));
     }
 }

@@ -20,7 +20,9 @@
 //! The sampler below works rung-by-rung: rung 0 is the true count itself, rung
 //! `t ≥ 1` contains the `2 · LS^{t-1}(G)` integers between cumulative widths,
 //! and the geometric decay of the weights makes the enumeration converge
-//! quickly (it is truncated once the residual mass is negligible).
+//! quickly (it is truncated once the residual mass is negligible). The rung
+//! is drawn here, in proportion to its weight; this module is the only
+//! exponential-mechanism draw in the crate.
 //!
 //! ## Cost
 //!
@@ -41,7 +43,6 @@ use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::GraphView;
 
 use crate::error::PrivacyError;
-use crate::exponential::sample_weighted_index;
 use crate::Result;
 
 /// Local sensitivity of triangle counting at `G`: the maximum number of common
@@ -231,6 +232,24 @@ pub fn dp_triangle_count<G: GraphView, R: Rng + ?Sized>(
     })
 }
 
+/// Draws the rung: an index sampled in proportion to the non-negative
+/// `weights`, which need not be normalised. If all weights are zero the first
+/// index is returned.
+fn sample_weighted_index<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
+    let total: f64 = weights.iter().sum();
+    if total <= 0.0 || !total.is_finite() {
+        return 0;
+    }
+    let mut target = rng.gen::<f64>() * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if target < w {
+            return i;
+        }
+        target -= w;
+    }
+    weights.len() - 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,5 +371,19 @@ mod tests {
         assert_eq!(out.local_sensitivity, 4);
         assert_eq!(out.true_count, 20);
         assert!(out.estimate.is_finite());
+    }
+
+    #[test]
+    fn weighted_index_sampling_is_proportional() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let weights = [1.0, 3.0];
+        let trials = 40_000;
+        let ones = (0..trials)
+            .filter(|_| sample_weighted_index(&weights, &mut rng) == 1)
+            .count() as f64
+            / trials as f64;
+        assert!((ones - 0.75).abs() < 0.02);
+        // Degenerate weights fall back to index 0.
+        assert_eq!(sample_weighted_index(&[0.0, 0.0], &mut rng), 0);
     }
 }

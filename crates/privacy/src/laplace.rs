@@ -18,25 +18,13 @@ use crate::Result;
 /// Draws one sample from the Laplace distribution with mean 0 and scale `b`.
 ///
 /// Uses the inverse CDF: for `u ~ Uniform(-0.5, 0.5)`,
-/// `x = -b * sign(u) * ln(1 - 2|u|)`.
-///
-/// ```
-/// use agmdp_privacy::sample_laplace;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let noise = sample_laplace(&mut rng, 2.0);
-/// assert!(noise.is_finite());
-/// // Same seed, same draw: every mechanism is reproducible.
-/// let mut again = StdRng::seed_from_u64(7);
-/// assert_eq!(noise, sample_laplace(&mut again, 2.0));
-/// ```
+/// `x = -b * sign(u) * ln(1 - 2|u|)`. Private to the crate: callers add
+/// noise through [`LaplaceMechanism`], which checks ε and the sensitivity.
 ///
 /// # Panics
 ///
 /// Debug-asserts that `b` is positive and finite.
-pub fn sample_laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
+pub(crate) fn sample_laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
     debug_assert!(
         scale.is_finite() && scale > 0.0,
         "Laplace scale must be positive"
@@ -73,18 +61,6 @@ impl LaplaceMechanism {
             epsilon,
             sensitivity,
         })
-    }
-
-    /// The privacy parameter ε.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The configured L1 global sensitivity.
-    #[must_use]
-    pub fn sensitivity(&self) -> f64 {
-        self.sensitivity
     }
 
     /// The Laplace scale `λ = Δf / ε` that will be used.
@@ -143,8 +119,6 @@ mod tests {
     fn scale_is_sensitivity_over_epsilon() {
         let m = LaplaceMechanism::new(0.5, 2.0).unwrap();
         assert!((m.scale() - 4.0).abs() < 1e-12);
-        assert_eq!(m.epsilon(), 0.5);
-        assert_eq!(m.sensitivity(), 2.0);
     }
 
     #[test]

@@ -25,10 +25,9 @@ use crate::Result;
 /// `per_group_l1_sensitivity / num_groups`.
 ///
 /// All group vectors must have the same length. The returned vector is the
-/// *noisy average* (not yet normalised); callers that need a probability
-/// distribution should pass it through [`normalize`] or use
-/// [`sample_and_aggregate_distribution`].
-pub fn aggregate_with_noise<R: Rng + ?Sized>(
+/// *noisy average* (not yet normalised); [`sample_and_aggregate_distribution`]
+/// is the public entry point that normalises it.
+pub(crate) fn aggregate_with_noise<R: Rng + ?Sized>(
     group_outputs: &[Vec<f64>],
     per_group_l1_sensitivity: f64,
     epsilon: f64,
@@ -44,9 +43,6 @@ pub fn aggregate_with_noise<R: Rng + ?Sized>(
         return Err(PrivacyError::InvalidParameter(
             "all group output vectors must have the same length".to_string(),
         ));
-    }
-    if !(per_group_l1_sensitivity.is_finite() && per_group_l1_sensitivity > 0.0) {
-        return Err(PrivacyError::InvalidSensitivity(per_group_l1_sensitivity));
     }
     let t = group_outputs.len() as f64;
     let mech = LaplaceMechanism::new(epsilon, per_group_l1_sensitivity / t)?;

@@ -10,14 +10,12 @@
 //! For `Q_F` the paper derives (Proposition 4):
 //! `S*_{Q_F,β}(G) = max_t e^{−tβ} · min(2 d_max + 2t, 2n − 2)`,
 //! with the closed form of Corollary 5. This module implements that closed
-//! form, a generic maximiser for other local-sensitivity-at-distance profiles
-//! (used by the node-DP extension in `agmdp-core`), and the corresponding
-//! (ε, δ) noise-addition mechanism.
-
-use rand::Rng;
+//! form and a generic maximiser for other local-sensitivity-at-distance
+//! profiles (used by the node-DP extension in `agmdp-core`). The noise itself
+//! is the ordinary [`LaplaceMechanism`](crate::LaplaceMechanism) with
+//! sensitivity `2 S*`, built after [`beta`] has checked ε and δ.
 
 use crate::error::PrivacyError;
-use crate::laplace::sample_laplace;
 use crate::Result;
 
 /// The smooth-sensitivity parameter `β = ε / (2 ln(2/δ))` used with
@@ -26,10 +24,17 @@ pub fn beta(epsilon: f64, delta: f64) -> Result<f64> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(PrivacyError::InvalidEpsilon(epsilon));
     }
-    if !(delta > 0.0 && delta < 1.0) {
-        return Err(PrivacyError::InvalidDelta(delta));
-    }
+    check_delta(delta)?;
     Ok(epsilon / (2.0 * (2.0 / delta).ln()))
+}
+
+/// The δ rule of [`beta`]: the δ of an (ε, δ) guarantee must lie in (0, 1).
+pub fn check_delta(delta: f64) -> Result<()> {
+    if delta > 0.0 && delta < 1.0 {
+        Ok(())
+    } else {
+        Err(PrivacyError::InvalidDelta(delta))
+    }
 }
 
 /// Closed-form β-smooth sensitivity of `Q_F` (Corollary 5).
@@ -80,71 +85,9 @@ where
     best
 }
 
-/// An (ε, δ)-DP mechanism that adds Laplace noise calibrated to a smooth
-/// sensitivity bound: scale `2 S* / ε`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmoothLaplaceMechanism {
-    epsilon: f64,
-    delta: f64,
-    smooth_sensitivity: f64,
-}
-
-impl SmoothLaplaceMechanism {
-    /// Creates the mechanism from ε, δ and a β-smooth sensitivity bound
-    /// (computed with `β = beta(ε, δ)`).
-    pub fn new(epsilon: f64, delta: f64, smooth_sensitivity: f64) -> Result<Self> {
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(PrivacyError::InvalidEpsilon(epsilon));
-        }
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(PrivacyError::InvalidDelta(delta));
-        }
-        if !(smooth_sensitivity.is_finite() && smooth_sensitivity > 0.0) {
-            return Err(PrivacyError::InvalidSensitivity(smooth_sensitivity));
-        }
-        Ok(Self {
-            epsilon,
-            delta,
-            smooth_sensitivity,
-        })
-    }
-
-    /// ε of the (ε, δ) guarantee.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// δ of the (ε, δ) guarantee.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
-    /// The Laplace scale `2 S* / ε` that will be used.
-    #[must_use]
-    pub fn scale(&self) -> f64 {
-        2.0 * self.smooth_sensitivity / self.epsilon
-    }
-
-    /// Adds noise to a scalar.
-    pub fn randomize<R: Rng + ?Sized>(&self, value: f64, rng: &mut R) -> f64 {
-        value + sample_laplace(rng, self.scale())
-    }
-
-    /// Adds independent noise to every element of a vector (the smooth
-    /// sensitivity must bound the whole vector's L1 local sensitivity, as it
-    /// does for `Q_F`).
-    pub fn randomize_vec<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Vec<f64> {
-        values.iter().map(|&v| self.randomize(v, rng)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn beta_formula_and_validation() {
@@ -210,28 +153,5 @@ mod tests {
         // slightly below the real-valued closed form.
         assert!(generic <= closed + 1e-9);
         assert!((generic - closed).abs() / closed < 0.02);
-    }
-
-    #[test]
-    fn mechanism_validation_and_scale() {
-        assert!(SmoothLaplaceMechanism::new(1.0, 0.01, 10.0).is_ok());
-        assert!(SmoothLaplaceMechanism::new(0.0, 0.01, 10.0).is_err());
-        assert!(SmoothLaplaceMechanism::new(1.0, 0.0, 10.0).is_err());
-        assert!(SmoothLaplaceMechanism::new(1.0, 0.01, 0.0).is_err());
-        let m = SmoothLaplaceMechanism::new(0.5, 0.01, 10.0).unwrap();
-        assert!((m.scale() - 40.0).abs() < 1e-12);
-        assert_eq!(m.epsilon(), 0.5);
-        assert_eq!(m.delta(), 0.01);
-    }
-
-    #[test]
-    fn mechanism_noise_is_seed_deterministic() {
-        let m = SmoothLaplaceMechanism::new(1.0, 0.01, 5.0).unwrap();
-        let mut r1 = StdRng::seed_from_u64(11);
-        let mut r2 = StdRng::seed_from_u64(11);
-        assert_eq!(
-            m.randomize_vec(&[1.0, 2.0], &mut r1),
-            m.randomize_vec(&[1.0, 2.0], &mut r2)
-        );
     }
 }

@@ -5,12 +5,11 @@ use agmdp_graph::view::sorted_intersection_count;
 use agmdp_graph::{AttributedGraph, GraphView, NodeId};
 use agmdp_privacy::budget::{BudgetSplit, PrivacyBudget};
 use agmdp_privacy::constrained_inference::{dp_degree_sequence, isotonic_regression};
-use agmdp_privacy::exponential::exponential_mechanism;
 use agmdp_privacy::ladder::{dp_triangle_count, triangle_local_sensitivity};
-use agmdp_privacy::laplace::{sample_laplace, LaplaceMechanism};
 use agmdp_privacy::postprocess::{clamp_and_normalize, normalize};
 use agmdp_privacy::sample_aggregate::sample_and_aggregate_distribution;
 use agmdp_privacy::smooth::{beta, smooth_bound, smooth_sensitivity_qf};
+use agmdp_privacy::LaplaceMechanism;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -19,12 +18,13 @@ use rand::{Rng, SeedableRng};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Laplace samples are finite and symmetric around zero in aggregate.
+    /// Laplace draws are finite at every scale (ε = 1, so scale = Δ).
     #[test]
     fn laplace_samples_are_finite(scale in 0.01f64..100.0, seed in 0u64..1000) {
+        let mech = LaplaceMechanism::new(1.0, scale).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..50 {
-            let x = sample_laplace(&mut rng, scale);
+            let x = mech.randomize(0.0, &mut rng);
             prop_assert!(x.is_finite());
         }
     }
@@ -73,18 +73,6 @@ proptest! {
         let f = BudgetSplit::fcl(eps).unwrap();
         prop_assert!((f.total() - eps).abs() < 1e-9);
         prop_assert!(f.structural() >= t.structural() - 1e-9);
-    }
-
-    /// The exponential mechanism always returns a valid index.
-    #[test]
-    fn exponential_mechanism_index_in_range(
-        scores in proptest::collection::vec(-100.0f64..100.0, 1..30),
-        eps in 0.01f64..10.0,
-        seed in 0u64..500,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let idx = exponential_mechanism(&scores, eps, 1.0, &mut rng).unwrap();
-        prop_assert!(idx < scores.len());
     }
 
     /// Isotonic regression is idempotent and monotone.

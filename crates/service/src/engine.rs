@@ -378,8 +378,10 @@ impl SynthesisEngine {
 
     /// The request checks shared by [`SynthesisEngine::admit`],
     /// [`SynthesisEngine::store_lookup`] and the server's rate limiter: ε,
-    /// iterations and threads in range, and the dataset registered (even on
-    /// the cache-hit path).
+    /// iterations and threads in range, the dataset registered (even on
+    /// the cache-hit path), and the method's parameters usable on the
+    /// registered graph ([`CorrelationMethod::check`]; n is public: `GET
+    /// /datasets` lists it), so a fit that is certain to fail draws no ε.
     pub fn check_request(&self, request: &SynthesisRequest) -> Result<(), ServiceError> {
         if !(request.epsilon.is_finite() && request.epsilon > 0.0) {
             return Err(ServiceError::InvalidRequest(format!(
@@ -397,8 +399,11 @@ impl SynthesisEngine {
                 "threads must be in 1..={MAX_REQUEST_THREADS}"
             )));
         }
-        self.registry.get(&request.dataset)?;
-        Ok(())
+        let n = self.registry.get(&request.dataset)?.num_nodes();
+        request
+            .method
+            .check(n)
+            .map_err(ServiceError::InvalidRequest)
     }
 
     /// Synchronous admission: cache lookup, or a journaled ledger spend.
@@ -748,5 +753,17 @@ mod tests {
         assert!(engine
             .register_dataset("empty", AttributedGraph::unattributed(0), 1.0)
             .is_err());
+        // Method parameters no fit on the graph can use spend nothing.
+        let n = toy_social_graph().num_nodes();
+        for method in [
+            CorrelationMethod::SmoothSensitivity { delta: 2.0 },
+            CorrelationMethod::SampleAggregate { group_size: 0 },
+            CorrelationMethod::SampleAggregate { group_size: n + 1 },
+        ] {
+            let mut request = SynthesisRequest::new("toy", 0.5, 1);
+            request.method = method;
+            assert!(engine.admit(&request).is_err(), "{method:?}");
+        }
+        assert_eq!(engine.ledger().status("toy").unwrap().spent, 0.0);
     }
 }

@@ -1335,6 +1335,41 @@ mod tests {
     }
 
     #[test]
+    fn fits_certain_to_fail_are_refused_before_any_epsilon_is_drawn() {
+        let mut state = test_state();
+        // Burst 1 at a near-zero rate: a refusal that took the token would
+        // turn the last request into a 429.
+        Arc::get_mut(&mut state)
+            .map(|s| s.rate_limits = Some(TokenBuckets::new(1e-6, 1.0)))
+            .unwrap();
+        let budget_before = get(&state, "/budget/toy").body;
+        for (body, message) in [
+            (
+                r#"{"dataset":"toy","epsilon":0.5,"method":"smooth","delta":2}"#,
+                "delta must lie in (0, 1), got 2",
+            ),
+            (
+                r#"{"dataset":"toy","epsilon":0.25,"method":"sample-aggregate","k":100}"#,
+                "group size 100 must lie in 1..=n (n = 30)",
+            ),
+        ] {
+            let refused = post(&state, "/synthesize", body);
+            assert_eq!(refused.status, 400, "{}", refused.body);
+            assert!(refused.body.contains(message), "{}", refused.body);
+            assert_eq!(get(&state, "/jobs/1").status, 404, "{body} created a job");
+            assert_eq!(get(&state, "/budget/toy").body, budget_before, "{body}");
+        }
+        // δ means nothing to truncation, so a stray one is still ignored.
+        let accepted = post(
+            &state,
+            "/synthesize",
+            r#"{"dataset":"toy","epsilon":0.5,"seed":1,"delta":5}"#,
+        );
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        assert!(matches!(wait_for_job(&state, 1), JobState::Completed(_)));
+    }
+
+    #[test]
     fn mistyped_graph_sources_register_nothing() {
         let state = test_state_with(SynthesisEngine::new(BudgetLedger::in_memory()), 16);
         let dir = std::env::temp_dir().join(format!("agmdp_server_sources_{}", std::process::id()));

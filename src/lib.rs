@@ -15,7 +15,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`graph`] | attributed simple graphs, triangles, clustering, truncation |
-//! | [`privacy`] | Laplace / exponential mechanisms, smooth sensitivity, constrained inference, Ladder triangle counting, budgets |
+//! | [`privacy`] | the Laplace mechanism, smooth sensitivity, constrained inference, Ladder triangle counting, sample-and-aggregate, budgets |
 //! | [`models`] | Chung-Lu (FCL), TCL and TriCycLe generative models |
 //! | [`core`] | AGM parameters, DP learners, the AGM-DP synthesis workflow |
 //! | [`metrics`] | KS / Hellinger / MRE / assortativity / correlation evaluation statistics |
@@ -81,5 +81,5 @@ pub mod prelude {
     pub use agmdp_models::{
         ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel,
     };
-    pub use agmdp_privacy::{BudgetSplit, LaplaceMechanism, PrivacyBudget};
+    pub use agmdp_privacy::{BudgetSplit, PrivacyBudget};
 }

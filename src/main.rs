@@ -98,13 +98,14 @@ bit-identical at every --threads value.
 
 `lint` runs the static invariant checker (`agmdp::analysis`) over the
 workspace sources: determinism (no ambient RNGs, wall clocks, or
-hash-ordered containers in the deterministic crates), epsilon-flow (noise
-primitives only inside the privacy boundary), panic-freedom (no panicking
-constructs in the service and obs crates) and hygiene (no stray debug
-printing). Any finding fails the command: no comment silences one, and the
-only exemptions are the scopes in crates/analysis/src/policy.rs. The
-contracts are documented in docs/INVARIANTS.md. --root defaults to the
-current directory; --json emits the stable report CI diffs.";
+hash-ordered containers in the deterministic crates), epsilon-flow (the
+privacy crate's noise mechanisms only inside the privacy boundary),
+panic-freedom (no panicking constructs in the service and obs crates) and
+hygiene (no stray debug printing). Any finding fails the command: no
+comment silences one, and the only exemptions are the scopes in
+crates/analysis/src/policy.rs. The contracts are documented in
+docs/INVARIANTS.md. --root defaults to the current directory and must hold
+src/ or crates/; --json emits the stable report CI diffs.";
 
 /// Why a command stopped early.
 enum Failure {

@@ -2,8 +2,9 @@
 //! dataset generation → text serialisation → re-loading → private synthesis →
 //! serialisation of the publishable output, plus the categorical-attribute
 //! encoding path of Section 7, the binary's behaviour when its reader goes
-//! away (`agmdp stats g.agb | head -1`), and the exact stdout of `agmdp
-//! stats` and `agmdp synthesize`.
+//! away (`agmdp stats g.agb | head -1`), the exact stdout of `agmdp
+//! stats` and `agmdp synthesize`, and `agmdp lint` on a root with no
+//! sources.
 
 use agmdp::graph::categorical::{CategoricalAttribute, CategoricalEncoder};
 use agmdp::graph::io;
@@ -151,5 +152,20 @@ fn stats_and_synthesize_stdout_match_the_goldens() {
         ));
         assert_eq!(stdout, golden(&format!("cli_synthesize_{model}.txt")));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn lint_refuses_a_root_with_no_sources() {
+    let dir = std::env::temp_dir().join(format!("agmdp_cli_lint_empty_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_agmdp"))
+        .args(["lint", "--root", &dir.display().to_string()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(&*dir.display().to_string()), "{stderr}");
+    assert!(out.stdout.is_empty(), "a refused root prints no report");
     std::fs::remove_dir_all(&dir).ok();
 }

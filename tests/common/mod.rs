@@ -1,7 +1,9 @@
 //! The raw-HTTP client the service batteries share: it speaks TCP at the
-//! reactor and parses nothing beyond a response's framing.
+//! reactor and parses nothing beyond a response's framing. Each test crate
+//! that includes this module uses its own subset of it.
+#![allow(dead_code)]
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -13,6 +15,47 @@ pub fn connect(addr: SocketAddr) -> TcpStream {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     stream
+}
+
+/// Sends `raw` on a fresh connection and reads the reply to EOF. A reset
+/// after a framing error (the server closes with unread bytes) ends the
+/// reply like an EOF.
+pub fn exchange(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
+    let mut stream = connect(addr);
+    stream.write_all(raw).unwrap();
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => reply.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("read reply to {:?}: {e}", String::from_utf8_lossy(raw)),
+        }
+    }
+    reply
+}
+
+/// One `Connection: close` request: the reply's status code and body text.
+/// The reply must be exactly one response framed by its Content-Length and
+/// then EOF; a reset, a short body or a byte past the body fails the test.
+pub fn request_text(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut stream = connect(addr);
+    let raw = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(raw.as_bytes()).unwrap();
+    let (status, _, body) = read_one_response(&mut stream);
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .unwrap_or_else(|e| panic!("read to EOF after {method} {path}: {e}"));
+    assert!(
+        rest.is_empty(),
+        "bytes after the {method} {path} response: {rest:?}"
+    );
+    (status, body)
 }
 
 /// Reads exactly one HTTP/1.1 response (head + Content-Length body) from the

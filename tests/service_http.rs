@@ -20,7 +20,7 @@
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
@@ -29,8 +29,12 @@ use agmdp::service::json;
 use agmdp::service::{ServerHandle, ServiceConfig};
 use serde::Value;
 
+mod common;
+use common::{connect, exchange, request_text};
+
 // ---------------------------------------------------------------------------
-// A tiny raw-TCP HTTP client (the repo vendors no HTTP client either).
+// A tiny raw-TCP HTTP client (the repo vendors no HTTP client either), on the
+// shared socket helpers in `common`.
 // ---------------------------------------------------------------------------
 
 struct Reply {
@@ -39,58 +43,13 @@ struct Reply {
 }
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {raw:?}"));
-    let body_text = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b)
-        .unwrap_or_default();
-    let body =
-        json::parse(body_text).unwrap_or_else(|e| panic!("non-JSON body ({e}): {body_text:?}"));
+    let (status, text) = request_text(addr, method, path, body.unwrap_or(""));
+    let body = json::parse(&text).unwrap_or_else(|e| panic!("non-JSON body ({e}): {text:?}"));
     Reply { status, body }
 }
 
 fn get(addr: SocketAddr, path: &str) -> Reply {
     request(addr, "GET", path, None)
-}
-
-/// Fetches a path and returns the status plus the raw (unparsed) body —
-/// for the non-JSON Prometheus exposition at `GET /metrics`.
-fn get_text(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let head = format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    stream.write_all(head.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> Reply {
@@ -152,6 +111,33 @@ fn boot(ledger_path: &std::path::Path) -> ServerHandle {
     .expect("server start")
 }
 
+/// A quiet server on an ephemeral port with `threads` workers, an in-memory
+/// ledger and, if given, a release store.
+fn boot_with(threads: usize, release_store: Option<std::path::PathBuf>) -> ServerHandle {
+    agmdp::service::start(&ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads,
+        ledger_path: None,
+        quiet: true,
+        release_store,
+        ..ServiceConfig::default()
+    })
+    .expect("server start")
+}
+
+/// The `POST /datasets` body that registers the toy graph inline as `toy`.
+fn register_toy(budget: f64) -> String {
+    serde_json::to_string(&Value::Object(vec![
+        ("name".to_string(), Value::Str("toy".to_string())),
+        ("budget".to_string(), Value::Float(budget)),
+        (
+            "graph".to_string(),
+            Value::Str(io::to_text(&agmdp::datasets::toy_social_graph())),
+        ),
+    ]))
+    .unwrap()
+}
+
 #[test]
 fn budget_ledger_enforces_and_survives_restart_over_http() {
     let dir = std::env::temp_dir().join("agmdp_service_http_test");
@@ -159,13 +145,7 @@ fn budget_ledger_enforces_and_survives_restart_over_http() {
     let ledger_path = dir.join(format!("budget_{}.ledger", std::process::id()));
     std::fs::remove_file(&ledger_path).ok();
 
-    let graph_text = io::to_text(&agmdp::datasets::toy_social_graph());
-    let register_body = serde_json::to_string(&Value::Object(vec![
-        ("name".to_string(), Value::Str("toy".to_string())),
-        ("budget".to_string(), Value::Float(1.0)),
-        ("graph".to_string(), Value::Str(graph_text.clone())),
-    ]))
-    .unwrap();
+    let register_body = register_toy(1.0);
 
     let server = boot(&ledger_path);
     let addr = server.local_addr();
@@ -295,25 +275,10 @@ fn metrics_expose_request_counts_cache_outcomes_and_ledger_gauges() {
         std::process::id()
     ));
     std::fs::remove_dir_all(&store_dir).ok();
-    let server = agmdp::service::start(&ServiceConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 2,
-        ledger_path: None,
-        quiet: true,
-        release_store: Some(store_dir.clone()),
-        ..ServiceConfig::default()
-    })
-    .expect("server start");
+    let server = boot_with(2, Some(store_dir.clone()));
     let addr = server.local_addr();
 
-    let graph_text = io::to_text(&agmdp::datasets::toy_social_graph());
-    let register_body = serde_json::to_string(&Value::Object(vec![
-        ("name".to_string(), Value::Str("toy".to_string())),
-        ("budget".to_string(), Value::Float(2.0)),
-        ("graph".to_string(), Value::Str(graph_text)),
-    ]))
-    .unwrap();
-    assert_eq!(post(addr, "/datasets", &register_body).status, 201);
+    assert_eq!(post(addr, "/datasets", &register_toy(2.0)).status, 201);
 
     // A cold job, then an identical repeat: the repeat is served straight
     // from the on-disk release store — no job runs, the fit cache is never
@@ -345,7 +310,7 @@ fn metrics_expose_request_counts_cache_outcomes_and_ledger_gauges() {
     let spent = field_f64(&budget.body, "spent");
     let remaining = field_f64(&budget.body, "remaining");
 
-    let (status, text) = get_text(addr, "/metrics");
+    let (status, text) = request_text(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     // Request counts by endpoint, method, and status...
     assert!(
@@ -410,14 +375,7 @@ fn metrics_expose_request_counts_cache_outcomes_and_ledger_gauges() {
 
 #[test]
 fn malformed_requests_are_rejected_cleanly() {
-    let server = agmdp::service::start(&ServiceConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 2,
-        ledger_path: None,
-        quiet: true,
-        ..ServiceConfig::default()
-    })
-    .expect("server start");
+    let server = boot_with(2, None);
     let addr = server.local_addr();
 
     assert_eq!(get(addr, "/no-such-route").status, 404);
@@ -429,13 +387,8 @@ fn malformed_requests_are_rejected_cleanly() {
     assert_eq!(get(addr, "/budget/ghost").status, 404);
 
     // A raw non-HTTP blob gets a 400, not a hang or a crash.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(b"\x00\x01\x02 garbage\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.read_to_string(&mut raw).unwrap();
+    let raw = exchange(addr, b"\x00\x01\x02 garbage\r\n\r\n");
+    let raw = String::from_utf8_lossy(&raw);
     assert!(raw.starts_with("HTTP/1.1 4"), "{raw:?}");
 
     server.stop();
@@ -444,17 +397,6 @@ fn malformed_requests_are_rejected_cleanly() {
 // ---------------------------------------------------------------------------
 // Keep-alive and byte-identity across thread counts.
 // ---------------------------------------------------------------------------
-
-fn boot_with(threads: usize) -> ServerHandle {
-    agmdp::service::start(&ServiceConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads,
-        ledger_path: None,
-        quiet: true,
-        ..ServiceConfig::default()
-    })
-    .expect("server start")
-}
 
 /// The probe script for byte-identity checks: deterministic endpoints only
 /// (`/metrics` is excluded — its counters depend on scrape order).
@@ -470,10 +412,7 @@ const PROBES: &[(&str, &str, &str)] = &[
 /// returns the concatenated response bytes (read to EOF after the final
 /// `Connection: close`).
 fn keepalive_script(addr: SocketAddr) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut stream = connect(addr);
     let mut script = Vec::new();
     for (i, (method, path, body)) in PROBES.iter().enumerate() {
         let last = i + 1 == PROBES.len();
@@ -495,8 +434,8 @@ fn keepalive_script(addr: SocketAddr) -> Vec<u8> {
 
 #[test]
 fn keepalive_pipeline_is_byte_identical_across_thread_counts() {
-    let one = boot_with(1);
-    let many = boot_with(4);
+    let one = boot_with(1, None);
+    let many = boot_with(4, None);
     let from_one = keepalive_script(one.local_addr());
     let from_many = keepalive_script(many.local_addr());
     assert!(!from_one.is_empty());
@@ -521,25 +460,9 @@ fn keepalive_pipeline_is_byte_identical_across_thread_counts() {
 /// neither may draw ε from the ledger.
 #[test]
 fn truncation_k_below_two_is_refused_before_any_epsilon_is_drawn() {
-    let server = agmdp::service::start(&ServiceConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 2,
-        ledger_path: None,
-        quiet: true,
-        ..ServiceConfig::default()
-    })
-    .expect("server start");
+    let server = boot_with(2, None);
     let addr = server.local_addr();
-    let register_body = serde_json::to_string(&Value::Object(vec![
-        ("name".to_string(), Value::Str("toy".to_string())),
-        ("budget".to_string(), Value::Float(1.0)),
-        (
-            "graph".to_string(),
-            Value::Str(io::to_text(&agmdp::datasets::toy_social_graph())),
-        ),
-    ]))
-    .unwrap();
-    assert_eq!(post(addr, "/datasets", &register_body).status, 201);
+    assert_eq!(post(addr, "/datasets", &register_toy(1.0)).status, 201);
     let budget = get(addr, "/budget/toy");
     assert_eq!(budget.status, 200);
 
@@ -614,28 +537,6 @@ fn serve_accepts_only_the_event_transport() {
 /// the raw response bytes (status line, headers and body).
 const TRANSCRIPT_GOLDEN: &str = include_str!("golden/service_transcript.txt");
 
-/// Sends one raw request on a fresh connection and reads the reply to EOF.
-/// A reset after a framing error (the server closes with unread bytes) ends
-/// the reply like an EOF.
-fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw).unwrap();
-    let mut reply = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => reply.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
-            Err(e) => panic!("read reply to {:?}: {e}", String::from_utf8_lossy(raw)),
-        }
-    }
-    reply
-}
-
 /// Records a fixed `Connection: close` script against one server.
 struct Transcript {
     addr: SocketAddr,
@@ -644,7 +545,7 @@ struct Transcript {
 
 impl Transcript {
     fn record(&mut self, label: &str, raw: &[u8]) -> Vec<u8> {
-        let reply = raw_exchange(self.addr, raw);
+        let reply = exchange(self.addr, raw);
         self.text
             .extend_from_slice(format!("=== {label}\n").as_bytes());
         self.text.extend_from_slice(&reply);
@@ -700,15 +601,7 @@ fn every_route_matches_the_pinned_transcript() {
     io::write_binary_file(&toy, &agb_path).unwrap();
     let text_path = dir.join("toy.graph");
     std::fs::write(&text_path, io::to_text(&toy)).unwrap();
-    let server = agmdp::service::start(&ServiceConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 2,
-        ledger_path: None,
-        quiet: true,
-        release_store: Some(dir.join("store")),
-        ..ServiceConfig::default()
-    })
-    .expect("server start");
+    let server = boot_with(2, Some(dir.join("store")));
     let mut t = Transcript {
         addr: server.local_addr(),
         text: Vec::new(),
