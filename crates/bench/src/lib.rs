@@ -81,7 +81,8 @@ impl ExperimentArgs {
     }
 
     /// Parses an explicit iterator of arguments (used by tests). `--help`
-    /// prints the usage line and exits 0.
+    /// prints the usage line and exits 0. Zero trials, and a dataset name
+    /// that matches none of the presets `--full` selects, are refused.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = Self::default();
         let mut iter = args.into_iter();
@@ -108,29 +109,50 @@ impl ExperimentArgs {
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
+        if out.trials == Some(0) {
+            return Err("--trials must be at least 1".to_string());
+        }
+        let presets = out.presets();
+        if let Some(unmatched) = out
+            .datasets
+            .iter()
+            .find(|d| !presets.iter().any(|s| matches(s, d)))
+        {
+            let known: Vec<&str> = presets.iter().map(|s| s.name.as_str()).collect();
+            return Err(format!(
+                "no dataset matches '{unmatched}' (known: {})",
+                known.join(", ")
+            ));
+        }
         Ok(out)
+    }
+
+    /// The presets `--full` selects, before the dataset filter.
+    fn presets(&self) -> Vec<DatasetSpec> {
+        if self.full_scale {
+            DatasetSpec::paper_presets()
+        } else {
+            DatasetSpec::experiment_presets()
+        }
     }
 
     /// The dataset specifications selected by these arguments.
     #[must_use]
     pub fn specs(&self) -> Vec<DatasetSpec> {
-        let all = if self.full_scale {
-            DatasetSpec::paper_presets()
-        } else {
-            DatasetSpec::experiment_presets()
-        };
+        let all = self.presets();
         if self.datasets.is_empty() {
             all
         } else {
             all.into_iter()
-                .filter(|s| {
-                    self.datasets
-                        .iter()
-                        .any(|d| s.name.to_lowercase().contains(d))
-                })
+                .filter(|s| self.datasets.iter().any(|d| matches(s, d)))
                 .collect()
         }
     }
+}
+
+/// Whether the lower-cased filter name `name` selects `spec`.
+fn matches(spec: &DatasetSpec, name: &str) -> bool {
+    spec.name.to_lowercase().contains(name)
 }
 
 /// A generated dataset together with its specification.
@@ -251,6 +273,33 @@ mod tests {
         let specs = args.specs();
         assert_eq!(specs.len(), 2);
         assert!(specs.iter().any(|s| s.name.contains("lastfm")));
+    }
+
+    #[test]
+    fn dataset_filters_must_match_a_preset_of_the_chosen_scale() {
+        assert_eq!(
+            parse("--dataset nosuch").unwrap_err(),
+            "no dataset matches 'nosuch' (known: lastfm, petster, epinions@0.25, pokec@0.05)"
+        );
+        // One unmatched name in a list is refused too.
+        assert_eq!(
+            parse("--dataset lastfm,nosuch --full").unwrap_err(),
+            "no dataset matches 'nosuch' (known: lastfm, petster, epinions, pokec)"
+        );
+        // `@0.25` names only the scaled-down preset, so `--full` refuses it
+        // whichever side of the filter it is read on.
+        assert!(parse("--dataset epinions@0.25").is_ok());
+        assert!(parse("--dataset epinions@0.25 --full").is_err());
+        assert!(parse("--full --dataset epinions@0.25").is_err());
+    }
+
+    #[test]
+    fn zero_trials_are_refused() {
+        assert_eq!(
+            parse("--dataset lastfm --trials 0").unwrap_err(),
+            "--trials must be at least 1"
+        );
+        assert_eq!(parse("--trials 1").unwrap().trials, Some(1));
     }
 
     #[test]

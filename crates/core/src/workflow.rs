@@ -14,6 +14,9 @@
 //!    the acceptance probabilities stabilise,
 //! 5. returns the synthetic attributed graph `G̃ = (Ñ, Ẽ, X̃)`.
 //!
+//! Steps 3–5 are one loop that can also start after any pass an earlier run
+//! recorded as a [`RefinementCheckpoint`] ([`synthesize_resumable`]).
+//!
 //! After the learning step the input graph is never touched again, so by
 //! sequential composition and post-processing invariance the output satisfies
 //! ε-differential privacy (Theorem 2).
@@ -238,6 +241,30 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
     })
 }
 
+/// The state Algorithm 3's refinement leaves after one pass: everything the
+/// next pass depends on besides `Θ̃`.
+///
+/// Pass 0 samples the temporary edge set `E'` with no acceptance filter;
+/// pass `p ≥ 1` is the `p`-th accept/reject sample, and pass
+/// `refinement_iterations` is the release. Pass `p + 1` reads only `Θ̃`, the
+/// attribute codes (re-drawn from `attribute_master`), the RNG state and the
+/// acceptance probabilities below, so a run of any `refinement_iterations`
+/// above `pass` resumed from here releases the same bytes as a fresh run.
+/// Nothing here is derived from the input graph except through `Θ̃`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RefinementCheckpoint<R> {
+    /// The pass this checkpoint follows.
+    pub pass: usize,
+    /// The sampling RNG as the pass left it.
+    pub rng: R,
+    /// The seed the attribute codes `X̃` are drawn from (every run's first
+    /// draw from the sampling RNG).
+    pub attribute_master: u64,
+    /// The acceptance probabilities of pass `pass + 1`, one per edge
+    /// configuration.
+    pub acceptance: Vec<f64>,
+}
+
 /// Samples a synthetic attributed graph from learned parameters (lines 6–19 of
 /// Algorithm 3). This step never reads the input graph, so it is pure
 /// post-processing with respect to the privacy guarantee.
@@ -266,6 +293,66 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     rng: &mut R,
     observer: &dyn StageObserver,
 ) -> Result<AttributedGraph> {
+    refine(params, config, rng, None, observer, None)
+}
+
+/// [`synthesize_from_parameters_observed`] that starts after `resume` (or
+/// fresh from `rng` when it is `None`) and hands `record` a checkpoint after
+/// every pass it runs, the release pass included.
+///
+/// On resume `*rng` is first set to the checkpoint's state, so either way
+/// the release and the final `rng` state equal a fresh run's. `resume.pass`
+/// must lie below `config.refinement_iterations`. Unattributed graphs
+/// release their first pass, so they record no checkpoint and refuse one.
+pub fn synthesize_resumable<R: Rng + Clone>(
+    params: &LearnedParameters,
+    config: &AgmConfig,
+    rng: &mut R,
+    resume: Option<&RefinementCheckpoint<R>>,
+    observer: &dyn StageObserver,
+    record: &mut dyn FnMut(RefinementCheckpoint<R>),
+) -> Result<AttributedGraph> {
+    if let Some(checkpoint) = resume {
+        if checkpoint.pass >= config.refinement_iterations {
+            return Err(CoreError::InvalidConfig(format!(
+                "cannot resume {} refinement iterations after pass {}",
+                config.refinement_iterations, checkpoint.pass
+            )));
+        }
+        *rng = checkpoint.rng.clone();
+    }
+    refine(
+        params,
+        config,
+        rng,
+        resume,
+        observer,
+        Some(&mut |passed: RefinementCheckpoint<&R>| {
+            record(RefinementCheckpoint {
+                pass: passed.pass,
+                rng: passed.rng.clone(),
+                attribute_master: passed.attribute_master,
+                acceptance: passed.acceptance,
+            });
+        }),
+    )
+}
+
+/// Receives each pass's checkpoint, borrowing the running RNG.
+type PassRecorder<'a, R> = &'a mut dyn FnMut(RefinementCheckpoint<&R>);
+
+/// Algorithm 3's sampling phase: the one refinement loop behind every
+/// `synthesize*` entry point. A resumed run finds `rng` already at
+/// `resume`'s state; `record`, when present, sees each pass's checkpoint,
+/// and only then is the release's own `Θ_F` counted.
+fn refine<R: Rng>(
+    params: &LearnedParameters,
+    config: &AgmConfig,
+    rng: &mut R,
+    resume: Option<&RefinementCheckpoint<R>>,
+    observer: &dyn StageObserver,
+    mut record: Option<PassRecorder<'_, R>>,
+) -> Result<AttributedGraph> {
     config.validate()?;
     let policy = ExecPolicy::new(config.threads);
     let model: Box<dyn StructuralModel> = match config.model {
@@ -282,9 +369,16 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
         ),
     };
 
-    // The attribute master is drawn unconditionally so both branches below
-    // leave `rng` in the same state (the chunk streams never touch it).
-    let attribute_master = rng.next_u64();
+    // The attribute master is every fresh run's first draw, attributed or
+    // not (the chunk streams never touch `rng`).
+    let (mut pass, attribute_master, mut acceptance) = match resume {
+        None => (0, rng.next_u64(), None),
+        Some(checkpoint) => (
+            checkpoint.pass + 1,
+            checkpoint.attribute_master,
+            Some(checkpoint.acceptance.clone()),
+        ),
+    };
 
     let request = GenerateRequest {
         acceptance: None,
@@ -292,14 +386,19 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
         observer,
     };
     // Unattributed graphs skip attribute sampling and the accept/reject
-    // machinery entirely.
+    // machinery entirely: their first pass is the release.
     if params.schema.width() == 0 {
+        if resume.is_some() {
+            return Err(CoreError::InvalidConfig(
+                "an unattributed graph has no refinement pass to resume".to_string(),
+            ));
+        }
         return Ok(model.generate(&request, rng)?);
     }
 
     // Sample fresh attribute vectors X̃ from Θ̃_X, one node chunk per stream.
     observer.stage_start(SynthesisStage::AttrSample);
-    let codes = map_node_chunks(
+    let codes: Vec<u32> = map_node_chunks(
         params.num_nodes,
         &policy,
         attribute_master,
@@ -311,32 +410,51 @@ pub fn synthesize_from_parameters_observed<R: Rng>(
     );
     observer.stage_end(SynthesisStage::AttrSample);
 
-    // Temporary edge set E', independent of the attributes. Only its Θ_F is
-    // observed, so the edge list suffices and the model may skip building
-    // the graph (the stream-identity contract of
-    // `StructuralModel::generate_edges` guarantees the same sample either
-    // way).
-    let mut current = model.generate_edges(&request, rng)?;
-
-    let mut previous_acceptance: Option<Vec<f64>> = None;
-    for iteration in 0..config.refinement_iterations {
-        let observed = ThetaF::from_edges(params.schema, &codes, &current);
-        let acceptance =
-            acceptance_probabilities(&params.theta_f, &observed, previous_acceptance.as_deref());
-        let ctx = AcceptanceContext::new(codes.clone(), params.schema, acceptance.clone())?;
+    let release = config.refinement_iterations;
+    loop {
+        // Pass 0, the temporary edge set E', has no acceptance filter.
+        let ctx = acceptance
+            .take()
+            .map(|probabilities| {
+                AcceptanceContext::new(codes.clone(), params.schema, probabilities)
+            })
+            .transpose()?;
         let request = GenerateRequest {
-            acceptance: Some(&ctx),
+            acceptance: ctx.as_ref(),
             ..request
         };
-        // Only the last iteration's sample is released; the earlier ones are
-        // observed and discarded, so they stay edge lists.
-        if iteration + 1 == config.refinement_iterations {
-            return Ok(model.generate(&request, rng)?);
+        // Only the release is materialised. Earlier passes are observed
+        // and discarded, so they stay edge lists (the stream-identity
+        // contract of `StructuralModel::generate_edges` guarantees the same
+        // sample either way), dropped before the next pass starts.
+        let (observed, released) = if pass == release {
+            let graph = model.generate(&request, rng)?;
+            if record.is_none() {
+                return Ok(graph);
+            }
+            // The release carries the context's codes, so its Θ_F equals
+            // the edge-list count an intermediate pass would take.
+            (ThetaF::from_graph(&graph), Some(graph))
+        } else {
+            let edges = model.generate_edges(&request, rng)?;
+            (ThetaF::from_edges(params.schema, &codes, &edges), None)
+        };
+        let previous = ctx.map(|c| c.acceptance);
+        let next = acceptance_probabilities(&params.theta_f, &observed, previous.as_deref());
+        if let Some(record) = record.as_mut() {
+            record(RefinementCheckpoint {
+                pass,
+                rng: &*rng,
+                attribute_master,
+                acceptance: next.clone(),
+            });
         }
-        current = model.generate_edges(&request, rng)?;
-        previous_acceptance = Some(acceptance);
+        if let Some(graph) = released {
+            return Ok(graph);
+        }
+        acceptance = Some(next);
+        pass += 1;
     }
-    unreachable!("the refinement loop returns on its last iteration")
 }
 
 /// The complete AGM / AGM-DP pipeline: learn parameters, then synthesize one

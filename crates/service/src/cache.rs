@@ -14,13 +14,25 @@
 //! key in the same locked step as the lookup; identical admissions that
 //! arrive while it fits wait for the publish and ride it as cache hits, so
 //! concurrent identical cold requests draw ε once.
+//!
+//! Each entry also owns its key's refinement trajectory: the checkpoint
+//! jobs on these parameters recorded after each pass of Algorithm 3 (see
+//! [`RefinementCheckpoint`]). Requests sharing a fit key sample from the
+//! same seed and differ only in their refinement iterations, so a later job
+//! resumes after the deepest pass it shares with an earlier one instead of
+//! replaying it. A checkpoint holds the public sampling RNG, the attribute
+//! seed drawn from it and `Θ̃`-derived acceptance probabilities — nothing
+//! read from the input graph or the fit's noise — and is evicted with its
+//! entry.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+
 use agmdp_core::correlations_dp::CorrelationMethod;
-use agmdp_core::workflow::{LearnedParameters, Privacy, StructuralModelKind};
+use agmdp_core::workflow::{LearnedParameters, Privacy, RefinementCheckpoint, StructuralModelKind};
 
 /// Cache key: every input that influences the fitted `Θ̃` triple.
 ///
@@ -86,12 +98,20 @@ pub fn method_token(method: CorrelationMethod) -> String {
 /// the oldest insertion.
 const DEFAULT_CAPACITY: usize = 256;
 
+/// One published fit and the refinement checkpoints recorded under it.
+struct Entry {
+    params: Arc<LearnedParameters>,
+    /// At most one checkpoint per pass, keyed by pass; the request cap on
+    /// refinement iterations bounds the passes.
+    trajectory: BTreeMap<usize, RefinementCheckpoint<StdRng>>,
+}
+
 struct CacheInner {
     // BTreeMap, not HashMap: nothing iterates the entries today, but keeping
     // the container ordered means a future debug dump or eviction-policy
     // change cannot introduce hash-order nondeterminism (see
     // docs/INVARIANTS.md).
-    entries: BTreeMap<FitKey, Arc<LearnedParameters>>,
+    entries: BTreeMap<FitKey, Entry>,
     /// Insertion order for eviction (oldest at the front).
     order: VecDeque<FitKey>,
     /// Keys an admission has claimed and is fitting (see [`FitClaim`]).
@@ -193,7 +213,10 @@ impl FitCache {
     /// Looks up fitted parameters without claiming or waiting.
     #[must_use]
     pub fn peek(&self, key: &FitKey) -> Option<Arc<LearnedParameters>> {
-        self.lock().entries.get(key).cloned()
+        self.lock()
+            .entries
+            .get(key)
+            .map(|entry| Arc::clone(&entry.params))
     }
 
     /// Returns the published parameters for `key`, or claims the key for
@@ -211,8 +234,8 @@ impl FitCache {
         let mut on_wait = Some(on_wait);
         let mut inner = self.lock();
         loop {
-            if let Some(params) = inner.entries.get(key) {
-                return Lookup::Hit(Arc::clone(params));
+            if let Some(entry) = inner.entries.get(key) {
+                return Lookup::Hit(Arc::clone(&entry.params));
             }
             if inner.in_flight.insert(key.clone()) {
                 return Lookup::Claimed(FitClaim {
@@ -236,12 +259,17 @@ impl FitCache {
     }
 
     /// Publishes fitted parameters (last writer wins — both writers paid ε,
-    /// so keeping either is privacy-safe), evicting the oldest insertion
-    /// beyond capacity, and wakes the admissions waiting on any key. It
-    /// leaves every claim in place: only its holder releases one.
+    /// so keeping either is privacy-safe, and the winner starts an empty
+    /// trajectory), evicting the oldest insertion beyond capacity, and wakes
+    /// the admissions waiting on any key. It leaves every claim in place:
+    /// only its holder releases one.
     pub fn insert(&self, key: FitKey, params: Arc<LearnedParameters>) {
         let mut inner = self.lock();
-        if inner.entries.insert(key.clone(), params).is_none() {
+        let entry = Entry {
+            params,
+            trajectory: BTreeMap::new(),
+        };
+        if inner.entries.insert(key.clone(), entry).is_none() {
             inner.order.push_back(key);
         }
         while inner.entries.len() > self.capacity {
@@ -252,6 +280,46 @@ impl FitCache {
         }
         drop(inner);
         self.changed.notify_all();
+    }
+
+    /// The deepest checkpoint recorded for `key` under `params` that a run
+    /// of `iterations` refinement iterations can resume from (its pass lies
+    /// below `iterations`). `None` once the entry is evicted or holds other
+    /// parameters.
+    #[must_use]
+    pub fn checkpoint(
+        &self,
+        key: &FitKey,
+        params: &Arc<LearnedParameters>,
+        iterations: usize,
+    ) -> Option<RefinementCheckpoint<StdRng>> {
+        let inner = self.lock();
+        let entry = inner.entries.get(key)?;
+        if !Arc::ptr_eq(&entry.params, params) {
+            return None;
+        }
+        let (_, checkpoint) = entry.trajectory.range(..iterations).next_back()?;
+        Some(checkpoint.clone())
+    }
+
+    /// Records the checkpoint a job on `params` reached. Kept only while
+    /// `key`'s entry holds those parameters, and only the first checkpoint
+    /// of each pass (every job on one entry walks the same trajectory).
+    pub fn record_checkpoint(
+        &self,
+        key: &FitKey,
+        params: &Arc<LearnedParameters>,
+        checkpoint: RefinementCheckpoint<StdRng>,
+    ) {
+        let mut inner = self.lock();
+        if let Some(entry) = inner.entries.get_mut(key) {
+            if Arc::ptr_eq(&entry.params, params) {
+                entry
+                    .trajectory
+                    .entry(checkpoint.pass)
+                    .or_insert(checkpoint);
+            }
+        }
     }
 
     /// Number of cached parameter sets.
@@ -350,6 +418,60 @@ mod tests {
         assert!(times_out(&cache, &key(1)));
         drop(holder);
         let _reclaimed = claim(&cache, &key(1));
+    }
+
+    fn checkpoint(pass: usize, mark: f64) -> RefinementCheckpoint<StdRng> {
+        RefinementCheckpoint {
+            pass,
+            rng: StdRng::seed_from_u64(0),
+            attribute_master: 0,
+            acceptance: vec![mark],
+        }
+    }
+
+    /// The pass and mark of the checkpoint a run of `iterations` resumes from.
+    fn resumes(
+        cache: &FitCache,
+        params: &Arc<LearnedParameters>,
+        iterations: usize,
+    ) -> Option<(usize, f64)> {
+        let found = cache.checkpoint(&key(1), params, iterations)?;
+        Some((found.pass, found.acceptance[0]))
+    }
+
+    #[test]
+    fn entries_own_one_checkpoint_per_pass_under_their_parameters() {
+        let cache = FitCache::with_capacity(1);
+        let params = fit();
+        // Nothing is recorded for a key with no entry.
+        cache.record_checkpoint(&key(1), &params, checkpoint(0, 0.0));
+        cache.insert(key(1), Arc::clone(&params));
+        assert_eq!(resumes(&cache, &params, 5), None);
+        for pass in [0, 1, 3] {
+            cache.record_checkpoint(&key(1), &params, checkpoint(pass, 1.0));
+        }
+        // The first checkpoint of a pass stays.
+        cache.record_checkpoint(&key(1), &params, checkpoint(1, 2.0));
+        assert_eq!(resumes(&cache, &params, 1), Some((0, 1.0)));
+        assert_eq!(resumes(&cache, &params, 2), Some((1, 1.0)));
+        assert_eq!(resumes(&cache, &params, 3), Some((1, 1.0)));
+        assert_eq!(resumes(&cache, &params, 64), Some((3, 1.0)));
+        assert_eq!(resumes(&cache, &params, 0), None);
+
+        // Equal parameters published again are another fit: they start an
+        // empty trajectory, and the old ones neither read nor record.
+        let republished = Arc::new((*params).clone());
+        cache.insert(key(1), Arc::clone(&republished));
+        assert_eq!(resumes(&cache, &republished, 64), None);
+        cache.record_checkpoint(&key(1), &params, checkpoint(0, 1.0));
+        assert_eq!(resumes(&cache, &republished, 64), None);
+        cache.record_checkpoint(&key(1), &republished, checkpoint(2, 3.0));
+        assert_eq!(resumes(&cache, &params, 64), None);
+        assert_eq!(resumes(&cache, &republished, 64), Some((2, 3.0)));
+
+        // Eviction takes the trajectory with the entry.
+        cache.insert(key(2), Arc::clone(&params));
+        assert_eq!(resumes(&cache, &republished, 64), None);
     }
 
     #[test]

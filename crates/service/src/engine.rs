@@ -16,7 +16,9 @@
 //!    [`ServiceError::BudgetExhausted`] and never reaches a worker.
 //! 2. [`SynthesisEngine::run`] — the expensive part, safe to run on a
 //!    background thread: fit `Θ̃` (cache miss only), publish it, then sample
-//!    a synthetic graph from the parameters (pure post-processing, ε-free).
+//!    a synthetic graph from the parameters (pure post-processing, ε-free),
+//!    resuming Algorithm 3's refinement after the deepest pass an earlier
+//!    job on the same fit recorded.
 //!
 //! The sampling RNG is seeded independently of the learning RNG so a cache
 //! hit reproduces byte-identical output to the cold path for the same seed.
@@ -29,7 +31,7 @@ use rand::SeedableRng;
 
 use agmdp_core::correlations_dp::CorrelationMethod;
 use agmdp_core::workflow::{
-    learn_parameters, synthesize_from_parameters_observed, AgmConfig, LearnedParameters, Privacy,
+    learn_parameters, synthesize_resumable, AgmConfig, LearnedParameters, Privacy,
     StructuralModelKind,
 };
 use agmdp_graph::{io, AttributedGraph, FrozenGraph, MappedGraph};
@@ -468,6 +470,12 @@ impl SynthesisEngine {
 
     /// Runs an admitted request: fit (cache miss only) + sample.
     ///
+    /// Sampling resumes after the deepest refinement pass the fit's cache
+    /// entry has a checkpoint for below the request's iterations, and
+    /// records a checkpoint after every pass it runs. Jobs on one entry
+    /// differ only in their iterations (the sampling seed is part of the
+    /// fit key), so the resumed release is the fresh one byte for byte.
+    ///
     /// Every pipeline stage is timed through a [`StageTimer`]: the fit,
     /// freeze, score, and serialize brackets live here; the attr-sample,
     /// edge-sample, and rewire brackets are emitted from inside the
@@ -489,10 +497,22 @@ impl SynthesisEngine {
             timer.stage_end(SynthesisStage::Fit);
             fitted?
         };
+        let key = request.fit_key();
+        let resume = self
+            .cache
+            .checkpoint(&key, &params, request.refinement_iterations);
+        let skipped = resume.as_ref().map_or(0, |checkpoint| checkpoint.pass + 1);
         let mut sample_rng = StdRng::seed_from_u64(request.seed ^ SAMPLING_SEED_SALT);
-        let synthetic =
-            synthesize_from_parameters_observed(&params, &config, &mut sample_rng, &timer)
-                .map_err(|e| ServiceError::Synthesis(e.to_string()))?;
+        let synthetic = synthesize_resumable(
+            &params,
+            &config,
+            &mut sample_rng,
+            resume.as_ref(),
+            &timer,
+            &mut |checkpoint| self.cache.record_checkpoint(&key, &params, checkpoint),
+        )
+        .map_err(|e| ServiceError::Synthesis(e.to_string()))?;
+        self.telemetry.record_passes_skipped(skipped as u64);
         // The release is now read-only: freeze it once and let the stats,
         // the utility scoring and the optional serialisation all traverse
         // the CSR snapshot (identical values, flat-array locality).
@@ -599,6 +619,78 @@ mod tests {
         let hot = engine.synthesize(&request).unwrap();
         assert!(hot.cache_hit);
         assert_eq!(cold.graph_text, hot.graph_text);
+    }
+
+    /// `agmdp_refinement_passes_skipped_total` as `GET /metrics` shows it.
+    fn passes_skipped(engine: &SynthesisEngine) -> u64 {
+        let text = engine.telemetry().metrics().render();
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix("agmdp_refinement_passes_skipped_total "))
+            .expect("the counter is registered at start-up");
+        line.parse().unwrap()
+    }
+
+    fn with_graph(seed: u64, iterations: usize) -> SynthesisRequest {
+        let mut request = SynthesisRequest::new("toy", 0.5, seed);
+        request.refinement_iterations = iterations;
+        request.return_graph = true;
+        request
+    }
+
+    /// The graph text a fresh engine releases for `request`.
+    fn fresh_release(request: &SynthesisRequest) -> Option<String> {
+        engine_with_toy(1.0).synthesize(request).unwrap().graph_text
+    }
+
+    #[test]
+    fn fit_cache_hits_resume_after_the_deepest_shared_pass() {
+        let engine = engine_with_toy(1.0);
+        let cold = engine.synthesize(&with_graph(17, 3)).unwrap();
+        assert!(!cold.cache_hit);
+        assert_eq!(cold.graph_text, fresh_release(&with_graph(17, 3)));
+        assert_eq!(passes_skipped(&engine), 0);
+        // The cold job recorded passes 0–3. K = 1 and K = 2 resume after
+        // passes 0 and 1; K = 4 after pass 3, recording pass 4, which
+        // K = 5 then resumes after.
+        for iterations in [1, 2, 4, 5] {
+            let request = with_graph(17, iterations);
+            let hot = engine.synthesize(&request).unwrap();
+            assert!(hot.cache_hit, "K = {iterations}");
+            assert_eq!(hot.epsilon_spent, 0.0);
+            assert_eq!(hot.graph_text, fresh_release(&request), "K = {iterations}");
+        }
+        assert_eq!(passes_skipped(&engine), 1 + 2 + 4 + 5);
+        assert!((engine.ledger().status("toy").unwrap().spent - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_hit_whose_entry_was_evicted_resumes_from_nothing() {
+        let engine = SynthesisEngine {
+            cache: Arc::new(FitCache::with_capacity(1)),
+            ..engine_with_toy(10.0)
+        };
+        engine.synthesize(&with_graph(21, 3)).unwrap();
+        let resample = with_graph(21, 2);
+        let admission = engine.admit(&resample).unwrap();
+        assert!(admission.cache_hit());
+        // Another fit evicts seed 21's entry and its checkpoints while the
+        // admitted hit still holds the parameters.
+        engine.synthesize(&with_graph(22, 3)).unwrap();
+        assert!(engine.cache().peek(&resample.fit_key()).is_none());
+        let hot = engine.run(&resample, admission).unwrap();
+        assert!(hot.cache_hit);
+        assert_eq!(hot.graph_text, fresh_release(&resample));
+        assert_eq!(passes_skipped(&engine), 0);
+        // The re-fit starts a new trajectory; the evicted job's passes were
+        // not recorded into it.
+        let refit = engine.synthesize(&with_graph(21, 1)).unwrap();
+        assert!(!refit.cache_hit);
+        assert_eq!(refit.graph_text, fresh_release(&with_graph(21, 1)));
+        let hot = engine.synthesize(&with_graph(21, 3)).unwrap();
+        assert!(hot.cache_hit);
+        assert_eq!(hot.graph_text, fresh_release(&with_graph(21, 3)));
+        assert_eq!(passes_skipped(&engine), 2);
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub struct Telemetry {
     /// and `GET /metrics` read the same values.
     fit_cache_hits: Arc<Counter>,
     fit_cache_misses: Arc<Counter>,
+    /// Refinement passes that jobs resumed from a checkpoint did not rerun.
+    passes_skipped: Arc<Counter>,
 }
 
 impl Telemetry {
@@ -47,6 +49,11 @@ impl Telemetry {
             "Admissions that drew \u{3b5} from the ledger for a cold fit.",
             &[],
         );
+        let passes_skipped = metrics.counter(
+            "agmdp_refinement_passes_skipped_total",
+            "Refinement passes that jobs resumed from a fit-cache checkpoint did not rerun.",
+            &[],
+        );
         Self {
             metrics,
             sink,
@@ -54,6 +61,7 @@ impl Telemetry {
             run_ids: IdSource::new(),
             fit_cache_hits,
             fit_cache_misses,
+            passes_skipped,
         }
     }
 
@@ -125,6 +133,11 @@ impl Telemetry {
     #[must_use]
     pub fn fit_cache_counts(&self) -> (u64, u64) {
         (self.fit_cache_hits.get(), self.fit_cache_misses.get())
+    }
+
+    /// Records the refinement passes a resumed job did not rerun.
+    pub fn record_passes_skipped(&self, passes: u64) {
+        self.passes_skipped.add(passes);
     }
 
     /// Records one admission that blocked on an identical in-flight fit.
@@ -358,15 +371,19 @@ mod tests {
         let text = t.metrics().render();
         assert!(text.contains("agmdp_fit_cache_hits_total 0"));
         assert!(text.contains("agmdp_fit_cache_misses_total 0"));
+        assert!(text.contains("agmdp_refinement_passes_skipped_total 0"));
         t.record_fit_cache(false);
         t.record_fit_cache(true);
         t.record_fit_cache(true);
         t.record_single_flight_wait();
+        t.record_passes_skipped(3);
+        t.record_passes_skipped(0);
         let text = t.metrics().render();
         assert!(text.contains("agmdp_fit_cache_hits_total 2"));
         assert!(text.contains("agmdp_fit_cache_misses_total 1"));
         assert_eq!(t.fit_cache_counts(), (2, 1));
         assert!(text.contains("agmdp_single_flight_waits_total 1"));
+        assert!(text.contains("agmdp_refinement_passes_skipped_total 3"));
     }
 
     #[test]
