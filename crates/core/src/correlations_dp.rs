@@ -412,7 +412,7 @@ mod tests {
         // the same attribute configuration): the S&A estimate must land far
         // closer to that point mass than the uniform guess, demonstrating that
         // the per-group averaging is unbiased. (Its estimation-vs-noise
-        // trade-off on realistic graphs is what Figure 5 / `exp_fig5` sweeps.)
+        // trade-off on realistic graphs is what `plans/paper/fig5.plan` sweeps.)
         use rand::Rng as _;
         let n = 400usize;
         let schema = agmdp_graph::AttributeSchema::new(2);

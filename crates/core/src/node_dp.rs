@@ -120,8 +120,8 @@ mod tests {
         let truth = ThetaF::from_graph(&g);
         let mut rng = StdRng::seed_from_u64(3);
         let trials = 10;
-        // A moderate budget: the full per-dataset ε sweep lives in the
-        // `exp_node_dp` experiment binary; this is a qualitative smoke check.
+        // A moderate budget: the full per-dataset ε sweep is
+        // `plans/paper/node-dp.plan`; this is a qualitative smoke check.
         let eps = 2.0;
 
         let mut h_node = 0.0;

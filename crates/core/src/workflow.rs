@@ -31,7 +31,7 @@ use agmdp_models::observe::{NoopStageObserver, StageObserver, SynthesisStage};
 use agmdp_models::parallel::map_node_chunks;
 use agmdp_models::tricycle::TriCycLeModel;
 use agmdp_models::{ExecPolicy, StructuralModel};
-use agmdp_privacy::budget::BudgetSplit;
+pub use agmdp_privacy::budget::BudgetSplit;
 
 use crate::acceptance::acceptance_probabilities;
 use crate::attributes_dp::learn_attributes_dp;
@@ -199,6 +199,20 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
     config: &AgmConfig,
     rng: &mut R,
 ) -> Result<LearnedParameters> {
+    learn_parameters_with_split(graph, config, None, rng)
+}
+
+/// [`learn_parameters`] with an explicit ε split in place of the Section 5
+/// split [`AgmConfig::budget_split`] picks (`None` keeps that one). A split
+/// needs a DP configuration, and its total may not exceed the configured ε.
+/// The learners draw in the same order either way, so the configuration's
+/// own split reproduces [`learn_parameters`] bit for bit.
+pub fn learn_parameters_with_split<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
+    config: &AgmConfig,
+    split: Option<BudgetSplit>,
+    rng: &mut R,
+) -> Result<LearnedParameters> {
     if graph.num_nodes() == 0 {
         return Err(CoreError::UnusableInput("graph has no nodes".to_string()));
     }
@@ -207,6 +221,11 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
     }
     config.validate()?;
     let (theta_x, theta_f, theta_m) = match config.privacy {
+        Privacy::NonPrivate if split.is_some() => {
+            return Err(CoreError::InvalidConfig(
+                "a budget split needs a finite epsilon".to_string(),
+            ));
+        }
         Privacy::NonPrivate => {
             let theta_m = match config.model {
                 StructuralModelKind::TriCycLe => ThetaM::from_graph(graph),
@@ -218,8 +237,17 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
                 theta_m,
             )
         }
-        Privacy::Dp { .. } => {
-            let split = config.budget_split()?;
+        Privacy::Dp { epsilon } => {
+            let split = match split {
+                None => config.budget_split()?,
+                Some(split) if split.total() > epsilon * (1.0 + 1e-9) => {
+                    return Err(CoreError::InvalidConfig(format!(
+                        "budget split spends {} of epsilon {epsilon}",
+                        split.total()
+                    )));
+                }
+                Some(split) => split,
+            };
             let theta_x = learn_attributes_dp(graph, split.attributes, rng)?;
             let theta_f =
                 learn_correlations_dp(graph, split.correlations, config.correlation_method, rng)?;
@@ -554,6 +582,28 @@ mod tests {
     }
 
     #[test]
+    fn an_explicit_split_is_spent_as_given_and_checked() {
+        let input = toy_social_graph();
+        let config = AgmConfig::default();
+        let learn = |config: &AgmConfig, split| {
+            learn_parameters_with_split(&input, config, split, &mut StdRng::seed_from_u64(8))
+        };
+        // The configuration's own split reproduces `learn_parameters`.
+        let even = Some(config.budget_split().unwrap());
+        assert_eq!(
+            learn(&config, even).unwrap(),
+            learn_parameters(&input, &config, &mut StdRng::seed_from_u64(8)).unwrap()
+        );
+        let over = BudgetSplit::custom(0.5, 0.5, 0.5, 0.5).ok();
+        assert!(learn(&config, over).is_err(), "spends 2 of epsilon 1");
+        let non_private = AgmConfig {
+            privacy: Privacy::NonPrivate,
+            ..config
+        };
+        assert!(learn(&non_private, even).is_err());
+    }
+
+    #[test]
     fn non_private_tricycle_reproduces_structure_closely() {
         let input = toy_social_graph();
         let config = AgmConfig {
@@ -581,7 +631,7 @@ mod tests {
         // The scaled-down stand-in has ~5x fewer edges than the real Last.fm
         // crawl, so the per-count signal-to-noise at a given ε is ~5x worse;
         // a moderate ε keeps this a stable qualitative check (the full ε sweep
-        // at dataset scale lives in the `exp_tables` experiment binary).
+        // at dataset scale is `plans/paper/tables2-4.plan`).
         let spec = DatasetSpec::lastfm().scaled(0.35);
         let input = generate_dataset(&spec, 3).unwrap();
         let config = AgmConfig {

@@ -115,19 +115,6 @@ impl DatasetSpec {
             .find(|spec| spec.name == name)
     }
 
-    /// The default experiment suite: Last.fm and Petster at full size, the two
-    /// large datasets scaled down so the whole table/figure reproduction runs
-    /// in minutes rather than hours (documented in DESIGN.md / EXPERIMENTS.md).
-    #[must_use]
-    pub fn experiment_presets() -> Vec<Self> {
-        vec![
-            Self::lastfm(),
-            Self::petster(),
-            Self::epinions().scaled(0.25),
-            Self::pokec().scaled(0.05),
-        ]
-    }
-
     /// Scales node, edge and triangle counts by `factor` (clamped to at least
     /// 32 nodes); the degree cap is kept but never exceeds the scaled node
     /// count. The name gains a `@factor` suffix so reports stay unambiguous.
@@ -229,12 +216,5 @@ mod tests {
         let tiny = full.scaled(1e-9);
         assert!(tiny.nodes >= 32);
         assert!(tiny.edges >= tiny.nodes);
-    }
-
-    #[test]
-    fn experiment_presets_are_tractable() {
-        let presets = DatasetSpec::experiment_presets();
-        assert_eq!(presets.len(), 4);
-        assert!(presets.iter().all(|s| s.nodes <= 40_000));
     }
 }

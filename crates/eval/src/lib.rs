@@ -1,20 +1,22 @@
 //! # agmdp-eval
 //!
 //! The declarative, deterministic experiment harness that reproduces the
-//! paper's evaluation: utility of AGM-DP synthetic graphs measured across an
-//! ε grid, several structural models and repeated trials, reported as
-//! per-trial rows plus mean/stddev aggregates (JSON, CSV and markdown).
+//! paper's evaluation: every table and figure is a plan (`plans/paper/`)
+//! that crosses datasets, an ε grid and row variants with repeated trials,
+//! reported as the inputs' Table 6 profile, per-trial rows and mean/stddev
+//! aggregates (JSON, CSV and markdown).
 //!
 //! * [`plan::EvalPlan`] — a plan names datasets, the ε grid (`inf` = the
-//!   non-private baseline), models, repetition count and metric columns; the
-//!   committed default plan (`plans/default.plan`) is the source of the
-//!   results book in `docs/EVALUATION.md`.
+//!   non-private baseline, `ln2`/`ln3` exact), what each trial measures (a
+//!   release, the Θ_F estimator alone, or a bare structural model), the row
+//!   variants, the repetition count and the metric columns; the committed
+//!   plans are the source of the results book in `docs/EVALUATION.md`.
 //! * [`runner`] — `EvalPlan::run` fans trials out over the chunked executor
 //!   of `agmdp_models::parallel` with per-trial ChaCha streams derived via
 //!   `derive_chunk_seed(master, trial)`, so a whole grid is bit-identical at
 //!   any thread count.
 //! * [`report::GraphProfile`] — the one whole-graph summary the CLI, the
-//!   service, the harness and the experiment binaries read, and
+//!   service and the harness read, and
 //!   [`report::UtilityReport::between`] — the one fidelity score over two
 //!   profiles: degree KS (CDF and CCDF), Hellinger, degree assortativity,
 //!   attribute–edge (Θ_F Hellinger), attribute–attribute and
@@ -32,7 +34,7 @@
 //! ).unwrap();
 //! let report = plan.run().unwrap();
 //! assert_eq!(report.aggregates.len(), 1);
-//! assert!(report.aggregates[0].mean.ks_degree <= 1.0);
+//! assert!(report.aggregates[0].mean.get("ks_degree").unwrap() <= 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,6 +48,6 @@ pub mod runner;
 
 pub use error::EvalError;
 pub use output::AggregatesArtifact;
-pub use plan::{DatasetRef, EpsilonSpec, EvalPlan};
-pub use report::{GraphProfile, UtilityReport};
-pub use runner::{AggregateRow, EvalReport, TrialRow};
+pub use plan::{DatasetRef, EpsilonSpec, Estimator, EvalPlan, Measure, ModelChoice, Variant};
+pub use report::{GraphProfile, Scores, UtilityReport};
+pub use runner::{AggregateRow, EvalReport, InputProfile, TrialRow};

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use serde::Serialize;
 
-use crate::report::UtilityReport;
+use crate::report::Scores;
 use crate::runner::{AggregateRow, EvalReport};
 
 /// The aggregate-only JSON artifact (`aggregates.json`): everything needed
@@ -28,15 +28,6 @@ pub struct AggregatesArtifact {
 }
 
 impl EvalReport {
-    /// The selected metric column indices (resolved from
-    /// [`EvalReport::columns`]).
-    fn column_indices(&self) -> Vec<usize> {
-        self.columns
-            .iter()
-            .filter_map(|name| UtilityReport::metric_index(name))
-            .collect()
-    }
-
     /// The full report (trials + aggregates) as pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -60,10 +51,9 @@ impl EvalReport {
     /// selected metric columns.
     #[must_use]
     pub fn trials_csv(&self) -> String {
-        let cols = self.column_indices();
         let mut out = String::from("dataset,model,epsilon,rep,trial_seed");
-        for &c in &cols {
-            let _ = write!(out, ",{}", UtilityReport::METRIC_NAMES[c]);
+        for name in &self.columns {
+            let _ = write!(out, ",{name}");
         }
         out.push('\n');
         for trial in &self.trials {
@@ -72,9 +62,8 @@ impl EvalReport {
                 "{},{},{},{},{}",
                 trial.dataset, trial.model, trial.epsilon, trial.rep, trial.trial_seed
             );
-            let values = trial.metrics.values();
-            for &c in &cols {
-                let _ = write!(out, ",{}", values[c]);
+            for value in self.selected(&trial.metrics) {
+                let _ = write!(out, ",{value}");
             }
             out.push('\n');
         }
@@ -85,10 +74,8 @@ impl EvalReport {
     /// `_sd` column.
     #[must_use]
     pub fn aggregates_csv(&self) -> String {
-        let cols = self.column_indices();
         let mut out = String::from("dataset,model,epsilon,repetitions");
-        for &c in &cols {
-            let name = UtilityReport::METRIC_NAMES[c];
+        for name in &self.columns {
             let _ = write!(out, ",{name}_mean,{name}_sd");
         }
         out.push('\n');
@@ -98,33 +85,59 @@ impl EvalReport {
                 "{},{},{},{}",
                 agg.dataset, agg.model, agg.epsilon, agg.repetitions
             );
-            let means = agg.mean.values();
-            let sds = agg.stddev.values();
-            for &c in &cols {
-                let _ = write!(out, ",{},{}", means[c], sds[c]);
+            for (mean, sd) in self.selected(&agg.mean).zip(self.selected(&agg.stddev)) {
+                let _ = write!(out, ",{mean},{sd}");
             }
             out.push('\n');
         }
         out
     }
 
-    /// The aggregate tables as GitHub-flavoured markdown, one table per
-    /// dataset (rows: ε × model in grid order; cells: mean, four decimals).
-    /// This is exactly what `docs/EVALUATION.md` embeds.
+    /// A row's values in the selected columns.
+    fn selected<'a>(&'a self, scores: &'a Scores) -> impl Iterator<Item = f64> + 'a {
+        self.columns
+            .iter()
+            .map(|name| scores.get(name).unwrap_or(f64::NAN))
+    }
+
+    /// The inputs' Table 6 profile as a markdown table.
+    fn profile_markdown(&self) -> String {
+        let mut out = String::from(
+            "### Inputs (Table 6: n, m, d_max, m/n, n_Δ, C̄)\n\n\
+             | dataset | n | m | d_max | m/n | n_Δ | C̄ |\n\
+             |---|---|---|---|---|---|---|\n",
+        );
+        for p in &self.inputs {
+            let _ = writeln!(
+                out,
+                "| {} | {} | {} | {} | {:.2} | {} | {:.4} |",
+                p.dataset,
+                p.nodes,
+                p.edges,
+                p.max_degree,
+                p.edges_per_node,
+                p.triangles,
+                p.avg_clustering
+            );
+        }
+        out
+    }
+
+    /// The inputs' Table 6 profile, then the aggregate tables, as
+    /// GitHub-flavoured markdown: one table per dataset (rows: ε × model in
+    /// grid order; cells: mean, four decimals). This is exactly what
+    /// `docs/EVALUATION.md` embeds.
     #[must_use]
     pub fn to_markdown(&self) -> String {
-        let cols = self.column_indices();
-        let mut out = String::new();
+        let mut out = self.profile_markdown();
         let mut datasets: Vec<&str> = Vec::new();
         for agg in &self.aggregates {
             if !datasets.contains(&agg.dataset.as_str()) {
                 datasets.push(&agg.dataset);
             }
         }
-        for (i, dataset) in datasets.iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
+        for dataset in datasets {
+            out.push('\n');
             let _ = writeln!(
                 out,
                 "### Dataset `{dataset}` (plan `{}`, seed {}, {} repetitions; mean over repetitions)",
@@ -132,20 +145,19 @@ impl EvalReport {
             );
             out.push('\n');
             out.push_str("| ε | model |");
-            for &c in &cols {
-                let _ = write!(out, " {} |", UtilityReport::METRIC_NAMES[c]);
+            for name in &self.columns {
+                let _ = write!(out, " {name} |");
             }
             out.push('\n');
             out.push_str("|---|---|");
-            for _ in &cols {
+            for _ in &self.columns {
                 out.push_str("---|");
             }
             out.push('\n');
-            for agg in self.aggregates.iter().filter(|a| &a.dataset == dataset) {
+            for agg in self.aggregates.iter().filter(|a| a.dataset == dataset) {
                 let _ = write!(out, "| {} | {} |", agg.epsilon, agg.model);
-                let means = agg.mean.values();
-                for &c in &cols {
-                    let _ = write!(out, " {:.4} |", means[c]);
+                for mean in self.selected(&agg.mean) {
+                    let _ = write!(out, " {mean:.4} |");
                 }
                 out.push('\n');
             }
@@ -153,32 +165,58 @@ impl EvalReport {
         out
     }
 
-    /// A fixed-width text rendering of the aggregate table for terminal
-    /// output (`agmdp evaluate` prints this).
+    /// A fixed-width text rendering of the inputs' Table 6 profile and the
+    /// aggregate table for terminal output (`agmdp evaluate` prints this).
     #[must_use]
     pub fn to_text_table(&self) -> String {
-        let cols = self.column_indices();
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "plan {} · seed {} · {} repetitions per cell",
-            self.plan, self.seed, self.repetitions
+            "plan {} · measure {} · seed {} · {} repetitions per cell",
+            self.plan, self.measure, self.seed, self.repetitions
         );
-        let _ = write!(out, "{:<16} {:<10} {:>8}", "dataset", "model", "epsilon");
-        for &c in &cols {
-            let _ = write!(out, " {:>21}", UtilityReport::METRIC_NAMES[c]);
+        let _ = writeln!(
+            out,
+            "{:<16} {:>9} {:>10} {:>7} {:>7} {:>10} {:>8}",
+            "input", "n", "m", "d_max", "m/n", "n_Δ", "C̄"
+        );
+        for p in &self.inputs {
+            let _ = writeln!(
+                out,
+                "{:<16} {:>9} {:>10} {:>7} {:>7.2} {:>10} {:>8.4}",
+                p.dataset,
+                p.nodes,
+                p.edges,
+                p.max_degree,
+                p.edges_per_node,
+                p.triangles,
+                p.avg_clustering
+            );
+        }
+        out.push('\n');
+        // Variant labels are the plan's own, so the model column fits them.
+        let model_width = self
+            .aggregates
+            .iter()
+            .map(|a| a.model.len())
+            .fold(10, usize::max);
+        let _ = write!(
+            out,
+            "{:<16} {:<model_width$} {:>8}",
+            "dataset", "model", "epsilon"
+        );
+        for name in &self.columns {
+            let _ = write!(out, " {name:>21}");
         }
         out.push('\n');
         for agg in &self.aggregates {
             let _ = write!(
                 out,
-                "{:<16} {:<10} {:>8}",
+                "{:<16} {:<model_width$} {:>8}",
                 agg.dataset, agg.model, agg.epsilon
             );
-            let means = agg.mean.values();
-            let sds = agg.stddev.values();
-            for &c in &cols {
-                let _ = write!(out, " {:>12.4} ±{:>7.4}", means[c], sds[c]);
+            for (mean, sd) in self.selected(&agg.mean).zip(self.selected(&agg.stddev)) {
+                let _ = write!(out, " {mean:>12.4} ±{sd:>7.4}");
             }
             out.push('\n');
         }

@@ -13,10 +13,12 @@
 //! attribute–degree correlation distances).
 //!
 //! The report is deliberately a flat list of `f64` columns with a parallel
-//! name table ([`UtilityReport::METRIC_NAMES`]) so mean/stddev aggregation,
-//! CSV headers and markdown tables all derive from one source of truth.
+//! name table ([`UtilityReport::METRIC_NAMES`]). A harness row carries its
+//! columns as [`Scores`], named values in the plan's column order, so
+//! mean/stddev aggregation, CSV headers and markdown tables all derive from
+//! one source of truth whatever the plan measures.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use agmdp_core::ThetaF;
 use agmdp_graph::clustering::ClusteringSummary;
@@ -214,51 +216,128 @@ impl UtilityReport {
         }
     }
 
-    /// Element-wise mean over `reports` (all-zero for an empty slice).
+    /// Element-wise mean over `reports` (all-zero for an empty slice): the
+    /// arithmetic of [`Scores::mean`].
     #[must_use]
     pub fn mean(reports: &[UtilityReport]) -> Self {
-        if reports.is_empty() {
-            return Self::default();
-        }
-        let mut acc = [0.0; NUM_METRICS];
-        for r in reports {
-            for (a, v) in acc.iter_mut().zip(r.values()) {
-                *a += v;
-            }
-        }
-        let n = reports.len() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        Self::from_values(acc)
+        Self::from_scores(&Scores::mean(&Self::scores(reports)))
     }
 
     /// Element-wise *sample* standard deviation (denominator `n − 1`) over
     /// `reports`; all-zero for fewer than two reports.
     #[must_use]
     pub fn stddev(reports: &[UtilityReport]) -> Self {
-        if reports.len() < 2 {
-            return Self::default();
+        Self::from_scores(&Scores::stddev(&Self::scores(reports)))
+    }
+
+    fn scores(reports: &[UtilityReport]) -> Vec<Scores> {
+        reports.iter().map(|&r| Scores::from(r)).collect()
+    }
+
+    /// The report a row of these columns holds; all-zero for an empty row.
+    fn from_scores(scores: &Scores) -> Self {
+        let mut values = [0.0; NUM_METRICS];
+        for (slot, (_, value)) in values.iter_mut().zip(scores.iter()) {
+            *slot = value;
         }
-        let mean = Self::mean(reports).values();
-        let mut acc = [0.0; NUM_METRICS];
-        for r in reports {
-            for ((a, v), m) in acc.iter_mut().zip(r.values()).zip(mean) {
-                let d = v - m;
-                *a += d * d;
-            }
-        }
-        let denom = (reports.len() - 1) as f64;
-        for a in &mut acc {
-            *a = (*a / denom).sqrt();
-        }
-        Self::from_values(acc)
+        Self::from_values(values)
     }
 
     /// Resolves a metric name to its column index.
     #[must_use]
     pub fn metric_index(name: &str) -> Option<usize> {
         Self::METRIC_NAMES.iter().position(|&n| n == name)
+    }
+}
+
+/// One row's metric values under their column names, in the plan's
+/// recorded order (`EvalPlan::recorded_columns`). Serialises as a JSON
+/// object, so a row of the eleven [`UtilityReport`] columns writes the same
+/// bytes as the report itself.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Scores(Vec<(&'static str, f64)>);
+
+impl Scores {
+    /// The value of column `name`, if the row records it.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.0.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    /// The (name, value) pairs in column order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        self.0.iter().copied()
+    }
+
+    /// Appends a column.
+    pub(crate) fn push(&mut self, name: &'static str, value: f64) {
+        self.0.push((name, value));
+    }
+
+    /// Column-wise mean over rows of one column set (empty for no rows).
+    #[must_use]
+    pub fn mean(rows: &[Scores]) -> Self {
+        let Some(first) = rows.first() else {
+            return Self::default();
+        };
+        let n = rows.len() as f64;
+        (0..first.0.len())
+            .map(|c| {
+                let mut acc = 0.0;
+                for row in rows {
+                    acc += row.0[c].1;
+                }
+                (first.0[c].0, acc / n)
+            })
+            .collect()
+    }
+
+    /// Column-wise *sample* standard deviation (denominator `n − 1`), zero
+    /// for fewer than two rows.
+    #[must_use]
+    pub fn stddev(rows: &[Scores]) -> Self {
+        let mean = Self::mean(rows);
+        if rows.len() < 2 {
+            return mean.iter().map(|(name, _)| (name, 0.0)).collect();
+        }
+        let denom = (rows.len() - 1) as f64;
+        mean.iter()
+            .enumerate()
+            .map(|(c, (name, m))| {
+                let mut acc = 0.0;
+                for row in rows {
+                    let d = row.0[c].1 - m;
+                    acc += d * d;
+                }
+                (name, (acc / denom).sqrt())
+            })
+            .collect()
+    }
+}
+
+impl FromIterator<(&'static str, f64)> for Scores {
+    fn from_iter<I: IntoIterator<Item = (&'static str, f64)>>(iter: I) -> Self {
+        Self(iter.into_iter().collect())
+    }
+}
+
+impl From<UtilityReport> for Scores {
+    fn from(report: UtilityReport) -> Self {
+        UtilityReport::METRIC_NAMES
+            .into_iter()
+            .zip(report.values())
+            .collect()
+    }
+}
+
+impl Serialize for Scores {
+    fn to_json_value(&self) -> Value {
+        Value::Object(
+            self.0
+                .iter()
+                .map(|&(name, value)| (name.to_string(), Value::Float(value)))
+                .collect(),
+        )
     }
 }
 

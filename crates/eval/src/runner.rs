@@ -10,34 +10,49 @@
 //! same contract the synthesis samplers obey one level down. (Each trial's
 //! own sampling runs serially — the harness parallelises *across* trials,
 //! which is the embarrassingly parallel axis.)
+//!
+//! What a trial does is the plan's [`Measure`]: synthesise and score a
+//! release, run only the Θ_F estimator, or sample a bare structural model.
 
 use serde::Serialize;
 
-use agmdp_core::workflow::{synthesize, AgmConfig};
-use agmdp_graph::AttributedGraph;
+use agmdp_core::correlations_dp::learn_correlations_dp;
+use agmdp_core::node_dp::learn_correlations_node_dp;
+use agmdp_core::workflow::{
+    learn_parameters_with_split, synthesize_from_parameters, BudgetSplit, Privacy,
+    StructuralModelKind,
+};
+use agmdp_graph::components::connected_components;
+use agmdp_graph::{AttributedGraph, GraphView};
+use agmdp_metrics::distance::{hellinger_distance, mean_absolute_error, mean_relative_error};
+use agmdp_models::baselines::{uniform_correlation_distribution, uniform_edge_graph};
 use agmdp_models::parallel::{derive_chunk_seed, run_seeded_chunks};
+use agmdp_models::{ChungLuModel, GenerateRequest, StructuralModel, TclModel, TriCycLeModel};
 
 use crate::error::{EvalError, Result};
-use crate::plan::EvalPlan;
-use crate::report::{GraphProfile, UtilityReport};
+use crate::plan::{Estimator, EvalPlan, Measure, ModelChoice, THETA_F_COLUMNS};
+use crate::report::{GraphProfile, Scores, UtilityReport};
 
-/// One synthesis trial: the cell coordinates, the derived seed, and every
+/// EM rounds of the TCL fit behind `model=tcl`.
+const TCL_EM_ITERATIONS: usize = 10;
+
+/// One trial: the cell coordinates, the derived seed, and every recorded
 /// metric column.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrialRow {
     /// Dataset label (see `DatasetRef::label`).
     pub dataset: String,
-    /// Structural model token (`fcl` / `tricycle`).
+    /// Variant label (`fcl` / `tricycle` for the `model` shorthand).
     pub model: String,
-    /// ε label (`0.5`, `1`, … or `inf` for the non-private baseline).
+    /// ε label (`0.5`, `ln2`, … or `inf` for the non-private baseline).
     pub epsilon: String,
     /// Repetition index within the cell, `0..repetitions`.
     pub rep: usize,
     /// The derived seed that drove this trial's RNG stream
     /// (`derive_chunk_seed(plan.seed, trial_index)`).
     pub trial_seed: u64,
-    /// The metric columns for this trial.
-    pub metrics: UtilityReport,
+    /// The recorded metric columns for this trial.
+    pub metrics: Scores,
 }
 
 /// Mean and sample standard deviation of one (dataset, ε, model) cell.
@@ -45,20 +60,41 @@ pub struct TrialRow {
 pub struct AggregateRow {
     /// Dataset label.
     pub dataset: String,
-    /// Structural model token.
+    /// Variant label.
     pub model: String,
     /// ε label.
     pub epsilon: String,
     /// Number of trials aggregated.
     pub repetitions: usize,
-    /// Element-wise mean over the cell's trials.
-    pub mean: UtilityReport,
-    /// Element-wise sample standard deviation (zero for one repetition).
-    pub stddev: UtilityReport,
+    /// Column-wise mean over the cell's trials.
+    pub mean: Scores,
+    /// Column-wise sample standard deviation (zero for one repetition).
+    pub stddev: Scores,
 }
 
-/// The complete result of one plan run: per-trial rows plus per-cell
-/// aggregates, with enough header context to reproduce the run.
+/// One input's row of Table 6 (Appendix A): its size, degrees and
+/// clustering.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct InputProfile {
+    /// Dataset label.
+    pub dataset: String,
+    /// Number of nodes `n`.
+    pub nodes: usize,
+    /// Number of edges `m`.
+    pub edges: usize,
+    /// Maximum degree `d_max`.
+    pub max_degree: usize,
+    /// Table 6's "average degree", `m / n`.
+    pub edges_per_node: f64,
+    /// Triangle count `n_Δ`.
+    pub triangles: u64,
+    /// Average local clustering coefficient `C̄`.
+    pub avg_clustering: f64,
+}
+
+/// The complete result of one plan run: the inputs' profiles, per-trial
+/// rows and per-cell aggregates, with enough header context to reproduce
+/// the run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvalReport {
     /// Plan name.
@@ -67,10 +103,14 @@ pub struct EvalReport {
     pub seed: u64,
     /// Repetitions per cell.
     pub repetitions: usize,
-    /// Selected metric column names (the full set when the plan selected
-    /// `all`); CSV and markdown render exactly these columns, JSON always
-    /// records the full metric struct.
+    /// What each trial measured (`release`, `theta_f` or `structure`).
+    pub measure: String,
+    /// Selected metric column names (every recorded column when the plan
+    /// selected `all`); CSV and markdown render exactly these columns, JSON
+    /// always records every recorded column.
     pub columns: Vec<String>,
+    /// Table 6 for the plan's inputs, in plan order.
+    pub inputs: Vec<InputProfile>,
     /// Every trial, in deterministic grid order.
     pub trials: Vec<TrialRow>,
     /// Per-cell aggregates, in the same grid order.
@@ -82,6 +122,14 @@ struct Cell {
     dataset: usize,
     epsilon: usize,
     model: usize,
+}
+
+/// One materialised input: the mutable graph the learners and the TCL fit
+/// read, and the profile every trial scores against.
+struct Input {
+    label: String,
+    graph: AttributedGraph,
+    profile: GraphProfile,
 }
 
 impl EvalPlan {
@@ -102,21 +150,24 @@ impl EvalPlan {
     /// assert_eq!(report.aggregates.len(), 2);
     /// // The non-private rows reproduce the edge count almost exactly.
     /// let non_private = report.aggregates.iter().find(|a| a.epsilon == "inf").unwrap();
-    /// assert!(non_private.mean.edge_count_re < 0.25);
+    /// assert!(non_private.mean.get("edge_count_re").unwrap() < 0.25);
     /// ```
     pub fn run(&self) -> Result<EvalReport> {
         self.validate()?;
-        // Materialise each input once and freeze it: the mutable graph feeds
-        // synthesis (the learners read it), the CSR snapshot feeds the
-        // original-side metric profile (every trial of a dataset scores
-        // against the same original).
-        let inputs: Vec<(String, AttributedGraph, GraphProfile)> = self
+        // Materialise each input once. The mutable graph feeds the learners;
+        // the profile of its CSR snapshot is what every trial of the dataset
+        // scores against.
+        let inputs: Vec<Input> = self
             .datasets
             .iter()
             .map(|d| {
                 let graph = d.materialize()?;
                 let profile = GraphProfile::of(&graph.freeze());
-                Ok((d.label(), graph, profile))
+                Ok(Input {
+                    label: d.label(),
+                    graph,
+                    profile,
+                })
             })
             .collect::<Result<_>>()?;
 
@@ -135,35 +186,99 @@ impl EvalPlan {
             }
         }
 
+        let recorded = self.recorded_columns();
         let total_trials = cells.len() * self.repetitions;
         let outcomes: Vec<std::result::Result<TrialRow, String>> =
             run_seeded_chunks(self.threads, total_trials, self.seed, |trial, rng| {
                 let cell = &cells[trial / self.repetitions];
-                let rep = trial % self.repetitions;
-                let (label, input, profile) = &inputs[cell.dataset];
-                let model = self.models[cell.model];
-                let config = AgmConfig {
-                    privacy: self.epsilons[cell.epsilon].privacy,
-                    model,
-                    threads: 1, // the harness parallelises across trials
-                    ..AgmConfig::default()
-                };
-                let synthetic = synthesize(input, &config, rng).map_err(|e| {
+                let input = &inputs[cell.dataset];
+                let variant = &self.models[cell.model];
+                let epsilon = self.epsilons[cell.epsilon];
+                let fault = |e: &dyn std::fmt::Display| {
                     format!(
-                        "trial {trial} ({label}, model {model}, epsilon {}): {e}",
-                        self.epsilons[cell.epsilon].label()
+                        "trial {trial} ({}, model {}, epsilon {}): {e}",
+                        input.label,
+                        variant.label,
+                        epsilon.label()
                     )
-                })?;
-                // Freeze and profile once per trial: all eleven metric
-                // columns read the profile of the CSR snapshot.
-                let release = GraphProfile::of(&synthetic.freeze());
+                };
+                let metrics = match self.measure {
+                    Measure::Release => {
+                        let Some(config) = variant.agm_config(epsilon.privacy) else {
+                            unreachable!("validate() admits only AGM variants under release");
+                        };
+                        let split = match (variant.split, epsilon.privacy) {
+                            (Some([x, f, s, t]), Privacy::Dp { epsilon }) => Some(
+                                BudgetSplit::custom(
+                                    epsilon * x,
+                                    epsilon * f,
+                                    epsilon * s,
+                                    epsilon * t,
+                                )
+                                .map_err(|e| fault(&e))?,
+                            ),
+                            _ => None,
+                        };
+                        let params = learn_parameters_with_split(&input.graph, &config, split, rng)
+                            .map_err(|e| fault(&e))?;
+                        let release = synthesize_from_parameters(&params, &config, rng)
+                            .map_err(|e| fault(&e))?;
+                        release_scores(input, &release, &recorded)
+                    }
+                    Measure::ThetaF => {
+                        let Privacy::Dp { epsilon } = epsilon.privacy else {
+                            unreachable!("validate() admits only finite epsilons under theta_f");
+                        };
+                        let graph = &input.graph;
+                        let estimate = match variant.estimator() {
+                            Estimator::Edge(method) => {
+                                learn_correlations_dp(graph, epsilon, method, rng)
+                                    .map_err(|e| fault(&e))?
+                                    .probabilities()
+                                    .to_vec()
+                            }
+                            Estimator::NodeDp { k, delta } => {
+                                learn_correlations_node_dp(graph, epsilon, delta, k, rng)
+                                    .map_err(|e| fault(&e))?
+                                    .probabilities()
+                                    .to_vec()
+                            }
+                            Estimator::Uniform => uniform_correlation_distribution(graph.schema()),
+                        };
+                        theta_f_scores(input.profile.theta_f.probabilities(), &estimate)
+                    }
+                    Measure::Structure => {
+                        let graph = &input.graph;
+                        let request = GenerateRequest::default();
+                        let sample = match variant.model() {
+                            ModelChoice::Agm(StructuralModelKind::Fcl) => {
+                                ChungLuModel::new(graph.degrees())
+                                    .map(|m| m.with_orphan_postprocessing(true))
+                                    .and_then(|m| m.generate(&request, rng))
+                            }
+                            ModelChoice::Agm(StructuralModelKind::TriCycLe) => TriCycLeModel::new(
+                                graph.degrees(),
+                                input.profile.clustering.triangles,
+                            )
+                            .and_then(|m| m.generate(&request, rng)),
+                            ModelChoice::Tcl => TclModel::fit(graph, TCL_EM_ITERATIONS)
+                                .and_then(|m| m.generate(&request, rng)),
+                            ModelChoice::Uniform => {
+                                uniform_edge_graph(graph.num_nodes(), graph.num_edges(), rng)
+                            }
+                        }
+                        .map_err(|e| fault(&e))?;
+                        let profile = GraphProfile::of(&sample.freeze());
+                        Scores::from(UtilityReport::between(&input.profile, &profile))
+                    }
+                };
                 Ok(TrialRow {
-                    dataset: label.clone(),
-                    model: model.name().to_string(),
-                    epsilon: self.epsilons[cell.epsilon].label(),
-                    rep,
+                    dataset: input.label.clone(),
+                    model: variant.label.clone(),
+                    epsilon: epsilon.label(),
+                    rep: trial % self.repetitions,
                     trial_seed: derive_chunk_seed(self.seed, trial as u64),
-                    metrics: UtilityReport::between(profile, &release),
+                    metrics,
                 })
             });
 
@@ -174,20 +289,16 @@ impl EvalPlan {
 
         let aggregates = cells
             .iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let cell_reports: Vec<UtilityReport> = trials
-                    [i * self.repetitions..(i + 1) * self.repetitions]
-                    .iter()
-                    .map(|t| t.metrics)
-                    .collect();
+            .zip(trials.chunks(self.repetitions))
+            .map(|(cell, rows)| {
+                let cell_scores: Vec<Scores> = rows.iter().map(|t| t.metrics.clone()).collect();
                 AggregateRow {
-                    dataset: self.datasets[cell.dataset].label(),
-                    model: self.models[cell.model].name().to_string(),
+                    dataset: inputs[cell.dataset].label.clone(),
+                    model: self.models[cell.model].label.clone(),
                     epsilon: self.epsilons[cell.epsilon].label(),
                     repetitions: self.repetitions,
-                    mean: UtilityReport::mean(&cell_reports),
-                    stddev: UtilityReport::stddev(&cell_reports),
+                    mean: Scores::mean(&cell_scores),
+                    stddev: Scores::stddev(&cell_scores),
                 }
             })
             .collect();
@@ -196,15 +307,68 @@ impl EvalPlan {
             plan: self.name.clone(),
             seed: self.seed,
             repetitions: self.repetitions,
+            measure: self.measure.name().to_string(),
             columns: self
                 .metric_columns()
                 .into_iter()
-                .map(|i| UtilityReport::METRIC_NAMES[i].to_string())
+                .map(str::to_string)
+                .collect(),
+            inputs: inputs
+                .iter()
+                .map(|input| {
+                    let p = &input.profile;
+                    InputProfile {
+                        dataset: input.label.clone(),
+                        nodes: p.nodes,
+                        edges: p.edges,
+                        max_degree: p.max_degree,
+                        edges_per_node: p.edges as f64 / p.nodes as f64,
+                        triangles: p.clustering.triangles,
+                        avg_clustering: p.clustering.average_local,
+                    }
+                })
                 .collect(),
             trials,
             aggregates,
         })
     }
+}
+
+/// A release's [`UtilityReport`] columns, then the extra columns `recorded`
+/// names: the Θ_F MRE of Tables 2–5 and the ablation's orphan and component
+/// counts.
+fn release_scores(input: &Input, release: &AttributedGraph, recorded: &[&'static str]) -> Scores {
+    let frozen = release.freeze();
+    let profile = GraphProfile::of(&frozen);
+    let mut scores = Scores::from(UtilityReport::between(&input.profile, &profile));
+    let mut components = None;
+    for &column in recorded.iter().skip(UtilityReport::METRIC_NAMES.len()) {
+        let value = if column == "theta_f_mre" {
+            mean_relative_error(
+                input.profile.theta_f.probabilities(),
+                profile.theta_f.probabilities(),
+            )
+        } else {
+            let components = components.get_or_insert_with(|| connected_components(&frozen));
+            if column == "orphaned_nodes" {
+                components.orphaned_nodes().len() as f64
+            } else {
+                components.count() as f64
+            }
+        };
+        scores.push(column, value);
+    }
+    scores
+}
+
+/// A Θ_F estimate's columns against the input's Θ_F.
+fn theta_f_scores(truth: &[f64], estimate: &[f64]) -> Scores {
+    let [mae, mre, hellinger] = THETA_F_COLUMNS;
+    Scores::from_iter([
+        (mae, mean_absolute_error(truth, estimate)),
+        (mre, mean_relative_error(truth, estimate)),
+        (hellinger, hellinger_distance(truth, estimate)),
+    ])
 }
 
 #[cfg(test)]
@@ -239,6 +403,18 @@ mod tests {
         }
         // Full metric set selected by default.
         assert_eq!(report.columns.len(), UtilityReport::METRIC_NAMES.len());
+        // Table 6 of the input heads the report.
+        let toy = GraphProfile::of(&agmdp_datasets::toy_social_graph());
+        assert_eq!(report.inputs.len(), 1);
+        assert_eq!(report.inputs[0].dataset, "toy");
+        assert_eq!(
+            (
+                report.inputs[0].nodes,
+                report.inputs[0].edges,
+                report.inputs[0].triangles
+            ),
+            (toy.nodes, toy.edges, toy.clustering.triangles)
+        );
     }
 
     #[test]
@@ -266,12 +442,12 @@ mod tests {
     fn aggregates_match_trials() {
         let report = tiny_plan(1).run().unwrap();
         for (i, agg) in report.aggregates.iter().enumerate() {
-            let cell: Vec<UtilityReport> = report.trials[i * 2..(i + 1) * 2]
+            let cell: Vec<Scores> = report.trials[i * 2..(i + 1) * 2]
                 .iter()
-                .map(|t| t.metrics)
+                .map(|t| t.metrics.clone())
                 .collect();
-            assert_eq!(agg.mean, UtilityReport::mean(&cell));
-            assert_eq!(agg.stddev, UtilityReport::stddev(&cell));
+            assert_eq!(agg.mean, Scores::mean(&cell));
+            assert_eq!(agg.stddev, Scores::stddev(&cell));
             assert_eq!(agg.repetitions, 2);
         }
     }
@@ -284,5 +460,108 @@ mod tests {
         let mut plan = tiny_plan(1);
         plan.repetitions = 0;
         assert!(plan.run().is_err());
+    }
+
+    fn run(text: &str) -> EvalReport {
+        EvalPlan::parse(text).unwrap().run().unwrap()
+    }
+
+    /// A `theta_f` row is one estimator call on that trial's stream, scored
+    /// against the input's Θ_F.
+    #[test]
+    fn theta_f_rows_are_direct_estimator_calls() {
+        let report = run("plan t\nmeasure theta_f\nseed 4\nrepetitions 2\ndataset toy\nepsilon 0.5 ln3\n\
+             variant trunc method=truncation k=4\nvariant node method=node-dp\nvariant flat method=uniform\n");
+        let graph = agmdp_datasets::toy_social_graph();
+        let truth = agmdp_core::ThetaF::from_graph(&graph);
+        assert_eq!(report.trials.len(), 12);
+        for (trial, row) in report.trials.iter().enumerate() {
+            let mut rng = agmdp_models::parallel::chunk_rng(4, trial as u64);
+            let epsilon = if row.epsilon == "ln3" { 3f64.ln() } else { 0.5 };
+            let estimate = match row.model.as_str() {
+                "trunc" => learn_correlations_dp(
+                    &graph,
+                    epsilon,
+                    agmdp_core::correlations_dp::CorrelationMethod::EdgeTruncation { k: Some(4) },
+                    &mut rng,
+                )
+                .unwrap()
+                .probabilities()
+                .to_vec(),
+                "node" => learn_correlations_node_dp(&graph, epsilon, 0.01, None, &mut rng)
+                    .unwrap()
+                    .probabilities()
+                    .to_vec(),
+                _ => uniform_correlation_distribution(graph.schema()),
+            };
+            assert_eq!(
+                row.metrics,
+                theta_f_scores(truth.probabilities(), &estimate),
+                "{row:?}"
+            );
+            assert_eq!(
+                row.metrics.get("theta_f_mae"),
+                Some(mean_absolute_error(truth.probabilities(), &estimate))
+            );
+        }
+    }
+
+    /// TriCycLe's even split, given explicitly, reproduces the default
+    /// row bit for bit: the split goes through the one learning body.
+    #[test]
+    fn an_explicit_even_split_reproduces_the_default_row() {
+        let plan = |variant: &str| {
+            format!("plan s\nseed 9\nrepetitions 2\ndataset toy\nepsilon 0.7 ln2\n{variant}\n")
+        };
+        let default = run(&plan("model tricycle"));
+        let split = run(&plan("variant tricycle split=0.25,0.25,0.25,0.25"));
+        assert_eq!(split, default);
+        let skewed = run(&plan("variant tricycle split=0.125,0.5,0.25,0.125"));
+        assert_ne!(skewed.trials, default.trials);
+    }
+
+    #[test]
+    fn release_extras_are_recorded_only_when_named() {
+        let report = run("plan x\nseed 2\nrepetitions 1\ndataset toy\nepsilon 1\n\
+             variant with\nvariant without orphans=false iterations=1\n\
+             metrics components orphaned_nodes theta_f_mre\n");
+        let with = &report.trials[0].metrics;
+        let names: Vec<&str> = with.iter().map(|(name, _)| name).collect();
+        assert_eq!(names[..11], UtilityReport::METRIC_NAMES);
+        assert_eq!(names[11..], ["theta_f_mre", "orphaned_nodes", "components"]);
+        assert_eq!(with.get("orphaned_nodes"), Some(0.0));
+        assert!(with.get("components").unwrap() >= 1.0);
+        assert_eq!(
+            report.columns,
+            ["theta_f_mre", "orphaned_nodes", "components"]
+        );
+        let plain = run("plan x\nseed 2\nrepetitions 1\ndataset toy\nepsilon 1\nvariant with\n");
+        assert_eq!(plain.trials[0].metrics.iter().count(), 11);
+        // The release is the same; only the recorded columns differ.
+        for (name, value) in plain.trials[0].metrics.iter() {
+            assert_eq!(with.get(name), Some(value), "{name}");
+        }
+    }
+
+    #[test]
+    fn structure_rows_score_the_bare_models() {
+        let report = run(
+            "plan g\nmeasure structure\nrepetitions 1\ndataset toy\nepsilon inf\n\
+             model fcl tcl tricycle uniform\n",
+        );
+        let models: Vec<&str> = report.trials.iter().map(|t| t.model.as_str()).collect();
+        assert_eq!(models, ["fcl", "tcl", "tricycle", "uniform"]);
+        let edges = |model: &str| {
+            report
+                .trials
+                .iter()
+                .find(|t| t.model == model)
+                .unwrap()
+                .metrics
+                .get("edge_count_re")
+        };
+        // The uniform-edge baseline places exactly m edges.
+        assert_eq!(edges("uniform"), Some(0.0));
+        assert!(edges("tricycle").unwrap() < 0.25);
     }
 }

@@ -18,7 +18,14 @@
 //! ```
 //!
 //! ε values are journaled as the hex of their IEEE-754 bits so replay is
-//! bit-exact; the trailing decimal rendering is for humans only.
+//! bit-exact; the trailing decimal rendering must agree with the bits, so a
+//! damaged line cannot replay as a different ε.
+//!
+//! A spend is acknowledged only once its line, newline included, is synced.
+//! A crash mid-append leaves an unterminated final line that was never
+//! acknowledged, so [`BudgetLedger::open`] drops it: replay skips it and the
+//! journal is truncated to its last newline before anything is appended.
+//! A complete line that does not parse refuses the journal.
 //!
 //! A poisoned lock fails closed for writers: once a holder has panicked,
 //! [`BudgetLedger::register`] and [`BudgetLedger::spend`] answer
@@ -27,7 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -79,17 +86,27 @@ impl BudgetLedger {
     }
 
     /// Opens (or creates) a journal-backed ledger at `path`, replaying any
-    /// existing entries so previously spent ε survives restarts.
+    /// existing entries so previously spent ε survives restarts. A torn
+    /// final line is dropped (see the module docs); creating the journal
+    /// fsyncs its directory, so the file itself survives a crash.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ServiceError> {
         let path = path.as_ref().to_path_buf();
+        let fail = |what: &str, e: &dyn std::fmt::Display| {
+            ServiceError::Ledger(format!("{what} {}: {e}", path.display()))
+        };
         let mut budgets = BTreeMap::new();
-        if path.exists() {
-            let file = File::open(&path)
-                .map_err(|e| ServiceError::Ledger(format!("open {}: {e}", path.display())))?;
-            for (lineno, line) in BufReader::new(file).lines().enumerate() {
-                let line = line
-                    .map_err(|e| ServiceError::Ledger(format!("read {}: {e}", path.display())))?;
-                replay_line(&mut budgets, &line).map_err(|msg| {
+        let existed = path.exists();
+        let mut torn = None;
+        if existed {
+            let bytes = std::fs::read(&path).map_err(|e| fail("read", &e))?;
+            let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            if complete < bytes.len() {
+                torn = Some((complete, bytes.len() - complete));
+            }
+            let text = std::str::from_utf8(bytes.get(..complete).unwrap_or_default())
+                .map_err(|e| fail("read", &e))?;
+            for (lineno, line) in text.lines().enumerate() {
+                replay_line(&mut budgets, line).map_err(|msg| {
                     ServiceError::Ledger(format!("{} line {}: {msg}", path.display(), lineno + 1))
                 })?;
             }
@@ -98,17 +115,32 @@ impl BudgetLedger {
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| ServiceError::Ledger(format!("append {}: {e}", path.display())))?;
-        let is_new = journal
-            .metadata()
-            .map_err(|e| ServiceError::Ledger(format!("stat {}: {e}", path.display())))?
-            .len()
-            == 0;
+            .map_err(|e| fail("append", &e))?;
+        if let Some((complete, len)) = torn {
+            journal
+                .set_len(complete as u64)
+                .and_then(|()| journal.sync_data())
+                .map_err(|e| fail("truncate", &e))?;
+            eprintln!(
+                "ledger {}: dropped an unterminated final line of {len} bytes (never acknowledged)",
+                path.display()
+            );
+        }
+        let is_new = journal.metadata().map_err(|e| fail("stat", &e))?.len() == 0;
         if is_new {
             journal
                 .write_all(b"# agmdp budget ledger v1\n")
                 .and_then(|()| journal.sync_data())
-                .map_err(|e| ServiceError::Ledger(format!("header {}: {e}", path.display())))?;
+                .map_err(|e| fail("header", &e))?;
+        }
+        if !existed {
+            let dir = match path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(|e| fail("sync the directory of", &e))?;
         }
         Ok(Self {
             inner: Mutex::new(LedgerInner {
@@ -251,22 +283,30 @@ fn replay_line(budgets: &mut BTreeMap<String, PrivacyBudget>, line: &str) -> Res
     if line.is_empty() || line.starts_with('#') {
         return Ok(());
     }
-    let mut parts = line.split_ascii_whitespace();
-    let op = parts.next().unwrap_or_default();
-    let dataset = parts.next().ok_or("missing dataset name")?;
-    let bits_hex = parts.next().ok_or("missing epsilon bits")?;
+    let fields: Vec<&str> = line.split_ascii_whitespace().collect();
+    let [op, dataset, bits_hex, decimal] = fields.as_slice() else {
+        return Err(format!(
+            "expected 4 fields (op, dataset, bits, decimal), found {}",
+            fields.len()
+        ));
+    };
     let bits = u64::from_str_radix(bits_hex, 16).map_err(|_| "invalid epsilon bits")?;
+    if decimal.parse::<f64>().map(f64::to_bits) != Ok(bits) {
+        return Err(format!(
+            "epsilon bits {bits_hex} disagree with the decimal '{decimal}'"
+        ));
+    }
     let epsilon = f64::from_bits(bits);
-    match op {
+    match *op {
         "open" => {
             let budget = PrivacyBudget::new(epsilon).map_err(|e| format!("invalid total: {e}"))?;
-            if budgets.insert(dataset.to_string(), budget).is_some() {
+            if budgets.insert((*dataset).to_string(), budget).is_some() {
                 return Err(format!("dataset '{dataset}' opened twice"));
             }
             Ok(())
         }
         "spend" => budgets
-            .get_mut(dataset)
+            .get_mut(*dataset)
             .ok_or_else(|| format!("spend before open for '{dataset}'"))?
             .spend(epsilon)
             .map_err(|e| format!("replayed spend rejected: {e}")),
@@ -399,6 +439,58 @@ mod tests {
                 BudgetLedger::open(&path).is_err(),
                 "journal {tag:?} should be rejected"
             );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A journal holding `open toy 2` and then `tail`, written as a crash
+    /// could leave it.
+    fn journal_with_tail(tag: &str, tail: &str) -> PathBuf {
+        let path = temp_journal(tag);
+        let open = format!("open toy {:016x} 2\n", 2f64.to_bits());
+        std::fs::write(&path, format!("# agmdp budget ledger v1\n{open}{tail}")).unwrap();
+        path
+    }
+
+    /// An unterminated final line was never acknowledged: replay drops it,
+    /// and the next spend starts a line of its own, so it survives every
+    /// later restart.
+    #[test]
+    fn a_torn_tail_never_hides_a_later_spend() {
+        // Cut after the bits field (a 0.1 spend), and inside the bits field.
+        for (tag, tail) in [
+            ("torn_after_bits", "spend toy 3fb999999999999a "),
+            ("torn_in_bits", "spend toy 3fb99"),
+        ] {
+            let path = journal_with_tail(tag, tail);
+            let ledger = BudgetLedger::open(&path).unwrap();
+            assert_eq!(ledger.status("toy").unwrap().spent, 0.0, "{tag}");
+            ledger.spend("toy", 1.0).unwrap();
+            drop(ledger);
+            for _ in 0..2 {
+                let reopened = BudgetLedger::open(&path).unwrap();
+                assert_eq!(reopened.status("toy").unwrap().spent, 1.0, "{tag}");
+            }
+            let journal = std::fs::read_to_string(&path).unwrap();
+            assert!(!journal.contains(tail), "{tag}: {journal:?}");
+            assert!(journal.ends_with(" 1\n"), "{tag}: {journal:?}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_complete_malformed_line_still_refuses_to_start() {
+        for (tag, line) in [
+            ("short_bits", "spend toy 3fb99\n"),
+            ("no_decimal", "spend toy 3fb999999999999a\n"),
+            ("extra_field", "spend toy 3fb999999999999a 0.1 0.1\n"),
+            ("decimal_disagrees", "spend toy 3fb999999999999a 0.2\n"),
+        ] {
+            let path = journal_with_tail(tag, line);
+            let before = std::fs::read(&path).unwrap();
+            assert!(BudgetLedger::open(&path).is_err(), "{tag}");
+            // A refused journal is left as it was.
+            assert_eq!(std::fs::read(&path).unwrap(), before, "{tag}");
             std::fs::remove_file(&path).ok();
         }
     }

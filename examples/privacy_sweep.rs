@@ -25,7 +25,10 @@ fn main() {
         EpsilonSpec::dp(0.3),
         EpsilonSpec::dp(0.2),
     ];
-    plan.models = vec![StructuralModelKind::Fcl, StructuralModelKind::TriCycLe];
+    plan.models = vec![
+        StructuralModelKind::Fcl.into(),
+        StructuralModelKind::TriCycLe.into(),
+    ];
     plan.repetitions = 3;
     plan.seed = 23;
     plan.metrics = vec![

@@ -90,7 +90,8 @@ worker pool; per-request sampling threads are the `threads` field of the
 POST /synthesize body.
 
 `evaluate` runs the experiment plan (format documented in
-`agmdp::eval::plan`), prints the aggregate utility table, and — with --out —
+`agmdp::eval::plan`; every paper table and figure is a plan in plans/paper/),
+prints its inputs' Table 6 profile and aggregate table, and — with --out —
 writes report.json, aggregates.json, trials.csv and aggregates.csv into the
 directory. --markdown writes the tables `docs/EVALUATION.md` embeds. The
 --repetitions/--threads/--seed flags override the plan; results are
