@@ -9,15 +9,3 @@
 #![warn(missing_docs)]
 
 pub mod loadgen;
-
-/// Parses the value that follows `flag`; the error names both, so a
-/// malformed value is refused instead of falling back to a default.
-pub(crate) fn flag_value<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<String>,
-) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("invalid value for {flag}: '{value}'"))
-}

@@ -73,15 +73,15 @@ impl LoadOptions {
         while let Some(arg) = args.next() {
             let invalid = |value: &str| format!("invalid value for {arg}: '{value}'");
             match arg.as_str() {
-                "--addr" => out.addr = Some(crate::flag_value(&arg, args.next())?),
+                "--addr" => out.addr = Some(flag_value(&arg, args.next())?),
                 "--seconds" => {
-                    out.seconds = crate::flag_value(&arg, args.next())?;
+                    out.seconds = flag_value(&arg, args.next())?;
                     if !(out.seconds.is_finite() && out.seconds > 0.0) {
                         return Err(invalid(&out.seconds.to_string()));
                     }
                 }
                 "--connections" => {
-                    let value: String = crate::flag_value(&arg, args.next())?;
+                    let value: String = flag_value(&arg, args.next())?;
                     out.connections = value
                         .split(',')
                         .map(|c| c.trim().parse().ok().filter(|&n: &usize| n > 0))
@@ -89,13 +89,13 @@ impl LoadOptions {
                         .ok_or_else(|| invalid(&value))?;
                 }
                 "--threads" => {
-                    out.threads = crate::flag_value(&arg, args.next())?;
+                    out.threads = flag_value(&arg, args.next())?;
                     if out.threads == 0 {
                         return Err(invalid("0"));
                     }
                 }
                 "--strict" => out.strict = true,
-                "--out" => out.out = Some(crate::flag_value(&arg, args.next())?),
+                "--out" => out.out = Some(flag_value(&arg, args.next())?),
                 "--bench" => {}
                 "--help" | "-h" => {
                     eprintln!("{LOAD_USAGE}");
@@ -106,6 +106,15 @@ impl LoadOptions {
         }
         Ok(out)
     }
+}
+
+/// Parses the value that follows `flag`; the error names both, so a
+/// malformed value is refused instead of falling back to a default.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid value for {flag}: '{value}'"))
 }
 
 /// How the client uses connections.

@@ -37,11 +37,15 @@
 //! ```text
 //! model=fcl|tricycle|tcl|uniform   the structural model
 //! method=truncation|smooth|sample-aggregate|naive|node-dp|uniform
-//! k=<n> delta=<x>                  the method's truncation k / group size and δ
+//! k=<n>                            truncation's k or sample-aggregate's group size
 //! iterations=<n>                   Algorithm 3's refinement passes
 //! orphans=true|false               Algorithm 2's orphan post-processing
 //! split=<x>,<f>,<s>,<t>            TriCycLe's ε fractions for Θ_X, Θ_F, S, n_Δ
 //! ```
+//!
+//! `smooth` runs at δ = 10⁻⁶ (the CLI's default) and `node-dp` at Section 7's
+//! δ = 0.01 with the heuristic k. Only `truncation` and `sample-aggregate`
+//! take a `k`, and the group size must be at least 2.
 //!
 //! A measure reads only some keys (see [`Measure::keys`]); a plan that sets
 //! another is refused, as is a finite ε under `structure` and `inf` under
@@ -59,10 +63,8 @@ use crate::report::UtilityReport;
 pub const DEFAULT_SEED: u64 = 2016;
 /// Default repetition count per (dataset, ε, model) cell.
 pub const DEFAULT_REPETITIONS: usize = 3;
-/// The δ of `method=smooth` when the variant gives none (the CLI's default).
-pub(crate) const DEFAULT_DELTA: f64 = 1e-6;
-/// The δ of `method=node-dp` when the variant gives none (Section 7).
-pub(crate) const NODE_DP_DELTA: f64 = 0.01;
+/// The δ of `method=smooth` (the CLI's default).
+const DEFAULT_DELTA: f64 = 1e-6;
 
 /// The release columns recorded only when a `metrics` line names them: the
 /// Θ_F MRE of Tables 2–5 and the ablation's orphan and component counts.
@@ -71,15 +73,7 @@ pub(crate) const RELEASE_EXTRA_COLUMNS: [&str; 3] = ["theta_f_mre", "orphaned_no
 pub(crate) const THETA_F_COLUMNS: [&str; 3] = ["theta_f_mae", "theta_f_mre", "theta_f_hellinger"];
 
 /// The keys a `variant` line may set.
-const VARIANT_KEYS: [&str; 7] = [
-    "model",
-    "method",
-    "k",
-    "delta",
-    "iterations",
-    "orphans",
-    "split",
-];
+const VARIANT_KEYS: [&str; 6] = ["model", "method", "k", "iterations", "orphans", "split"];
 
 /// One dataset of a plan: the bundled toy graph or a synthetic stand-in.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,12 +231,11 @@ impl Measure {
             })
     }
 
-    /// The `variant` keys this measure reads; `k` and `delta` go with
-    /// `method`.
+    /// The `variant` keys this measure reads; `k` goes with `method`.
     #[must_use]
     pub fn keys(self) -> &'static [&'static str] {
         match self {
-            Measure::Release => &["model", "method", "iterations", "orphans", "split"],
+            Measure::Release => &["model", "iterations", "orphans", "split"],
             Measure::ThetaF => &["method"],
             Measure::Structure => &["model"],
         }
@@ -291,39 +284,35 @@ impl ModelChoice {
 pub enum Estimator {
     /// One of the edge-DP learners behind `learn_correlations_dp`.
     Edge(CorrelationMethod),
-    /// The Section 7 node-DP learner, `learn_correlations_node_dp`.
-    NodeDp {
-        /// Truncation parameter, or `None` for the heuristic.
-        k: Option<usize>,
-        /// The δ of the (ε, δ) guarantee.
-        delta: f64,
-    },
+    /// The Section 7 node-DP learner, `learn_correlations_node_dp`, at
+    /// δ = 0.01 and the heuristic k.
+    NodeDp,
     /// The uniform-correlation baseline of Section 5.2, which reads no data.
     Uniform,
 }
 
 impl Estimator {
-    /// Builds the estimator a variant's `method`, `k` and `delta` name; the
-    /// edge-DP methods go through `CorrelationMethod::from_parts`.
-    fn parse(
-        method: &str,
-        k: Option<usize>,
-        delta: Option<f64>,
-    ) -> std::result::Result<Self, String> {
-        match method {
-            "uniform" if k.is_some() || delta.is_some() => {
-                Err("method 'uniform' takes no k or delta".to_string())
+    /// Builds the estimator a variant's `method` and `k` name; the edge-DP
+    /// methods go through `CorrelationMethod::from_parts`. A `k` the method
+    /// would ignore or raise is refused, so a row's label names the setting
+    /// its trials ran.
+    fn parse(method: &str, k: Option<usize>) -> std::result::Result<Self, String> {
+        match (method, k) {
+            ("sample-aggregate", Some(k)) if k < 2 => {
+                return Err(format!(
+                    "sample-and-aggregate group size k must be at least 2, got {k}"
+                ))
             }
-            "uniform" => Ok(Estimator::Uniform),
-            "node-dp" => {
-                let delta = delta.unwrap_or(NODE_DP_DELTA);
-                // The node-DP bound takes δ by the smooth-sensitivity rule.
-                CorrelationMethod::from_parts("smooth", None, delta)?;
-                Ok(Estimator::NodeDp { k, delta })
+            ("smooth" | "naive" | "node-dp" | "uniform", Some(_)) => {
+                return Err(format!("method '{method}' takes no k"))
             }
-            other => CorrelationMethod::from_parts(other, k, delta.unwrap_or(DEFAULT_DELTA))
-                .map(Estimator::Edge),
+            _ => {}
         }
+        Ok(match method {
+            "uniform" => Estimator::Uniform,
+            "node-dp" => Estimator::NodeDp,
+            other => Estimator::Edge(CorrelationMethod::from_parts(other, k, DEFAULT_DELTA)?),
+        })
     }
 }
 
@@ -335,7 +324,7 @@ pub struct Variant {
     pub label: String,
     /// `model=`; `None` is TriCycLe.
     pub model: Option<ModelChoice>,
-    /// `method=`, `k=` and `delta=`; `None` is truncation at the heuristic k.
+    /// `method=` and `k=`; `None` is truncation at the heuristic k.
     pub estimator: Option<Estimator>,
     /// `iterations=`, Algorithm 3's refinement passes; `None` is
     /// `AgmConfig`'s default.
@@ -370,23 +359,22 @@ impl Variant {
     }
 
     /// The configuration a `release` row synthesises with, or `None` when
-    /// the variant's model or estimator is one only the other measures run.
-    /// Sampling runs serially: the harness parallelises across trials.
+    /// the variant's model is one only `measure structure` samples. Θ_F is
+    /// learned by edge truncation at the heuristic k. Sampling runs
+    /// serially: the harness parallelises across trials.
     #[must_use]
     pub(crate) fn agm_config(&self, privacy: Privacy) -> Option<AgmConfig> {
-        let (ModelChoice::Agm(model), Estimator::Edge(correlation_method)) =
-            (self.model(), self.estimator())
-        else {
+        let ModelChoice::Agm(model) = self.model() else {
             return None;
         };
         let defaults = AgmConfig::default();
         Some(AgmConfig {
             privacy,
             model,
-            correlation_method,
             refinement_iterations: self.iterations.unwrap_or(defaults.refinement_iterations),
             orphan_postprocessing: self.orphans.unwrap_or(defaults.orphan_postprocessing),
             threads: 1,
+            ..defaults
         })
     }
 
@@ -690,7 +678,7 @@ impl EvalPlan {
         ] {
             if set && !keys.contains(&key) {
                 let key = if key == "method" {
-                    "method', 'k' or 'delta"
+                    "method' or 'k"
                 } else {
                     key
                 };
@@ -698,11 +686,7 @@ impl EvalPlan {
             }
         }
         if self.measure == Measure::Release && variant.agm_config(Privacy::NonPrivate).is_none() {
-            return Err(
-                "measure 'release' runs AGM over fcl or tricycle, learning Θ_F with \
-                 truncation, smooth, sample-aggregate or naive"
-                    .to_string(),
-            );
+            return Err("measure 'release' runs AGM over fcl or tricycle".to_string());
         }
         if variant.split.is_some() {
             if variant.model() != ModelChoice::Agm(StructuralModelKind::TriCycLe) {
@@ -785,7 +769,7 @@ fn parse_variant(label: &str, options: &[&str]) -> std::result::Result<Variant, 
         ));
     }
     let mut variant = Variant::new(label);
-    let (mut method, mut k, mut delta) = (None, None, None);
+    let (mut method, mut k) = (None, None);
     let mut seen: Vec<&str> = Vec::new();
     for option in options {
         let Some((key, value)) = option.split_once('=') else {
@@ -800,7 +784,6 @@ fn parse_variant(label: &str, options: &[&str]) -> std::result::Result<Variant, 
             "model" => variant.model = Some(ModelChoice::parse(value)?),
             "method" => method = Some(value),
             "k" => k = Some(value.parse().map_err(|_| number("an integer"))?),
-            "delta" => delta = Some(value.parse().map_err(|_| number("a number"))?),
             "iterations" => match value.parse() {
                 Ok(0) => return Err("iterations must be at least 1".to_string()),
                 Ok(n) => variant.iterations = Some(n),
@@ -818,8 +801,8 @@ fn parse_variant(label: &str, options: &[&str]) -> std::result::Result<Variant, 
             }
         }
     }
-    if method.is_some() || k.is_some() || delta.is_some() {
-        variant.estimator = Some(Estimator::parse(method.unwrap_or("truncation"), k, delta)?);
+    if method.is_some() || k.is_some() {
+        variant.estimator = Some(Estimator::parse(method.unwrap_or("truncation"), k)?);
     }
     Ok(variant)
 }
@@ -1014,7 +997,7 @@ metrics ks_degree edge_count_re
             ),
             (
                 "plan p\nmeasure structure\ndataset toy\nepsilon inf\nvariant t k=4\n",
-                "line 5: measure 'structure' does not use 'method', 'k' or 'delta'",
+                "line 5: measure 'structure' does not use 'method' or 'k'",
             ),
             (
                 "plan p\ndataset toy\nepsilon 1\nvariant t colour=red\n",
@@ -1029,8 +1012,16 @@ metrics ks_degree edge_count_re
                 "line 4: measure 'release' runs AGM over fcl or tricycle",
             ),
             (
-                "plan p\ndataset toy\nepsilon 1\nvariant n method=node-dp\n",
-                "line 4: measure 'release' runs AGM over fcl or tricycle, learning Θ_F with truncation",
+                "plan p\ndataset toy\nepsilon 1\nvariant n method=truncation\n",
+                "line 4: measure 'release' does not use 'method' or 'k'",
+            ),
+            (
+                "plan p\ndataset toy\nepsilon 1\nvariant n k=4\n",
+                "line 4: measure 'release' does not use 'method' or 'k'",
+            ),
+            (
+                "plan p\nmeasure theta_f\ndataset toy\nepsilon 1\nvariant d method=smooth delta=0.01\n",
+                "line 5: unknown variant key 'delta'",
             ),
             (
                 "plan p\ndataset toy\nepsilon 1 inf\nvariant s split=0.25,0.25,0.25,0.25\n",
@@ -1058,7 +1049,23 @@ metrics ks_degree edge_count_re
             ),
             (
                 "plan p\ndataset toy\nepsilon 1\nvariant u method=uniform k=3\nmeasure theta_f\n",
-                "line 4: method 'uniform' takes no k or delta",
+                "line 4: method 'uniform' takes no k",
+            ),
+            (
+                "plan p\nmeasure theta_f\ndataset toy\nepsilon 1\nvariant s4 method=smooth k=4\n",
+                "line 5: method 'smooth' takes no k",
+            ),
+            (
+                "plan p\nmeasure theta_f\ndataset toy\nepsilon 1\nvariant n4 method=naive k=4\n",
+                "line 5: method 'naive' takes no k",
+            ),
+            (
+                "plan p\nmeasure theta_f\ndataset toy\nepsilon 1\nvariant nd method=node-dp k=3\n",
+                "line 5: method 'node-dp' takes no k",
+            ),
+            (
+                "plan p\nmeasure theta_f\ndataset toy\nepsilon 1\nvariant sa1 method=sample-aggregate k=1\n",
+                "line 5: sample-and-aggregate group size k must be at least 2, got 1",
             ),
             (
                 "plan p\ndataset toy\nepsilon 1\nmodel fcl\nmetrics theta_f_mae\n",
@@ -1077,24 +1084,16 @@ metrics ks_degree edge_count_re
 
     #[test]
     fn variant_method_errors_carry_from_parts_message() {
-        for (keys, method, k, delta) in [
-            ("method=truncation k=1", "truncation", Some(1), 1e-6),
-            ("method=smooth delta=2", "smooth", None, 2.0),
-            ("method=bogus", "bogus", None, 1e-6),
+        for (keys, method, k) in [
+            ("method=truncation k=1", "truncation", Some(1)),
+            ("method=bogus", "bogus", None),
+            ("method=bogus k=3", "bogus", Some(3)),
         ] {
             let text = format!("plan p\ndataset toy\nepsilon 1\nvariant v {keys}\n");
             let err = EvalPlan::parse(&text).unwrap_err().to_string();
-            let message = CorrelationMethod::from_parts(method, k, delta).unwrap_err();
+            let message = CorrelationMethod::from_parts(method, k, DEFAULT_DELTA).unwrap_err();
             assert_eq!(err, format!("invalid plan: line 4: {message}"), "{keys}");
         }
-        // node-dp checks its δ by the same rule.
-        let text =
-            "plan p\nmeasure theta_f\ndataset toy\nepsilon 1\nvariant v method=node-dp delta=0\n";
-        let message = CorrelationMethod::from_parts("smooth", None, 0.0).unwrap_err();
-        assert!(EvalPlan::parse(text)
-            .unwrap_err()
-            .to_string()
-            .ends_with(&message));
     }
 
     #[test]
@@ -1102,7 +1101,7 @@ metrics ks_degree edge_count_re
         let plan = EvalPlan::parse(
             "plan p\ndataset toy\nepsilon ln2\n\
              variant base\n\
-             variant lean model=fcl orphans=false iterations=1 method=sample-aggregate k=8\n\
+             variant lean model=fcl orphans=false iterations=1\n\
              variant heavy split=0.125,0.5,0.25,0.125\n\
              metrics theta_f_mre components ks_degree\n",
         )
@@ -1116,10 +1115,6 @@ metrics ks_degree edge_count_re
         assert_eq!(lean.model, Some(ModelChoice::Agm(StructuralModelKind::Fcl)));
         assert_eq!(lean.orphans, Some(false));
         assert_eq!(lean.iterations, Some(1));
-        assert_eq!(
-            lean.estimator(),
-            Estimator::Edge(CorrelationMethod::SampleAggregate { group_size: 8 })
-        );
         assert_eq!(plan.models[2].split, Some([0.125, 0.5, 0.25, 0.125]));
         // Extras are recorded only when named, after the eleven columns.
         let recorded = plan.recorded_columns();
@@ -1132,17 +1127,20 @@ metrics ks_degree edge_count_re
 
         let theta_f = EvalPlan::parse(
             "plan p\nmeasure theta_f\ndataset toy\nepsilon 0.5\n\
-             variant node method=node-dp k=3\nvariant flat method=uniform\n",
+             variant node method=node-dp\nvariant flat method=uniform\n\
+             variant sa method=sample-aggregate k=8\nvariant smooth method=smooth\n",
         )
         .unwrap();
+        let estimators: Vec<Estimator> = theta_f.models.iter().map(Variant::estimator).collect();
         assert_eq!(
-            theta_f.models[0].estimator(),
-            Estimator::NodeDp {
-                k: Some(3),
-                delta: NODE_DP_DELTA
-            }
+            estimators,
+            [
+                Estimator::NodeDp,
+                Estimator::Uniform,
+                Estimator::Edge(CorrelationMethod::SampleAggregate { group_size: 8 }),
+                Estimator::Edge(CorrelationMethod::SmoothSensitivity { delta: 1e-6 }),
+            ]
         );
-        assert_eq!(theta_f.models[1].estimator(), Estimator::Uniform);
         assert_eq!(theta_f.recorded_columns(), THETA_F_COLUMNS);
 
         let structure = EvalPlan::parse(

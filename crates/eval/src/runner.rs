@@ -35,6 +35,8 @@ use crate::report::{GraphProfile, Scores, UtilityReport};
 
 /// EM rounds of the TCL fit behind `model=tcl`.
 const TCL_EM_ITERATIONS: usize = 10;
+/// The δ of `method=node-dp` (Section 7).
+const NODE_DP_DELTA: f64 = 0.01;
 
 /// One trial: the cell coordinates, the derived seed, and every recorded
 /// metric column.
@@ -237,8 +239,8 @@ impl EvalPlan {
                                     .probabilities()
                                     .to_vec()
                             }
-                            Estimator::NodeDp { k, delta } => {
-                                learn_correlations_node_dp(graph, epsilon, delta, k, rng)
+                            Estimator::NodeDp => {
+                                learn_correlations_node_dp(graph, epsilon, NODE_DP_DELTA, None, rng)
                                     .map_err(|e| fault(&e))?
                                     .probabilities()
                                     .to_vec()
