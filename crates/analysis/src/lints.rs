@@ -13,12 +13,14 @@ use crate::policy::{scope_for, Scope};
 use crate::report::{Finding, LintFamily};
 use crate::strip::{find_word, prepare, test_item_ranges};
 
-/// Every way to spend ε: the one noise type, the three mechanisms built on
-/// it, and its crate-private raw draw (caught should it be re-exported).
+/// Every way to spend ε: the one noise type, the mechanisms that draw
+/// noise (the Ladder through either of its entry points), and the noise
+/// type's crate-private raw draw (caught should it be re-exported).
 const NOISE_ENTRY_POINTS: &[&str] = &[
     "LaplaceMechanism",
     "dp_degree_sequence",
     "dp_triangle_count",
+    "ladder_triangle_count",
     "sample_and_aggregate_distribution",
     "sample_laplace",
 ];

@@ -47,6 +47,7 @@ fn epsilon_flow_fires_on_bad_and_not_inside_the_boundary() {
         "dp_degree_sequence",
         "dp_triangle_count",
         "sample_and_aggregate_distribution",
+        "ladder_triangle_count",
         "sample_laplace",
     ];
     for path in [

@@ -14,7 +14,8 @@ use agmdp_graph::GraphView;
 use agmdp_privacy::laplace::LaplaceMechanism;
 use agmdp_privacy::postprocess::clamp_and_normalize;
 
-use crate::params::{node_config_counts, ThetaX};
+use crate::params::ThetaX;
+use crate::statistics::FitStatistics;
 use crate::Result;
 
 /// Global sensitivity of the `Q_X` counting queries (Theorem 8).
@@ -26,9 +27,19 @@ pub fn learn_attributes_dp<G: GraphView, R: Rng + ?Sized>(
     epsilon: f64,
     rng: &mut R,
 ) -> Result<ThetaX> {
+    learn_attributes_cached(graph, &FitStatistics::new(), epsilon, rng)
+}
+
+/// [`learn_attributes_dp`] reading `Q_X` from `statistics`, the graph's
+/// fit statistics: the same draws and the same estimate.
+pub(crate) fn learn_attributes_cached<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
+    statistics: &FitStatistics,
+    epsilon: f64,
+    rng: &mut R,
+) -> Result<ThetaX> {
     let mech = LaplaceMechanism::new(epsilon, QX_SENSITIVITY)?;
-    let counts = node_config_counts(graph);
-    let noisy = mech.randomize_vec(&counts, rng);
+    let noisy = mech.randomize_vec(statistics.node_configs(graph), rng);
     let probabilities = clamp_and_normalize(&noisy, graph.num_nodes() as f64);
     ThetaX::new(graph.schema(), probabilities)
 }

@@ -22,7 +22,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use agmdp_graph::subgraph::{induced_subgraph, partition_nodes};
-use agmdp_graph::truncation::{edge_truncation, heuristic_k};
+use agmdp_graph::truncation::heuristic_k;
 use agmdp_graph::{AttributeSchema, GraphView, NodeId};
 use agmdp_privacy::laplace::LaplaceMechanism;
 use agmdp_privacy::postprocess::normalize;
@@ -31,6 +31,7 @@ use agmdp_privacy::smooth::{beta, check_delta, smooth_sensitivity_qf};
 
 use crate::error::CoreError;
 use crate::params::{edge_config_counts, ThetaF};
+use crate::statistics::FitStatistics;
 use crate::Result;
 
 /// Which estimator to use for `Θ_F`.
@@ -132,18 +133,52 @@ pub fn learn_correlations_dp<G: GraphView, R: Rng + ?Sized>(
     method: CorrelationMethod,
     rng: &mut R,
 ) -> Result<ThetaF> {
+    learn_correlations_cached(graph, &FitStatistics::new(), epsilon, method, rng)
+}
+
+/// [`learn_correlations_dp`] reading the `Q_F` counts and the maximum
+/// degree from `statistics`, the graph's fit statistics: the same draws and
+/// the same estimate. Sample-and-aggregate partitions the nodes with `rng`,
+/// so it reads the graph.
+pub fn learn_correlations_cached<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
+    statistics: &FitStatistics,
+    epsilon: f64,
+    method: CorrelationMethod,
+    rng: &mut R,
+) -> Result<ThetaF> {
+    let n = graph.num_nodes();
     match method {
         CorrelationMethod::EdgeTruncation { k } => {
-            let k = k.unwrap_or_else(|| heuristic_k(graph.num_nodes()));
-            learn_correlations_truncated(graph, epsilon, k, rng)
+            // Algorithm 4: truncate to a k-bounded graph, count Q_F, add
+            // Lap(2k/ε) noise (sensitivity 2k for k ≥ 2, Proposition 1; see
+            // the module docs).
+            let k = k.unwrap_or_else(|| heuristic_k(n));
+            CorrelationMethod::EdgeTruncation { k: Some(k) }
+                .check(n)
+                .map_err(CoreError::InvalidConfig)?;
+            let mech = LaplaceMechanism::new(epsilon, 2.0 * k as f64)?;
+            let counts = statistics.truncated_edge_configs(graph, k);
+            noisy_theta_f(graph.schema(), &counts, mech, rng)
         }
         CorrelationMethod::SmoothSensitivity { delta } => {
-            learn_correlations_smooth(graph, epsilon, delta, rng)
+            // Appendix B.1: exact Q_F with noise at the β-smooth sensitivity
+            // of Corollary 5, the Laplace mechanism with sensitivity 2 S*.
+            let b = beta(epsilon, delta)?;
+            let max_degree = statistics.sorted_degrees(graph).last().copied();
+            let s_star = smooth_sensitivity_qf(max_degree.unwrap_or(0), n, b).max(1e-9);
+            let mech = LaplaceMechanism::new(epsilon, 2.0 * s_star)?;
+            noisy_theta_f(graph.schema(), statistics.edge_configs(graph), mech, rng)
         }
         CorrelationMethod::SampleAggregate { group_size } => {
             learn_correlations_sample_aggregate(graph, epsilon, group_size, rng)
         }
-        CorrelationMethod::NaiveLaplace => learn_correlations_naive(graph, epsilon, rng),
+        CorrelationMethod::NaiveLaplace => {
+            // Exact Q_F with the worst-case global sensitivity 2n − 2.
+            let sensitivity = (2.0 * n as f64 - 2.0).max(2.0);
+            let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
+            noisy_theta_f(graph.schema(), statistics.edge_configs(graph), mech, rng)
+        }
     }
 }
 
@@ -156,13 +191,8 @@ pub fn learn_correlations_truncated<G: GraphView, R: Rng + ?Sized>(
     k: usize,
     rng: &mut R,
 ) -> Result<ThetaF> {
-    CorrelationMethod::EdgeTruncation { k: Some(k) }
-        .check(graph.num_nodes())
-        .map_err(CoreError::InvalidConfig)?;
-    // Sensitivity 2k for k ≥ 2 (Proposition 1; see the module docs).
-    let mech = LaplaceMechanism::new(epsilon, 2.0 * k as f64)?;
-    let truncated = edge_truncation(graph, k).graph;
-    noisy_theta_f(graph.schema(), &edge_config_counts(&truncated), mech, rng)
+    let method = CorrelationMethod::EdgeTruncation { k: Some(k) };
+    learn_correlations_dp(graph, epsilon, method, rng)
 }
 
 /// Appendix B.1: exact `Q_F` counts with Laplace noise calibrated to the
@@ -174,10 +204,8 @@ pub fn learn_correlations_smooth<G: GraphView, R: Rng + ?Sized>(
     delta: f64,
     rng: &mut R,
 ) -> Result<ThetaF> {
-    let b = beta(epsilon, delta)?;
-    let s_star = smooth_sensitivity_qf(graph.max_degree(), graph.num_nodes(), b).max(1e-9);
-    let mech = LaplaceMechanism::new(epsilon, 2.0 * s_star)?;
-    noisy_theta_f(graph.schema(), &edge_config_counts(graph), mech, rng)
+    let method = CorrelationMethod::SmoothSensitivity { delta };
+    learn_correlations_dp(graph, epsilon, method, rng)
 }
 
 /// Appendix B.2: random node partition, per-group `Θ_F` on induced subgraphs,
@@ -217,9 +245,7 @@ pub fn learn_correlations_naive<G: GraphView, R: Rng + ?Sized>(
     epsilon: f64,
     rng: &mut R,
 ) -> Result<ThetaF> {
-    let sensitivity = (2.0 * graph.num_nodes() as f64 - 2.0).max(2.0);
-    let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-    noisy_theta_f(graph.schema(), &edge_config_counts(graph), mech, rng)
+    learn_correlations_dp(graph, epsilon, CorrelationMethod::NaiveLaplace, rng)
 }
 
 /// The tail of every count-based `Θ_F` learner, where each spends its ε: one
@@ -241,6 +267,7 @@ mod tests {
     use super::*;
     use crate::params::edge_config_counts;
     use agmdp_datasets::toy_social_graph;
+    use agmdp_graph::truncation::edge_truncation;
     use agmdp_graph::{AttributeSchema, AttributedGraph};
     use agmdp_metrics::distance::mean_absolute_error;
     use rand::rngs::StdRng;

@@ -21,6 +21,8 @@
 //!   (Algorithm 4, Proposition 1) plus the smooth-sensitivity,
 //!   sample-and-aggregate and naïve-Laplace alternatives of Appendix B.
 //! * [`structural_dp`] — `FitTriCycLeDP` (Algorithm 6) and the FCL variant.
+//! * [`statistics`] — [`FitStatistics`], the graph-only statistics those
+//!   learners add noise to, kept per input so repeated fits count them once.
 //! * [`acceptance`] — the accept/reject probabilities that impose the learned
 //!   correlations on the structural model's proposals.
 //! * [`workflow`] — the end-to-end AGM / AGM-DP synthesis pipeline
@@ -55,11 +57,13 @@ pub mod correlations_dp;
 pub mod error;
 pub mod node_dp;
 pub mod params;
+pub mod statistics;
 pub mod structural_dp;
 pub mod workflow;
 
 pub use error::CoreError;
 pub use params::{ThetaF, ThetaM, ThetaX};
+pub use statistics::FitStatistics;
 pub use workflow::{synthesize, AgmConfig, Privacy, StructuralModelKind};
 
 /// Convenient result alias used across the crate.

@@ -5,6 +5,7 @@ use rand::Rng;
 use serde::Serialize;
 
 use agmdp_graph::triangles::count_triangles;
+use agmdp_graph::truncation::truncated_edges;
 use agmdp_graph::{AttributeSchema, Edge, GraphView};
 
 use crate::error::CoreError;
@@ -197,8 +198,21 @@ pub fn node_config_counts<G: GraphView>(graph: &G) -> Vec<f64> {
 /// The raw edge-configuration counts `Q_F` (one per element of `Y^F_w`).
 #[must_use]
 pub fn edge_config_counts<G: GraphView>(graph: &G) -> Vec<f64> {
+    count_edge_configs(graph, graph.edges())
+}
+
+/// The `Q_F` counts of the truncated graph µ(G, k) (Algorithm 4), in one
+/// pass over the canonical edge order without building µ(G, k): equal to
+/// `edge_config_counts(&edge_truncation(graph, k).graph)`, since
+/// truncation keeps every node's attribute code.
+#[must_use]
+pub fn truncated_edge_config_counts<G: GraphView>(graph: &G, k: usize) -> Vec<f64> {
+    count_edge_configs(graph, truncated_edges(graph, k))
+}
+
+fn count_edge_configs<G: GraphView>(graph: &G, edges: impl Iterator<Item = Edge>) -> Vec<f64> {
     let mut counts = vec![0.0; graph.schema().num_edge_configs()];
-    for e in graph.edges() {
+    for e in edges {
         counts[graph.edge_config(e.u, e.v)] += 1.0;
     }
     counts
@@ -277,6 +291,22 @@ mod tests {
         assert_eq!(tm.implied_edges(), 4);
         let tm2 = ThetaM::from_graph_degrees_only(&g);
         assert_eq!(tm2.triangles, None);
+    }
+
+    #[test]
+    fn truncated_counts_equal_the_counts_of_the_truncated_graph() {
+        use agmdp_datasets::{generate_dataset, toy_social_graph, DatasetSpec};
+        use agmdp_graph::truncation::edge_truncation;
+        let lastfm = generate_dataset(&DatasetSpec::lastfm().scaled(0.1), 7).unwrap();
+        for g in [toy_social_graph(), lastfm] {
+            for k in 2..=g.max_degree() {
+                assert_eq!(
+                    truncated_edge_config_counts(&g, k),
+                    edge_config_counts(&edge_truncation(&g, k).graph),
+                    "k = {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@ use rand::Rng;
 
 use agmdp_graph::GraphView;
 use agmdp_privacy::constrained_inference::dp_degree_sequence;
-use agmdp_privacy::ladder::dp_triangle_count;
+use agmdp_privacy::ladder::ladder_triangle_count;
 
 use crate::error::CoreError;
 use crate::params::ThetaM;
+use crate::statistics::FitStatistics;
 use crate::Result;
 
 /// Learns TriCycLe's structural parameters `Θ_M = {S̄, ñ_Δ}` under
@@ -28,11 +29,29 @@ pub fn fit_tricycle_dp<G: GraphView, R: Rng + ?Sized>(
     epsilon_triangles: f64,
     rng: &mut R,
 ) -> Result<ThetaM> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::UnusableInput("graph has no nodes".to_string()));
-    }
-    let degree_sequence = dp_degree_sequence(&graph.degrees(), epsilon_degrees, rng)?;
-    let ladder = dp_triangle_count(graph, epsilon_triangles, rng)?;
+    fit_tricycle_cached(
+        graph,
+        &FitStatistics::new(),
+        epsilon_degrees,
+        epsilon_triangles,
+        rng,
+    )
+}
+
+/// [`fit_tricycle_dp`] reading the sorted degrees and the Ladder's
+/// triangle statistics from `statistics`, the graph's fit statistics: the
+/// same draws and the same estimate.
+pub(crate) fn fit_tricycle_cached<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
+    statistics: &FitStatistics,
+    epsilon_degrees: f64,
+    epsilon_triangles: f64,
+    rng: &mut R,
+) -> Result<ThetaM> {
+    let ThetaM {
+        degree_sequence, ..
+    } = fit_fcl_cached(graph, statistics, epsilon_degrees, rng)?;
+    let ladder = ladder_triangle_count(&statistics.triangles(graph), epsilon_triangles, rng)?;
     Ok(ThetaM {
         degree_sequence,
         triangles: Some(ladder.estimate.round().max(0.0) as u64),
@@ -47,10 +66,22 @@ pub fn fit_fcl_dp<G: GraphView, R: Rng + ?Sized>(
     epsilon: f64,
     rng: &mut R,
 ) -> Result<ThetaM> {
+    fit_fcl_cached(graph, &FitStatistics::new(), epsilon, rng)
+}
+
+/// [`fit_fcl_dp`] reading the sorted degrees from `statistics`, the
+/// graph's fit statistics: the same draws and the same estimate.
+pub(crate) fn fit_fcl_cached<G: GraphView, R: Rng + ?Sized>(
+    graph: &G,
+    statistics: &FitStatistics,
+    epsilon: f64,
+    rng: &mut R,
+) -> Result<ThetaM> {
     if graph.num_nodes() == 0 {
         return Err(CoreError::UnusableInput("graph has no nodes".to_string()));
     }
-    let degree_sequence = dp_degree_sequence(&graph.degrees(), epsilon, rng)?;
+    // The estimator sorts its input, so sorted degrees give the same draws.
+    let degree_sequence = dp_degree_sequence(statistics.sorted_degrees(graph), epsilon, rng)?;
     Ok(ThetaM {
         degree_sequence,
         triangles: None,

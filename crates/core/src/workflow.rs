@@ -34,11 +34,12 @@ use agmdp_models::{ExecPolicy, StructuralModel};
 pub use agmdp_privacy::budget::BudgetSplit;
 
 use crate::acceptance::acceptance_probabilities;
-use crate::attributes_dp::learn_attributes_dp;
-use crate::correlations_dp::{learn_correlations_dp, CorrelationMethod};
+use crate::attributes_dp::learn_attributes_cached;
+use crate::correlations_dp::{learn_correlations_cached, CorrelationMethod};
 use crate::error::CoreError;
 use crate::params::{ThetaF, ThetaM, ThetaX};
-use crate::structural_dp::{fit_fcl_dp, fit_tricycle_dp};
+use crate::statistics::FitStatistics;
+use crate::structural_dp::{fit_fcl_cached, fit_tricycle_cached};
 use crate::Result;
 
 /// Which structural model AGM is instantiated with.
@@ -199,16 +200,24 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
     config: &AgmConfig,
     rng: &mut R,
 ) -> Result<LearnedParameters> {
-    learn_parameters_with_split(graph, config, None, rng)
+    learn_parameters_cached(graph, &FitStatistics::new(), config, None, rng)
 }
 
-/// [`learn_parameters`] with an explicit ε split in place of the Section 5
-/// split [`AgmConfig::budget_split`] picks (`None` keeps that one). A split
-/// needs a DP configuration, and its total may not exceed the configured ε.
-/// The learners draw in the same order either way, so the configuration's
-/// own split reproduces [`learn_parameters`] bit for bit.
-pub fn learn_parameters_with_split<G: GraphView, R: Rng + ?Sized>(
+/// [`learn_parameters`] reading the graph-only statistics its DP learners
+/// add noise to from `statistics`, which belongs to `graph` and is filled
+/// by the first fit that needs each one. The result and the draws from
+/// `rng` equal a fit on the graph alone, bit for bit, so a caller that fits
+/// one input many times keeps one [`FitStatistics`] beside it and walks the
+/// graph only on the first fit.
+///
+/// `split` replaces the Section 5 split [`AgmConfig::budget_split`] picks
+/// (`None` keeps that one). A split needs a DP configuration, and its total
+/// may not exceed the configured ε. The learners draw in the same order
+/// either way, so the configuration's own split reproduces
+/// [`learn_parameters`] bit for bit.
+pub fn learn_parameters_cached<G: GraphView, R: Rng + ?Sized>(
     graph: &G,
+    statistics: &FitStatistics,
     config: &AgmConfig,
     split: Option<BudgetSplit>,
     rng: &mut R,
@@ -248,14 +257,25 @@ pub fn learn_parameters_with_split<G: GraphView, R: Rng + ?Sized>(
                 }
                 Some(split) => split,
             };
-            let theta_x = learn_attributes_dp(graph, split.attributes, rng)?;
-            let theta_f =
-                learn_correlations_dp(graph, split.correlations, config.correlation_method, rng)?;
+            let theta_x = learn_attributes_cached(graph, statistics, split.attributes, rng)?;
+            let theta_f = learn_correlations_cached(
+                graph,
+                statistics,
+                split.correlations,
+                config.correlation_method,
+                rng,
+            )?;
             let theta_m = match config.model {
-                StructuralModelKind::TriCycLe => {
-                    fit_tricycle_dp(graph, split.degree_sequence, split.triangles, rng)?
+                StructuralModelKind::TriCycLe => fit_tricycle_cached(
+                    graph,
+                    statistics,
+                    split.degree_sequence,
+                    split.triangles,
+                    rng,
+                )?,
+                StructuralModelKind::Fcl => {
+                    fit_fcl_cached(graph, statistics, split.degree_sequence, rng)?
                 }
-                StructuralModelKind::Fcl => fit_fcl_dp(graph, split.degree_sequence, rng)?,
             };
             (theta_x, theta_f, theta_m)
         }
@@ -586,7 +606,14 @@ mod tests {
         let input = toy_social_graph();
         let config = AgmConfig::default();
         let learn = |config: &AgmConfig, split| {
-            learn_parameters_with_split(&input, config, split, &mut StdRng::seed_from_u64(8))
+            let statistics = FitStatistics::new();
+            learn_parameters_cached(
+                &input,
+                &statistics,
+                config,
+                split,
+                &mut StdRng::seed_from_u64(8),
+            )
         };
         // The configuration's own split reproduces `learn_parameters`.
         let even = Some(config.budget_split().unwrap());

@@ -16,12 +16,12 @@
 
 use serde::Serialize;
 
-use agmdp_core::correlations_dp::learn_correlations_dp;
+use agmdp_core::correlations_dp::learn_correlations_cached;
 use agmdp_core::node_dp::learn_correlations_node_dp;
 use agmdp_core::workflow::{
-    learn_parameters_with_split, synthesize_from_parameters, BudgetSplit, Privacy,
-    StructuralModelKind,
+    learn_parameters_cached, synthesize_from_parameters, BudgetSplit, Privacy, StructuralModelKind,
 };
+use agmdp_core::FitStatistics;
 use agmdp_graph::components::connected_components;
 use agmdp_graph::{AttributedGraph, GraphView};
 use agmdp_metrics::distance::{hellinger_distance, mean_absolute_error, mean_relative_error};
@@ -127,10 +127,12 @@ struct Cell {
 }
 
 /// One materialised input: the mutable graph the learners and the TCL fit
-/// read, and the profile every trial scores against.
+/// read, the graph-only statistics its DP fits add noise to (filled by the
+/// first trial that needs each), and the profile every trial scores against.
 struct Input {
     label: String,
     graph: AttributedGraph,
+    statistics: FitStatistics,
     profile: GraphProfile,
 }
 
@@ -168,6 +170,7 @@ impl EvalPlan {
                 Ok(Input {
                     label: d.label(),
                     graph,
+                    statistics: FitStatistics::new(),
                     profile,
                 })
             })
@@ -221,8 +224,14 @@ impl EvalPlan {
                             ),
                             _ => None,
                         };
-                        let params = learn_parameters_with_split(&input.graph, &config, split, rng)
-                            .map_err(|e| fault(&e))?;
+                        let params = learn_parameters_cached(
+                            &input.graph,
+                            &input.statistics,
+                            &config,
+                            split,
+                            rng,
+                        )
+                        .map_err(|e| fault(&e))?;
                         let release = synthesize_from_parameters(&params, &config, rng)
                             .map_err(|e| fault(&e))?;
                         release_scores(input, &release, &recorded)
@@ -233,12 +242,16 @@ impl EvalPlan {
                         };
                         let graph = &input.graph;
                         let estimate = match variant.estimator() {
-                            Estimator::Edge(method) => {
-                                learn_correlations_dp(graph, epsilon, method, rng)
-                                    .map_err(|e| fault(&e))?
-                                    .probabilities()
-                                    .to_vec()
-                            }
+                            Estimator::Edge(method) => learn_correlations_cached(
+                                graph,
+                                &input.statistics,
+                                epsilon,
+                                method,
+                                rng,
+                            )
+                            .map_err(|e| fault(&e))?
+                            .probabilities()
+                            .to_vec(),
                             Estimator::NodeDp => {
                                 learn_correlations_node_dp(graph, epsilon, NODE_DP_DELTA, None, rng)
                                     .map_err(|e| fault(&e))?
@@ -481,7 +494,7 @@ mod tests {
             let mut rng = agmdp_models::parallel::chunk_rng(4, trial as u64);
             let epsilon = if row.epsilon == "ln3" { 3f64.ln() } else { 0.5 };
             let estimate = match row.model.as_str() {
-                "trunc" => learn_correlations_dp(
+                "trunc" => agmdp_core::correlations_dp::learn_correlations_dp(
                     &graph,
                     epsilon,
                     agmdp_core::correlations_dp::CorrelationMethod::EdgeTruncation { k: Some(4) },

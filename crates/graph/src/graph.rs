@@ -166,16 +166,24 @@ impl AttributedGraph {
     /// passes instead of `m` binary-search-and-shift insertions, which is
     /// what makes bulk loads of millions of edges cheap: a counting sort on
     /// the source node lays the lists out back to back in node order, each
-    /// followed by its slack, then each list is sorted in place.
+    /// followed by its slack, then each list is sorted in place. Canonical
+    /// edges in increasing `(u, v)` order fill every list in increasing
+    /// order, so its sort is one pass. Any order builds the same graph.
     ///
     /// The preconditions are verified, not trusted: out-of-range endpoints,
     /// self-loops and duplicates all error (the duplicate check is a free
     /// by-product of sorting the adjacency lists), and so does an edge set
     /// whose lists and slack pass `u32::MAX` arena slots.
-    pub fn from_unique_edges(n: usize, schema: AttributeSchema, edges: &[Edge]) -> Result<Self> {
-        arena_end(edges.len(), edges.len())?;
+    pub fn from_unique_edges<I>(n: usize, schema: AttributeSchema, edges: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = Edge>,
+        I::IntoIter: Clone + ExactSizeIterator,
+    {
+        let edges = edges.into_iter();
+        let num_edges = edges.len();
+        arena_end(num_edges, num_edges)?;
         let mut spans = vec![Span::default(); n];
-        for e in edges {
+        for e in edges.clone() {
             for node in [e.u, e.v] {
                 if node as usize >= n {
                     return Err(GraphError::NodeOutOfRange { node, num_nodes: n });
@@ -220,7 +228,7 @@ impl AttributedGraph {
             spans,
             holes: 0,
             attributes: vec![0; n],
-            num_edges: edges.len(),
+            num_edges,
         })
     }
 
@@ -784,7 +792,7 @@ mod tests {
             }
         }
         assert!(compactions > 0);
-        let rebuilt = AttributedGraph::from_unique_edges(24, g.schema(), &g.edge_vec()).unwrap();
+        let rebuilt = AttributedGraph::from_unique_edges(24, g.schema(), g.edge_vec()).unwrap();
         assert_eq!(g, rebuilt);
         assert_eq!(rebuilt.holes, 0);
         for v in rebuilt.nodes() {

@@ -14,66 +14,88 @@ use crate::view::GraphView;
 
 /// Counts the triangles in `g`.
 ///
-/// Uses the forward (degree-oriented) algorithm: every edge is oriented from
-/// its lower-`(degree, id)` endpoint to its higher one, which gives each
-/// triangle exactly one vertex with out-edges to the other two. Intersections
-/// are stamp-array lookups rather than sorted merges, and every out-degree is
-/// `O(sqrt(m))`, so the whole count runs in `O(m^{3/2})` — far below the
-/// `O(sum_v d_v^2)` of pairwise neighbor merges on skewed degree sequences.
+/// Uses the forward (degree-oriented) algorithm of [`DegreeOrientation`]:
+/// intersections are stamp-array lookups rather than sorted merges, and
+/// every out-degree is `O(sqrt(m))`, so the whole count runs in
+/// `O(m^{3/2})` — far below the `O(sum_v d_v^2)` of pairwise neighbor
+/// merges on skewed degree sequences.
 #[must_use]
 pub fn count_triangles<G: GraphView>(g: &G) -> u64 {
-    let (offsets, out) = oriented_out_edges(g);
-    let n = g.num_nodes();
-    let mut stamp = vec![u32::MAX; n];
-    let mut total = 0u64;
-    for u in 0..n {
-        let fwd = &out[offsets[u] as usize..offsets[u + 1] as usize];
-        if fwd.len() < 2 {
-            continue;
-        }
-        for &w in fwd {
-            stamp[w as usize] = u as u32;
-        }
-        for &v in fwd {
-            for &w in &out[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
-                total += u64::from(stamp[w as usize] == u as u32);
-            }
-        }
-    }
-    total
+    DegreeOrientation::new(g).triangles_in(0..g.num_nodes())
 }
 
-/// Builds the CSR out-adjacency of the degree orientation: edge `{u, v}` is
-/// stored under `u` iff `(d_u, u) < (d_v, v)`. Out-lists inherit the sorted
-/// order of the underlying neighbor lists.
-fn oriented_out_edges<G: GraphView>(g: &G) -> (Vec<u32>, Vec<NodeId>) {
-    let n = g.num_nodes();
-    let deg: Vec<u32> = (0..n).map(|v| g.degree(v as NodeId) as u32).collect();
-    let mut offsets = vec![0u32; n + 1];
-    for u in 0..n {
-        let ru = (deg[u], u as u32);
-        let fwd = g
-            .neighbors(u as NodeId)
-            .iter()
-            .filter(|&&v| ru < (deg[v as usize], v))
-            .count();
-        offsets[u + 1] = fwd as u32;
-    }
-    for u in 0..n {
-        offsets[u + 1] += offsets[u];
-    }
-    let mut out = vec![0 as NodeId; offsets[n] as usize];
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    for u in 0..n {
-        let ru = (deg[u], u as u32);
-        for &v in g.neighbors(u as NodeId) {
-            if ru < (deg[v as usize], v) {
-                out[cursor[u] as usize] = v;
-                cursor[u] += 1;
+/// The degree orientation of a graph: every edge is oriented from its
+/// lower-`(degree, id)` endpoint to its higher one, which gives each
+/// triangle exactly one vertex with out-edges to the other two. Stored as a
+/// CSR out-adjacency whose lists inherit the sorted order of the underlying
+/// neighbor lists.
+#[derive(Debug, Clone)]
+pub struct DegreeOrientation {
+    offsets: Vec<u32>,
+    out: Vec<NodeId>,
+}
+
+impl DegreeOrientation {
+    /// Orients `g`: edge `{u, v}` is stored under `u` iff
+    /// `(d_u, u) < (d_v, v)`.
+    #[must_use]
+    pub fn new<G: GraphView>(g: &G) -> Self {
+        let n = g.num_nodes();
+        let deg: Vec<u32> = (0..n).map(|v| g.degree(v as NodeId) as u32).collect();
+        let mut offsets = vec![0u32; n + 1];
+        for u in 0..n {
+            let ru = (deg[u], u as u32);
+            let fwd = g
+                .neighbors(u as NodeId)
+                .iter()
+                .filter(|&&v| ru < (deg[v as usize], v))
+                .count();
+            offsets[u + 1] = fwd as u32;
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut out = vec![0 as NodeId; offsets[n] as usize];
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        for u in 0..n {
+            let ru = (deg[u], u as u32);
+            for &v in g.neighbors(u as NodeId) {
+                if ru < (deg[v as usize], v) {
+                    out[cursor[u] as usize] = v;
+                    cursor[u] += 1;
+                }
             }
         }
+        Self { offsets, out }
     }
-    (offsets, out)
+
+    fn out(&self, u: usize) -> &[NodeId] {
+        &self.out[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+
+    /// The triangles whose lowest-ranked vertex lies in `nodes`. Summed over
+    /// any partition of `0..n` this is the triangle count, so node chunks
+    /// can be counted on separate threads.
+    #[must_use]
+    pub fn triangles_in(&self, nodes: std::ops::Range<usize>) -> u64 {
+        let mut stamp = vec![u32::MAX; self.offsets.len() - 1];
+        let mut total = 0u64;
+        for u in nodes {
+            let fwd = self.out(u);
+            if fwd.len() < 2 {
+                continue;
+            }
+            for &w in fwd {
+                stamp[w as usize] = u as u32;
+            }
+            for &v in fwd {
+                for &w in self.out(v as usize) {
+                    total += u64::from(stamp[w as usize] == u as u32);
+                }
+            }
+        }
+        total
+    }
 }
 
 /// Counts the wedges (length-two paths) in `g`: `sum_v C(d_v, 2)`.
@@ -93,12 +115,12 @@ pub fn count_wedges<G: GraphView>(g: &G) -> u64 {
 /// `v`; summing over all nodes counts each triangle three times.
 #[must_use]
 pub fn triangles_per_node<G: GraphView>(g: &G) -> Vec<u64> {
-    let (offsets, out) = oriented_out_edges(g);
+    let oriented = DegreeOrientation::new(g);
     let n = g.num_nodes();
     let mut stamp = vec![u32::MAX; n];
     let mut counts = vec![0u64; n];
     for u in 0..n {
-        let fwd = &out[offsets[u] as usize..offsets[u + 1] as usize];
+        let fwd = oriented.out(u);
         if fwd.len() < 2 {
             continue;
         }
@@ -106,7 +128,7 @@ pub fn triangles_per_node<G: GraphView>(g: &G) -> Vec<u64> {
             stamp[w as usize] = u as u32;
         }
         for &v in fwd {
-            for &w in &out[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
+            for &w in oriented.out(v as usize) {
                 if stamp[w as usize] == u as u32 {
                     counts[u] += 1;
                     counts[v as usize] += 1;

@@ -45,30 +45,37 @@ pub struct TruncationOutcome {
 /// input in place; the result is the same for every representation.
 #[must_use]
 pub fn edge_truncation<G: GraphView>(g: &G, k: usize) -> TruncationOutcome {
-    let mut degrees = g.degrees();
     let mut out = AttributedGraph::new(g.num_nodes(), g.schema());
     for v in g.nodes() {
         out.set_attribute_code(v, g.attribute_code(v))
             .expect("attribute codes of the source graph are always valid");
     }
-    let mut deleted = 0usize;
-    for Edge { u, v } in g.edges() {
-        let (ui, vi) = (u as usize, v as usize);
-        if degrees[ui] > k || degrees[vi] > k {
-            // Delete the edge: both endpoints lose one degree.
-            degrees[ui] -= 1;
-            degrees[vi] -= 1;
-            deleted += 1;
-        } else {
-            out.add_edge(u, v)
-                .expect("source graph edges are unique and in range");
-        }
+    for Edge { u, v } in truncated_edges(g, k) {
+        out.add_edge(u, v)
+            .expect("source graph edges are unique and in range");
     }
     TruncationOutcome {
+        deleted_edges: g.num_edges() - out.num_edges(),
         graph: out,
-        deleted_edges: deleted,
         k,
     }
+}
+
+/// The edges µ(G, k) keeps, in the canonical order, without building the
+/// truncated graph: walking the edges in that order, an edge is deleted
+/// when either endpoint's current degree exceeds `k`.
+pub fn truncated_edges<G: GraphView>(g: &G, k: usize) -> impl Iterator<Item = Edge> + '_ {
+    let mut degrees = g.degrees();
+    g.edges().filter(move |&Edge { u, v }| {
+        let (ui, vi) = (u as usize, v as usize);
+        let deleted = degrees[ui] > k || degrees[vi] > k;
+        if deleted {
+            // Both endpoints lose one degree.
+            degrees[ui] -= 1;
+            degrees[vi] -= 1;
+        }
+        !deleted
+    })
 }
 
 /// The data-independent heuristic `k = ⌈n^(1/3)⌉` recommended in Section 3.1.

@@ -280,7 +280,7 @@ proptest! {
             }
             check_against_model(&g, &model)?;
         }
-        let rebuilt = AttributedGraph::from_unique_edges(n, g.schema(), &g.edge_vec()).unwrap();
+        let rebuilt = AttributedGraph::from_unique_edges(n, g.schema(), g.edge_vec()).unwrap();
         prop_assert_eq!(&g, &rebuilt);
         prop_assert_eq!(to_binary(&g.freeze()), to_binary(&rebuilt.freeze()));
     }

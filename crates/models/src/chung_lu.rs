@@ -91,7 +91,9 @@ pub(crate) fn sample_cl_edges(
 ///    from the same chunk stream.
 ///
 /// The surviving candidates are then merged serially in chunk order,
-/// skipping intra-round duplicates, until the target is reached.
+/// skipping intra-round duplicates, until the target is reached. The merge
+/// keeps the accepted edges' keys sorted, and the graph is built from them
+/// in that order, so every adjacency list fills in increasing order.
 ///
 /// A round's chunks run in waves, and the round stops at the wave that
 /// reaches the target: the chunks after it could only add candidates the
@@ -117,8 +119,8 @@ pub(crate) fn sample_cl_edges_chunked(
     policy: &ExecPolicy,
     rng: &mut dyn RngCore,
 ) -> (AttributedGraph, Vec<Edge>) {
-    let order = sample_cl_edge_list_chunked(pi, target_edges, acceptance, policy, rng);
-    let graph = AttributedGraph::from_unique_edges(n, schema, &order)
+    let (order, keys) = sample_cl_edge_keys(n, pi, target_edges, acceptance, policy, rng);
+    let graph = AttributedGraph::from_unique_edges(n, schema, keys.iter().map(key_edge))
         .expect("sampled edges are deduplicated, in range and loop-free");
     (graph, order)
 }
@@ -150,12 +152,27 @@ pub(crate) fn sample_cl_graph(
 /// refinement loop observes Θ_F of intermediate samples and discards them)
 /// use this to skip the `O(n + m)` graph build.
 pub(crate) fn sample_cl_edge_list_chunked(
+    n: usize,
     pi: &PiSampler,
     target_edges: usize,
     acceptance: Option<&AcceptanceContext>,
     policy: &ExecPolicy,
     rng: &mut dyn RngCore,
 ) -> Vec<Edge> {
+    sample_cl_edge_keys(n, pi, target_edges, acceptance, policy, rng).0
+}
+
+/// [`sample_cl_edge_list_chunked`] that also returns the packed keys of the
+/// sampled edges in increasing order, the set the dedupe keeps sorted
+/// anyway.
+fn sample_cl_edge_keys(
+    n: usize,
+    pi: &PiSampler,
+    target_edges: usize,
+    acceptance: Option<&AcceptanceContext>,
+    policy: &ExecPolicy,
+    rng: &mut dyn RngCore,
+) -> (Vec<Edge>, Vec<u64>) {
     let master = rng.next_u64();
     let mut order: Vec<Edge> = Vec::with_capacity(target_edges);
     // Canonical packed keys of every edge accepted in earlier rounds, sorted:
@@ -173,7 +190,7 @@ pub(crate) fn sample_cl_edge_list_chunked(
     // converge through a geometric tail of tiny rounds, and per-wave
     // allocations would dominate those waves' real work.
     let mut candidates: Vec<Edge> = Vec::new();
-    let mut by_key: Vec<(u64, u32)> = Vec::new();
+    let mut dedupe = FirstArrivals::new(n);
     let mut first_arrival: Vec<bool> = Vec::new();
     // Sorted keys accepted by this round's earlier waves.
     let mut round_keys: Vec<u64> = Vec::new();
@@ -205,43 +222,20 @@ pub(crate) fn sample_cl_edge_list_chunked(
             drawn += (done..done + wave).map(chunk_len).sum::<usize>();
             done += wave;
             // Serial merge in chunk order. Duplicates within the round were
-            // invisible to the snapshot filter; a sort over (key, arrival
-            // index) finds each key's first arrival in this wave, and a walk
-            // over the earlier waves' sorted keys drops keys they accepted.
+            // invisible to the snapshot filter; `dedupe` finds each key's
+            // first arrival in this wave, skipping keys earlier waves saw,
+            // and appends the new keys to the round's set in sorted order.
             // That replicates one-at-a-time insertion exactly — same edges
             // kept, in the same order — without a per-edge adjacency insert.
             candidates.clear();
             candidates.extend(batches.into_iter().flatten());
-            by_key.clear();
-            by_key.extend(
-                candidates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (edge_key(e), i as u32)),
-            );
-            by_key.sort_unstable();
-            first_arrival.clear();
-            first_arrival.resize(candidates.len(), false);
             let split = round_keys.len();
-            round_keys.reserve(candidates.len());
-            let mut earlier = 0;
-            let mut prev_key = None;
-            for &(key, idx) in &by_key {
-                if prev_key == Some(key) {
-                    continue;
-                }
-                prev_key = Some(key);
-                while earlier < split && round_keys[earlier] < key {
-                    earlier += 1;
-                }
-                if earlier == split || round_keys[earlier] != key {
-                    first_arrival[idx as usize] = true;
-                    round_keys.push(key);
-                }
-            }
+            dedupe.mark(&candidates, &mut first_arrival, &mut round_keys);
             let before = order.len();
+            let mut cut = candidates.len();
             for (i, e) in candidates.iter().enumerate() {
                 if order.len() >= target_edges {
+                    cut = i;
                     break;
                 }
                 if first_arrival[i] {
@@ -249,11 +243,17 @@ pub(crate) fn sample_cl_edge_list_chunked(
                 }
             }
             kept += order.len() - before;
-            // Below the target, every first arrival was accepted, so the
-            // wave's keys join the round's sorted set.
-            if order.len() < target_edges {
-                merge_sorted_tail(&mut round_keys, split);
+            // The wave's keys that arrived before the target was reached
+            // were accepted; they join the round's sorted set.
+            let mut accepted = split;
+            for (j, &arrival) in dedupe.arrivals().iter().enumerate() {
+                if (arrival as usize) < cut {
+                    round_keys[accepted] = round_keys[split + j];
+                    accepted += 1;
+                }
             }
+            round_keys.truncate(accepted);
+            merge_sorted_tail(&mut round_keys, split);
         }
         next_chunk += num_chunks as u64;
         attempts += proposals;
@@ -263,7 +263,19 @@ pub(crate) fn sample_cl_edge_list_chunked(
             merge_sorted_tail(&mut accepted_keys, split);
         }
     }
-    order
+    // The last round's keys join the earlier rounds' once the wave scratch
+    // is freed, appended to whichever set is larger (a single-round pass
+    // copies nothing).
+    drop((candidates, dedupe, first_arrival));
+    let (mut keys, rest) = if accepted_keys.len() >= round_keys.len() {
+        (accepted_keys, round_keys)
+    } else {
+        (round_keys, accepted_keys)
+    };
+    let split = keys.len();
+    keys.extend_from_slice(&rest);
+    merge_sorted_tail(&mut keys, split);
+    (order, keys)
 }
 
 /// One chunk of CL proposals: `count` π-sampled endpoint pairs drawn from
@@ -299,6 +311,104 @@ fn propose_chunk(
     survivors
 }
 
+/// The first-arrival dedupe of a wave, with no comparison sort: two stable
+/// counting sorts, by larger and then by smaller endpoint, put the wave's
+/// candidates in key order with each key's arrivals in arrival order, so one
+/// walk finds every first arrival and merges against the round's earlier
+/// keys. It takes time linear in the wave, `n` and the earlier keys, and
+/// 12 bytes per candidate.
+struct FirstArrivals {
+    /// Bucket bounds of a counting sort, one bucket per node.
+    bounds: Vec<u32>,
+    /// Arrival indices: stably sorted by larger endpoint while a wave is
+    /// sorted, then the arrival index of each new key the wave found.
+    indices: Vec<u32>,
+    /// Every candidate as `larger endpoint << 32 | arrival index`, in key
+    /// order and then arrival order.
+    by_key: Vec<u64>,
+}
+
+impl FirstArrivals {
+    fn new(n: usize) -> Self {
+        Self {
+            bounds: vec![0; n + 1],
+            indices: Vec::new(),
+            by_key: Vec::new(),
+        }
+    }
+
+    /// Sets `first[i]` for each candidate whose key arrived neither earlier
+    /// in the wave nor in `keys`, the sorted keys earlier waves of the round
+    /// accepted, and appends the new keys to `keys` in increasing order
+    /// ([`FirstArrivals::arrivals`] then holds their arrival indices).
+    /// Candidates are canonical (`u < v < n`).
+    fn mark(&mut self, candidates: &[Edge], first: &mut Vec<bool>, keys: &mut Vec<u64>) {
+        let n = self.bounds.len() - 1;
+        bucket_starts(&mut self.bounds, candidates.iter().map(|e| e.v));
+        self.indices.clear();
+        self.indices.resize(candidates.len(), 0);
+        for (i, e) in candidates.iter().enumerate() {
+            let slot = &mut self.bounds[e.v as usize];
+            self.indices[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        // `bounds[u]` becomes bucket u's start, then its end as it fills.
+        bucket_starts(&mut self.bounds, candidates.iter().map(|e| e.u));
+        self.by_key.clear();
+        self.by_key.resize(candidates.len(), 0);
+        for &i in &self.indices {
+            let e = candidates[i as usize];
+            let slot = &mut self.bounds[e.u as usize];
+            self.by_key[*slot as usize] = (u64::from(e.v) << 32) | u64::from(i);
+            *slot += 1;
+        }
+        first.clear();
+        first.resize(candidates.len(), false);
+        self.indices.clear();
+        keys.reserve(candidates.len());
+        let split = keys.len();
+        let (mut begin, mut earlier) = (0, 0);
+        for u in 0..n {
+            let end = self.bounds[u] as usize;
+            let mut prev = None;
+            for &entry in &self.by_key[begin..end] {
+                let key = ((u as u64) << 32) | (entry >> 32);
+                if prev == Some(key) {
+                    continue;
+                }
+                prev = Some(key);
+                while earlier < split && keys[earlier] < key {
+                    earlier += 1;
+                }
+                if earlier == split || keys[earlier] != key {
+                    first[entry as u32 as usize] = true;
+                    keys.push(key);
+                    self.indices.push(entry as u32);
+                }
+            }
+            begin = end;
+        }
+    }
+
+    /// The arrival index of each new key the last [`FirstArrivals::mark`]
+    /// appended, in key order.
+    fn arrivals(&self) -> &[u32] {
+        &self.indices
+    }
+}
+
+/// Sets `bounds[b]` to the start of bucket `b` in a stable counting sort of
+/// items whose buckets are `buckets` (each below `bounds.len() - 1`).
+fn bucket_starts(bounds: &mut [u32], buckets: impl Iterator<Item = u32>) {
+    bounds.fill(0);
+    for b in buckets {
+        bounds[b as usize + 1] += 1;
+    }
+    for b in 1..bounds.len() {
+        bounds[b] += bounds[b - 1];
+    }
+}
+
 /// Merges a sorted `keys[..split]` prefix with a sorted `keys[split..]` tail
 /// in place (backward two-pointer merge; only elements larger than the
 /// tail's minimum move). The two runs are disjoint by construction here, but
@@ -327,6 +437,15 @@ fn merge_sorted_tail(keys: &mut [u64], split: usize) {
 #[inline]
 fn edge_key(e: &Edge) -> u64 {
     (u64::from(e.u) << 32) | u64::from(e.v)
+}
+
+/// The edge an [`edge_key`] packs.
+#[inline]
+fn key_edge(&key: &u64) -> Edge {
+    Edge {
+        u: (key >> 32) as u32,
+        v: key as u32,
+    }
 }
 
 /// The Chung-Lu / FCL structural model.
@@ -457,8 +576,14 @@ impl StructuralModel for ChungLuModel {
         };
         let acceptance = request.checked_acceptance(self.degrees.len())?;
         request.observer.stage_start(SynthesisStage::EdgeSample);
-        let edges =
-            sample_cl_edge_list_chunked(&self.pi, self.target_edges, acceptance, policy, rng);
+        let edges = sample_cl_edge_list_chunked(
+            self.degrees.len(),
+            &self.pi,
+            self.target_edges,
+            acceptance,
+            policy,
+            rng,
+        );
         request.observer.stage_end(SynthesisStage::EdgeSample);
         Ok(edges)
     }
@@ -647,31 +772,55 @@ mod tests {
         assert_eq!(generate(8).edge_vec(), serial.edge_vec());
     }
 
+    /// Where one watched key showed up in one round of the reference.
+    #[derive(Default)]
+    struct Sighting {
+        /// Chunks of the round's first wave: the chunks that cover the
+        /// missing edges, as the wave sampler sizes it.
+        first_wave: usize,
+        /// Chunk index of each arrival of the key as a candidate.
+        arrivals: Vec<usize>,
+        /// Proposals of the key before any filter.
+        proposed: usize,
+    }
+
     /// The round-at-once algorithm the wave sampler must reproduce: each
     /// round draws every one of its chunks in chunk order and keeps first
-    /// arrivals until the target. Returns the edges and the round count.
+    /// arrivals until the target. Returns the edges and, per round, where
+    /// `watch` showed up.
     fn round_at_once(
         pi: &PiSampler,
         target: usize,
         acceptance: Option<&AcceptanceContext>,
         chunk_size: usize,
+        watch: Edge,
         rng: &mut dyn RngCore,
-    ) -> (Vec<Edge>, usize) {
+    ) -> (Vec<Edge>, Vec<Sighting>) {
         let master = rng.next_u64();
         let max_attempts = MAX_ATTEMPT_FACTOR * target + 1_000;
-        let (mut order, mut accepted) = (Vec::new(), Vec::new());
-        let (mut attempts, mut next_chunk, mut rounds) = (0, 0u64, 0);
+        let (mut order, mut accepted, mut rounds) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut attempts, mut next_chunk) = (0, 0u64);
         while order.len() < target && attempts < max_attempts {
-            rounds += 1;
             let proposals = ((target - order.len()) * ROUND_OVERSAMPLE)
                 .min(max_attempts - attempts)
                 .max(1);
             let num_chunks = proposals.div_ceil(chunk_size);
+            let mut sighting = Sighting {
+                first_wave: (target - order.len()).div_ceil(chunk_size),
+                ..Sighting::default()
+            };
             let mut seen = std::collections::HashSet::new();
             for chunk in 0..num_chunks {
                 let stream = chunk_rng(master, next_chunk + chunk as u64);
                 let count = (proposals - chunk * chunk_size).min(chunk_size);
+                let mut raw = BlockRng::new(stream.clone());
+                sighting.proposed += (0..count)
+                    .filter(|_| Edge::new(pi.sample(&mut raw), pi.sample(&mut raw)) == watch)
+                    .count();
                 for e in propose_chunk(pi, acceptance, &accepted, stream, count) {
+                    if e == watch {
+                        sighting.arrivals.push(chunk);
+                    }
                     if order.len() < target && seen.insert(e) {
                         order.push(e);
                     }
@@ -681,6 +830,7 @@ mod tests {
             attempts += proposals;
             accepted = order.iter().map(edge_key).collect();
             accepted.sort_unstable();
+            rounds.push(sighting);
         }
         (order, rounds)
     }
@@ -691,26 +841,65 @@ mod tests {
         // edges, so duplicates and coins force several rounds, and a round
         // that runs out of chunks ran more than its first wave.
         let n = 40;
-        let pi = PiSampler::from_degrees(&vec![32; n]).unwrap();
-        let target = 640;
+        let dense = PiSampler::from_degrees(&vec![32; n]).unwrap();
+        // Two hubs: four proposals in five touch them, and one in three is
+        // the hub pair (0, 1) itself.
+        let mut hubs = vec![8; n];
+        hubs[..2].fill(600);
+        let hubs = PiSampler::from_degrees(&hubs).unwrap();
         let codes: Vec<u32> = (0..n as u32).map(|i| i % 2).collect();
         let ctx =
-            AcceptanceContext::new(codes, AttributeSchema::new(1), vec![0.3, 0.9, 0.6]).unwrap();
-        for (acceptance, seed) in [(Some(&ctx), 21), (Some(&ctx), 22), (None, 23)] {
+            AcceptanceContext::new(codes.clone(), AttributeSchema::new(1), vec![0.3, 0.9, 0.6])
+                .unwrap();
+        // Mixed pairs such as (0, 1) pass one coin in five.
+        let rare =
+            AcceptanceContext::new(codes, AttributeSchema::new(1), vec![0.9, 0.2, 0.9]).unwrap();
+        let pair = Edge::new(0, 1);
+        let cases = [
+            (&dense, 640, Some(&ctx), 21),
+            (&dense, 640, Some(&ctx), 22),
+            (&dense, 640, None, 23),
+            // The hub pair arrives many times within one wave.
+            (&hubs, 60, None, 24),
+            // The hub pair arrives again in a later wave of the round that
+            // accepted it, and is proposed again in later rounds.
+            (&hubs, 60, Some(&rare), 25),
+        ];
+        for (pi, target, acceptance, seed) in cases {
             let (expected, rounds) = round_at_once(
-                &pi,
+                pi,
                 target,
                 acceptance,
                 16,
+                pair,
                 &mut StdRng::seed_from_u64(seed),
             );
-            assert!(rounds >= 2, "seed {seed}: {rounds} round(s)");
+            assert!(rounds.len() >= 2, "seed {seed}: {} round(s)", rounds.len());
             assert_eq!(expected.len(), target);
+            let first = &rounds[0];
+            let in_first_wave = first.arrivals.iter().filter(|&&c| c < first.first_wave);
+            match seed {
+                24 => assert!(in_first_wave.count() >= 5, "seed {seed}"),
+                25 => {
+                    assert!(in_first_wave.count() >= 1, "seed {seed}");
+                    assert!(
+                        first.arrivals.iter().any(|&c| c >= first.first_wave),
+                        "seed {seed}"
+                    );
+                    assert!(rounds[1..].iter().any(|r| r.proposed > 0), "seed {seed}");
+                    assert!(rounds[1..].iter().all(|r| r.arrivals.is_empty()));
+                }
+                _ => {}
+            }
+            let mut expected_keys: Vec<u64> = expected.iter().map(edge_key).collect();
+            expected_keys.sort_unstable();
             for threads in [1, 4] {
                 let policy = ExecPolicy::new(threads).with_chunk_size(16);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let edges = sample_cl_edge_list_chunked(&pi, target, acceptance, &policy, &mut rng);
+                let (edges, keys) =
+                    sample_cl_edge_keys(n, pi, target, acceptance, &policy, &mut rng);
                 assert_eq!(edges, expected, "seed {seed}, {threads} thread(s)");
+                assert_eq!(keys, expected_keys, "seed {seed}, {threads} thread(s)");
             }
         }
     }

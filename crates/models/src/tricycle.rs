@@ -26,13 +26,14 @@ use std::collections::VecDeque;
 use rand::RngCore;
 
 use agmdp_graph::graph::Edge;
-use agmdp_graph::triangles::count_triangles;
+use agmdp_graph::triangles::DegreeOrientation;
 use agmdp_graph::{AttributeSchema, AttributedGraph, GraphView};
 
 use crate::acceptance::{GenerateRequest, StructuralModel};
 use crate::chung_lu::{sample_cl_graph, sample_uniform};
 use crate::error::ModelError;
 use crate::observe::SynthesisStage;
+use crate::parallel::{run_chunks, ExecPolicy};
 use crate::pi::PiSampler;
 use crate::postprocess::wire_orphans;
 use crate::Result;
@@ -127,11 +128,12 @@ impl StructuralModel for TriCycLeModel {
     }
 
     /// Phase 1 (the Chung-Lu seed graph, the `O(m)` bulk) runs through the
-    /// chunked parallel sampler when the request carries a policy; phase 2
-    /// (triangle-targeted rewiring) is inherently sequential — each accepted
-    /// replacement changes the neighbor lists the next proposal samples
-    /// from — and always draws from the caller's RNG, so its stream is
-    /// identical for every thread count.
+    /// chunked parallel sampler when the request carries a policy, and so
+    /// does the seed graph's triangle count; phase 2 (triangle-targeted
+    /// rewiring) is inherently sequential — each accepted replacement
+    /// changes the neighbor lists the next proposal samples from — and
+    /// always draws from the caller's RNG, so its stream is identical for
+    /// every thread count.
     ///
     /// The observer sees the two phases as [`SynthesisStage::EdgeSample`]
     /// (seed graph) and [`SynthesisStage::Rewire`] (triangle rewiring plus
@@ -168,7 +170,7 @@ impl StructuralModel for TriCycLeModel {
 
         // Phase 2: rewire edges until the triangle target is met.
         observer.stage_start(SynthesisStage::Rewire);
-        let mut tau = count_triangles(&graph);
+        let mut tau = count_seed_triangles(&graph, request.policy);
         let max_iterations = self
             .max_iteration_factor
             .saturating_mul(m_total)
@@ -224,6 +226,23 @@ impl StructuralModel for TriCycLeModel {
     }
 }
 
+/// The seed graph's triangle count, over node chunks on the request's
+/// threads when it carries a policy. The chunks partition the nodes, so
+/// their sum is the count at every thread count.
+fn count_seed_triangles(graph: &AttributedGraph, policy: Option<&ExecPolicy>) -> u64 {
+    let oriented = DegreeOrientation::new(graph);
+    let n = graph.num_nodes();
+    let Some(policy) = policy else {
+        return oriented.triangles_in(0..n);
+    };
+    let size = policy.chunk_size();
+    run_chunks(policy.threads(), n.div_ceil(size), |chunk| {
+        oriented.triangles_in(chunk * size..((chunk + 1) * size).min(n))
+    })
+    .into_iter()
+    .sum()
+}
+
 fn pop_oldest_present(ages: &mut VecDeque<Edge>, graph: &AttributedGraph) -> Option<Edge> {
     while let Some(e) = ages.pop_front() {
         if graph.has_edge(e.u, e.v) {
@@ -240,6 +259,7 @@ mod tests {
     use crate::acceptance::AcceptanceContext;
     use agmdp_graph::clustering::average_local_clustering;
     use agmdp_graph::components::is_connected;
+    use agmdp_graph::triangles::count_triangles;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -386,5 +406,22 @@ mod tests {
             .generate(&GenerateRequest::default(), &mut StdRng::seed_from_u64(21))
             .unwrap();
         assert_eq!(g1.edge_vec(), g2.edge_vec());
+    }
+
+    #[test]
+    fn seed_triangles_count_the_same_in_any_chunking() {
+        let model = crate::chung_lu::ChungLuModel::new(test_degrees(300)).unwrap();
+        let g = model
+            .generate(&GenerateRequest::default(), &mut StdRng::seed_from_u64(22))
+            .unwrap();
+        let exact = count_triangles(&g);
+        assert!(exact > 0);
+        assert_eq!(count_seed_triangles(&g, None), exact);
+        for threads in [1, 2, 4] {
+            for chunk_size in [1, 7, 64, ExecPolicy::DEFAULT_CHUNK_SIZE] {
+                let policy = ExecPolicy::new(threads).with_chunk_size(chunk_size);
+                assert_eq!(count_seed_triangles(&g, Some(&policy)), exact);
+            }
+        }
     }
 }

@@ -26,9 +26,12 @@
 //!
 //! ## Cost
 //!
-//! A call costs one oriented triangle count (`O(m^{3/2})`) plus
-//! [`triangle_local_sensitivity`]. `LS(G)` is a maximum over *all* pairs, so a
-//! plain two-hop walk takes `Σ_u d_u²` steps — about 240M on the Pokec
+//! [`dp_triangle_count`] costs one oriented triangle count (`O(m^{3/2})`)
+//! plus [`triangle_local_sensitivity`], both in [`TriangleStatistics::of`];
+//! [`ladder_triangle_count`] on statistics counted earlier costs only the
+//! rung enumeration, so repeated fits of one graph count them once.
+//! `LS(G)` is a maximum over *all* pairs, so a plain two-hop walk takes
+//! `Σ_u d_u²` steps — about 240M on the Pokec
 //! stand-in at scale 0.25 (148,157 nodes, `d_max` 1,581). The walk here goes
 //! in `(degree desc, id)` order and skips every pair that cannot beat the
 //! maximum found so far, which reaches the same `LS(G)` (146 there) in about
@@ -164,6 +167,32 @@ pub struct LadderOutcome {
     pub rung: usize,
 }
 
+/// The graph-only inputs of the Ladder draw. Un-noised functions of the
+/// graph: they may be kept to answer later draws on the same graph, but
+/// never released.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TriangleStatistics {
+    /// The true triangle count `n_Δ(G)`.
+    pub count: u64,
+    /// The local sensitivity `LS(G)` ([`triangle_local_sensitivity`]).
+    pub local_sensitivity: usize,
+    /// The number of nodes `n`, which caps the ladder's rung widths.
+    pub num_nodes: usize,
+}
+
+impl TriangleStatistics {
+    /// Counts the statistics of `g`: one oriented triangle count plus
+    /// [`triangle_local_sensitivity`].
+    #[must_use]
+    pub fn of<G: GraphView>(g: &G) -> Self {
+        Self {
+            count: count_triangles(g),
+            local_sensitivity: triangle_local_sensitivity(g),
+            num_nodes: g.num_nodes(),
+        }
+    }
+}
+
 /// Differentially private triangle count via the Ladder framework.
 ///
 /// Satisfies ε-differential privacy under the paper's edge-adjacency notion
@@ -174,12 +203,24 @@ pub fn dp_triangle_count<G: GraphView, R: Rng + ?Sized>(
     epsilon: f64,
     rng: &mut R,
 ) -> Result<LadderOutcome> {
+    ladder_triangle_count(&TriangleStatistics::of(g), epsilon, rng)
+}
+
+/// [`dp_triangle_count`] on statistics counted earlier: the same draws from
+/// `rng` and the same outcome as the call on the graph they came from.
+pub fn ladder_triangle_count<R: Rng + ?Sized>(
+    statistics: &TriangleStatistics,
+    epsilon: f64,
+    rng: &mut R,
+) -> Result<LadderOutcome> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(PrivacyError::InvalidEpsilon(epsilon));
     }
-    let true_count = count_triangles(g);
-    let n = g.num_nodes();
-    let ls0 = triangle_local_sensitivity(g);
+    let TriangleStatistics {
+        count: true_count,
+        local_sensitivity: ls0,
+        num_nodes: n,
+    } = *statistics;
     // Ladder rung widths: rung t (t >= 1) has width LS^{t-1}(G) on each side.
     // Enumerate rungs until the residual geometric mass is negligible.
     let decay = (-epsilon / 2.0).exp();

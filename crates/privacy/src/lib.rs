@@ -14,7 +14,9 @@
 //!   and Hay et al.'s isotonic regression (PAVA in linear time), Appendix
 //!   C.3.1.
 //! * [`ladder`] — `dp_triangle_count`: the Ladder framework of Zhang et al.
-//!   for triangle counting, rung draw included, Appendix C.3.2.
+//!   for triangle counting, rung draw included, Appendix C.3.2; and
+//!   `ladder_triangle_count`, the same draw on a graph's
+//!   `TriangleStatistics` counted earlier.
 //! * [`sample_aggregate`] — `sample_and_aggregate_distribution`, Appendix B.2.
 //!
 //! The rest spends no ε: [`smooth`] (smooth sensitivity bounds of Nissim et

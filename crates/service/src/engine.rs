@@ -31,7 +31,7 @@ use rand::SeedableRng;
 
 use agmdp_core::correlations_dp::CorrelationMethod;
 use agmdp_core::workflow::{
-    learn_parameters, synthesize_resumable, AgmConfig, LearnedParameters, Privacy,
+    learn_parameters_cached, synthesize_resumable, AgmConfig, LearnedParameters, Privacy,
     StructuralModelKind,
 };
 use agmdp_graph::{io, AttributedGraph, FrozenGraph, MappedGraph};
@@ -454,13 +454,20 @@ impl SynthesisEngine {
         if let Some(params) = &admission.params {
             return Ok(Arc::clone(params));
         }
-        // The DP learners read the registered graph in place — owned words
-        // or the `.agb` mapping — with no copy before edge truncation.
-        let graph = self.registry.get(&request.dataset)?;
+        // The DP learners add noise to statistics of the registered graph
+        // that the dataset's first cold fit counted in place, from owned
+        // words or the `.agb` mapping; later fits only draw the noise.
+        let (graph, statistics) = self.registry.fit_input(&request.dataset)?;
         let mut learn_rng = StdRng::seed_from_u64(request.seed);
         let params = Arc::new(
-            learn_parameters(graph.as_ref(), &request.config(), &mut learn_rng)
-                .map_err(|e| ServiceError::Synthesis(e.to_string()))?,
+            learn_parameters_cached(
+                graph.as_ref(),
+                &statistics,
+                &request.config(),
+                None,
+                &mut learn_rng,
+            )
+            .map_err(|e| ServiceError::Synthesis(e.to_string()))?,
         );
         // Publishing wakes identical admissions as soon as the fit is done
         // instead of making them wait out the sampling step too.
@@ -662,6 +669,22 @@ mod tests {
         }
         assert_eq!(passes_skipped(&engine), 1 + 2 + 4 + 5);
         assert!((engine.ledger().status("toy").unwrap().spent - 0.5).abs() < 1e-12);
+    }
+
+    /// The first cold job fills the dataset's fit statistics; a later cold
+    /// job reads them and releases what a fresh engine releases.
+    #[test]
+    fn later_cold_jobs_release_what_a_fresh_engine_releases() {
+        let engine = engine_with_toy(2.0);
+        engine.synthesize(&with_graph(31, 3)).unwrap();
+        let mut fcl = with_graph(33, 2);
+        fcl.model = StructuralModelKind::Fcl;
+        fcl.method = CorrelationMethod::NaiveLaplace;
+        for request in [with_graph(32, 3), fcl] {
+            let cold = engine.synthesize(&request).unwrap();
+            assert!(!cold.cache_hit);
+            assert_eq!(cold.graph_text, fresh_release(&request), "{request:?}");
+        }
     }
 
     #[test]

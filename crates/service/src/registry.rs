@@ -2,8 +2,10 @@
 //!
 //! A dataset is registered once and then only ever read. Its entry holds
 //! the **read-only** graph, the original-side metric profile every job
-//! scores its release against (built on first use), and the running utility
-//! of every release served from it (`GET /evaluate`).
+//! scores its release against (built on first use), the graph-only
+//! statistics its cold fits add noise to (each built by the first fit that
+//! needs it), and the running utility of every release served from it
+//! (`GET /evaluate`).
 //!
 //! Every completed job compares its release against the registered original
 //! (`agmdp_eval::UtilityReport`, ε-free post-processing) and folds the
@@ -25,6 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use agmdp_core::FitStatistics;
 use agmdp_eval::report::NUM_METRICS;
 use agmdp_eval::{GraphProfile, UtilityReport};
 use agmdp_graph::{FrozenGraph, GraphView};
@@ -137,6 +140,10 @@ struct Entry {
     /// them and reused by every later one. The registry refuses
     /// re-registration with different data, so a profile never goes stale.
     profile: OnceLock<Arc<GraphProfile>>,
+    /// The graph-only statistics of the DP fit, filled by the cold fits
+    /// that need them. Un-noised functions of the graph: they never leave
+    /// the engine's fit.
+    statistics: Arc<FitStatistics>,
     /// Running utility of every release served from this dataset.
     utility: Mutex<Accumulator>,
 }
@@ -193,6 +200,7 @@ impl DatasetRegistry {
             Arc::new(Entry {
                 graph: Arc::clone(&graph),
                 profile: OnceLock::new(),
+                statistics: Arc::new(FitStatistics::new()),
                 utility: Mutex::new(Accumulator::new()),
             }),
         );
@@ -207,6 +215,15 @@ impl DatasetRegistry {
     /// Looks up a dataset.
     pub fn get(&self, name: &str) -> Result<Arc<FrozenGraph>, ServiceError> {
         Ok(Arc::clone(&self.entry(name)?.graph))
+    }
+
+    /// A dataset's graph and the fit statistics that belong to it.
+    pub(crate) fn fit_input(
+        &self,
+        name: &str,
+    ) -> Result<(Arc<FrozenGraph>, Arc<FitStatistics>), ServiceError> {
+        let entry = self.entry(name)?;
+        Ok((Arc::clone(&entry.graph), Arc::clone(&entry.statistics)))
     }
 
     /// The original-side metric profile of a dataset, computed on first use.

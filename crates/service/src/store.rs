@@ -11,10 +11,13 @@
 //! zero privacy cost.
 //!
 //! Unlike the in-memory [`FitCache`](crate::cache::FitCache), the store
-//! survives restarts: lookups recompute the key's filename and open the
-//! artifact with the trusted mmap tier ([`FrozenGraph::open_trusted`]), so a
-//! hit costs microseconds regardless of graph size and no index file is
-//! needed. Writers stage into a `.tmp` sibling and `rename` into place — the
+//! survives restarts: lookups recompute the key's filename, so no index file
+//! is needed. An artifact's first hit in a process opens it with the
+//! verified mmap tier ([`FrozenGraph::open`]: checksum and every CSR
+//! invariant), so bytes the service never released — a torn write, a
+//! flipped bit — are a miss, not a hit; the store remembers the stem, and
+//! later hits open it with the trusted tier ([`FrozenGraph::open_trusted`])
+//! in microseconds regardless of graph size. Writers stage into a `.tmp` sibling and `rename` into place — the
 //! artifact first, the sidecar last — so a half-written release is invisible
 //! (the sidecar is the commit record) and readers can never map a partially
 //! written file. Identical keys always produce identical bytes (the pipeline
@@ -26,8 +29,10 @@
 //! comparison. This file is in the workspace panic-freedom lint scope: a
 //! corrupt sidecar or artifact degrades to a miss, never a panic.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 use agmdp_eval::report::NUM_METRICS;
 use agmdp_eval::UtilityReport;
@@ -62,7 +67,7 @@ pub struct StoredRelease {
     pub stats: GraphStats,
     /// Utility of the release relative to the registered original.
     pub utility: UtilityReport,
-    /// The artifact, mapped zero-copy via the trusted tier.
+    /// The artifact, mapped zero-copy.
     pub graph: FrozenGraph,
     /// Size of the artifact in bytes.
     pub bytes: u64,
@@ -72,6 +77,8 @@ pub struct StoredRelease {
 #[derive(Debug)]
 pub struct ReleaseStore {
     dir: PathBuf,
+    /// Stems whose artifact passed the verified tier in this process.
+    verified: Mutex<BTreeSet<String>>,
 }
 
 impl ReleaseStore {
@@ -80,7 +87,10 @@ impl ReleaseStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| ServiceError::Store(format!("cannot create '{}': {e}", dir.display())))?;
-        Ok(Self { dir })
+        Ok(Self {
+            dir,
+            verified: Mutex::new(BTreeSet::new()),
+        })
     }
 
     /// The store's root directory.
@@ -144,11 +154,7 @@ impl ReleaseStore {
         let epsilon = f64::from_bits(json::get(&meta, "epsilon_bits").and_then(json::as_u64)?);
         let stats = parse_stats(json::get(&meta, "stats")?)?;
         let utility = parse_utility(json::get(&meta, "utility_bits")?)?;
-        // The service wrote this artifact itself (tmp + rename), so the
-        // trusted tier's layout + offsets scan is the right validation
-        // level: a hit on a large graph costs microseconds, not a
-        // full-payload checksum pass.
-        let graph = FrozenGraph::open_trusted(self.artifact_path(&stem)).ok()?;
+        let graph = self.open_artifact(&stem)?;
         let bytes = graph.byte_len() as u64;
         Some(StoredRelease {
             epsilon,
@@ -157,6 +163,24 @@ impl ReleaseStore {
             graph,
             bytes,
         })
+    }
+
+    /// Maps a committed artifact: through the verified tier on the stem's
+    /// first hit in this process, then through the trusted tier. A file
+    /// that fails verification stays unverified, so every lookup of it
+    /// misses until a rewrite passes.
+    fn open_artifact(&self, stem: &str) -> Option<FrozenGraph> {
+        let path = self.artifact_path(stem);
+        // Every update is one insert, so a poisoned set is still consistent.
+        let mut verified = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
+        if verified.contains(stem) {
+            return FrozenGraph::open_trusted(path).ok();
+        }
+        drop(verified);
+        let graph = FrozenGraph::open(path).ok()?;
+        verified = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
+        verified.insert(stem.to_string());
+        Some(graph)
     }
 
     /// Commits a completed release: the `.agb` artifact plus its sidecar,
@@ -349,6 +373,41 @@ mod tests {
         other.threads = 8;
         other.return_graph = true;
         assert!(store.lookup(&other).is_some());
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// A flipped bit keeps the file's layout, so only the checksum finds
+    /// it; the first hit in a process checks it, later hits trust the stem.
+    #[test]
+    fn a_flipped_neighbour_byte_is_a_miss_on_the_first_hit() {
+        let store = temp_store("flipped");
+        let (request, mut artifact, stats, utility) = sample_outcome();
+        store.insert(&request, &artifact, &stats, &utility).unwrap();
+        let stem = ReleaseStore::release_stem(&request);
+        // A 28-byte header and n + 1 offset words precede the neighbours.
+        let neighbours = 28 + 4 * (stats.nodes + 1);
+        artifact[neighbours + 4 * stats.edges] ^= 1;
+        std::fs::write(store.artifact_path(&stem), &artifact).unwrap();
+        assert!(FrozenGraph::open_trusted(store.artifact_path(&stem)).is_ok());
+        assert!(store.lookup(&request).is_none());
+        assert!(
+            store.lookup(&request).is_none(),
+            "a failed stem stays unverified"
+        );
+
+        // A rewrite of the released bytes hits, and keeps hitting after the
+        // file goes bad, without re-reading the whole artifact.
+        let (_, released, _, _) = sample_outcome();
+        store.insert(&request, &released, &stats, &utility).unwrap();
+        assert_eq!(
+            io::to_binary(&store.lookup(&request).unwrap().graph),
+            released
+        );
+        std::fs::write(store.artifact_path(&stem), &artifact).unwrap();
+        assert!(store.lookup(&request).is_some());
+        // A fresh process verifies again.
+        let reopened = ReleaseStore::open(store.dir().to_path_buf()).unwrap();
+        assert!(reopened.lookup(&request).is_none());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

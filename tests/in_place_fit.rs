@@ -1,26 +1,43 @@
 //! The DP fit reads any graph representation in place: for the same seed,
 //! `learn_parameters` returns equal parameters on an `AttributedGraph`, its
 //! frozen CSR snapshot, and its `.agb` file opened through both validation
-//! tiers — every structural model, every correlation estimator.
+//! tiers — every structural model, every correlation estimator. A fit that
+//! reads the statistics one input's earlier fits left in its
+//! `FitStatistics` (the service's and the eval runner's path) returns the
+//! same parameters and leaves the RNG where the fit on the graph does.
 
+use agmdp::core::workflow::{learn_parameters_cached, LearnedParameters};
+use agmdp::core::FitStatistics;
 use agmdp::graph::io;
 use agmdp::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
-const METHODS: [CorrelationMethod; 4] = [
+const METHODS: [CorrelationMethod; 5] = [
     CorrelationMethod::EdgeTruncation { k: None },
+    CorrelationMethod::EdgeTruncation { k: Some(3) },
     CorrelationMethod::SmoothSensitivity { delta: 1e-6 },
     CorrelationMethod::SampleAggregate { group_size: 16 },
     CorrelationMethod::NaiveLaplace,
 ];
 
-fn fit<G: GraphView>(
+fn fit<G: GraphView>(graph: &G, config: &AgmConfig, seed: u64) -> LearnedParameters {
+    learn_parameters(graph, config, &mut StdRng::seed_from_u64(seed)).expect("fit")
+}
+
+/// A fit and the next draw of its RNG.
+fn fit_and_draw<G: GraphView>(
     graph: &G,
+    statistics: Option<&FitStatistics>,
     config: &AgmConfig,
     seed: u64,
-) -> agmdp::core::workflow::LearnedParameters {
-    learn_parameters(graph, config, &mut StdRng::seed_from_u64(seed)).expect("fit")
+) -> (LearnedParameters, u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let params = match statistics {
+        None => learn_parameters(graph, config, &mut rng),
+        Some(statistics) => learn_parameters_cached(graph, statistics, config, None, &mut rng),
+    };
+    (params.expect("fit"), rng.next_u64())
 }
 
 fn assert_fit_is_representation_blind(name: &str, graph: &AttributedGraph) {
@@ -34,25 +51,34 @@ fn assert_fit_is_representation_blind(name: &str, graph: &AttributedGraph) {
     let frozen = graph.freeze();
     let verified = FrozenGraph::open(&path).unwrap();
     let trusted = FrozenGraph::open_trusted(&path).unwrap();
+    // Shared by every fit below, as a registry entry's statistics are: the
+    // first fit that needs a statistic fills it, the rest read it.
+    let statistics = FitStatistics::new();
 
-    for model in [StructuralModelKind::Fcl, StructuralModelKind::TriCycLe] {
-        for method in METHODS {
-            let config = AgmConfig {
-                privacy: Privacy::Dp { epsilon: 1.0 },
-                model,
-                correlation_method: method,
-                ..AgmConfig::default()
-            };
-            let seed = 2016;
-            let expected = fit(graph, &config, seed);
-            let label = format!("{name} {model} {method:?}");
-            assert_eq!(fit(&frozen, &config, seed), expected, "{label}: freeze");
-            assert_eq!(fit(&verified, &config, seed), expected, "{label}: open");
-            assert_eq!(
-                fit(&trusted, &config, seed),
-                expected,
-                "{label}: open_trusted"
-            );
+    for seed in [2016, 7] {
+        for model in [StructuralModelKind::Fcl, StructuralModelKind::TriCycLe] {
+            for method in METHODS {
+                let config = AgmConfig {
+                    privacy: Privacy::Dp { epsilon: 1.0 },
+                    model,
+                    correlation_method: method,
+                    ..AgmConfig::default()
+                };
+                let (expected, next) = fit_and_draw(graph, None, &config, seed);
+                let label = format!("{name} {model} {method:?} seed {seed}");
+                assert_eq!(fit(&frozen, &config, seed), expected, "{label}: freeze");
+                assert_eq!(fit(&verified, &config, seed), expected, "{label}: open");
+                assert_eq!(
+                    fit(&trusted, &config, seed),
+                    expected,
+                    "{label}: open_trusted"
+                );
+                assert_eq!(
+                    fit_and_draw(&trusted, Some(&statistics), &config, seed),
+                    (expected, next),
+                    "{label}: cached statistics"
+                );
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
