@@ -68,7 +68,7 @@ impl Default for CorrelationMethod {
 }
 
 /// The smallest truncation parameter the `Lap(2k/ε)` calibration of
-/// [`learn_correlations_truncated`] holds for (see the module docs).
+/// [`CorrelationMethod::EdgeTruncation`] holds for (see the module docs).
 pub const MIN_TRUNCATION_K: usize = 2;
 
 impl CorrelationMethod {
@@ -182,35 +182,9 @@ pub fn learn_correlations_cached<G: GraphView, R: Rng + ?Sized>(
     }
 }
 
-/// Algorithm 4: truncate to a `k`-bounded graph, count `Q_F`, add `Lap(2k/ε)`
-/// noise, clamp negatives away and normalise. `k` must be at least
-/// [`MIN_TRUNCATION_K`].
-pub fn learn_correlations_truncated<G: GraphView, R: Rng + ?Sized>(
-    graph: &G,
-    epsilon: f64,
-    k: usize,
-    rng: &mut R,
-) -> Result<ThetaF> {
-    let method = CorrelationMethod::EdgeTruncation { k: Some(k) };
-    learn_correlations_dp(graph, epsilon, method, rng)
-}
-
-/// Appendix B.1: exact `Q_F` counts with Laplace noise calibrated to the
-/// β-smooth sensitivity of Corollary 5 (an (ε, δ)-DP mechanism): scale
-/// `2 S*/ε`, the Laplace mechanism with sensitivity `2 S*`.
-pub fn learn_correlations_smooth<G: GraphView, R: Rng + ?Sized>(
-    graph: &G,
-    epsilon: f64,
-    delta: f64,
-    rng: &mut R,
-) -> Result<ThetaF> {
-    let method = CorrelationMethod::SmoothSensitivity { delta };
-    learn_correlations_dp(graph, epsilon, method, rng)
-}
-
 /// Appendix B.2: random node partition, per-group `Θ_F` on induced subgraphs,
 /// noisy average (sensitivity `2/t`), re-normalised.
-pub fn learn_correlations_sample_aggregate<G: GraphView, R: Rng + ?Sized>(
+fn learn_correlations_sample_aggregate<G: GraphView, R: Rng + ?Sized>(
     graph: &G,
     epsilon: f64,
     group_size: usize,
@@ -236,16 +210,6 @@ pub fn learn_correlations_sample_aggregate<G: GraphView, R: Rng + ?Sized>(
     }
     let probabilities = sample_and_aggregate_distribution(&per_group, epsilon, rng)?;
     ThetaF::new(graph.schema(), probabilities)
-}
-
-/// The naïve Laplace baseline: exact `Q_F` counts with noise calibrated to the
-/// worst-case global sensitivity `2n − 2`.
-pub fn learn_correlations_naive<G: GraphView, R: Rng + ?Sized>(
-    graph: &G,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<ThetaF> {
-    learn_correlations_dp(graph, epsilon, CorrelationMethod::NaiveLaplace, rng)
 }
 
 /// The tail of every count-based `Θ_F` learner, where each spends its ε: one
@@ -317,14 +281,18 @@ mod tests {
     fn invalid_parameters_are_rejected() {
         let g = toy_social_graph();
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(learn_correlations_truncated(&g, 1.0, 0, &mut rng).is_err());
-        assert!(learn_correlations_truncated(&g, 1.0, 1, &mut rng).is_err());
-        assert!(learn_correlations_truncated(&g, 1.0, 2, &mut rng).is_ok());
-        assert!(learn_correlations_dp(&g, 0.0, CorrelationMethod::default(), &mut rng).is_err());
-        assert!(learn_correlations_smooth(&g, 1.0, 0.0, &mut rng).is_err());
-        assert!(learn_correlations_sample_aggregate(&g, 1.0, 0, &mut rng).is_err());
-        assert!(learn_correlations_sample_aggregate(&g, 1.0, g.num_nodes() + 1, &mut rng).is_err());
-        assert!(learn_correlations_sample_aggregate(&g, 1.0, g.num_nodes(), &mut rng).is_ok());
+        let mut learn = |epsilon, method| learn_correlations_dp(&g, epsilon, method, &mut rng);
+        let truncation = |k| CorrelationMethod::EdgeTruncation { k: Some(k) };
+        let groups = |group_size| CorrelationMethod::SampleAggregate { group_size };
+        let n = g.num_nodes();
+        assert!(learn(1.0, truncation(0)).is_err());
+        assert!(learn(1.0, truncation(1)).is_err());
+        assert!(learn(1.0, truncation(2)).is_ok());
+        assert!(learn(0.0, CorrelationMethod::default()).is_err());
+        assert!(learn(1.0, CorrelationMethod::SmoothSensitivity { delta: 0.0 }).is_err());
+        assert!(learn(1.0, groups(0)).is_err());
+        assert!(learn(1.0, groups(n + 1)).is_err());
+        assert!(learn(1.0, groups(n)).is_ok());
     }
 
     /// The counterexample behind [`MIN_TRUNCATION_K`]: at k = 1 one added
@@ -384,7 +352,8 @@ mod tests {
         // With k at least d_max, truncation deletes nothing.
         let k = g.max_degree();
         let mut rng = StdRng::seed_from_u64(3);
-        let tf = learn_correlations_truncated(&g, 1e6, k, &mut rng).unwrap();
+        let method = CorrelationMethod::EdgeTruncation { k: Some(k) };
+        let tf = learn_correlations_dp(&g, 1e6, method, &mut rng).unwrap();
         let exact = truth(&g);
         assert!(mean_absolute_error(exact.probabilities(), tf.probabilities()) < 1e-3);
     }
@@ -459,7 +428,8 @@ mod tests {
         let trials = 5;
         let mae: f64 = (0..trials)
             .map(|_| {
-                let est = learn_correlations_sample_aggregate(&g, 2.0, 40, &mut rng).unwrap();
+                let method = CorrelationMethod::SampleAggregate { group_size: 40 };
+                let est = learn_correlations_dp(&g, 2.0, method, &mut rng).unwrap();
                 mean_absolute_error(exact.probabilities(), est.probabilities())
             })
             .sum::<f64>()

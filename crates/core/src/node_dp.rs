@@ -27,22 +27,25 @@
 
 use rand::Rng;
 
-use agmdp_graph::truncation::{edge_truncation, heuristic_k};
+use agmdp_graph::truncation::heuristic_k;
 use agmdp_graph::GraphView;
 use agmdp_privacy::laplace::LaplaceMechanism;
 use agmdp_privacy::smooth::{beta, smooth_bound};
 
 use crate::correlations_dp::noisy_theta_f;
 use crate::error::CoreError;
-use crate::params::{edge_config_counts, ThetaF};
+use crate::params::ThetaF;
+use crate::statistics::FitStatistics;
 use crate::Result;
 
 /// Learns `Θ_F` under (ε, δ) node-differential privacy via edge truncation and
-/// node-adjacency smooth sensitivity.
+/// node-adjacency smooth sensitivity, reading the `Q_F` of µ(G, k) from
+/// `statistics`, the graph's fit statistics.
 ///
 /// `k = None` uses the same `⌈n^(1/3)⌉` heuristic as the edge-DP learner.
 pub fn learn_correlations_node_dp<G: GraphView, R: Rng + ?Sized>(
     graph: &G,
+    statistics: &FitStatistics,
     epsilon: f64,
     delta: f64,
     k: Option<usize>,
@@ -55,8 +58,8 @@ pub fn learn_correlations_node_dp<G: GraphView, R: Rng + ?Sized>(
     let k = k.unwrap_or_else(|| heuristic_k(n)).max(1);
     let s_star = node_dp_smooth_sensitivity(n, k, epsilon, delta)?.max(1e-9);
     let mech = LaplaceMechanism::new(epsilon, 2.0 * s_star)?;
-    let truncated = edge_truncation(graph, k).graph;
-    noisy_theta_f(graph.schema(), &edge_config_counts(&truncated), mech, rng)
+    let counts = statistics.truncated_edge_configs(graph, k);
+    noisy_theta_f(graph.schema(), &counts, mech, rng)
 }
 
 /// The node-adjacency smooth-sensitivity bound used by
@@ -85,7 +88,8 @@ mod tests {
     fn output_is_a_distribution() {
         let g = toy_social_graph();
         let mut rng = StdRng::seed_from_u64(1);
-        let tf = learn_correlations_node_dp(&g, 1.0, 0.01, None, &mut rng).unwrap();
+        let statistics = FitStatistics::new();
+        let tf = learn_correlations_node_dp(&g, &statistics, 1.0, 0.01, None, &mut rng).unwrap();
         assert_eq!(tf.probabilities().len(), 10);
         assert!((tf.probabilities().iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -107,10 +111,12 @@ mod tests {
     fn invalid_parameters_rejected() {
         let g = toy_social_graph();
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(learn_correlations_node_dp(&g, 0.0, 0.01, None, &mut rng).is_err());
-        assert!(learn_correlations_node_dp(&g, 1.0, 0.0, None, &mut rng).is_err());
-        let empty = AttributedGraph::unattributed(0);
-        assert!(learn_correlations_node_dp(&empty, 1.0, 0.01, None, &mut rng).is_err());
+        let mut learn = |g: &AttributedGraph, epsilon, delta| {
+            learn_correlations_node_dp(g, &FitStatistics::new(), epsilon, delta, None, &mut rng)
+        };
+        assert!(learn(&g, 0.0, 0.01).is_err());
+        assert!(learn(&g, 1.0, 0.0).is_err());
+        assert!(learn(&AttributedGraph::unattributed(0), 1.0, 0.01).is_err());
     }
 
     #[test]
@@ -126,8 +132,10 @@ mod tests {
 
         let mut h_node = 0.0;
         let mut h_edge = 0.0;
+        let statistics = FitStatistics::new();
         for _ in 0..trials {
-            let node = learn_correlations_node_dp(&g, eps, 0.01, None, &mut rng).unwrap();
+            let node =
+                learn_correlations_node_dp(&g, &statistics, eps, 0.01, None, &mut rng).unwrap();
             h_node += hellinger_distance(truth.probabilities(), node.probabilities());
             let edge = crate::correlations_dp::learn_correlations_dp(
                 &g,

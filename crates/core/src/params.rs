@@ -4,7 +4,6 @@
 use rand::Rng;
 use serde::Serialize;
 
-use agmdp_graph::triangles::count_triangles;
 use agmdp_graph::truncation::truncated_edges;
 use agmdp_graph::{AttributeSchema, Edge, GraphView};
 
@@ -40,10 +39,15 @@ impl ThetaX {
     /// Exact (non-private) estimate from a graph (any [`GraphView`]).
     #[must_use]
     pub fn from_graph<G: GraphView>(graph: &G) -> Self {
-        let counts = node_config_counts(graph);
+        Self::from_counts(graph.schema(), &node_config_counts(graph))
+    }
+
+    /// Exact estimate from the `Q_X` counts, one-normalised.
+    #[must_use]
+    pub fn from_counts(schema: AttributeSchema, counts: &[f64]) -> Self {
         Self {
-            schema: graph.schema(),
-            probabilities: agmdp_privacy::postprocess::normalize(&counts),
+            schema,
+            probabilities: agmdp_privacy::postprocess::normalize(counts),
         }
     }
 
@@ -106,33 +110,33 @@ impl ThetaF {
     /// with no edges yields the uniform distribution.
     #[must_use]
     pub fn from_graph<G: GraphView>(graph: &G) -> Self {
-        let counts = edge_config_counts(graph);
+        Self::from_counts(graph.schema(), &edge_config_counts(graph))
+    }
+
+    /// Exact estimate from the `Q_F` counts, one-normalised.
+    #[must_use]
+    pub fn from_counts(schema: AttributeSchema, counts: &[f64]) -> Self {
         Self {
-            schema: graph.schema(),
-            probabilities: agmdp_privacy::postprocess::normalize(&counts),
+            schema,
+            probabilities: agmdp_privacy::postprocess::normalize(counts),
         }
     }
 
-    /// [`ThetaF::from_graph`] computed straight from an edge list and the
-    /// per-node attribute codes, without an adjacency structure. Equals
-    /// `from_graph` on the graph those edges and codes describe — Θ_F only
-    /// counts edge configurations, so the refinement loop of Algorithm 3 can
-    /// observe intermediate samples it never materialises.
-    ///
-    /// `codes[i]` must be a valid node configuration for `schema` and every
-    /// endpoint must index into `codes`; both hold by construction for edge
-    /// lists produced by a [`agmdp_models::StructuralModel`] fed the same
-    /// code vector.
+    /// [`ThetaF::from_graph`] of `edges` with node `i` carrying `codes[i]`:
+    /// Algorithm 3's refinement counts each pass under the codes it sampled,
+    /// which the temporary edge set `E'` does not carry. Every endpoint must
+    /// index into `codes`, and each code must be valid for `schema`.
     #[must_use]
-    pub fn from_edges(schema: AttributeSchema, codes: &[u32], edges: &[Edge]) -> Self {
+    pub fn from_edges(
+        schema: AttributeSchema,
+        codes: &[u32],
+        edges: impl IntoIterator<Item = Edge>,
+    ) -> Self {
         let mut counts = vec![0.0; schema.num_edge_configs()];
         for e in edges {
             counts[schema.edge_config(codes[e.u as usize], codes[e.v as usize])] += 1.0;
         }
-        Self {
-            schema,
-            probabilities: agmdp_privacy::postprocess::normalize(&counts),
-        }
+        Self::from_counts(schema, &counts)
     }
 
     /// The attribute schema this distribution refers to.
@@ -160,24 +164,6 @@ pub struct ThetaM {
 }
 
 impl ThetaM {
-    /// Exact (non-private) estimate from a graph, including the triangle count.
-    #[must_use]
-    pub fn from_graph<G: GraphView>(graph: &G) -> Self {
-        Self {
-            degree_sequence: graph.degrees(),
-            triangles: Some(count_triangles(graph)),
-        }
-    }
-
-    /// Exact estimate without the triangle count (for FCL).
-    #[must_use]
-    pub fn from_graph_degrees_only<G: GraphView>(graph: &G) -> Self {
-        Self {
-            degree_sequence: graph.degrees(),
-            triangles: None,
-        }
-    }
-
     /// The total number of edges implied by the degree sequence.
     #[must_use]
     pub fn implied_edges(&self) -> usize {
@@ -242,6 +228,7 @@ mod tests {
         let tx = ThetaX::from_graph(&g);
         assert_eq!(tx.probabilities(), &[0.5, 0.5]);
         assert_eq!(tx.schema().width(), 1);
+        assert_eq!(ThetaX::from_counts(g.schema(), &[2.0, 2.0]), tx);
     }
 
     #[test]
@@ -250,6 +237,14 @@ mod tests {
         let tf = ThetaF::from_graph(&g);
         // Configs: (0,0), (0,1), (1,1) -> counts 1, 2, 1 of 4 edges.
         assert_eq!(tf.probabilities(), &[0.25, 0.5, 0.25]);
+        assert_eq!(ThetaF::from_counts(g.schema(), &[1.0, 2.0, 1.0]), tf);
+        assert_eq!(
+            ThetaF::from_edges(g.schema(), g.attribute_codes(), g.edges()),
+            tf
+        );
+        // The codes passed in count, not the graph's own.
+        let all_zero = ThetaF::from_edges(g.schema(), &[0; 4], g.edges());
+        assert_eq!(all_zero.probabilities(), &[1.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -283,14 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn theta_m_from_graph() {
-        let g = small_graph();
-        let tm = ThetaM::from_graph(&g);
-        assert_eq!(tm.degree_sequence, vec![2, 2, 3, 1]);
-        assert_eq!(tm.triangles, Some(1)); // triangle 0-1-2
+    fn theta_m_implies_half_the_degree_sum() {
+        let tm = ThetaM {
+            degree_sequence: vec![2, 2, 3, 1],
+            triangles: None,
+        };
         assert_eq!(tm.implied_edges(), 4);
-        let tm2 = ThetaM::from_graph_degrees_only(&g);
-        assert_eq!(tm2.triangles, None);
     }
 
     #[test]
@@ -299,7 +292,7 @@ mod tests {
         use agmdp_graph::truncation::edge_truncation;
         let lastfm = generate_dataset(&DatasetSpec::lastfm().scaled(0.1), 7).unwrap();
         for g in [toy_social_graph(), lastfm] {
-            for k in 2..=g.max_degree() {
+            for k in 1..=g.max_degree() {
                 assert_eq!(
                     truncated_edge_config_counts(&g, k),
                     edge_config_counts(&edge_truncation(&g, k).graph),

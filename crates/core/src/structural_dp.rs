@@ -22,25 +22,9 @@ use crate::statistics::FitStatistics;
 use crate::Result;
 
 /// Learns TriCycLe's structural parameters `Θ_M = {S̄, ñ_Δ}` under
-/// `(epsilon_degrees + epsilon_triangles)`-differential privacy (Algorithm 6).
-pub fn fit_tricycle_dp<G: GraphView, R: Rng + ?Sized>(
-    graph: &G,
-    epsilon_degrees: f64,
-    epsilon_triangles: f64,
-    rng: &mut R,
-) -> Result<ThetaM> {
-    fit_tricycle_cached(
-        graph,
-        &FitStatistics::new(),
-        epsilon_degrees,
-        epsilon_triangles,
-        rng,
-    )
-}
-
-/// [`fit_tricycle_dp`] reading the sorted degrees and the Ladder's
-/// triangle statistics from `statistics`, the graph's fit statistics: the
-/// same draws and the same estimate.
+/// `(epsilon_degrees + epsilon_triangles)`-differential privacy (Algorithm 6),
+/// reading the sorted degrees and the Ladder's triangle statistics from
+/// `statistics`, the graph's fit statistics.
 pub(crate) fn fit_tricycle_cached<G: GraphView, R: Rng + ?Sized>(
     graph: &G,
     statistics: &FitStatistics,
@@ -60,17 +44,7 @@ pub(crate) fn fit_tricycle_cached<G: GraphView, R: Rng + ?Sized>(
 
 /// Learns the FCL structural parameters (degree sequence only) under
 /// `epsilon`-differential privacy, using the same constrained-inference
-/// estimator.
-pub fn fit_fcl_dp<G: GraphView, R: Rng + ?Sized>(
-    graph: &G,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<ThetaM> {
-    fit_fcl_cached(graph, &FitStatistics::new(), epsilon, rng)
-}
-
-/// [`fit_fcl_dp`] reading the sorted degrees from `statistics`, the
-/// graph's fit statistics: the same draws and the same estimate.
+/// estimator on the sorted degrees from `statistics`.
 pub(crate) fn fit_fcl_cached<G: GraphView, R: Rng + ?Sized>(
     graph: &G,
     statistics: &FitStatistics,
@@ -100,8 +74,9 @@ mod tests {
     #[test]
     fn tricycle_fit_has_both_parameters() {
         let g = toy_social_graph();
+        let statistics = FitStatistics::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let theta_m = fit_tricycle_dp(&g, 0.5, 0.5, &mut rng).unwrap();
+        let theta_m = fit_tricycle_cached(&g, &statistics, 0.5, 0.5, &mut rng).unwrap();
         assert_eq!(theta_m.degree_sequence.len(), g.num_nodes());
         assert!(theta_m.triangles.is_some());
         // Sorted output from constrained inference.
@@ -113,8 +88,9 @@ mod tests {
     #[test]
     fn fcl_fit_has_no_triangles() {
         let g = toy_social_graph();
+        let statistics = FitStatistics::new();
         let mut rng = StdRng::seed_from_u64(2);
-        let theta_m = fit_fcl_dp(&g, 1.0, &mut rng).unwrap();
+        let theta_m = fit_fcl_cached(&g, &statistics, 1.0, &mut rng).unwrap();
         assert!(theta_m.triangles.is_none());
         assert_eq!(theta_m.degree_sequence.len(), g.num_nodes());
     }
@@ -122,8 +98,9 @@ mod tests {
     #[test]
     fn high_epsilon_matches_exact_statistics() {
         let g = toy_social_graph();
+        let statistics = FitStatistics::new();
         let mut rng = StdRng::seed_from_u64(3);
-        let theta_m = fit_tricycle_dp(&g, 1e6, 1e6, &mut rng).unwrap();
+        let theta_m = fit_tricycle_cached(&g, &statistics, 1e6, 1e6, &mut rng).unwrap();
         let mut exact = g.degrees();
         exact.sort_unstable();
         assert_eq!(theta_m.degree_sequence, exact);
@@ -135,8 +112,9 @@ mod tests {
     #[test]
     fn edge_count_is_roughly_preserved() {
         let g = toy_social_graph();
+        let statistics = FitStatistics::new();
         let mut rng = StdRng::seed_from_u64(4);
-        let theta_m = fit_tricycle_dp(&g, 2.0, 2.0, &mut rng).unwrap();
+        let theta_m = fit_tricycle_cached(&g, &statistics, 2.0, 2.0, &mut rng).unwrap();
         let implied = theta_m.implied_edges() as f64;
         let m = g.num_edges() as f64;
         assert!(
@@ -149,11 +127,13 @@ mod tests {
     fn invalid_inputs_are_rejected() {
         let empty = AttributedGraph::unattributed(0);
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(fit_tricycle_dp(&empty, 1.0, 1.0, &mut rng).is_err());
-        assert!(fit_fcl_dp(&empty, 1.0, &mut rng).is_err());
+        let statistics = FitStatistics::new();
+        assert!(fit_tricycle_cached(&empty, &statistics, 1.0, 1.0, &mut rng).is_err());
+        assert!(fit_fcl_cached(&empty, &statistics, 1.0, &mut rng).is_err());
         let g = toy_social_graph();
-        assert!(fit_tricycle_dp(&g, 0.0, 1.0, &mut rng).is_err());
-        assert!(fit_tricycle_dp(&g, 1.0, 0.0, &mut rng).is_err());
-        assert!(fit_fcl_dp(&g, -1.0, &mut rng).is_err());
+        let statistics = FitStatistics::new();
+        assert!(fit_tricycle_cached(&g, &statistics, 0.0, 1.0, &mut rng).is_err());
+        assert!(fit_tricycle_cached(&g, &statistics, 1.0, 0.0, &mut rng).is_err());
+        assert!(fit_fcl_cached(&g, &statistics, -1.0, &mut rng).is_err());
     }
 }

@@ -203,12 +203,14 @@ pub fn learn_parameters<G: GraphView, R: Rng + ?Sized>(
     learn_parameters_cached(graph, &FitStatistics::new(), config, None, rng)
 }
 
-/// [`learn_parameters`] reading the graph-only statistics its DP learners
-/// add noise to from `statistics`, which belongs to `graph` and is filled
-/// by the first fit that needs each one. The result and the draws from
-/// `rng` equal a fit on the graph alone, bit for bit, so a caller that fits
-/// one input many times keeps one [`FitStatistics`] beside it and walks the
-/// graph only on the first fit.
+/// [`learn_parameters`] reading the graph's counts from `statistics`, which
+/// belongs to `graph` and is filled by the first fit that needs each one:
+/// the statistics the DP learners add noise to, and the `Q_X`, `Q_F` and
+/// triangle count a non-private fit keeps as they are (with the degrees in
+/// node order, which it reads from the graph). The result and the draws
+/// from `rng` equal a fit on the graph alone, bit for bit, so a caller that
+/// fits one input many times keeps one [`FitStatistics`] beside it and
+/// walks the graph only on the first fit.
 ///
 /// `split` replaces the Section 5 split [`AgmConfig::budget_split`] picks
 /// (`None` keeps that one). A split needs a DP configuration, and its total
@@ -236,14 +238,18 @@ pub fn learn_parameters_cached<G: GraphView, R: Rng + ?Sized>(
             ));
         }
         Privacy::NonPrivate => {
-            let theta_m = match config.model {
-                StructuralModelKind::TriCycLe => ThetaM::from_graph(graph),
-                StructuralModelKind::Fcl => ThetaM::from_graph_degrees_only(graph),
+            let schema = graph.schema();
+            let triangles = match config.model {
+                StructuralModelKind::TriCycLe => Some(statistics.triangles(graph).count),
+                StructuralModelKind::Fcl => None,
             };
             (
-                ThetaX::from_graph(graph),
-                ThetaF::from_graph(graph),
-                theta_m,
+                ThetaX::from_counts(schema, statistics.node_configs(graph)),
+                ThetaF::from_counts(schema, statistics.edge_configs(graph)),
+                ThetaM {
+                    degree_sequence: graph.degrees(),
+                    triangles,
+                },
             )
         }
         Privacy::Dp { epsilon } => {
@@ -327,26 +333,17 @@ pub fn synthesize_from_parameters<R: Rng>(
     config: &AgmConfig,
     rng: &mut R,
 ) -> Result<AttributedGraph> {
-    synthesize_from_parameters_observed(params, config, rng, &NoopStageObserver)
+    refine(params, config, rng, None, &NoopStageObserver, None)
 }
 
-/// [`synthesize_from_parameters`] with stage-boundary callbacks: the
-/// observer sees attribute sampling, edge sampling, and rewiring as they
+/// [`synthesize_from_parameters`] that starts after `resume` (or fresh from
+/// `rng` when it is `None`) and hands `record` a checkpoint after every pass
+/// it runs, the release pass included.
+///
+/// The observer sees attribute sampling, edge sampling and rewiring as they
 /// happen. This crate only reports *boundaries* — it never reads a clock,
 /// so determinism is untouched and the observer cannot influence the
 /// output (it receives no data and returns none).
-pub fn synthesize_from_parameters_observed<R: Rng>(
-    params: &LearnedParameters,
-    config: &AgmConfig,
-    rng: &mut R,
-    observer: &dyn StageObserver,
-) -> Result<AttributedGraph> {
-    refine(params, config, rng, None, observer, None)
-}
-
-/// [`synthesize_from_parameters_observed`] that starts after `resume` (or
-/// fresh from `rng` when it is `None`) and hands `record` a checkpoint after
-/// every pass it runs, the release pass included.
 ///
 /// On resume `*rng` is first set to the checkpoint's state, so either way
 /// the release and the final `rng` state equal a fresh run's. `resume.pass`
@@ -471,22 +468,13 @@ fn refine<R: Rng>(
             acceptance: ctx.as_ref(),
             ..request
         };
-        // Only the release is materialised. Earlier passes are observed
-        // and discarded, so they stay edge lists (the stream-identity
-        // contract of `StructuralModel::generate_edges` guarantees the same
-        // sample either way), dropped before the next pass starts.
-        let (observed, released) = if pass == release {
-            let graph = model.generate(&request, rng)?;
-            if record.is_none() {
-                return Ok(graph);
-            }
-            // The release carries the context's codes, so its Θ_F equals
-            // the edge-list count an intermediate pass would take.
-            (ThetaF::from_graph(&graph), Some(graph))
-        } else {
-            let edges = model.generate_edges(&request, rng)?;
-            (ThetaF::from_edges(params.schema, &codes, &edges), None)
-        };
+        let graph = model.generate(&request, rng)?;
+        if pass == release && record.is_none() {
+            return Ok(graph);
+        }
+        // Every pass is counted under the sampled codes, which pass 0's E'
+        // does not carry.
+        let observed = ThetaF::from_edges(params.schema, &codes, graph.edges());
         let previous = ctx.map(|c| c.acceptance);
         let next = acceptance_probabilities(&params.theta_f, &observed, previous.as_deref());
         if let Some(record) = record.as_mut() {
@@ -497,7 +485,7 @@ fn refine<R: Rng>(
                 acceptance: next.clone(),
             });
         }
-        if let Some(graph) = released {
+        if pass == release {
             return Ok(graph);
         }
         acceptance = Some(next);

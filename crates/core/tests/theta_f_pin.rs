@@ -6,6 +6,7 @@
 
 use agmdp_core::correlations_dp::{learn_correlations_dp, CorrelationMethod};
 use agmdp_core::node_dp::learn_correlations_node_dp;
+use agmdp_core::FitStatistics;
 use agmdp_datasets::toy_social_graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +35,8 @@ fn every_theta_f_learner_is_bit_pinned_on_the_toy_graph() {
         let theta = learn_correlations_dp(&graph, epsilon, method, &mut rng());
         learned.push((format!("{method:?}"), theta.expect("fit")));
     }
-    let theta = learn_correlations_node_dp(&graph, epsilon, 0.01, None, &mut rng());
+    let statistics = FitStatistics::new();
+    let theta = learn_correlations_node_dp(&graph, &statistics, epsilon, 0.01, None, &mut rng());
     learned.push(("node-DP { k: None }".to_string(), theta.expect("fit")));
     let mut table = String::new();
     for (label, theta) in learned {

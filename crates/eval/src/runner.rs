@@ -252,12 +252,17 @@ impl EvalPlan {
                             .map_err(|e| fault(&e))?
                             .probabilities()
                             .to_vec(),
-                            Estimator::NodeDp => {
-                                learn_correlations_node_dp(graph, epsilon, NODE_DP_DELTA, None, rng)
-                                    .map_err(|e| fault(&e))?
-                                    .probabilities()
-                                    .to_vec()
-                            }
+                            Estimator::NodeDp => learn_correlations_node_dp(
+                                graph,
+                                &input.statistics,
+                                epsilon,
+                                NODE_DP_DELTA,
+                                None,
+                                rng,
+                            )
+                            .map_err(|e| fault(&e))?
+                            .probabilities()
+                            .to_vec(),
                             Estimator::Uniform => uniform_correlation_distribution(graph.schema()),
                         };
                         theta_f_scores(input.profile.theta_f.probabilities(), &estimate)
@@ -503,10 +508,17 @@ mod tests {
                 .unwrap()
                 .probabilities()
                 .to_vec(),
-                "node" => learn_correlations_node_dp(&graph, epsilon, 0.01, None, &mut rng)
-                    .unwrap()
-                    .probabilities()
-                    .to_vec(),
+                "node" => learn_correlations_node_dp(
+                    &graph,
+                    &FitStatistics::new(),
+                    epsilon,
+                    0.01,
+                    None,
+                    &mut rng,
+                )
+                .unwrap()
+                .probabilities()
+                .to_vec(),
                 _ => uniform_correlation_distribution(graph.schema()),
             };
             assert_eq!(

@@ -15,7 +15,7 @@
 use rand::Rng;
 use rand::RngCore;
 
-use agmdp_graph::{AttributeSchema, AttributedGraph, Edge, NodeId};
+use agmdp_graph::{AttributeSchema, AttributedGraph, NodeId};
 
 use crate::error::ModelError;
 use crate::observe::{NoopStageObserver, StageObserver};
@@ -161,24 +161,6 @@ pub trait StructuralModel {
         request: &GenerateRequest<'_>,
         rng: &mut dyn RngCore,
     ) -> Result<AttributedGraph>;
-
-    /// [`StructuralModel::generate`], stopping at the edge list. For
-    /// callers that only inspect the edge multiset and discard the sample —
-    /// the AGM refinement loop observes Θ_F of each intermediate graph and
-    /// never reads its adjacency — a model may override this to skip
-    /// materialising the graph.
-    ///
-    /// Contract: the RNG stream consumed and the edge *set* returned must
-    /// be identical to [`StructuralModel::generate`] at the same state
-    /// (only the enumeration order may differ), so switching a call site
-    /// between the two can never change downstream output.
-    fn generate_edges(
-        &self,
-        request: &GenerateRequest<'_>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<Edge>> {
-        Ok(self.generate(request, rng)?.edge_vec())
-    }
 }
 
 #[cfg(test)]

@@ -145,26 +145,9 @@ pub(crate) fn sample_cl_graph(
     }
 }
 
-/// The sampling core of [`sample_cl_edges_chunked`], stopping at the
-/// deduplicated edge list: same chunk layout, same draw sequence, same
-/// accepted edges in the same order — the adjacency structure is just never
-/// materialised. Callers that only need the edge multiset (the AGM
-/// refinement loop observes Θ_F of intermediate samples and discards them)
-/// use this to skip the `O(n + m)` graph build.
-pub(crate) fn sample_cl_edge_list_chunked(
-    n: usize,
-    pi: &PiSampler,
-    target_edges: usize,
-    acceptance: Option<&AcceptanceContext>,
-    policy: &ExecPolicy,
-    rng: &mut dyn RngCore,
-) -> Vec<Edge> {
-    sample_cl_edge_keys(n, pi, target_edges, acceptance, policy, rng).0
-}
-
-/// [`sample_cl_edge_list_chunked`] that also returns the packed keys of the
-/// sampled edges in increasing order, the set the dedupe keeps sorted
-/// anyway.
+/// The sampling core of [`sample_cl_edges_chunked`]: the accepted edges in
+/// the order they were accepted, and their packed keys in increasing order,
+/// the set the dedupe keeps sorted anyway.
 fn sample_cl_edge_keys(
     n: usize,
     pi: &PiSampler,
@@ -560,32 +543,6 @@ impl StructuralModel for ChungLuModel {
             observer.stage_end(SynthesisStage::Rewire);
         }
         Ok(graph)
-    }
-
-    /// The chunked sampler stops at its deduplicated edge list, skipping the
-    /// adjacency build. Orphan post-processing rewires *through* the graph
-    /// (and draws from the same RNG), and the serial sampler builds the
-    /// graph as it goes, so those requests take the graph path.
-    fn generate_edges(
-        &self,
-        request: &GenerateRequest<'_>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<Edge>> {
-        let (Some(policy), false) = (request.policy, self.postprocess_orphans) else {
-            return Ok(self.generate(request, rng)?.edge_vec());
-        };
-        let acceptance = request.checked_acceptance(self.degrees.len())?;
-        request.observer.stage_start(SynthesisStage::EdgeSample);
-        let edges = sample_cl_edge_list_chunked(
-            self.degrees.len(),
-            &self.pi,
-            self.target_edges,
-            acceptance,
-            policy,
-            rng,
-        );
-        request.observer.stage_end(SynthesisStage::EdgeSample);
-        Ok(edges)
     }
 }
 

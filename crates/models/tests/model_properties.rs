@@ -1,6 +1,6 @@
 //! Property-based tests for the generative structural models, and the
-//! contract of their one entry point (`generate` / `generate_edges` under a
-//! `GenerateRequest`).
+//! contract of their one entry point, `generate` under a `GenerateRequest`:
+//! paired stage callbacks, and a sample the thread count does not change.
 
 use std::sync::Mutex;
 
@@ -210,11 +210,10 @@ fn contract_models() -> Vec<(&'static str, Box<dyn StructuralModel>)> {
 }
 
 /// For every request shape (with and without an acceptance context; serial,
-/// 1-thread and 4-thread policies), `generate_edges` returns the edge set
-/// of `generate` and leaves the RNG in the same state, and both pair their
-/// stage callbacks. The refinement loop relies on the first two.
+/// 1-thread and 4-thread policies), `generate` pairs its stage callbacks,
+/// and under a policy the thread count does not change the sample.
 #[test]
-fn generate_edges_samples_what_generate_samples() {
+fn generate_is_thread_count_invariant_and_pairs_its_callbacks() {
     let schema = AttributeSchema::new(1);
     let codes: Vec<u32> = (0..120).map(|i| u32::from(i % 3 == 0)).collect();
     let ctx = AcceptanceContext::new(codes, schema, vec![0.9, 0.4, 0.7]).unwrap();
@@ -229,45 +228,29 @@ fn generate_edges_samples_what_generate_samples() {
                     acceptance.is_some(),
                     policy.map(ExecPolicy::threads)
                 );
-                let (graph_obs, edges_obs) = (Recorder::default(), Recorder::default());
-                let request = |observer| GenerateRequest {
+                let observer = Recorder::default();
+                let request = GenerateRequest {
                     acceptance,
                     policy,
-                    observer,
+                    observer: &observer,
                 };
-                let mut graph_rng = StdRng::seed_from_u64(17);
-                let mut edges_rng = StdRng::seed_from_u64(17);
-                let graph = model
-                    .generate(&request(&graph_obs), &mut graph_rng)
-                    .unwrap();
-                let mut edges = model
-                    .generate_edges(&request(&edges_obs), &mut edges_rng)
-                    .unwrap();
-                edges.sort_unstable();
-                let mut from_graph = graph.edge_vec();
-                from_graph.sort_unstable();
-                assert_eq!(edges, from_graph, "{label}: edge sets differ");
-                assert_eq!(
-                    edges_rng.next_u64(),
-                    graph_rng.next_u64(),
-                    "{label}: RNG left in different states"
-                );
-                graph_obs.assert_paired(&label);
-                edges_obs.assert_paired(&label);
+                let mut rng = StdRng::seed_from_u64(17);
+                let graph = model.generate(&request, &mut rng).unwrap();
+                observer.assert_paired(&label);
                 if policy.is_some() {
-                    by_threads.push(from_graph);
+                    by_threads.push((graph.edge_vec(), rng.next_u64()));
                 }
             }
             assert_eq!(
                 by_threads[0], by_threads[1],
-                "{name}: thread count changed the sample"
+                "{name}: thread count changed the sample or the RNG state"
             );
         }
     }
 }
 
 #[test]
-fn wrong_node_count_context_is_an_error_from_both_methods() {
+fn wrong_node_count_context_is_an_error() {
     let schema = AttributeSchema::new(1);
     let short = AcceptanceContext::new(vec![0; 119], schema, vec![1.0; 3]).unwrap();
     let four = ExecPolicy::new(4).with_chunk_size(64);
@@ -280,14 +263,7 @@ fn wrong_node_count_context_is_an_error_from_both_methods() {
                 observer: &observer,
             };
             let mut rng = StdRng::seed_from_u64(3);
-            assert!(
-                model.generate(&request, &mut rng).is_err(),
-                "{name}: generate"
-            );
-            assert!(
-                model.generate_edges(&request, &mut rng).is_err(),
-                "{name}: generate_edges"
-            );
+            assert!(model.generate(&request, &mut rng).is_err(), "{name}");
             observer.assert_paired(name);
         }
     }

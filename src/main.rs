@@ -28,10 +28,11 @@
 
 mod args;
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use agmdp::core::correlations_dp::CorrelationMethod;
@@ -82,6 +83,11 @@ plus the Prometheus text exposition at GET /metrics; POST /datasets 'path'
 registrations accept both formats. The server writes one JSON access-log
 line per request (and one span line per synthesis stage) to stderr;
 `serve --quiet` suppresses them without affecting /metrics.
+
+`synthesize` seeds its RNG from /dev/urandom and prints nothing about it:
+whoever knows the seed can re-run the fit on two candidate inputs and keep
+the one that reproduces the release. --seed <s> makes the run reproducible
+for experiments; its epsilon-DP claim then needs the seed kept secret.
 
 `synthesize --threads <n>` runs the sampling phase on n worker threads; the
 output graph is bit-identical to --threads 1 at the same seed (parameter
@@ -256,7 +262,7 @@ fn cmd_synthesize(args: &[String], out: &mut impl Write) -> CmdResult {
     let model = StructuralModelKind::parse(flags.get("--model").unwrap_or("tricycle"))?;
     let correlation_method = correlation_method(&flags)?;
     let refinement_iterations = flags.get_parsed_or("--iterations", "a positive integer", 3)?;
-    let seed: u64 = flags.get_parsed_or("--seed", "an integer", 2016)?;
+    let seed: Option<u64> = flags.get_parsed("--seed", "an integer")?;
     let threads: usize = flags.get_parsed_or("--threads", "a positive integer", 1)?;
 
     // Auto-detects the text or binary interchange format from the file's
@@ -270,7 +276,7 @@ fn cmd_synthesize(args: &[String], out: &mut impl Write) -> CmdResult {
         orphan_postprocessing: true,
         threads,
     };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = fit_rng(seed)?;
     let synthetic =
         synthesize(&graph, &config, &mut rng).map_err(|e| format!("synthesis failed: {e}"))?;
     write_graph_file(&synthetic, &output, None)?;
@@ -298,6 +304,22 @@ fn cmd_synthesize(args: &[String], out: &mut impl Write) -> CmdResult {
         Privacy::Dp { epsilon } => writeln!(out, "privacy: {epsilon}-differential privacy")?,
     }
     Ok(())
+}
+
+/// The RNG `synthesize` fits and samples with: secret, from `/dev/urandom`,
+/// unless `--seed` asks for a reproducible experiment (see `USAGE`).
+fn fit_rng(seed: Option<u64>) -> Result<StdRng, String> {
+    if let Some(seed) = seed {
+        eprintln!(
+            "note: with --seed the release is reproducible; its epsilon-DP claim needs the seed kept secret"
+        );
+        return Ok(StdRng::seed_from_u64(seed));
+    }
+    let mut secret = [0u8; 32];
+    std::fs::File::open("/dev/urandom")
+        .and_then(|mut urandom| urandom.read_exact(&mut secret))
+        .map_err(|e| format!("failed to read a fit seed from /dev/urandom: {e}"))?;
+    Ok(StdRng::from_seed(secret))
 }
 
 /// Writes `g` to `path` in the text or binary interchange format.

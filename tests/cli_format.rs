@@ -3,8 +3,8 @@
 //! serialisation of the publishable output, plus the categorical-attribute
 //! encoding path of Section 7, the binary's behaviour when its reader goes
 //! away (`agmdp stats g.agb | head -1`), the exact stdout of `agmdp
-//! stats` and `agmdp synthesize`, and `agmdp lint` on a root with no
-//! sources.
+//! stats` and `agmdp synthesize`, the secret seed of `agmdp synthesize`
+//! without `--seed`, and `agmdp lint` on a root with no sources.
 
 use agmdp::graph::categorical::{CategoricalAttribute, CategoricalEncoder};
 use agmdp::graph::io;
@@ -152,6 +152,48 @@ fn stats_and_synthesize_stdout_match_the_goldens() {
         ));
         assert_eq!(stdout, golden(&format!("cli_synthesize_{model}.txt")));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Without `--seed` the fit RNG is secret, so nobody can replay a release
+/// from its command line: two runs on one input write different graphs.
+/// With `--seed` the run is a reproducible experiment, and stderr says the
+/// seed must then stay secret.
+#[test]
+fn synthesize_replays_only_with_a_seed() {
+    use std::process::Command;
+    let bin = env!("CARGO_BIN_EXE_agmdp");
+    let dir = std::env::temp_dir().join(format!("agmdp_cli_seed_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &str| {
+        let out = Command::new(bin)
+            .args(args.split(' '))
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "agmdp {args}: {stderr}");
+        stderr
+    };
+    let release = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    run("generate-dataset --name lastfm --scale 0.1 --output g.graph");
+    for name in ["a", "b"] {
+        let stderr = run(&format!(
+            "synthesize --input g.graph --output {name}.graph --epsilon 1"
+        ));
+        assert!(
+            stderr.is_empty(),
+            "a secret seed is never printed: {stderr}"
+        );
+    }
+    assert_ne!(release("a.graph"), release("b.graph"));
+    for name in ["c", "d"] {
+        let stderr = run(&format!(
+            "synthesize --input g.graph --output {name}.graph --epsilon 1 --seed 5"
+        ));
+        assert!(stderr.contains("kept secret"), "{stderr}");
+    }
+    assert_eq!(release("c.graph"), release("d.graph"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

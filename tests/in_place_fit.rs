@@ -4,11 +4,13 @@
 //! tiers — every structural model, every correlation estimator. A fit that
 //! reads the statistics one input's earlier fits left in its
 //! `FitStatistics` (the service's and the eval runner's path) returns the
-//! same parameters and leaves the RNG where the fit on the graph does.
+//! same parameters and leaves the RNG where the fit on the graph does; the
+//! non-private fits share those statistics too.
 
 use agmdp::core::workflow::{learn_parameters_cached, LearnedParameters};
 use agmdp::core::FitStatistics;
 use agmdp::graph::io;
+use agmdp::graph::triangles::count_triangles;
 use agmdp::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -57,6 +59,14 @@ fn assert_fit_is_representation_blind(name: &str, graph: &AttributedGraph) {
 
     for seed in [2016, 7] {
         for model in [StructuralModelKind::Fcl, StructuralModelKind::TriCycLe] {
+            assert_non_private_fit_reads_the_counts(
+                name,
+                graph,
+                &trusted,
+                &statistics,
+                model,
+                seed,
+            );
             for method in METHODS {
                 let config = AgmConfig {
                     privacy: Privacy::Dp { epsilon: 1.0 },
@@ -82,6 +92,42 @@ fn assert_fit_is_representation_blind(name: &str, graph: &AttributedGraph) {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A non-private fit through the shared statistics equals one on the graph,
+/// keeps the degrees in node order and the exact triangle count (TriCycLe
+/// only), and draws nothing from the RNG.
+fn assert_non_private_fit_reads_the_counts(
+    name: &str,
+    graph: &AttributedGraph,
+    trusted: &FrozenGraph,
+    statistics: &FitStatistics,
+    model: StructuralModelKind,
+    seed: u64,
+) {
+    let config = AgmConfig {
+        privacy: Privacy::NonPrivate,
+        model,
+        ..AgmConfig::default()
+    };
+    let label = format!("{name} {model} non-private seed {seed}");
+    let (expected, next) = fit_and_draw(graph, None, &config, seed);
+    assert_eq!(
+        fit_and_draw(trusted, Some(statistics), &config, seed),
+        (expected.clone(), next),
+        "{label}: cached statistics"
+    );
+    assert_eq!(
+        next,
+        StdRng::seed_from_u64(seed).next_u64(),
+        "{label}: the fit drew from the RNG"
+    );
+    assert_eq!(expected.theta_m.degree_sequence, graph.degrees(), "{label}");
+    let triangles = match model {
+        StructuralModelKind::TriCycLe => Some(count_triangles(graph)),
+        StructuralModelKind::Fcl => None,
+    };
+    assert_eq!(expected.theta_m.triangles, triangles, "{label}");
 }
 
 #[test]
