@@ -15,8 +15,8 @@
 //!   of `agmdp_models::parallel` with per-trial ChaCha streams derived via
 //!   `derive_chunk_seed(master, trial)`, so a whole grid is bit-identical at
 //!   any thread count.
-//! * [`report::GraphProfile`] — the one whole-graph summary the CLI, the
-//!   service and the harness read, and
+//! * [`report::GraphProfile`] — the one whole-graph summary the CLI and
+//!   the harness read, and
 //!   [`report::UtilityReport::between`] — the one fidelity score over two
 //!   profiles: degree KS (CDF and CCDF), Hellinger, degree assortativity,
 //!   attribute–edge (Θ_F Hellinger), attribute–attribute and

@@ -32,11 +32,11 @@ use agmdp_metrics::distance::{hellinger_distance, ks_ccdf, ks_statistic, relativ
 
 /// Every whole-graph statistic the system reports, one traversal per
 /// statistic family (one triangle pass for `n_Δ`, `C̄` and `C`): the CLI
-/// prints it, the service serves it, and [`UtilityReport::between`] scores
-/// a synthetic graph's profile against its original's.
+/// prints it, and [`UtilityReport::between`] scores a synthetic graph's
+/// profile against its original's.
 ///
-/// The harness and the service profile each input once and reuse it across
-/// every release scored against it, and profile each release once.
+/// The harness profiles each input once and reuses it across every release
+/// scored against it, and profiles each release once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphProfile {
     /// Number of nodes.
@@ -196,58 +196,6 @@ impl UtilityReport {
             self.edge_count_re,
         ]
     }
-
-    /// Rebuilds a report from a value array in
-    /// [`UtilityReport::METRIC_NAMES`] order.
-    #[must_use]
-    pub fn from_values(values: [f64; NUM_METRICS]) -> Self {
-        Self {
-            ks_degree: values[0],
-            ks_degree_ccdf: values[1],
-            hellinger_degree: values[2],
-            assortativity_dist: values[3],
-            attr_edge_hellinger: values[4],
-            attr_attr_corr_dist: values[5],
-            attr_degree_corr_dist: values[6],
-            triangle_count_re: values[7],
-            avg_clustering_re: values[8],
-            global_clustering_re: values[9],
-            edge_count_re: values[10],
-        }
-    }
-
-    /// Element-wise mean over `reports` (all-zero for an empty slice): the
-    /// arithmetic of [`Scores::mean`].
-    #[must_use]
-    pub fn mean(reports: &[UtilityReport]) -> Self {
-        Self::from_scores(&Scores::mean(&Self::scores(reports)))
-    }
-
-    /// Element-wise *sample* standard deviation (denominator `n − 1`) over
-    /// `reports`; all-zero for fewer than two reports.
-    #[must_use]
-    pub fn stddev(reports: &[UtilityReport]) -> Self {
-        Self::from_scores(&Scores::stddev(&Self::scores(reports)))
-    }
-
-    fn scores(reports: &[UtilityReport]) -> Vec<Scores> {
-        reports.iter().map(|&r| Scores::from(r)).collect()
-    }
-
-    /// The report a row of these columns holds; all-zero for an empty row.
-    fn from_scores(scores: &Scores) -> Self {
-        let mut values = [0.0; NUM_METRICS];
-        for (slot, (_, value)) in values.iter_mut().zip(scores.iter()) {
-            *slot = value;
-        }
-        Self::from_values(values)
-    }
-
-    /// Resolves a metric name to its column index.
-    #[must_use]
-    pub fn metric_index(name: &str) -> Option<usize> {
-        Self::METRIC_NAMES.iter().position(|&n| n == name)
-    }
 }
 
 /// One row's metric values under their column names, in the plan's
@@ -398,19 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn values_roundtrip_and_names_align() {
-        let r = score(&ring(6), &star(5));
-        assert_eq!(UtilityReport::from_values(r.values()), r);
-        assert_eq!(UtilityReport::METRIC_NAMES.len(), NUM_METRICS);
-        assert_eq!(UtilityReport::metric_index("ks_degree"), Some(0));
-        assert_eq!(UtilityReport::metric_index("edge_count_re"), Some(10));
-        assert_eq!(UtilityReport::metric_index("bogus"), None);
-    }
-
-    #[test]
     fn frozen_scoring_is_bit_identical_to_adjacency_scoring() {
-        // The harness and the service freeze both sides before scoring; the
-        // committed golden aggregates rely on that changing nothing.
+        // The harness freezes both sides before scoring; the committed
+        // golden aggregates rely on that changing nothing.
         let original = ring(9);
         let synthetic = star(8);
         let mutable = score(&original, &synthetic);
@@ -427,21 +365,21 @@ mod tests {
 
     #[test]
     fn mean_and_stddev_hand_computed() {
-        let a = UtilityReport {
+        let a = Scores::from(UtilityReport {
             ks_degree: 0.2,
             ..Default::default()
-        };
-        let b = UtilityReport {
+        });
+        let b = Scores::from(UtilityReport {
             ks_degree: 0.4,
             ..Default::default()
-        };
-        let mean = UtilityReport::mean(&[a, b]);
-        assert!((mean.ks_degree - 0.3).abs() < 1e-12);
+        });
+        let mean = Scores::mean(&[a.clone(), b.clone()]);
+        assert!((mean.get("ks_degree").unwrap() - 0.3).abs() < 1e-12);
         // Sample stddev of {0.2, 0.4}: sqrt(((0.1)² + (0.1)²) / 1) ≈ 0.1414.
-        let sd = UtilityReport::stddev(&[a, b]);
-        assert!((sd.ks_degree - (0.02f64).sqrt()).abs() < 1e-12);
-        // Degenerate cases.
-        assert_eq!(UtilityReport::mean(&[]), UtilityReport::default());
-        assert_eq!(UtilityReport::stddev(&[a]), UtilityReport::default());
+        let sd = Scores::stddev(&[a.clone(), b]);
+        assert!((sd.get("ks_degree").unwrap() - (0.02f64).sqrt()).abs() < 1e-12);
+        // Degenerate cases: no rows is no columns, one row has zero spread.
+        assert_eq!(Scores::mean(&[]), Scores::default());
+        assert_eq!(Scores::stddev(&[a]), Scores::from(UtilityReport::default()));
     }
 }

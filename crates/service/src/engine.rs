@@ -2,8 +2,8 @@
 //!
 //! The engine keeps one table per key: the [`FitCache`] holds the published
 //! parameters and the fits in flight, keyed by fit, and the
-//! [`DatasetRegistry`] holds each dataset's graph, profile and utility
-//! aggregate, keyed by name.
+//! [`DatasetRegistry`] holds each dataset's graph and fit statistics, keyed
+//! by name.
 //!
 //! A request's life is split in two so the server can refuse over-budget work
 //! *before* running anything:
@@ -34,10 +34,9 @@ use agmdp_core::workflow::{
     learn_parameters_cached, synthesize_resumable, AgmConfig, LearnedParameters, Privacy,
     StructuralModelKind,
 };
-use agmdp_graph::{io, AttributedGraph, FrozenGraph, MappedGraph};
+use agmdp_graph::triangles::count_triangles;
+use agmdp_graph::{io, AttributedGraph, FrozenGraph, GraphView, MappedGraph};
 use agmdp_models::observe::{StageObserver, SynthesisStage};
-
-use agmdp_eval::{GraphProfile, UtilityReport};
 
 use crate::cache::{FitCache, FitClaim, FitKey, Lookup};
 use crate::error::ServiceError;
@@ -150,13 +149,14 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    fn of(profile: &GraphProfile) -> Self {
+    /// The summary of a release, read from the release alone.
+    fn of(release: &FrozenGraph) -> Self {
         Self {
-            nodes: profile.nodes,
-            edges: profile.edges,
-            triangles: profile.clustering.triangles,
-            max_degree: profile.max_degree,
-            avg_degree: profile.avg_degree,
+            nodes: release.num_nodes(),
+            edges: release.num_edges(),
+            triangles: count_triangles(release),
+            max_degree: release.max_degree(),
+            avg_degree: release.avg_degree(),
         }
     }
 }
@@ -174,9 +174,6 @@ pub struct SynthesisOutcome {
     pub cache_hit: bool,
     /// Structural summary of the synthetic graph.
     pub stats: GraphStats,
-    /// Utility of the release relative to the registered original (ε-free
-    /// post-processing; also folded into the dataset's registry entry).
-    pub utility: UtilityReport,
     /// The synthetic graph in the text interchange format, when requested.
     pub graph_text: Option<String>,
 }
@@ -361,11 +358,6 @@ impl SynthesisEngine {
             return None;
         };
         self.telemetry.record_release_store(true, release.bytes);
-        // The stored utility is folded into `GET /evaluate` exactly like a
-        // fit-cache replay of the same release would be.
-        self.registry
-            .record_utility(&request.dataset, &release.utility)
-            .ok()?;
         let graph_text = request.return_graph.then(|| io::to_text(&release.graph));
         Some(SynthesisOutcome {
             dataset: request.dataset.clone(),
@@ -373,7 +365,6 @@ impl SynthesisEngine {
             epsilon_spent: 0.0,
             cache_hit: true,
             stats: release.stats,
-            utility: release.utility,
             graph_text,
         })
     }
@@ -520,24 +511,16 @@ impl SynthesisEngine {
         )
         .map_err(|e| ServiceError::Synthesis(e.to_string()))?;
         self.telemetry.record_passes_skipped(skipped as u64);
-        // The release is now read-only: freeze it once and let the stats,
-        // the utility scoring and the optional serialisation all traverse
-        // the CSR snapshot (identical values, flat-array locality).
+        // The release is now read-only: freeze it once and let the stats
+        // and the optional serialisation traverse the CSR snapshot
+        // (identical values, flat-array locality).
         timer.stage_start(SynthesisStage::Freeze);
         let frozen = synthetic.freeze();
         timer.stage_end(SynthesisStage::Freeze);
-        // Profile the release once and score it against the original
-        // (ε-free post-processing); the job's stats read the same profile.
-        // The utility is folded into the per-dataset aggregate that
-        // `GET /evaluate` reports. The original's profile is computed once
-        // per dataset and cached, so repeat requests — in particular the
-        // ε-free fit-cache hits — only pay for the synthetic side.
+        // The stats are post-processing of the release alone: nothing the
+        // job sends out is computed from the registered graph.
         timer.stage_start(SynthesisStage::Score);
-        let original = self.registry.profile(&request.dataset)?;
-        let release = GraphProfile::of(&frozen);
-        let utility = UtilityReport::between(&original, &release);
-        self.registry.record_utility(&request.dataset, &utility)?;
-        let stats = GraphStats::of(&release);
+        let stats = GraphStats::of(&frozen);
         timer.stage_end(SynthesisStage::Score);
         let graph_text = if request.return_graph {
             timer.stage_start(SynthesisStage::Serialize);
@@ -554,7 +537,7 @@ impl SynthesisEngine {
         if let Some(store) = &self.store {
             timer.stage_start(SynthesisStage::Serialize);
             let artifact = io::to_binary(&frozen);
-            let result = store.insert(request, &artifact, &stats, &utility);
+            let result = store.insert(request, &artifact, &stats);
             timer.stage_end(SynthesisStage::Serialize);
             if let Err(e) = result {
                 self.telemetry
@@ -571,7 +554,6 @@ impl SynthesisEngine {
             epsilon_spent: admission.epsilon_spent,
             cache_hit,
             stats,
-            utility,
             graph_text,
         })
     }
@@ -793,26 +775,6 @@ mod tests {
         assert!(engine.admit(&bad).is_err());
         bad.threads = MAX_REQUEST_THREADS + 1;
         assert!(engine.admit(&bad).is_err());
-    }
-
-    #[test]
-    fn every_run_records_utility_for_get_evaluate() {
-        let engine = engine_with_toy(10.0);
-        assert!(engine.registry().utilities().is_empty());
-        let request = SynthesisRequest::new("toy", 1.0, 1);
-        let cold = engine.synthesize(&request).unwrap();
-        assert!(cold.utility.ks_degree <= 1.0);
-        // The cached replay releases the identical graph and records too.
-        let hot = engine.synthesize(&request).unwrap();
-        assert!(hot.cache_hit);
-        assert_eq!(hot.utility, cold.utility);
-        let summaries = engine.registry().utilities();
-        assert_eq!(summaries.len(), 1);
-        assert_eq!(summaries[0].0, "toy");
-        assert_eq!(summaries[0].1.runs, 2);
-        assert_eq!(summaries[0].1.mean, cold.utility);
-        // Identical releases have zero spread.
-        assert_eq!(summaries[0].1.stddev, UtilityReport::default());
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //!   store behind one admit/run split, so over-budget work is refused
 //!   before anything runs; [`error`] maps its failures onto HTTP statuses.
 //! * **Dataset registry** ([`registry`]) — named graphs, loaded once and
-//!   shared across requests. A dataset's entry also holds its metric
-//!   profile and the utility aggregate of its releases: every completed
-//!   job's release is compared against its original
-//!   (`agmdp_eval::UtilityReport`, ε-free post-processing), so
-//!   `GET /evaluate` reports the utility of what the server released
-//!   alongside the ledger's record of what it cost.
+//!   shared across requests, each beside the statistics its cold fits add
+//!   noise to. Past registration only the fit reads a dataset, so every
+//!   value a job returns — the release and its `stats` — is a function of
+//!   the release. Utility against the original is measured by the owner,
+//!   with `agmdp evaluate` and `agmdp synthesize`'s fidelity line.
 //! * **Privacy-budget ledger** ([`ledger`]) — one total ε per dataset,
 //!   enforced under concurrency via [`agmdp_privacy::PrivacyBudget`]
 //!   (sequential composition, Theorem 2 of the paper) and persisted through a

@@ -15,7 +15,6 @@
 //! | `POST /synthesize`   | admit (budget/cache) and enqueue a job |
 //! | `GET /jobs/:id`      | poll an enqueued job |
 //! | `GET /budget/:name`  | one dataset's ledger state |
-//! | `GET /evaluate`      | aggregated utility of served releases, per dataset |
 //! | `GET /metrics`       | Prometheus text exposition of every metric family |
 
 use std::collections::VecDeque;
@@ -412,7 +411,6 @@ fn endpoint_label(path: &str) -> &'static str {
         "/healthz" => "/healthz",
         "/datasets" => "/datasets",
         "/synthesize" => "/synthesize",
-        "/evaluate" => "/evaluate",
         "/metrics" => "/metrics",
         _ if path.starts_with("/jobs/") => "/jobs/:id",
         _ if path.starts_with("/budget/") => "/budget/:name",
@@ -436,7 +434,6 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
             handle_register_dataset(engine, &request.body).unwrap_or_else(std::convert::identity)
         }
         ("POST", "/synthesize") => handle_synthesize(state, &request.body),
-        ("GET", "/evaluate") => handle_evaluate(engine),
         ("GET", "/metrics") => handle_metrics(state),
         ("GET", _) if path.starts_with("/jobs/") => {
             handle_job(jobs, path.strip_prefix("/jobs/").unwrap_or_default())
@@ -445,7 +442,7 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
             handle_budget(engine, path.strip_prefix("/budget/").unwrap_or_default())
         }
         ("GET", _) if path.starts_with("/__debug/") => handle_debug(state, path),
-        (_, "/healthz" | "/datasets" | "/synthesize" | "/evaluate" | "/metrics") => {
+        (_, "/healthz" | "/datasets" | "/synthesize" | "/metrics") => {
             Response::error(405, "method_not_allowed", "method not allowed")
         }
         (_, _) if path.starts_with("/jobs/") || path.starts_with("/budget/") => {
@@ -699,19 +696,6 @@ fn handle_job(jobs: &JobStore, id_text: &str) -> Response {
     Response::json_value(200, &obj(entries))
 }
 
-/// `GET /evaluate`: the aggregated utility of every release served so far,
-/// per dataset — the server-side counterpart of the `agmdp-eval` harness
-/// (same metric columns, accumulated over live traffic instead of a plan).
-fn handle_evaluate(engine: &Arc<SynthesisEngine>) -> Response {
-    let datasets: Vec<Value> = engine
-        .registry()
-        .utilities()
-        .iter()
-        .map(|(name, utility)| for_dataset(name, utility))
-        .collect();
-    Response::json_value(200, &obj(vec![("datasets", Value::Array(datasets))]))
-}
-
 /// `GET /metrics`: the Prometheus text exposition. Live counters and
 /// histograms accumulate on the request path; point-in-time state (ledger
 /// balances, queue depth, slot occupancy, cache size, open connections) is
@@ -799,11 +783,17 @@ fn handle_metrics(state: &Arc<ServerState>) -> Response {
     Response::metrics_text(200, metrics.render())
 }
 
+/// `GET /budget/:name`: `{"dataset": name}` followed by the ledger state's
+/// own fields.
 fn handle_budget(engine: &Arc<SynthesisEngine>, name: &str) -> Response {
-    match engine.ledger().status(name) {
-        Some(status) => Response::json_value(200, &for_dataset(name, &status)),
-        None => Response::error(404, "not_found", &format!("unknown dataset '{name}'")),
+    let Some(status) = engine.ledger().status(name) else {
+        return Response::error(404, "not_found", &format!("unknown dataset '{name}'"));
+    };
+    let mut entries = vec![("dataset".to_string(), Value::Str(name.to_string()))];
+    if let Value::Object(own) = status.to_json_value() {
+        entries.extend(own);
     }
+    Response::json_value(200, &Value::Object(entries))
 }
 
 // ---------------------------------------------------------------------------
@@ -949,16 +939,6 @@ fn dataset_value(summary: &DatasetSummary, budget: Option<BudgetStatus>) -> Valu
     value
 }
 
-/// `{"dataset": name}` followed by `fields`' own entries: one dataset's
-/// object in `GET /budget/:name` and `GET /evaluate`.
-fn for_dataset(name: &str, fields: &impl Serialize) -> Value {
-    let mut entries = vec![("dataset".to_string(), Value::Str(name.to_string()))];
-    if let Value::Object(own) = fields.to_json_value() {
-        entries.extend(own);
-    }
-    Value::Object(entries)
-}
-
 fn outcome_value(outcome: &SynthesisOutcome) -> Value {
     let mut entries = vec![
         ("dataset", Value::Str(outcome.dataset.clone())),
@@ -966,7 +946,6 @@ fn outcome_value(outcome: &SynthesisOutcome) -> Value {
         ("epsilon_spent", Value::Float(outcome.epsilon_spent)),
         ("cache_hit", Value::Bool(outcome.cache_hit)),
         ("stats", outcome.stats.to_json_value()),
-        ("utility", outcome.utility.to_json_value()),
     ];
     if let Some(text) = &outcome.graph_text {
         entries.push(("graph", Value::Str(text.clone())));
@@ -1122,53 +1101,6 @@ mod tests {
         assert_eq!(not_int.status, 400, "{}", not_int.body);
         let spent_after = state.engine.ledger().status("toy").unwrap().spent;
         assert_eq!(spent_before, spent_after);
-    }
-
-    #[test]
-    fn evaluate_route_reports_aggregated_utility() {
-        let state = test_state();
-        // Before any job: an empty dataset list, not an error.
-        let empty = get(&state, "/evaluate");
-        assert_eq!(empty.status, 200);
-        assert!(empty.body.contains("\"datasets\":[]"), "{}", empty.body);
-
-        let accepted = post(
-            &state,
-            "/synthesize",
-            r#"{"dataset":"toy","epsilon":0.5,"seed":1}"#,
-        );
-        assert_eq!(accepted.status, 202, "{}", accepted.body);
-        let parsed = json::parse(&accepted.body).unwrap();
-        let id = json::as_u64(json::get(&parsed, "job_id").unwrap()).unwrap();
-        match wait_for_job(&state, id) {
-            JobState::Completed(_) => {}
-            other => panic!("job failed: {other:?}"),
-        }
-        // The completed job's result carries its utility report...
-        let job = get(&state, &format!("/jobs/{id}"));
-        assert!(job.body.contains("\"utility\""), "{}", job.body);
-        assert!(job.body.contains("\"ks_degree\""), "{}", job.body);
-        // ...and /evaluate aggregates it per dataset.
-        let evaluate = get(&state, "/evaluate");
-        assert_eq!(evaluate.status, 200);
-        assert!(
-            evaluate.body.contains("\"dataset\":\"toy\""),
-            "{}",
-            evaluate.body
-        );
-        assert!(evaluate.body.contains("\"runs\":1"), "{}", evaluate.body);
-        assert!(evaluate.body.contains("\"mean\""), "{}", evaluate.body);
-        assert!(evaluate.body.contains("\"stddev\""), "{}", evaluate.body);
-        // Wrong method gets a 405 like the other fixed routes.
-        let wrong = route(
-            &state,
-            &Request {
-                method: "POST".into(),
-                path: "/evaluate".into(),
-                body: Vec::new(),
-            },
-        );
-        assert_eq!(wrong.status, 405);
     }
 
     #[test]
@@ -1624,7 +1556,6 @@ mod tests {
         // Pinned byte-identical to the cold release, at zero ε.
         assert_eq!(hit_outcome.graph_text, cold_outcome.graph_text);
         assert_eq!(hit_outcome.stats, cold_outcome.stats);
-        assert_eq!(hit_outcome.utility, cold_outcome.utility);
         assert_eq!(hit_outcome.epsilon_spent, 0.0);
         let spent = state.engine.ledger().status("toy").unwrap().spent;
         assert!((spent - 0.5).abs() < 1e-12, "hit must not draw ε: {spent}");

@@ -1,8 +1,8 @@
 //! The content-addressed release store.
 //!
 //! Every completed synthesis job writes its synthetic graph as a `.agb`
-//! artifact (plus a small JSON sidecar with the release's stats and utility)
-//! into a directory, keyed by the hash of everything that determines the
+//! artifact (plus a small JSON sidecar with the release's stats) into a
+//! directory, keyed by the hash of everything that determines the
 //! released bytes: dataset, ε, structural model, correlation method, seed,
 //! and refinement iterations. A repeat `/synthesize` for the same key is
 //! then served straight from the store — **no job runs, no ε is drawn** —
@@ -23,19 +23,19 @@
 //! written file. Identical keys always produce identical bytes (the pipeline
 //! is deterministic), so concurrent same-key writers race benignly.
 //!
-//! Sidecar floats (ε, utility metrics, average degree) are stored as their
-//! IEEE-754 bit patterns, not decimal text, so a store hit reproduces the
-//! cold outcome *exactly* — no formatting round-trip can perturb a
-//! comparison. This file is in the workspace panic-freedom lint scope: a
-//! corrupt sidecar or artifact degrades to a miss, never a panic.
+//! Sidecar floats (ε, average degree) are stored as their IEEE-754 bit
+//! patterns, not decimal text, so a store hit reproduces the cold outcome
+//! *exactly* — no formatting round-trip can perturb a comparison. A lookup
+//! ignores fields it does not read, so sidecars of the earlier layout, which
+//! also carried a `utility_bits` array, still hit. This file is in the
+//! workspace panic-freedom lint scope: a corrupt sidecar or artifact
+//! degrades to a miss, never a panic.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use agmdp_eval::report::NUM_METRICS;
-use agmdp_eval::UtilityReport;
 use agmdp_graph::io::fnv1a64;
 use agmdp_graph::FrozenGraph;
 use serde::Value;
@@ -45,7 +45,9 @@ use crate::error::ServiceError;
 use crate::json;
 
 /// Sidecar format version; bumped on any layout change so stale sidecars
-/// degrade to misses instead of misparses.
+/// degrade to misses instead of misparses. It is part of every release key
+/// (and so of every artifact name), so it changes only with the layout of
+/// what a lookup reads.
 const META_VERSION: u64 = 1;
 
 /// Aggregate store occupancy, for the `agmdp_release_store_size_bytes`
@@ -65,8 +67,6 @@ pub struct StoredRelease {
     pub epsilon: f64,
     /// Structural summary recorded when the release was written.
     pub stats: GraphStats,
-    /// Utility of the release relative to the registered original.
-    pub utility: UtilityReport,
     /// The artifact, mapped zero-copy.
     pub graph: FrozenGraph,
     /// Size of the artifact in bytes.
@@ -153,13 +153,11 @@ impl ReleaseStore {
         }
         let epsilon = f64::from_bits(json::get(&meta, "epsilon_bits").and_then(json::as_u64)?);
         let stats = parse_stats(json::get(&meta, "stats")?)?;
-        let utility = parse_utility(json::get(&meta, "utility_bits")?)?;
         let graph = self.open_artifact(&stem)?;
         let bytes = graph.byte_len() as u64;
         Some(StoredRelease {
             epsilon,
             stats,
-            utility,
             graph,
             bytes,
         })
@@ -191,11 +189,10 @@ impl ReleaseStore {
         request: &SynthesisRequest,
         artifact: &[u8],
         stats: &GraphStats,
-        utility: &UtilityReport,
     ) -> Result<(), ServiceError> {
         let stem = Self::release_stem(request);
         self.write_atomic(&self.artifact_path(&stem), artifact)?;
-        let meta = render_meta(&Self::release_key(request), request.epsilon, stats, utility);
+        let meta = render_meta(&Self::release_key(request), request.epsilon, stats);
         self.write_atomic(&self.meta_path(&stem), meta.as_bytes())
     }
 
@@ -235,18 +232,12 @@ impl ReleaseStore {
 
 /// Renders the sidecar JSON. Floats are written as `to_bits()` integers so
 /// the parse in [`ReleaseStore::lookup`] reproduces them bit-exactly.
-fn render_meta(key: &str, epsilon: f64, stats: &GraphStats, utility: &UtilityReport) -> String {
-    let utility_bits: Vec<String> = utility
-        .values()
-        .iter()
-        .map(|v| v.to_bits().to_string())
-        .collect();
+fn render_meta(key: &str, epsilon: f64, stats: &GraphStats) -> String {
     format!(
         concat!(
             "{{\"version\":{},\"key\":\"{}\",\"epsilon_bits\":{},",
             "\"stats\":{{\"nodes\":{},\"edges\":{},\"triangles\":{},",
-            "\"max_degree\":{},\"avg_degree_bits\":{}}},",
-            "\"utility_bits\":[{}]}}\n"
+            "\"max_degree\":{},\"avg_degree_bits\":{}}}}}\n"
         ),
         META_VERSION,
         key,
@@ -256,7 +247,6 @@ fn render_meta(key: &str, epsilon: f64, stats: &GraphStats, utility: &UtilityRep
         stats.triangles,
         stats.max_degree,
         stats.avg_degree.to_bits(),
-        utility_bits.join(",")
     )
 }
 
@@ -271,19 +261,6 @@ fn parse_stats(v: &Value) -> Option<GraphStats> {
     })
 }
 
-fn parse_utility(v: &Value) -> Option<UtilityReport> {
-    let Value::Array(items) = v else { return None };
-    // A wrong entry count means a layout skew: degrade to a miss.
-    if items.len() != NUM_METRICS {
-        return None;
-    }
-    let mut values = [0.0; NUM_METRICS];
-    for (value, item) in values.iter_mut().zip(items) {
-        *value = f64::from_bits(json::as_u64(item)?);
-    }
-    Some(UtilityReport::from_values(values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +273,7 @@ mod tests {
         ReleaseStore::open(dir).unwrap()
     }
 
-    fn sample_outcome() -> (SynthesisRequest, Vec<u8>, GraphStats, UtilityReport) {
+    fn sample_outcome() -> (SynthesisRequest, Vec<u8>, GraphStats) {
         let request = SynthesisRequest::new("toy", 0.5, 42);
         let frozen = toy_social_graph().freeze();
         let artifact = io::to_binary(&frozen);
@@ -307,29 +284,35 @@ mod tests {
             max_degree: frozen.max_degree(),
             avg_degree: frozen.avg_degree(),
         };
-        let utility = UtilityReport {
-            ks_degree: 0.125,
-            edge_count_re: 0.1 + 0.2, // deliberately not decimal-exact
-            ..UtilityReport::default()
-        };
-        (request, artifact, stats, utility)
+        (request, artifact, stats)
     }
 
     #[test]
     fn insert_then_lookup_round_trips_bit_exactly() {
         let store = temp_store("roundtrip");
-        let (request, artifact, stats, utility) = sample_outcome();
+        let (request, artifact, stats) = sample_outcome();
         assert!(store.lookup(&request).is_none());
-        store.insert(&request, &artifact, &stats, &utility).unwrap();
+        store.insert(&request, &artifact, &stats).unwrap();
         let hit = store.lookup(&request).unwrap();
         assert_eq!(hit.epsilon.to_bits(), request.epsilon.to_bits());
         assert_eq!(hit.stats, stats);
-        assert_eq!(hit.utility, utility);
         assert_eq!(hit.bytes, artifact.len() as u64);
         assert_eq!(io::to_binary(&hit.graph), artifact);
         let s = store.stats();
         assert_eq!(s.releases, 1);
         assert_eq!(s.bytes, artifact.len() as u64);
+
+        // A sidecar in the earlier layout, which also carried eleven
+        // utility bit patterns, still hits and replays the same release.
+        let meta = render_meta(&ReleaseStore::release_key(&request), 0.5, &stats);
+        let bits = vec![(0.1f64 + 0.2).to_bits().to_string(); 11].join(",");
+        let earlier = meta.replacen("}}\n", &format!("}},\"utility_bits\":[{bits}]}}\n"), 1);
+        assert!(earlier.ends_with("]}\n"), "{earlier}");
+        let stem = ReleaseStore::release_stem(&request);
+        std::fs::write(store.meta_path(&stem), earlier).unwrap();
+        let hit = store.lookup(&request).unwrap();
+        assert_eq!(hit.stats, stats);
+        assert_eq!(io::to_binary(&hit.graph), artifact);
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -346,8 +329,8 @@ mod tests {
     #[test]
     fn lookup_survives_reopen() {
         let store = temp_store("reopen");
-        let (request, artifact, stats, utility) = sample_outcome();
-        store.insert(&request, &artifact, &stats, &utility).unwrap();
+        let (request, artifact, stats) = sample_outcome();
+        store.insert(&request, &artifact, &stats).unwrap();
         let reopened = ReleaseStore::open(store.dir().to_path_buf()).unwrap();
         assert!(reopened.lookup(&request).is_some());
         std::fs::remove_dir_all(store.dir()).ok();
@@ -356,8 +339,8 @@ mod tests {
     #[test]
     fn distinct_requests_get_distinct_entries() {
         let store = temp_store("distinct");
-        let (request, artifact, stats, utility) = sample_outcome();
-        store.insert(&request, &artifact, &stats, &utility).unwrap();
+        let (request, artifact, stats) = sample_outcome();
+        store.insert(&request, &artifact, &stats).unwrap();
         // Any key ingredient change misses: ε, seed, refinement iterations.
         let mut other = request.clone();
         other.epsilon = 0.25;
@@ -381,8 +364,8 @@ mod tests {
     #[test]
     fn a_flipped_neighbour_byte_is_a_miss_on_the_first_hit() {
         let store = temp_store("flipped");
-        let (request, mut artifact, stats, utility) = sample_outcome();
-        store.insert(&request, &artifact, &stats, &utility).unwrap();
+        let (request, mut artifact, stats) = sample_outcome();
+        store.insert(&request, &artifact, &stats).unwrap();
         let stem = ReleaseStore::release_stem(&request);
         // A 28-byte header and n + 1 offset words precede the neighbours.
         let neighbours = 28 + 4 * (stats.nodes + 1);
@@ -397,8 +380,8 @@ mod tests {
 
         // A rewrite of the released bytes hits, and keeps hitting after the
         // file goes bad, without re-reading the whole artifact.
-        let (_, released, _, _) = sample_outcome();
-        store.insert(&request, &released, &stats, &utility).unwrap();
+        let (_, released, _) = sample_outcome();
+        store.insert(&request, &released, &stats).unwrap();
         assert_eq!(
             io::to_binary(&store.lookup(&request).unwrap().graph),
             released
@@ -414,8 +397,8 @@ mod tests {
     #[test]
     fn corrupt_sidecar_or_artifact_degrades_to_miss() {
         let store = temp_store("corrupt");
-        let (request, artifact, stats, utility) = sample_outcome();
-        store.insert(&request, &artifact, &stats, &utility).unwrap();
+        let (request, artifact, stats) = sample_outcome();
+        store.insert(&request, &artifact, &stats).unwrap();
         let stem = ReleaseStore::release_stem(&request);
 
         // Truncated artifact: the trusted open refuses, lookup misses.
@@ -423,29 +406,18 @@ mod tests {
         assert!(store.lookup(&request).is_none());
 
         // Unparseable sidecar.
-        store.insert(&request, &artifact, &stats, &utility).unwrap();
+        store.insert(&request, &artifact, &stats).unwrap();
         std::fs::write(store.meta_path(&stem), b"not json").unwrap();
         assert!(store.lookup(&request).is_none());
 
         // Version skew.
-        let meta = render_meta(&ReleaseStore::release_key(&request), 0.5, &stats, &utility)
+        let meta = render_meta(&ReleaseStore::release_key(&request), 0.5, &stats)
             .replace("\"version\":1", "\"version\":999");
         std::fs::write(store.meta_path(&stem), meta).unwrap();
         assert!(store.lookup(&request).is_none());
 
-        // One utility entry too few or too many.
-        let meta = render_meta(&ReleaseStore::release_key(&request), 0.5, &stats, &utility);
-        let entries = format!("{},", 0.125f64.to_bits());
-        for skewed in [
-            meta.replacen(&entries, "", 1),
-            meta.replacen(&entries, &entries.repeat(2), 1),
-        ] {
-            std::fs::write(store.meta_path(&stem), skewed).unwrap();
-            assert!(store.lookup(&request).is_none());
-        }
-
         // Key mismatch (as a hash collision would present).
-        let meta = render_meta("v1;dataset=other", 0.5, &stats, &utility);
+        let meta = render_meta("v1;dataset=other", 0.5, &stats);
         std::fs::write(store.meta_path(&stem), meta).unwrap();
         assert!(store.lookup(&request).is_none());
 

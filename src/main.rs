@@ -78,8 +78,8 @@ overrides it. `convert` round-trips losslessly: text -> binary -> text
 reproduces agmdp-written text files byte for byte (hand-authored files
 come back in canonical form with identical content). `serve` exposes the
 JSON endpoints GET /healthz, GET /datasets, POST /datasets,
-POST /synthesize, GET /jobs/:id, GET /budget/:dataset and GET /evaluate,
-plus the Prometheus text exposition at GET /metrics; POST /datasets 'path'
+POST /synthesize, GET /jobs/:id and GET /budget/:dataset, plus the
+Prometheus text exposition at GET /metrics; POST /datasets 'path'
 registrations accept both formats. The server writes one JSON access-log
 line per request (and one span line per synthesis stage) to stderr;
 `serve --quiet` suppresses them without affecting /metrics.
@@ -543,7 +543,7 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> CmdResult {
     let banner = format!(
         "agmdp-service listening on http://{} (event transport, {} worker threads, max-conns {}, queue-depth {}, rate-limit {}, ledger: {}, access log: {})\n\
          release store: {}\n\
-         endpoints: GET /healthz · GET /datasets · POST /datasets · POST /synthesize · GET /jobs/:id · GET /budget/:dataset · GET /evaluate · GET /metrics\n",
+         endpoints: GET /healthz · GET /datasets · POST /datasets · POST /synthesize · GET /jobs/:id · GET /budget/:dataset · GET /metrics\n",
         handle.local_addr(),
         config.threads,
         config.max_conns,

@@ -587,9 +587,10 @@ impl Transcript {
 
 /// Pins the response bytes of every route: registration (inline, from a
 /// path, repeated, conflicting), listing, cold, fit-cache-hit, store-hit and
-/// FCL-smooth jobs, each 400 of both body parsers in field order, 402, 404,
-/// 405, budget, evaluate, health, and the framing errors 400, 413, 431 and
-/// 505. `/metrics` (timings) and all job polls but the last are left out.
+/// FCL-smooth jobs, each 400 of both body parsers in field order, 402, 404
+/// (`/evaluate` is no route), 405, budget, health, and the framing errors
+/// 400, 413, 431 and 505. `/metrics` (timings) and all job polls but the
+/// last are left out.
 /// The re-pin command is in this file's header.
 #[test]
 fn every_route_matches_the_pinned_transcript() {
